@@ -82,9 +82,10 @@ timedRun(const QuantumCircuit& circuit, BackendRequest request, int shots,
     options.seed = seed;
     options.backend = request;
     const auto start = Clock::now();
-    const backend::RoutedRun run = backend::prepareRun(circuit, options);
+    const auto prepared = backend::prepareRouted(
+        circuit, options, backend::route(circuit, options));
     TimedRun out;
-    out.counts = backend::runPrepared(*run.prepared, options);
+    out.counts = backend::runPrepared(*prepared, options);
     out.ms = elapsedMs(start, Clock::now());
     out.shots = shots;
     return out;

@@ -117,12 +117,13 @@ timedRun(const QuantumCircuit& circuit, BackendRequest request, int shots,
     options.backend = request;
     options.num_threads = threads;
     const auto start = Clock::now();
-    const backend::RoutedRun run = backend::prepareRun(circuit, options);
+    const auto prepared = backend::prepareRouted(
+        circuit, options, backend::route(circuit, options));
     TimedRun out;
-    out.counts = backend::runPrepared(*run.prepared, options);
+    out.counts = backend::runPrepared(*prepared, options);
     out.ms = elapsedMs(start, Clock::now());
     out.shots = shots;
-    out.trunc_error = run.prepared->truncationError();
+    out.trunc_error = prepared->truncationError();
     return out;
 }
 

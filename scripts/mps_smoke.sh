@@ -55,7 +55,7 @@ done
 printf '%s\n' \
     "{\"op\":\"explain\",\"id\":\"why\",\"qasm\":\"$qasm\",\"shots\":256}" \
     "{\"id\":\"run\",\"qasm\":\"$qasm\",\"shots\":256,\"seed\":11}" \
-    "{\"id\":\"starved\",\"qasm\":\"$qasm\",\"shots\":256,\"seed\":12,\"backend\":\"mps\",\"mps_chi\":2,\"mps_trunc_tol\":1e-12}" \
+    "{\"id\":\"starved\",\"qasm\":\"$qasm\",\"shots\":256,\"seed\":12,\"backend\":\"mps\",\"mps_chi\":2,\"mps_tol\":1e-12}" \
     '{"op":"shutdown"}' \
     | "$QASSERTD" --workers 2 \
     > "$workdir/daemon.out" 2> "$workdir/daemon.err" \

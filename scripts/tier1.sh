@@ -8,8 +8,10 @@
 # ThreadSanitizer build (QA_ENABLE_TSAN=ON) that runs the shot-engine,
 # policy-runner, service-scheduler, backend-subsystem, MPS-backend,
 # gate-fusion/kernel, and resilience-chaos tests — the multi-threaded code paths, including
-# watchdog reclaim/respawn, zombie joins, and the pooled shot loops of
-# all four simulation backends — under TSAN, and an ASan+UBSan build
+# watchdog reclaim/respawn, zombie joins, and the one shot loop every
+# backend and policy shares (JobTest.ShotLoopIsThreadCountDeterministic
+# drives a plain job and a multi-variant retry job through it at 1, 2
+# and 8 threads) — under TSAN, and an ASan+UBSan build
 # (QA_ENABLE_ASAN=ON) that runs the fault-injection, recovery-policy,
 # service, backend, MPS, assertion-compiler, and resilience tests, whose
 # error paths exercise exception propagation out of worker pools,
@@ -78,7 +80,7 @@ if [[ "$skip_tsan" -ne 1 ]]; then
     ./build-tsan/tests/test_policy \
         --gtest_filter='PolicyTest.*'
     ./build-tsan/tests/test_serve \
-        --gtest_filter='SchedulerTest.*:CacheTest.*'
+        --gtest_filter='SchedulerTest.*:CacheTest.*:JobTest.*'
     ./build-tsan/tests/test_backend \
         --gtest_filter='BackendDeterminismTest.*:CrossBackendTest.*'
     ./build-tsan/tests/test_mps \
@@ -102,7 +104,7 @@ if [[ "$skip_asan" -ne 1 ]]; then
     ./build-asan/tests/test_inject
     ./build-asan/tests/test_policy
     ./build-asan/tests/test_engine \
-        --gtest_filter='ShotPoolTest.*:EngineTest.Deadline*'
+        --gtest_filter='ShotPoolTest.*:EngineTest.Deadline*:EngineTest.StatevectorSampler*'
     ./build-asan/tests/test_serve
     ./build-asan/tests/test_backend
     ./build-asan/tests/test_mps

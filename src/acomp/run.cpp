@@ -7,19 +7,44 @@ namespace qa
 namespace acomp
 {
 
+PolicyJob
+policyJob(const CompiledProgram& compiled)
+{
+    QA_REQUIRE(!compiled.variants.empty(),
+               "a compiled program needs at least one variant");
+    PolicyJob job;
+    for (const QuantumCircuit& variant : compiled.variants) {
+        job.variants.push_back(&variant);
+    }
+    for (const SlotSummary& slot : compiled.slots) {
+        job.slot_clbits.push_back(slot.clbits);
+    }
+    job.program_clbits = compiled.program_clbits;
+    job.repair_supported = compiled.repair_supported;
+    return job;
+}
+
 PolicyOutcome
 runLowered(const CompiledProgram& compiled, const SimOptions& options,
            const PolicyOptions& popts)
 {
-    QA_REQUIRE(!compiled.variants.empty(),
-               "runLowered needs a compiled program");
-    std::vector<std::vector<int>> slot_clbits;
-    for (const SlotSummary& slot : compiled.slots) {
-        slot_clbits.push_back(slot.clbits);
+    const PolicyJob job = policyJob(compiled);
+    return runPolicy(job, backend::route(compiled.variants[0], options),
+                     options, popts);
+}
+
+PlannedRun
+planRun(const QuantumCircuit& circuit, const SimOptions& options,
+        const AcompOptions* auto_assert,
+        const std::vector<QasmPos>* positions)
+{
+    PlannedRun plan;
+    if (auto_assert != nullptr) {
+        plan.compiled = autoAssert(circuit, *auto_assert, positions);
     }
-    return runVariantsPolicy(compiled.variants, slot_clbits,
-                             compiled.program_clbits,
-                             compiled.repair_supported, options, popts);
+    plan.route = backend::route(
+        plan.compiled ? plan.compiled->variants[0] : circuit, options);
+    return plan;
 }
 
 } // namespace acomp

@@ -2,14 +2,16 @@
  * @file
  * Pluggable simulation-backend subsystem (DESIGN.md Sec. 11).
  *
- * A Backend turns (circuit, options) into a PreparedCircuit — the
- * shot-invariant work done once — and a PreparedCircuit hands out
- * ShotSamplers — the per-worker mutable scratch — so one pooled shot
- * loop (runPrepared) can drive any backend with the engine's
- * counter-based RNG streams. Three implementations are registered:
+ * A Backend turns (circuit, options, the router's analysis) into a
+ * PreparedCircuit — the shot-invariant work done once — and a
+ * PreparedCircuit hands out ShotSamplers — the per-worker mutable
+ * scratch — so one pooled shot loop (runShotLoop) can drive any backend
+ * with the engine's counter-based RNG streams. Four implementations are
+ * registered:
  *
- *  - statevector: the general dense engine (sim/engine.hpp) with prefix
- *    caching and the terminal-sampling fast path; O(2^n) per gate.
+ *  - statevector: the general dense engine with prefix caching and the
+ *    terminal-sampling fast path (sim/engine.hpp's ShotPlan); O(2^n)
+ *    per gate.
  *  - density_matrix: exact channel evolution of rho with sampling from
  *    the final diagonal; O(4^n) per gate, shots nearly free; terminal
  *    measurements only.
@@ -30,6 +32,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "backend/router.hpp"
 #include "common/rng.hpp"
@@ -41,31 +44,6 @@ namespace qa
 {
 namespace backend
 {
-
-/** What a backend can and cannot execute (DESIGN.md capability matrix). */
-struct BackendCapabilities
-{
-    BackendKind kind = BackendKind::kStatevector;
-    const char* name = "";
-
-    /** Only Clifford gates (named or matrix-recognized). */
-    bool clifford_only = false;
-
-    /** Measurements and resets before the end of the circuit. */
-    bool mid_circuit = false;
-
-    /** Arbitrary Kraus channels. */
-    bool kraus_noise = false;
-
-    /** Kraus channels restricted to Pauli mixtures. */
-    bool pauli_noise = false;
-
-    /** Classical readout error. */
-    bool readout_noise = false;
-
-    /** Hard qubit bound (0 = memory-bound only). */
-    int max_qubits = 0;
-};
 
 /**
  * Per-worker shot sampler: owns the mutable scratch one pool worker
@@ -118,11 +96,18 @@ class Backend
   public:
     virtual ~Backend() = default;
 
-    virtual BackendCapabilities capabilities() const = 0;
-
+    /**
+     * Prepare from the router's analysis of `circuit` under `options`
+     * (analyzeForRouting): the dense backends take the profile and the
+     * fused stream from it instead of recomputing them.
+     */
     virtual std::shared_ptr<const PreparedCircuit>
-    prepare(const QuantumCircuit& circuit,
-            const SimOptions& options) const = 0;
+    prepare(const QuantumCircuit& circuit, const SimOptions& options,
+            const CircuitAnalysis& analysis) const = 0;
+
+    /** Analyze, then prepare: for callers that did not route first. */
+    std::shared_ptr<const PreparedCircuit>
+    prepare(const QuantumCircuit& circuit, const SimOptions& options) const;
 
     /** prepare + runPrepared: the one-call form. */
     Counts runShots(const QuantumCircuit& circuit,
@@ -133,28 +118,57 @@ class Backend
 const Backend& backendFor(BackendKind kind);
 
 /**
- * The pooled shot loop over a prepared circuit: runShotPool with one
- * sampler per worker and Rng::forStream(seed, shot) per shot —
- * bit-identical merged counts for any thread count, honoring the
- * deadline contract (partial counts flagged `truncated`).
+ * How the shot loop treats assertion slots (a shot flags slot i when a
+ * bit of slot_clbits[i] reads '1'); core/runner.hpp maps each policy
+ * onto these. Attempt a of shot s draws Rng::forStream(seed,
+ * s * attempts + a); a flagged attempt is redrawn while attempts last.
+ */
+struct ShotRules
+{
+    std::vector<std::vector<int>> slot_clbits;
+    int attempts = 1;
+    bool keep_flagged = false; ///< Keep a shot whose last attempt flags.
+    bool stop_on_flag = false; ///< Serial, stop at the first flag.
+};
+
+/** What one shot loop produced. */
+struct ShotTally
+{
+    /** Kept shots over every classical bit (truncated by a deadline). */
+    Counts kept;
+
+    std::vector<long> slot_errors; ///< First-attempt flags per slot.
+    long passed = 0;   ///< Shots whose first attempt flagged nothing.
+    long retries = 0;  ///< Attempts redrawn after a flagged one.
+    int completed = 0; ///< Shots whose first attempt ran.
+};
+
+/**
+ * The one shot loop every run goes through. Shot s executes
+ * variants[s % variants.size()] (all prepared on one backend) with one
+ * sampler per variant per worker, created on first use. Shots are
+ * independent bodies keyed by their index, so the tally is bit-identical
+ * for any options.num_threads; options.deadline_ms truncates
+ * cooperatively (partial tally flagged `truncated`).
+ */
+ShotTally runShotLoop(const std::vector<const PreparedCircuit*>& variants,
+                      const ShotRules& rules, const SimOptions& options);
+
+/**
+ * runShotLoop over one prepared circuit with default rules: the counts
+ * of every completed shot, Rng::forStream(seed, shot) per shot.
  */
 Counts runPrepared(const PreparedCircuit& prepared,
                    const SimOptions& options);
 
-/** A routed, prepared job: the decision plus the prepared circuit. */
-struct RoutedRun
-{
-    BackendChoice choice;
-    std::shared_ptr<const PreparedCircuit> prepared;
-};
-
 /**
- * Route and prepare in one step. Throws UserError (kBadRequest) when an
- * explicit backend request cannot run the job; auto routing always
- * succeeds.
+ * Prepare a routed circuit on its chosen backend, reusing the route's
+ * analysis. Throws UserError (kBadRequest) when an explicit backend
+ * request cannot run the job; auto routes are always capable.
  */
-RoutedRun prepareRun(const QuantumCircuit& circuit,
-                     const SimOptions& options);
+std::shared_ptr<const PreparedCircuit>
+prepareRouted(const QuantumCircuit& circuit, const SimOptions& options,
+              const Route& route);
 
 namespace detail
 {

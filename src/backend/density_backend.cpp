@@ -19,7 +19,6 @@
 #include "common/error.hpp"
 #include "sim/density.hpp"
 #include "sim/engine.hpp"
-#include "sim/fusion.hpp"
 
 namespace qa
 {
@@ -35,7 +34,8 @@ class DensityPrepared final : public PreparedCircuit
 {
   public:
     DensityPrepared(const QuantumCircuit& circuit,
-                    const SimOptions& options)
+                    const SimOptions& options,
+                    const CircuitAnalysis& analysis)
         : num_qubits_(circuit.numQubits()),
           noise_(options.noise != nullptr && options.noise->enabled()
                      ? options.noise
@@ -44,7 +44,7 @@ class DensityPrepared final : public PreparedCircuit
     {
         if (noise_ != nullptr) noise_->validate();
 
-        const CircuitProfile profile = analyzeCircuit(circuit);
+        const CircuitProfile& profile = analysis.profile;
         QA_REQUIRE(profile.terminal_measure_only,
                    "density-matrix backend requires terminal-only "
                    "measurements and no resets");
@@ -59,15 +59,11 @@ class DensityPrepared final : public PreparedCircuit
         const bool kraus =
             noise_ != nullptr && (!noise_->noise_1q.empty() ||
                                   !noise_->noise_2q.empty());
-        std::vector<Instruction> program;
-        if (options.fusion && !kraus) {
-            FusedProgram prog = fuseCircuit(
-                circuit,
-                FusionOptions{true, options.fusion_max_qubits});
-            program = std::move(prog.instructions);
-        } else {
-            program = circuit.instructions();
-        }
+        const bool fuse = options.fusion && !kraus;
+        QA_REQUIRE(!fuse || analysis.fused.has_value(),
+                   "density-matrix prepare needs the fused stream");
+        const std::vector<Instruction>& program =
+            fuse ? analysis.fused->instructions : circuit.instructions();
 
         // Exact evolution: gate, then that gate's channels on each
         // touched qubit — the same ordering the statevector engine uses
@@ -160,26 +156,12 @@ DensityPrepared::makeSampler() const
 class DensityBackend final : public Backend
 {
   public:
-    BackendCapabilities
-    capabilities() const override
-    {
-        BackendCapabilities caps;
-        caps.kind = BackendKind::kDensityMatrix;
-        caps.name = backendName(BackendKind::kDensityMatrix);
-        caps.clifford_only = false;
-        caps.mid_circuit = false;
-        caps.kraus_noise = true;
-        caps.pauli_noise = true;
-        caps.readout_noise = true;
-        caps.max_qubits = kMaxQubits;
-        return caps;
-    }
-
     std::shared_ptr<const PreparedCircuit>
-    prepare(const QuantumCircuit& circuit,
-            const SimOptions& options) const override
+    prepare(const QuantumCircuit& circuit, const SimOptions& options,
+            const CircuitAnalysis& analysis) const override
     {
-        return std::make_shared<DensityPrepared>(circuit, options);
+        return std::make_shared<DensityPrepared>(circuit, options,
+                                                 analysis);
     }
 };
 

@@ -279,24 +279,9 @@ MpsPrepared::makeSampler() const
 class MpsBackend final : public Backend
 {
   public:
-    BackendCapabilities
-    capabilities() const override
-    {
-        BackendCapabilities caps;
-        caps.kind = BackendKind::kMps;
-        caps.name = backendName(BackendKind::kMps);
-        caps.clifford_only = false;
-        caps.mid_circuit = true;
-        caps.kraus_noise = false;
-        caps.pauli_noise = false;
-        caps.readout_noise = true;
-        caps.max_qubits = 4096; // chain-length bound, not memory
-        return caps;
-    }
-
     std::shared_ptr<const PreparedCircuit>
-    prepare(const QuantumCircuit& circuit,
-            const SimOptions& options) const override
+    prepare(const QuantumCircuit& circuit, const SimOptions& options,
+            const CircuitAnalysis&) const override
     {
         return std::make_shared<MpsPrepared>(circuit, options);
     }

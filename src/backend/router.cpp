@@ -176,15 +176,49 @@ describeNoise(const NoiseProfile& noise)
 
 } // namespace
 
-BackendChoice
-routeShots(const QuantumCircuit& circuit, const SimOptions& options)
+CircuitAnalysis
+analyzeForRouting(const QuantumCircuit& circuit, const SimOptions& options)
 {
-    const CircuitProfile profile = analyzeCircuit(circuit);
+    CircuitAnalysis analysis;
+    analysis.profile = analyzeCircuit(circuit);
+    analysis.entanglement = analyzeEntanglement(circuit);
+    if (options.fusion) {
+        analysis.fused = fuseCircuit(
+            circuit, FusionOptions{true, options.fusion_max_qubits});
+    }
+    return analysis;
+}
+
+std::string
+capabilityGap(BackendKind kind, const CircuitAnalysis& analysis,
+              const SimOptions& options)
+{
+    switch (kind) {
+      case BackendKind::kStatevector:
+        return "";
+      case BackendKind::kDensityMatrix:
+        return densityObjection(analysis.profile);
+      case BackendKind::kStabilizer:
+        return stabilizerObjection(analysis.profile,
+                                   analyzeNoise(options.noise));
+      case BackendKind::kMps:
+        return mpsObjection(analysis.entanglement,
+                            analyzeNoise(options.noise), options);
+    }
+    return "unknown backend kind";
+}
+
+Route
+route(const QuantumCircuit& circuit, const SimOptions& options)
+{
+    Route out;
+    out.analysis = analyzeForRouting(circuit, options);
+    const CircuitProfile& profile = out.analysis.profile;
+    const EntanglementProfile& ent = out.analysis.entanglement;
     const NoiseProfile noise = analyzeNoise(options.noise);
-    const EntanglementProfile ent = analyzeEntanglement(circuit);
     const int chi_cap = std::max(1, options.mps_chi);
 
-    BackendChoice choice;
+    BackendChoice& choice = out.choice;
     choice.klass = profile.klass;
     choice.non_clifford_gates = profile.non_clifford_gates;
     choice.mps_chi = mpsEffectiveChi(ent, chi_cap);
@@ -195,74 +229,57 @@ routeShots(const QuantumCircuit& circuit, const SimOptions& options)
     // channels revert the noisy stream to raw gates at prepare time,
     // so the cost model only credits fusion when none are active.
     choice.fusion_enabled = options.fusion && !options.naive;
-    if (choice.fusion_enabled) {
-        choice.fusion =
-            fuseCircuit(circuit, FusionOptions{
-                                     true, options.fusion_max_qubits})
-                .stats;
-    }
+    if (choice.fusion_enabled) choice.fusion = out.analysis.fused->stats;
     size_t effective = profile.instructions;
     if (choice.fusion_enabled && !noise.kraus) {
         effective = profile.instructions - profile.gates +
                     choice.fusion.gates_out;
     }
 
-    const std::string stab_why = stabilizerObjection(profile, noise);
-    const std::string dens_why = densityObjection(profile);
-    const std::string mps_why = mpsObjection(ent, noise, options);
-
     if (options.backend != BackendRequest::kAuto) {
         choice.explicit_request = true;
         switch (options.backend) {
           case BackendRequest::kStatevector:
             choice.backend = BackendKind::kStatevector;
-            choice.reason = "explicit statevector request";
             break;
           case BackendRequest::kDensityMatrix:
             choice.backend = BackendKind::kDensityMatrix;
-            choice.capable = dens_why.empty();
-            choice.reason =
-                choice.capable
-                    ? "explicit density-matrix request"
-                    : "density-matrix backend cannot run this job: " +
-                          dens_why;
             break;
           case BackendRequest::kStabilizer:
             choice.backend = BackendKind::kStabilizer;
-            choice.capable = stab_why.empty();
-            choice.reason =
-                choice.capable
-                    ? "explicit stabilizer request"
-                    : "stabilizer backend cannot run this job: " +
-                          stab_why;
             break;
           case BackendRequest::kMps:
             choice.backend = BackendKind::kMps;
-            choice.capable = mps_why.empty();
-            choice.reason =
-                choice.capable
-                    ? "explicit mps request"
-                    : "mps backend cannot run this job: " + mps_why;
             break;
           case BackendRequest::kAuto:
             break;
         }
-        return choice;
+        const std::string why =
+            capabilityGap(choice.backend, out.analysis, options);
+        choice.capable = why.empty();
+        choice.reason =
+            choice.capable
+                ? std::string("explicit ") + backendName(choice.backend) +
+                      " request"
+                : std::string(backendName(choice.backend)) +
+                      " backend cannot run this job: " + why;
+        return out;
     }
 
     if (options.naive) {
         choice.backend = BackendKind::kStatevector;
         choice.reason =
             "naive replay is a statevector-engine diagnostic mode";
-        return choice;
+        return out;
     }
 
+    const std::string stab_why = stabilizerObjection(profile, noise);
     if (stab_why.empty()) {
         choice.backend = BackendKind::kStabilizer;
         choice.reason = "Clifford circuit (noise: " +
                         describeNoise(noise) + "), O(n^2)-per-gate "
                         "tableau simulation";
-        return choice;
+        return out;
     }
 
     // Chi-capped MPS: wide non-Clifford circuits whose entanglement
@@ -270,8 +287,8 @@ routeShots(const QuantumCircuit& circuit, const SimOptions& options)
     // per instruction. Gated on a width floor (dense SIMD wins below
     // it) and an honest cost comparison against the prefix-aware
     // statevector estimate.
-    if (mps_why.empty() && !noise.kraus &&
-        profile.num_qubits >= kMpsMinQubits) {
+    if (!noise.kraus && profile.num_qubits >= kMpsMinQubits &&
+        mpsObjection(ent, noise, options).empty()) {
         const double mps_est =
             mpsCost(profile, ent, choice.mps_chi, options.shots);
         const double sv_est =
@@ -287,11 +304,12 @@ routeShots(const QuantumCircuit& circuit, const SimOptions& options)
                 << choice.mps_trunc_bound
                 << ") beats 2^n dense evolution";
             choice.reason = why.str();
-            return choice;
+            return out;
         }
     }
 
-    if (noise.kraus && !noise.pauli_only && dens_why.empty()) {
+    if (noise.kraus && !noise.pauli_only &&
+        densityObjection(profile).empty()) {
         const CostEstimate est = estimateCosts(
             profile, options.noise, options.shots, effective);
         if (est.density < est.statevector) {
@@ -300,13 +318,19 @@ routeShots(const QuantumCircuit& circuit, const SimOptions& options)
                 "non-Pauli Kraus channels on a small terminal-"
                 "measurement circuit: one exact channel evolution is "
                 "cheaper than per-shot trajectory replay";
-            return choice;
+            return out;
         }
     }
 
     choice.backend = BackendKind::kStatevector;
     choice.reason = "general circuit: " + stab_why;
-    return choice;
+    return out;
+}
+
+BackendChoice
+routeShots(const QuantumCircuit& circuit, const SimOptions& options)
+{
+    return route(circuit, options).choice;
 }
 
 double
@@ -334,15 +358,17 @@ assertionGateWeight(BackendKind kind, int num_qubits)
 }
 
 std::string
-explainRouting(const QuantumCircuit& circuit, const SimOptions& options)
+explainRouting(const Route& route, const SimOptions& options)
 {
-    const CircuitProfile profile = analyzeCircuit(circuit);
+    const CircuitProfile& profile = route.analysis.profile;
+    const EntanglementProfile& ent = route.analysis.entanglement;
+    const BackendChoice& choice = route.choice;
     const NoiseProfile noise = analyzeNoise(options.noise);
-    const EntanglementProfile ent = analyzeEntanglement(circuit);
-    const BackendChoice choice = routeShots(circuit, options);
-    const std::string stab_why = stabilizerObjection(profile, noise);
-    const std::string dens_why = densityObjection(profile);
-    const std::string mps_why = mpsObjection(ent, noise, options);
+    const auto verdict = [&](BackendKind kind) {
+        const std::string why =
+            capabilityGap(kind, route.analysis, options);
+        return why.empty() ? std::string("yes") : "no (" + why + ")";
+    };
 
     std::ostringstream out;
     out << "circuit: " << profile.num_qubits << " qubits, "
@@ -400,11 +426,9 @@ explainRouting(const QuantumCircuit& circuit, const SimOptions& options)
     }
     out << "\n";
     out << "capable: statevector=yes, density_matrix="
-        << (dens_why.empty() ? "yes" : "no (" + dens_why + ")")
-        << ", stabilizer="
-        << (stab_why.empty() ? "yes" : "no (" + stab_why + ")")
-        << ", mps="
-        << (mps_why.empty() ? "yes" : "no (" + mps_why + ")") << "\n";
+        << verdict(BackendKind::kDensityMatrix)
+        << ", stabilizer=" << verdict(BackendKind::kStabilizer)
+        << ", mps=" << verdict(BackendKind::kMps) << "\n";
     out << "chosen: " << backendName(choice.backend)
         << (choice.capable ? "" : " [INCAPABLE]") << " — "
         << choice.reason << "\n";

@@ -4,19 +4,21 @@
  * cheapest capable simulation backend.
  *
  * Routing is a pure function of the circuit structure, the noise model,
- * and the keyed run options (shots, explicit backend request, naive
- * flag) — never of wall-clock, thread count, or RNG state. That makes
- * the decision bit-identically reproducible, which the serve layer
- * relies on when it absorbs the resolved backend into cache keys.
+ * and the run options it reads (shots, explicit backend request, naive
+ * flag, fusion knobs, MPS chi cap and tolerance) — never of wall-clock,
+ * thread count, or RNG state. The serve layer's cache key absorbs every
+ * one of those inputs, so the key itself never has to route.
  *
- * routeShots never throws: an explicit request for a backend that
- * cannot run the job comes back with `capable == false` and a reason,
- * and the caller (dispatch / the serve layer) decides how to surface
- * the error. This keeps jobKey() exception-free.
+ * route() analyzes a circuit once — profile, entanglement, fused
+ * stream — and hands that analysis on with the decision, so prepare()
+ * never repeats it. Routing never throws: an explicit request for a
+ * backend that cannot run the job comes back with `capable == false`
+ * and a reason, and the caller decides how to surface the error.
  */
 #ifndef QA_BACKEND_ROUTER_HPP
 #define QA_BACKEND_ROUTER_HPP
 
+#include <optional>
 #include <string>
 
 #include "backend/analyzer.hpp"
@@ -82,6 +84,44 @@ struct BackendChoice
 };
 
 /**
+ * What routing learns about one circuit. route() computes it once and
+ * prepare() consumes it, so no backend repeats the analysis or the
+ * fusion pass.
+ */
+struct CircuitAnalysis
+{
+    CircuitProfile profile;
+    EntanglementProfile entanglement;
+
+    /**
+     * The whole-circuit fused stream when options.fusion is on (empty
+     * otherwise). Measurements and resets flush every fusion group, so
+     * the stream splits at the first of them into exactly the fused
+     * prefix and the fused suffix.
+     */
+    std::optional<FusedProgram> fused;
+};
+
+/** Analyze a circuit for routing and prepare; pure, never throws. */
+CircuitAnalysis analyzeForRouting(const QuantumCircuit& circuit,
+                                  const SimOptions& options);
+
+/**
+ * Why backend `kind` cannot run the analyzed job under `options` ("" when
+ * it can): the capability check behind explicit requests, also applied
+ * to circuit variants prepared on an already-resolved backend.
+ */
+std::string capabilityGap(BackendKind kind, const CircuitAnalysis& analysis,
+                          const SimOptions& options);
+
+/** A routing decision plus the analysis it was made from. */
+struct Route
+{
+    BackendChoice choice;
+    CircuitAnalysis analysis;
+};
+
+/**
  * Route one shot-execution job. Considers, in order: an explicit
  * `options.backend` request (validated, never overridden), the naive
  * replay flag (statevector only), the stabilizer fast path (Clifford
@@ -90,6 +130,9 @@ struct BackendChoice
  * where exact channel evolution beats per-shot trajectory replay), and
  * finally the general statevector engine. Never throws.
  */
+Route route(const QuantumCircuit& circuit, const SimOptions& options);
+
+/** The decision alone: route(circuit, options).choice. */
 BackendChoice routeShots(const QuantumCircuit& circuit,
                          const SimOptions& options);
 
@@ -105,13 +148,11 @@ BackendChoice routeShots(const QuantumCircuit& circuit,
 double assertionGateWeight(BackendKind kind, int num_qubits);
 
 /**
- * Multi-line human-readable report of the analysis and routing for a
- * job: circuit profile, noise profile, per-backend capability verdicts,
- * and the chosen backend with its reason. Powers `qassertd --explain`
- * and the qa_explain tool; executes nothing.
+ * Multi-line human-readable report of a route: circuit profile, noise
+ * profile, fusion plan, per-backend capability verdicts, and the chosen
+ * backend with its reason. Powers the qa_explain tool; executes nothing.
  */
-std::string explainRouting(const QuantumCircuit& circuit,
-                           const SimOptions& options);
+std::string explainRouting(const Route& route, const SimOptions& options);
 
 } // namespace backend
 } // namespace qa

@@ -270,24 +270,9 @@ StabilizerPrepared::makeSampler() const
 class StabilizerBackend final : public Backend
 {
   public:
-    BackendCapabilities
-    capabilities() const override
-    {
-        BackendCapabilities caps;
-        caps.kind = BackendKind::kStabilizer;
-        caps.name = backendName(BackendKind::kStabilizer);
-        caps.clifford_only = true;
-        caps.mid_circuit = true;
-        caps.kraus_noise = false;
-        caps.pauli_noise = true;
-        caps.readout_noise = true;
-        caps.max_qubits = 4096; // tableau size bound
-        return caps;
-    }
-
     std::shared_ptr<const PreparedCircuit>
-    prepare(const QuantumCircuit& circuit,
-            const SimOptions& options) const override
+    prepare(const QuantumCircuit& circuit, const SimOptions& options,
+            const CircuitAnalysis&) const override
     {
         return std::make_shared<StabilizerPrepared>(circuit,
                                                     options.noise);

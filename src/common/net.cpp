@@ -233,7 +233,9 @@ writeAllBounded(int fd, const char* data, size_t len, double timeout_ms)
                 timeout_ms > 0.0 ? timeout_ms : 0.0));
     size_t off = 0;
     while (off < len) {
-        const ssize_t n = ::write(fd, data + off, len - off);
+        // MSG_NOSIGNAL: a peer that closed turns into EPIPE below
+        // instead of a process-killing SIGPIPE.
+        const ssize_t n = ::send(fd, data + off, len - off, MSG_NOSIGNAL);
         if (n > 0) {
             off += size_t(n);
             continue;

@@ -72,8 +72,8 @@ int tcpAccept(int listen_fd, double timeout_ms);
 bool pollReadable(int fd, double timeout_ms);
 
 /**
- * Write all of `data`, tolerating partial writes and EAGAIN on
- * non-blocking fds by polling for writability, bounded by
+ * Write all of `data` to socket `fd`, tolerating partial writes and
+ * EAGAIN on non-blocking fds by polling for writability, bounded by
  * `timeout_ms` (<= 0: a single non-blocking pass must succeed).
  * False when the peer is gone or the deadline passed with bytes
  * still unwritten — the caller treats the stream as dead.

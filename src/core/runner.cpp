@@ -103,223 +103,129 @@ policyName(AssertionPolicy policy)
     return "unknown";
 }
 
+PolicyJob
+policyJob(const AssertedProgram& program)
+{
+    PolicyJob job;
+    job.variants = {&program.circuit()};
+    job.program_clbits = program.programClbits();
+    job.repair_supported = true;
+    for (const AssertedProgram::Slot& slot : program.slots()) {
+        job.slot_clbits.push_back(slot.clbits);
+        job.repair_supported &= slot.design == AssertionDesign::kSwap;
+    }
+    return job;
+}
+
+PolicyOutcome
+runPolicy(const PolicyJob& job, const backend::Route& first,
+          const SimOptions& options, const PolicyOptions& popts)
+{
+    QA_REQUIRE(!job.variants.empty(), "need at least one circuit variant");
+    QA_REQUIRE(options.shots > 0, "need a positive shot count");
+    QA_REQUIRE(popts.max_attempts >= 1, "max_attempts must be >= 1");
+    QA_REQUIRE_CODE(popts.policy != AssertionPolicy::kRepair ||
+                        job.repair_supported,
+                    ErrorCode::kPolicyUnsupported,
+                    "repair policy requires slots that restore the "
+                    "asserted state (SWAP-based designs) on every "
+                    "variant");
+    const QuantumCircuit& base = *job.variants[0];
+    for (const QuantumCircuit* variant : job.variants) {
+        QA_REQUIRE(variant->numQubits() == base.numQubits() &&
+                       variant->numClbits() == base.numClbits(),
+                   "circuit variants must share the register layout");
+    }
+
+    // Variant 0 runs where it was routed; the others are prepared on
+    // the same backend, each analyzed once for its capability check and
+    // its prepare.
+    const BackendKind kind = first.choice.backend;
+    std::vector<std::shared_ptr<const backend::PreparedCircuit>> prepared;
+    prepared.push_back(backend::prepareRouted(base, options, first));
+    for (size_t v = 1; v < job.variants.size(); ++v) {
+        const QuantumCircuit& variant = *job.variants[v];
+        const backend::CircuitAnalysis analysis =
+            backend::analyzeForRouting(variant, options);
+        const std::string gap =
+            backend::capabilityGap(kind, analysis, options);
+        QA_REQUIRE_CODE(gap.empty(), ErrorCode::kBadRequest,
+                        std::string(backendName(kind)) +
+                            " backend cannot run circuit variant " +
+                            std::to_string(v) + ": " + gap);
+        prepared.push_back(
+            backend::backendFor(kind).prepare(variant, options, analysis));
+    }
+
+    backend::ShotRules rules;
+    rules.slot_clbits = job.slot_clbits;
+    rules.attempts = popts.policy == AssertionPolicy::kRetry
+                         ? popts.max_attempts
+                         : 1;
+    rules.keep_flagged = popts.policy == AssertionPolicy::kRepair;
+    rules.stop_on_flag = popts.policy == AssertionPolicy::kAbort;
+    std::vector<const backend::PreparedCircuit*> variants;
+    for (const auto& p : prepared) variants.push_back(p.get());
+    backend::ShotTally tally = backend::runShotLoop(variants, rules, options);
+
+    PolicyOutcome out;
+    out.policy = popts.policy;
+    out.backend = first.choice;
+    for (const auto& p : prepared) {
+        out.mps_truncation_error =
+            std::max(out.mps_truncation_error, p->truncationError());
+    }
+    out.shots_requested = options.shots;
+    out.shots_completed = tally.completed;
+    out.shots_accepted = tally.kept.shots;
+    out.truncated = tally.kept.truncated;
+    out.retries = int(tally.retries);
+    // Each policy drops (or keeps) flagged shots in one way only, so the
+    // counts below follow from completed, accepted and passed shots.
+    const int flagged_out = out.shots_completed - out.shots_accepted;
+    switch (popts.policy) {
+      case AssertionPolicy::kAbort:
+        out.aborted = flagged_out > 0;
+        if (out.aborted) out.abort_shot = out.shots_completed - 1;
+        break;
+      case AssertionPolicy::kRetry:
+        out.exhausted = flagged_out;
+        break;
+      case AssertionPolicy::kRepair:
+        out.repaired = out.shots_completed - int(tally.passed);
+        break;
+      case AssertionPolicy::kDiscard:
+        break;
+    }
+    out.slot_error_rate.assign(job.slot_clbits.size(), 0.0);
+    if (tally.completed > 0) {
+        for (size_t i = 0; i < job.slot_clbits.size(); ++i) {
+            out.slot_error_rate[i] = double(tally.slot_errors[i]) /
+                                     double(tally.completed);
+        }
+        out.pass_rate = double(tally.passed) / double(tally.completed);
+    }
+
+    // A program-clbit list naming every clbit in order (plain circuits)
+    // marginalizes to the raw histogram itself.
+    bool identity = int(job.program_clbits.size()) == base.numClbits();
+    for (size_t i = 0; identity && i < job.program_clbits.size(); ++i) {
+        identity = job.program_clbits[i] == int(i);
+    }
+    out.program_counts = identity
+                             ? tally.kept
+                             : marginalCounts(tally.kept, job.program_clbits);
+    out.raw = std::move(tally.kept);
+    return out;
+}
+
 PolicyOutcome
 runAssertedPolicy(const AssertedProgram& program, const SimOptions& options,
                   const PolicyOptions& popts)
 {
-    bool repair_supported = true;
-    for (const AssertedProgram::Slot& slot : program.slots()) {
-        if (slot.design != AssertionDesign::kSwap) {
-            repair_supported = false;
-            QA_REQUIRE_CODE(
-                popts.policy != AssertionPolicy::kRepair,
-                ErrorCode::kPolicyUnsupported,
-                std::string("repair policy requires SWAP-based slots "
-                            "(which restore the asserted state); found ") +
-                    designName(slot.design));
-        }
-    }
-
-    std::vector<std::vector<int>> slot_clbits;
-    for (const AssertedProgram::Slot& slot : program.slots()) {
-        slot_clbits.push_back(slot.clbits);
-    }
-    return runVariantsPolicy({program.circuit()}, slot_clbits,
-                             program.programClbits(), repair_supported,
-                             options, popts);
-}
-
-PolicyOutcome
-runVariantsPolicy(const std::vector<QuantumCircuit>& variants,
-                  const std::vector<std::vector<int>>& slot_clbits,
-                  const std::vector<int>& program_clbits,
-                  bool repair_supported, const SimOptions& options,
-                  const PolicyOptions& popts)
-{
-    QA_REQUIRE(!variants.empty(), "need at least one circuit variant");
-    QA_REQUIRE(options.shots > 0, "need a positive shot count");
-    QA_REQUIRE(popts.max_attempts >= 1, "max_attempts must be >= 1");
-    QA_REQUIRE_CODE(popts.policy != AssertionPolicy::kRepair ||
-                        repair_supported,
-                    ErrorCode::kPolicyUnsupported,
-                    "repair policy requires slots that restore the "
-                    "asserted state on every variant");
-    for (const QuantumCircuit& variant : variants) {
-        QA_REQUIRE(variant.numQubits() == variants[0].numQubits() &&
-                       variant.numClbits() == variants[0].numClbits(),
-                   "circuit variants must share the register layout");
-    }
-    const size_t num_variants = variants.size();
-
-    // Route variant 0 once; the remaining variants are prepared on the
-    // same resolved backend (forced explicitly) so per-shot counts stay
-    // in one determinism domain.
-    std::vector<backend::RoutedRun> routed;
-    routed.push_back(backend::prepareRun(variants[0], options));
-    if (num_variants > 1) {
-        SimOptions forced = options;
-        switch (routed[0].choice.backend) {
-          case BackendKind::kStatevector:
-            forced.backend = BackendRequest::kStatevector;
-            break;
-          case BackendKind::kDensityMatrix:
-            forced.backend = BackendRequest::kDensityMatrix;
-            break;
-          case BackendKind::kStabilizer:
-            forced.backend = BackendRequest::kStabilizer;
-            break;
-          case BackendKind::kMps:
-            forced.backend = BackendRequest::kMps;
-            break;
-        }
-        for (size_t v = 1; v < num_variants; ++v) {
-            routed.push_back(backend::prepareRun(variants[v], forced));
-        }
-    }
-
-    PolicyOutcome out;
-    out.backend = routed[0].choice;
-    for (const backend::RoutedRun& run : routed) {
-        out.mps_truncation_error = std::max(
-            out.mps_truncation_error, run.prepared->truncationError());
-    }
-    out.policy = popts.policy;
-    out.shots_requested = options.shots;
-    out.slot_error_rate.assign(slot_clbits.size(), 0.0);
-
-    std::vector<long> slot_errors(slot_clbits.size(), 0);
-    long passed = 0;
-
-    if (popts.policy == AssertionPolicy::kAbort) {
-        // Fail-fast is inherently ordered: run shots serially in shot
-        // order and stop at the first flagged one, so the abort point is
-        // deterministic.
-        const ShotDeadline deadline(options.deadline_ms);
-        std::vector<std::unique_ptr<backend::ShotSampler>> samplers(
-            num_variants);
-        for (int s = 0; s < options.shots; ++s) {
-            if (deadline.active() && (s & 63) == 0 && deadline.expired()) {
-                out.truncated = true;
-                break;
-            }
-            const size_t v = size_t(s) % num_variants;
-            if (samplers[v] == nullptr) {
-                samplers[v] = routed[v].prepared->makeSampler();
-            }
-            Rng rng = Rng::forStream(options.seed, uint64_t(s));
-            const std::string bits = samplers[v]->runOne(rng);
-            ++out.shots_completed;
-            bool any = false;
-            for (size_t i = 0; i < slot_clbits.size(); ++i) {
-                if (!allZero(bits, slot_clbits[i])) {
-                    ++slot_errors[i];
-                    any = true;
-                }
-            }
-            if (any) {
-                out.aborted = true;
-                out.abort_shot = s;
-                break;
-            }
-            ++passed;
-            ++out.raw.map[bits];
-            ++out.shots_accepted;
-        }
-    } else {
-        // Pooled policies: each shot (including its retry attempts) is a
-        // self-contained body depending only on the shot index, so the
-        // merged result is thread-count independent.
-        const int attempts = popts.policy == AssertionPolicy::kRetry
-                                 ? popts.max_attempts
-                                 : 1;
-        struct Local
-        {
-            Counts raw; ///< raw.shots counts this worker's accepted shots.
-            std::vector<long> slot_errors;
-            long passed = 0;
-            long retries = 0;
-            long exhausted = 0;
-            long repaired = 0;
-        };
-        std::vector<Local> locals;
-        const ShotLoopStatus status = runShotPool(
-            options.shots, options.num_threads, options.deadline_ms,
-            locals, [&]() {
-                // One sampler per variant per worker, created on first
-                // use (a worker that never draws a variant never pays
-                // for its scratch).
-                auto samplers = std::make_shared<std::vector<
-                    std::unique_ptr<backend::ShotSampler>>>(num_variants);
-                return [&, samplers](int shot, Local& local) {
-                    if (local.slot_errors.empty()) {
-                        local.slot_errors.assign(slot_clbits.size(), 0);
-                    }
-                    const size_t v = size_t(shot) % num_variants;
-                    if ((*samplers)[v] == nullptr) {
-                        (*samplers)[v] = routed[v].prepared->makeSampler();
-                    }
-                    backend::ShotSampler& sampler = *(*samplers)[v];
-                    std::string bits;
-                    bool any = false;
-                    for (int a = 0; a < attempts; ++a) {
-                        Rng rng = Rng::forStream(
-                            options.seed,
-                            uint64_t(shot) * uint64_t(attempts) +
-                                uint64_t(a));
-                        bits = sampler.runOne(rng);
-                        any = false;
-                        for (size_t i = 0; i < slot_clbits.size(); ++i) {
-                            const bool flagged =
-                                !allZero(bits, slot_clbits[i]);
-                            if (a == 0 && flagged) ++local.slot_errors[i];
-                            any |= flagged;
-                        }
-                        if (a == 0 && !any) ++local.passed;
-                        if (!any) break;
-                        if (a + 1 < attempts) ++local.retries;
-                    }
-                    if (popts.policy == AssertionPolicy::kRepair) {
-                        // Repair-capable slots re-prepared the asserted
-                        // state, so the program output is usable either
-                        // way.
-                        ++local.raw.map[bits];
-                        ++local.raw.shots;
-                        if (any) ++local.repaired;
-                    } else if (!any) {
-                        ++local.raw.map[bits];
-                        ++local.raw.shots;
-                    } else if (popts.policy == AssertionPolicy::kRetry) {
-                        ++local.exhausted;
-                    }
-                };
-            });
-        out.shots_completed = status.completed;
-        out.truncated = status.truncated;
-        for (const Local& local : locals) {
-            mergeCounts(out.raw, local.raw);
-            for (size_t i = 0; i < local.slot_errors.size(); ++i) {
-                slot_errors[i] += local.slot_errors[i];
-            }
-            passed += local.passed;
-            out.retries += int(local.retries);
-            out.exhausted += int(local.exhausted);
-            out.repaired += int(local.repaired);
-        }
-        out.shots_accepted = out.raw.shots;
-    }
-
-    out.raw.shots = out.shots_accepted;
-    if (out.shots_completed > 0) {
-        for (size_t i = 0; i < slot_clbits.size(); ++i) {
-            out.slot_error_rate[i] =
-                double(slot_errors[i]) / double(out.shots_completed);
-        }
-        out.pass_rate = double(passed) / double(out.shots_completed);
-    }
-
-    out.raw.truncated = out.truncated;
-    out.program_counts = marginalCounts(out.raw, program_clbits);
-    return out;
+    return runPolicy(policyJob(program),
+                     backend::route(program.circuit(), options), options,
+                     popts);
 }
 
 } // namespace qa

@@ -154,6 +154,40 @@ struct PolicyOutcome
 };
 
 /**
+ * What one policy run executes: shot s runs variants[s % V] (all sharing
+ * one qubit/clbit layout), slot verdicts are read from `slot_clbits`
+ * (all-zero = pass), and the accepted program histogram is the marginal
+ * over `program_clbits`. Every job shape reduces to this — an
+ * AssertedProgram, a compiled acomp program, or a plain circuit — so
+ * every job runs through the same policy loop. The variants are
+ * borrowed and must outlive the run.
+ */
+struct PolicyJob
+{
+    std::vector<const QuantumCircuit*> variants;
+    std::vector<std::vector<int>> slot_clbits;
+    std::vector<int> program_clbits;
+
+    /** Every slot restores the asserted state (required by kRepair). */
+    bool repair_supported = false;
+};
+
+/** The policy job of an AssertedProgram (repair needs all-SWAP slots). */
+PolicyJob policyJob(const AssertedProgram& program);
+
+/**
+ * Run a policy job. `first` is the route of variants[0] under `options`
+ * (backend::route); the job runs on its backend, reusing its analysis,
+ * and the other variants are prepared on the same backend so counts
+ * merge under one determinism domain. Throws UserError(kBadRequest)
+ * when that backend cannot run a variant, and
+ * UserError(kPolicyUnsupported) for kRepair without repair_supported.
+ */
+PolicyOutcome runPolicy(const PolicyJob& job, const backend::Route& first,
+                        const SimOptions& options,
+                        const PolicyOptions& policy);
+
+/**
  * Run the program's circuit shot by shot, reacting to flagged assertion
  * slots per `policy`. Seeded runs are bit-identical for any thread
  * count (per-shot/per-attempt counter-based RNG streams) unless
@@ -162,28 +196,6 @@ struct PolicyOutcome
  * (ErrorCode::kPolicyUnsupported) otherwise.
  */
 PolicyOutcome runAssertedPolicy(const AssertedProgram& program,
-                                const SimOptions& options,
-                                const PolicyOptions& policy);
-
-/**
- * Generalized policy loop over sub-circuit variants: shot s executes
- * variants[s % variants.size()], slot verdicts are read from
- * `slot_clbits` (all-zero = pass), and the accepted program histogram
- * is the marginal over `program_clbits`. This is the execution engine
- * behind the assertion compiler's kPauliSample lowering (acomp/run.hpp)
- * and the delegation target of runAssertedPolicy (single variant —
- * bit-identical to the historical behavior).
- *
- * Variant 0 is routed normally; the other variants are forced onto the
- * same resolved backend so counts merge under one determinism domain.
- * All variants must share the qubit/clbit layout. kRepair requires
- * `repair_supported` (the caller vouches every slot restores the
- * asserted state) and throws UserError(kPolicyUnsupported) otherwise.
- */
-PolicyOutcome runVariantsPolicy(const std::vector<QuantumCircuit>& variants,
-                                const std::vector<std::vector<int>>& slot_clbits,
-                                const std::vector<int>& program_clbits,
-                                bool repair_supported,
                                 const SimOptions& options,
                                 const PolicyOptions& policy);
 

@@ -188,6 +188,14 @@ adversarialWireCorpus()
         fail("{\"qasm\":\"OPENQASM 2.0;\\nqreg q[1];\","
              "\"noise\":[1,2]}",
              "array noise");
+        fail("{\"qasm\":\"OPENQASM 2.0;\\nqreg q[1];\","
+             "\"mps_trunc_tol\":1e-3}",
+             "unknown field (the tolerance is mps_tol)");
+        fail("{\"qasm\":\"OPENQASM 2.0;\\nqreg q[1];\","
+             "\"noise\":{\"kind\":\"melbourne\",\"p1\":0.1}}",
+             "field the noise kind does not read");
+        fail("{\"op\":\"metrics\",\"junk\":[[[1,2,3],{\"a\":null}]]}",
+             "unknown field on a control op");
         fail("{\"qasm\":\"not qasm at all\"}", "qasm gibberish");
         fail("{\"qasm\":\"" + std::string(4096, 'z') + "\"}",
              "large gibberish qasm");
@@ -195,8 +203,6 @@ adversarialWireCorpus()
         // --- hostile but survivable (must not crash or leak) -------
         survive("{\"op\":\"metrics\",\"id\":\"\xff\xfe ok\"}",
                 "invalid UTF-8 passes through the parser");
-        survive("{\"op\":\"metrics\",\"junk\":[[[1,2,3],{\"a\":null}]]}",
-                "unknown fields are ignored");
         survive("{\"op\":\"shutdown\",\"id\":" + std::string("1234567") +
                     "}",
                 "numeric id is stringified");

@@ -119,8 +119,8 @@ struct AdversarialPayload
 
 /**
  * The malformed-input corpus: truncated documents, deep nesting,
- * duplicate keys, bad numbers, invalid UTF-8/escapes, wrong-typed
- * fields, hostile sizes. Shared by the corpus test and the chaos
+ * duplicate keys, bad numbers, invalid UTF-8/escapes, wrong-typed or
+ * unknown fields, hostile sizes. Shared by the corpus test and the chaos
  * harness's wire-fuzz pass.
  */
 const std::vector<AdversarialPayload>& adversarialWireCorpus();

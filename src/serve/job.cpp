@@ -3,10 +3,8 @@
 #include <algorithm>
 
 #include "acomp/run.hpp"
-#include "backend/backend.hpp"
 #include "circuit/hash.hpp"
 #include "common/error.hpp"
-#include "sim/statevector.hpp"
 
 namespace qa
 {
@@ -27,6 +25,71 @@ allSlotsPass(const std::string& bits,
         }
     }
     return true;
+}
+
+/**
+ * Plain-circuit assertion slots read after the run: per-slot error
+ * rates and the pass rate over every completed shot in result.counts,
+ * and program_counts post-selected on every slot passing, restricted to
+ * the clbits no slot owns.
+ */
+void
+postSelect(JobResult& result, const std::vector<std::vector<int>>& slots,
+           int num_clbits)
+{
+    const Counts& raw = result.counts;
+    result.slot_error_rate.clear();
+    for (const std::vector<int>& slot : slots) {
+        result.slot_error_rate.push_back(1.0 - raw.fractionAllZero(slot));
+    }
+    const auto pass = [&](const std::string& bits) {
+        return allSlotsPass(bits, slots);
+    };
+    result.pass_rate = raw.fraction(pass);
+
+    std::vector<bool> is_assert(size_t(num_clbits), false);
+    for (const std::vector<int>& slot : slots) {
+        for (int c : slot) is_assert[size_t(c)] = true;
+    }
+    std::vector<int> program_bits;
+    for (int c = 0; c < num_clbits; ++c) {
+        if (!is_assert[size_t(c)]) program_bits.push_back(c);
+    }
+    result.program_counts =
+        marginalCounts(filterCounts(raw, pass), program_bits);
+}
+
+/**
+ * The policy job of a plain circuit: one variant, no slots, every clbit
+ * a program bit. Validates the assert_clbits slots read afterwards.
+ */
+PolicyJob
+plainJob(const JobSpec& spec)
+{
+    const int num_clbits = spec.circuit.numClbits();
+    if (!spec.assert_clbits.empty()) {
+        QA_REQUIRE_CODE(spec.policy == AssertionPolicy::kDiscard,
+                        ErrorCode::kPolicyUnsupported,
+                        std::string("plain-circuit jobs only support the "
+                                    "discard policy, got ") +
+                            policyName(spec.policy) +
+                            " (submit an AssertedProgram for the rest)");
+    }
+    for (const std::vector<int>& slot : spec.assert_clbits) {
+        QA_REQUIRE_CODE(!slot.empty(), ErrorCode::kBadRequest,
+                        "assertion slot lists no classical bits");
+        for (int c : slot) {
+            QA_REQUIRE_CODE(c >= 0 && c < num_clbits, ErrorCode::kBadRequest,
+                            "assertion clbit " + std::to_string(c) +
+                                " out of range for " +
+                                std::to_string(num_clbits) +
+                                " classical bits");
+        }
+    }
+    PolicyJob job;
+    job.variants = {&spec.circuit};
+    for (int c = 0; c < num_clbits; ++c) job.program_clbits.push_back(c);
+    return job;
 }
 
 /** The SimOptions a spec executes (and routes) under. */
@@ -105,142 +168,84 @@ jobKey(const JobSpec& spec)
     stream.i64(spec.shots);
     stream.u64(spec.seed);
 
-    // The RESOLVED backend: different backends agree only in
-    // distribution, so their histograms must never share a cache entry.
-    // routeShots is a pure function of fields absorbed above and never
-    // throws, so auto-routed jobs add no key entropy and jobKey stays
-    // exception-free (the scheduler calls it outside its try block).
-    const backend::BackendChoice choice = backend::routeShots(
-        spec.program != nullptr ? spec.program->circuit() : spec.circuit,
-        specOptions(spec));
-    stream.i64(int64_t(choice.backend));
-    // The chi cap changes MPS histograms bit-wise but is inert on the
-    // exact backends, so it only gains key entropy when MPS resolved.
-    if (choice.backend == BackendKind::kMps) stream.i64(spec.mps_chi);
+    // Every other input routing reads: the backend request, plus the
+    // MPS chi cap and tolerance whenever routing may pick MPS (auto) or
+    // must run it (mps). Routing is a pure function of the absorbed
+    // fields, so the key never routes. The price: an explicit request
+    // for the backend auto would pick keys apart from the auto job.
+    stream.i64(int64_t(spec.backend));
+    if (spec.backend == BackendRequest::kAuto ||
+        spec.backend == BackendRequest::kMps) {
+        stream.i64(spec.mps_chi);
+        stream.f64(spec.mps_trunc_tol);
+    }
     return stream.digest();
 }
 
-JobResult
-executeJob(const JobSpec& spec)
+acomp::PlannedRun
+planJob(const JobSpec& spec)
 {
-    const SimOptions options = specOptions(spec);
-
-    JobResult result;
-    result.tag = spec.tag;
-
     if (spec.program != nullptr) {
         QA_REQUIRE_CODE(!spec.auto_assert, ErrorCode::kBadRequest,
                         "auto_assert conflicts with an explicit "
                         "AssertedProgram (the program already carries "
                         "its assertions)");
-        PolicyOptions popts;
+        return acomp::planRun(spec.program->circuit(), specOptions(spec));
+    }
+    if (!spec.auto_assert) {
+        return acomp::planRun(spec.circuit, specOptions(spec));
+    }
+    QA_REQUIRE_CODE(spec.assert_clbits.empty(), ErrorCode::kBadRequest,
+                    "auto_assert conflicts with explicit "
+                    "assert_clbits slots (the compiler allocates "
+                    "its own slot clbits)");
+    acomp::AcompOptions aopts;
+    aopts.lowering = spec.assert_lowering;
+    aopts.backend = spec.backend;
+    return acomp::planRun(
+        spec.circuit, specOptions(spec), &aopts,
+        spec.qasm_positions.empty() ? nullptr : &spec.qasm_positions);
+}
+
+JobResult
+executeJob(const JobSpec& spec)
+{
+    const acomp::PlannedRun plan = planJob(spec);
+
+    // Reduce the spec to one policy job. Plain circuits run under
+    // discard with no slots, so every shot is kept: their assert_clbits
+    // slots are read afterwards, and `counts` covers every completed
+    // shot.
+    const bool plain = spec.program == nullptr && !plan.compiled;
+    PolicyJob job;
+    PolicyOptions popts;
+    if (plain) {
+        job = plainJob(spec);
+    } else {
+        job = plan.compiled ? acomp::policyJob(*plan.compiled)
+                            : policyJob(*spec.program);
         popts.policy = spec.policy;
         popts.max_attempts = spec.max_attempts;
-        const PolicyOutcome outcome =
-            runAssertedPolicy(*spec.program, options, popts);
-        result.counts = outcome.raw;
-        result.program_counts = outcome.program_counts;
-        result.slot_error_rate = outcome.slot_error_rate;
-        result.pass_rate = outcome.pass_rate;
-        result.truncated = outcome.truncated;
-        result.backend = outcome.backend;
-        result.mps_truncation_error = outcome.mps_truncation_error;
-        return result;
     }
+    PolicyOutcome outcome =
+        runPolicy(job, plan.route, specOptions(spec), popts);
 
-    if (spec.auto_assert) {
-        QA_REQUIRE_CODE(spec.assert_clbits.empty(), ErrorCode::kBadRequest,
-                        "auto_assert conflicts with explicit "
-                        "assert_clbits slots (the compiler allocates "
-                        "its own slot clbits)");
-        acomp::AcompOptions aopts;
-        aopts.lowering = spec.assert_lowering;
-        aopts.backend = spec.backend;
-        const acomp::CompiledProgram compiled = acomp::autoAssert(
-            spec.circuit, aopts,
-            spec.qasm_positions.empty() ? nullptr
-                                        : &spec.qasm_positions);
-        PolicyOptions popts;
-        popts.policy = spec.policy;
-        popts.max_attempts = spec.max_attempts;
-        const PolicyOutcome outcome =
-            acomp::runLowered(compiled, options, popts);
-        result.counts = outcome.raw;
-        result.program_counts = outcome.program_counts;
-        result.slot_error_rate = outcome.slot_error_rate;
-        result.pass_rate = outcome.pass_rate;
-        result.truncated = outcome.truncated;
-        result.backend = outcome.backend;
-        result.mps_truncation_error = outcome.mps_truncation_error;
-        result.assertions = compiled.slots;
-        result.assert_variants = int(compiled.variants.size());
-        return result;
+    JobResult result;
+    result.tag = spec.tag;
+    result.counts = std::move(outcome.raw);
+    result.program_counts = std::move(outcome.program_counts);
+    result.slot_error_rate = std::move(outcome.slot_error_rate);
+    result.pass_rate = outcome.pass_rate;
+    result.truncated = outcome.truncated;
+    result.backend = std::move(outcome.backend);
+    result.mps_truncation_error = outcome.mps_truncation_error;
+    if (plan.compiled) {
+        result.assertions = plan.compiled->slots;
+        result.assert_variants = int(plan.compiled->variants.size());
     }
-
-    const auto& slots = spec.assert_clbits;
-    if (!slots.empty()) {
-        QA_REQUIRE_CODE(spec.policy == AssertionPolicy::kDiscard,
-                        ErrorCode::kPolicyUnsupported,
-                        std::string("plain-circuit jobs only support the "
-                                    "discard policy, got ") +
-                            policyName(spec.policy) +
-                            " (submit an AssertedProgram for the rest)");
-        for (const std::vector<int>& slot : slots) {
-            QA_REQUIRE_CODE(!slot.empty(), ErrorCode::kBadRequest,
-                            "assertion slot lists no classical bits");
-            for (int c : slot) {
-                QA_REQUIRE_CODE(
-                    c >= 0 && c < spec.circuit.numClbits(),
-                    ErrorCode::kBadRequest,
-                    "assertion clbit " + std::to_string(c) +
-                        " out of range for " +
-                        std::to_string(spec.circuit.numClbits()) +
-                        " classical bits");
-            }
-        }
+    if (plain && !spec.assert_clbits.empty()) {
+        postSelect(result, spec.assert_clbits, spec.circuit.numClbits());
     }
-
-    // Route explicitly (instead of through qa::runShots) so the job
-    // result records the decision; throws kBadRequest when an explicit
-    // backend request cannot run the circuit.
-    const backend::RoutedRun routed =
-        backend::prepareRun(spec.circuit, options);
-    result.backend = routed.choice;
-    result.mps_truncation_error = routed.prepared->truncationError();
-    const Counts raw = backend::runPrepared(*routed.prepared, options);
-    result.counts = raw;
-    result.truncated = raw.truncated;
-
-    if (slots.empty()) {
-        result.program_counts = raw;
-        return result;
-    }
-
-    result.slot_error_rate.reserve(slots.size());
-    for (const std::vector<int>& slot : slots) {
-        result.slot_error_rate.push_back(1.0 - raw.fractionAllZero(slot));
-    }
-    result.pass_rate =
-        raw.fraction([&](const std::string& bits) {
-            return allSlotsPass(bits, slots);
-        });
-
-    // Program bits = every classical bit not owned by a slot, ascending.
-    std::vector<bool> is_assert(size_t(spec.circuit.numClbits()), false);
-    for (const std::vector<int>& slot : slots) {
-        for (int c : slot) is_assert[size_t(c)] = true;
-    }
-    std::vector<int> program_bits;
-    for (int c = 0; c < spec.circuit.numClbits(); ++c) {
-        if (!is_assert[size_t(c)]) program_bits.push_back(c);
-    }
-
-    result.program_counts = marginalCounts(
-        filterCounts(raw,
-                     [&](const std::string& bits) {
-                         return allSlotsPass(bits, slots);
-                     }),
-        program_bits);
     return result;
 }
 

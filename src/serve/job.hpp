@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "acomp/compiler.hpp"
+#include "acomp/run.hpp"
 #include "circuit/circuit.hpp"
 #include "circuit/qasm.hpp"
 #include "common/error.hpp"
@@ -88,10 +89,10 @@ struct JobSpec
 
     /**
      * MPS backend knobs: the bond-dimension cap and the truncation
-     * tolerance the router's capability check enforces. The cap is
-     * absorbed into the cache key only when the job resolves to the MPS
-     * backend (exact backends ignore it); the tolerance gates
-     * capability only, and incapable jobs fail un-cached.
+     * tolerance the router's capability check enforces. Both are
+     * routing inputs when the request is auto or mps, and only then
+     * absorbed into the cache key (an explicit exact backend ignores
+     * them).
      */
     int mps_chi = defaults::kMpsChi;
     double mps_trunc_tol = defaults::kMpsTruncTol;
@@ -152,7 +153,12 @@ struct JobResult
 {
     JobStatus status = JobStatus::kOk;
 
-    /** Raw histogram over every classical bit (accepted shots). */
+    /**
+     * Raw histogram over every classical bit: the policy's accepted
+     * shots for AssertedProgram and auto_assert jobs, every completed
+     * shot for plain circuits (assert_clbits slots only post-select
+     * program_counts).
+     */
     Counts counts;
 
     /**
@@ -211,23 +217,31 @@ struct JobResult
 };
 
 /**
- * Canonical cache key: covers everything the result depends on (circuit
- * or program structure, slots, policy, noise fingerprint, shots, seed,
- * and the RESOLVED simulation backend) and nothing it doesn't
- * (num_threads — results are bit-identical for any thread count on a
- * fixed backend — deadline, priority, tag). Cross-thread-count and
- * cross-deadline submissions therefore share cache entries safely.
+ * Canonical cache key: a structural hash over everything the result
+ * depends on (circuit or program structure, slots, policy, noise
+ * fingerprint, shots, seed) and every input routing reads (the backend
+ * request, plus mps_chi and mps_tol when the request is auto or mps),
+ * and nothing else (num_threads — results are bit-identical for any
+ * thread count on a fixed backend — deadline, priority, tag).
+ * Cross-thread-count and cross-deadline submissions therefore share
+ * cache entries safely.
  *
- * The resolved backend matters because different backends only agree
- * distributionally, not bit-wise. Routing is a pure function of fields
- * already in the key, so auto-routed jobs gain no key entropy: an
- * explicit request for the backend the router would pick anyway hashes
- * identically to the auto submission and shares its cache entry, while
- * forcing a different backend gets its own entry. Never throws — an
- * explicit request for an incapable backend keys on the requested kind
- * (such jobs fail in executeJob and failures are never cached).
+ * The key covers every routing input, so it never routes: routing is a
+ * pure function of the keyed fields, and equal keys resolve to the same
+ * backend. An explicit request keys apart from an auto submission even
+ * when the router would pick the same backend. Never throws.
  */
 Hash128 jobKey(const JobSpec& spec);
+
+/**
+ * The plan step of a job: compile when auto_assert is set, then route
+ * the circuit the job executes first (compiled variant 0, the program
+ * circuit, or the plain circuit). executeJob runs it; the wire explain
+ * op reports it. Throws UserError(kBadRequest) when auto_assert
+ * conflicts with a program or with assert_clbits, and what the
+ * assertion compiler throws.
+ */
+acomp::PlannedRun planJob(const JobSpec& spec);
 
 /**
  * Execute one job synchronously on the calling thread (the scheduler

@@ -4,8 +4,6 @@
 
 #include <cerrno>
 
-#include "acomp/compiler.hpp"
-#include "backend/router.hpp"
 #include "common/error.hpp"
 #include "common/net.hpp"
 #include "serve/wire.hpp"
@@ -65,35 +63,11 @@ LineService::handleLine(const std::string& line, const Emit& emit)
             return true;
         }
         if (request.op == RequestOp::kExplain) {
-            // Route without executing: same analysis the scheduler
-            // path runs, zero shots.
-            SimOptions sim;
-            sim.shots = request.spec.shots;
-            sim.seed = request.spec.seed;
-            sim.noise = request.spec.noise.enabled()
-                            ? &request.spec.noise
-                            : nullptr;
-            sim.backend = request.spec.backend;
-            sim.mps_chi = request.spec.mps_chi;
-            sim.mps_trunc_tol = request.spec.mps_trunc_tol;
-            if (request.spec.auto_assert) {
-                // Compile, then route the instrumented variant 0 —
-                // the circuit an auto_assert run would execute.
-                acomp::AcompOptions aopts;
-                aopts.lowering = request.spec.assert_lowering;
-                aopts.backend = request.spec.backend;
-                const acomp::CompiledProgram compiled = acomp::autoAssert(
-                    request.spec.circuit, aopts,
-                    request.spec.qasm_positions.empty()
-                        ? nullptr
-                        : &request.spec.qasm_positions);
-                emit(encodeExplain(
-                    id, backend::routeShots(compiled.variants[0], sim),
-                    &compiled));
-                return true;
-            }
-            emit(encodeExplain(
-                id, backend::routeShots(request.spec.circuit, sim)));
+            // Plan without executing: the same compile-and-route step
+            // a run takes, zero shots.
+            const acomp::PlannedRun plan = planJob(request.spec);
+            emit(encodeExplain(id, plan.route.choice,
+                               plan.compiled ? &*plan.compiled : nullptr));
             return true;
         }
         if (request.op == RequestOp::kShutdown) return false;

@@ -1,7 +1,10 @@
 #include "serve/wire.hpp"
 
+#include <algorithm>
+#include <initializer_list>
 #include <istream>
 #include <sstream>
+#include <string_view>
 
 #include "circuit/qasm.hpp"
 #include "common/error.hpp"
@@ -13,6 +16,21 @@ namespace serve
 
 namespace
 {
+
+/** Reject the first field of `object` that is not in `known`, by name. */
+void
+rejectUnknownFields(const JsonValue& object,
+                    std::initializer_list<std::string_view> known,
+                    const std::string& where)
+{
+    for (const auto& entry : object.asObject()) {
+        QA_REQUIRE_CODE(std::find(known.begin(), known.end(),
+                                  entry.first) != known.end(),
+                        ErrorCode::kBadRequest,
+                        "unknown " + where + " field '" + entry.first +
+                            "'");
+    }
+}
 
 NoiseModel
 decodeNoise(const JsonValue& noise)
@@ -27,20 +45,21 @@ decodeNoise(const JsonValue& noise)
         QA_FAIL_CODE(ErrorCode::kBadRequest,
                      "noise must be a string or an object");
     }
-    if (kind.empty() || kind == "none") return NoiseModel{};
-    if (kind == "melbourne" || kind == "ibmq_melbourne") {
-        return NoiseModel::ibmqMelbourneLike();
-    }
     if (kind == "depolarizing") {
         QA_REQUIRE_CODE(noise.isObject(), ErrorCode::kBadRequest,
                         "depolarizing noise needs p1/p2 fields");
+        rejectUnknownFields(noise, {"kind", "p1", "p2"}, "noise");
         const double p1 = noise.numberOr("p1", 0.0);
         const double p2 = noise.numberOr("p2", 0.0);
         return NoiseModel::depolarizing(p1, p2);
     }
-    QA_FAIL_CODE(ErrorCode::kBadRequest,
-                 "unknown noise kind '" + kind +
-                     "' (expected none|melbourne|depolarizing)");
+    const bool melbourne = kind == "melbourne" || kind == "ibmq_melbourne";
+    QA_REQUIRE_CODE(melbourne || kind.empty() || kind == "none",
+                    ErrorCode::kBadRequest,
+                    "unknown noise kind '" + kind +
+                        "' (expected none|melbourne|depolarizing)");
+    if (noise.isObject()) rejectUnknownFields(noise, {"kind"}, "noise");
+    return melbourne ? NoiseModel::ibmqMelbourneLike() : NoiseModel{};
 }
 
 std::vector<std::vector<int>>
@@ -162,6 +181,9 @@ buildRequest(const JsonValue& request)
     out.id = requestId(request);
 
     const std::string op = request.stringOr("op", "run");
+    if (op == "metrics" || op == "ping" || op == "shutdown") {
+        rejectUnknownFields(request, {"id", "op"}, "request");
+    }
     if (op == "metrics") {
         out.op = RequestOp::kMetrics;
         return out;
@@ -179,6 +201,12 @@ buildRequest(const JsonValue& request)
                     "unknown op '" + op +
                         "' (expected run|explain|metrics|ping|shutdown)");
     if (op == "explain") out.op = RequestOp::kExplain;
+    rejectUnknownFields(
+        request,
+        {"id", "op", "qasm", "shots", "seed", "deadline_ms", "priority",
+         "threads", "cache", "backend", "mps_chi", "mps_tol",
+         "auto_assert", "assert_lowering", "assert_clbits", "noise"},
+        "request");
 
     const JsonValue* qasm = request.find("qasm");
     QA_REQUIRE_CODE(qasm != nullptr && qasm->isString(),

@@ -11,7 +11,8 @@
  *    "deadline_ms": 0, "priority": 0,
  *    "threads": 1, "cache": true,
  *    "backend": "auto",               // or statevector|density_matrix|
- *                                     // stabilizer (explicit override)
+ *                                     // stabilizer|mps (explicit)
+ *    "mps_chi": 64, "mps_tol": 1e-6,  // MPS bond cap and tolerance
  *    "assert_clbits": [[0],[1,2]],    // assertion slots (|0..0> = pass)
  *    "auto_assert": true,             // raw circuit: generate + lower
  *                                     // assertions (assertion compiler)
@@ -20,6 +21,10 @@
  *    "noise": {"kind": "melbourne"}}  // or "none" (default) or
  *                                     // {"kind":"depolarizing",
  *                                     //  "p1":1e-3,"p2":1e-2}
+ *
+ * A field outside this list (or a noise field its kind does not read)
+ * is rejected with "bad_request" naming it; "metrics", "ping" and
+ * "shutdown" take only "op" and "id".
  *
  * Response (one line per request, tagged with the request id):
  *   {"id":"job-1","status":"ok","cache_hit":false,"backend":"stabilizer",

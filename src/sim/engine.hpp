@@ -1,26 +1,24 @@
 /**
  * @file
- * Shot-execution engine backing runShots and every shot-level driver
- * built on top of it (the assertion-policy runner, the fault-injection
- * campaign).
+ * Shot-execution engine primitives shared by every simulation backend
+ * (backend/backend.hpp) and the shot-level code built on them (the
+ * assertion-policy runner, the fault-injection campaign).
  *
- * Four cooperating layers (see DESIGN.md, "Execution engine"):
- *  1. circuit analysis + prefix caching: the instructions before the
- *     first stochastic point (measurement, reset, or — with an active
- *     noise model — the first gate a Kraus channel applies to) are
- *     shot-invariant, so the prefix state is evolved once and cloned per
- *     shot. When every remaining instruction is a terminal measurement
- *     and no Kraus channel is active, per-shot evolution is skipped
- *     entirely and the final distribution is sampled directly.
- *  2. ShotExecutor: one shot = one call, parameterized only by an RNG
- *     stream, so any driver (plain histogramming, bounded retry,
- *     fault-injection sweeps) can replay shots deterministically.
- *  3. runShotPool: the multi-threaded shot loop with counter-based
+ * Three cooperating pieces (see DESIGN.md, "Execution engine"):
+ *  1. shot planning (analyzeShotPlan): the instructions before the first
+ *     stochastic point (measurement, reset, or — with an active noise
+ *     model — the first gate a Kraus channel applies to) are
+ *     shot-invariant, so a backend evolves that prefix once. When every
+ *     remaining instruction is a terminal measurement and no Kraus
+ *     channel is active, per-shot evolution is skipped entirely and the
+ *     final distribution is sampled directly.
+ *  2. runShotPool: the multi-threaded shot loop with counter-based
  *     per-shot RNG streams (Rng::forStream), first-worker-exception
  *     propagation, and deadline-based cancellation that returns partial
- *     results flagged `truncated` instead of running unbounded.
- *  4. O(log d) sampling from a cumulative-weight table built once per
- *     cached state.
+ *     results flagged `truncated` instead of running unbounded. Every
+ *     run goes through it once, via backend::runShotLoop.
+ *  3. O(log d) sampling from a cumulative-weight table built once per
+ *     cached state (SampleTable).
  */
 #ifndef QA_SIM_ENGINE_HPP
 #define QA_SIM_ENGINE_HPP
@@ -28,7 +26,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -37,7 +34,6 @@
 #include "circuit/circuit.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "sim/fusion.hpp"
 #include "sim/noise.hpp"
 #include "sim/statevector.hpp"
 
@@ -95,76 +91,6 @@ class SampleTable
   private:
     std::vector<double> cumulative_;
 };
-
-/**
- * Reusable single-shot executor: circuit analysis and prefix evolution
- * happen once at construction, then each runOne() call executes exactly
- * one shot whose stochastic draws come from the caller's Rng. The
- * executor holds references to the circuit and noise model; both must
- * outlive it. An active noise model is validated at construction
- * (NoiseModel::validate).
- */
-class ShotExecutor
-{
-  public:
-    /**
-     * @param circuit Circuit to execute (kept by reference).
-     * @param noise Optional noise model; ignored when null or disabled.
-     * @param naive Skip circuit analysis and replay every instruction
-     *        per shot (the pre-engine reference path; disables fusion).
-     * @param fusion Gate-fusion knobs. The deterministic prefix always
-     *        fuses when enabled (it contains no noisy gate by
-     *        construction); the per-shot suffix fuses only when no
-     *        Kraus channels are active, because fusion changes gate
-     *        arity and would redirect per-gate noise to the wrong
-     *        channel list.
-     * @param simd Allow the AVX2 kernels for prefix and scratch states.
-     */
-    ShotExecutor(const QuantumCircuit& circuit, const NoiseModel* noise,
-                 bool naive = false, const FusionOptions& fusion = {},
-                 bool simd = true);
-
-    const ShotPlan& plan() const { return plan_; }
-
-    /** What the fusion pass did (prefix + suffix combined). */
-    const FusionStats& fusionStats() const { return stats_; }
-
-    /** The cached deterministic-prefix state. */
-    const Statevector& prefix() const { return prefix_; }
-
-    /**
-     * Scratch state buffer for runOne: one per worker, reused across
-     * shots so copy-assignment recycles its allocation.
-     */
-    Statevector makeScratch() const { return prefix_; }
-
-    /**
-     * Execute one shot, drawing from `rng`, and return the classical
-     * bitstring. Deterministic given the Rng state; thread-safe for
-     * concurrent calls with distinct `scratch` buffers.
-     */
-    std::string runOne(Rng& rng, Statevector& scratch) const;
-
-  private:
-    const QuantumCircuit& circuit_;
-    const NoiseModel* noise_;
-    ShotPlan plan_;
-    Statevector prefix_;
-    std::unique_ptr<SampleTable> table_;
-    std::string clbits0_;
-
-    /** Post-split instructions runOne replays (fused when allowed). */
-    std::vector<Instruction> suffix_;
-    FusionStats stats_;
-};
-
-/**
- * The statevector engine's shot loop: what runShots executes when the
- * router resolves (or the caller forces) the statevector backend.
- * options.backend is ignored here — this IS the statevector backend.
- */
-Counts runShotsStatevector(const QuantumCircuit& circuit,
-                           const SimOptions& options);
 
 /**
  * Flip a recorded measurement outcome with the model's asymmetric

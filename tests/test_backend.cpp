@@ -313,10 +313,11 @@ TEST(RouterTest, ExplicitRequestIsHonoredAndValidated)
     EXPECT_FALSE(choice.capable);
     EXPECT_NE(choice.reason.find("non-Clifford"), std::string::npos);
 
-    // prepareRun surfaces the incapable explicit request as a typed
+    // prepareRouted surfaces the incapable explicit request as a typed
     // kBadRequest instead of running it.
     try {
-        backend::prepareRun(t_circuit, options);
+        backend::prepareRouted(t_circuit, options,
+                               backend::route(t_circuit, options));
         FAIL() << "expected kBadRequest";
     } catch (const UserError& err) {
         EXPECT_EQ(err.code(), ErrorCode::kBadRequest);
@@ -349,7 +350,8 @@ TEST(RouterTest, RoutingIsDeterministic)
 TEST(RouterTest, ExplainReportNamesTheChoice)
 {
     const std::string report =
-        backend::explainRouting(ghzCircuit(4), SimOptions{});
+        backend::explainRouting(
+            backend::route(ghzCircuit(4), SimOptions{}), SimOptions{});
     EXPECT_NE(report.find("chosen: stabilizer"), std::string::npos);
     EXPECT_NE(report.find("class: clifford"), std::string::npos);
 }
@@ -487,17 +489,21 @@ TEST(BackendDeterminismTest, AutoRouteMatchesExplicitBackend)
 // ---------------------------------------------------------------------
 // Serve integration: cache keys, results, policy outcomes
 
-TEST(BackendCacheKeyTest, AutoAndExplicitSameBackendShareKey)
+TEST(BackendCacheKeyTest, ExplicitRequestKeysApartFromAuto)
 {
+    // The key absorbs the request, not the resolved backend: even the
+    // backend auto would pick (stabilizer, for GHZ) keys apart.
     serve::JobSpec auto_spec;
     auto_spec.circuit = ghzCircuit(3);
-    serve::JobSpec explicit_spec = auto_spec;
-    explicit_spec.backend = BackendRequest::kStabilizer;
-    EXPECT_EQ(serve::jobKey(auto_spec), serve::jobKey(explicit_spec));
-
-    serve::JobSpec forced_spec = auto_spec;
-    forced_spec.backend = BackendRequest::kStatevector;
-    EXPECT_NE(serve::jobKey(auto_spec), serve::jobKey(forced_spec));
+    const Hash128 auto_key = serve::jobKey(auto_spec);
+    for (BackendRequest request :
+         {BackendRequest::kStatevector, BackendRequest::kDensityMatrix,
+          BackendRequest::kStabilizer, BackendRequest::kMps}) {
+        serve::JobSpec explicit_spec = auto_spec;
+        explicit_spec.backend = request;
+        EXPECT_NE(serve::jobKey(explicit_spec), auto_key)
+            << backendRequestName(request);
+    }
 }
 
 TEST(BackendCacheKeyTest, JobKeyNeverThrowsOnIncapableRequest)

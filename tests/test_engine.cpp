@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "backend/backend.hpp"
 #include "circuit/stdgates.hpp"
 #include "common/error.hpp"
 #include "sim/engine.hpp"
@@ -406,15 +407,17 @@ TEST(EngineTest, DeadlineTruncationReturnsPartialCounts)
     EXPECT_EQ(full.shots, 64);
 }
 
-TEST(EngineTest, ShotExecutorReplaysOneShotDeterministically)
+TEST(EngineTest, StatevectorSamplerReplaysOneShotDeterministically)
 {
     QuantumCircuit qc = kitchenSink(4);
-    const ShotExecutor executor(qc, nullptr);
-    Statevector scratch = executor.makeScratch();
+    const auto prepared =
+        backend::backendFor(BackendKind::kStatevector)
+            .prepare(qc, SimOptions{});
+    const auto sampler = prepared->makeSampler();
     Rng a = Rng::forStream(9, 3);
-    const std::string first = executor.runOne(a, scratch);
+    const std::string first = sampler->runOne(a);
     Rng b = Rng::forStream(9, 3);
-    const std::string replay = executor.runOne(b, scratch);
+    const std::string replay = sampler->runOne(b);
     EXPECT_EQ(first, replay);
     EXPECT_EQ(first.size(), size_t(qc.numClbits()));
 }

@@ -199,15 +199,15 @@ TEST(FusionTest, KrausNoiseKeepsTheNoisyStreamUnfused)
     // With per-gate Kraus channels the engine must replay the raw
     // stream either way, so the trajectories consume identical RNG
     // draws and the counts match bit-for-bit.
-    const Counts a = runShotsStatevector(qc, fused);
-    const Counts b = runShotsStatevector(qc, unfused);
+    fused.backend = BackendRequest::kStatevector;
+    unfused.backend = BackendRequest::kStatevector;
+    const Counts a = runShots(qc, fused);
+    const Counts b = runShots(qc, unfused);
     EXPECT_EQ(a.map, b.map);
 
-    // And the executor reports that nothing past the split fused.
-    const ShotExecutor executor(qc, &noise, false, FusionOptions{},
-                                true);
-    EXPECT_EQ(executor.plan().split, 0u);
-    EXPECT_EQ(executor.fusionStats().fused_groups, 0u);
+    // The first gate is noisy, so the shot plan leaves no prefix to
+    // fuse.
+    EXPECT_EQ(analyzeShotPlan(qc, &noise).split, 0u);
 }
 
 TEST(FusionTest, CountsAreBitIdenticalAcrossThreadCounts)
@@ -224,12 +224,13 @@ TEST(FusionTest, CountsAreBitIdenticalAcrossThreadCounts)
     SimOptions options;
     options.shots = 1024;
     options.seed = 4242;
+    options.backend = BackendRequest::kStatevector;
 
     options.num_threads = 1;
-    const Counts one = runShotsStatevector(qc, options);
+    const Counts one = runShots(qc, options);
     for (int threads : {2, 8}) {
         options.num_threads = threads;
-        const Counts many = runShotsStatevector(qc, options);
+        const Counts many = runShots(qc, options);
         EXPECT_EQ(one.map, many.map) << threads << " threads";
         EXPECT_EQ(one.shots, many.shots);
     }
@@ -237,7 +238,7 @@ TEST(FusionTest, CountsAreBitIdenticalAcrossThreadCounts)
     // The unfused reference samples the same outcomes for this seed.
     options.num_threads = 1;
     options.fusion = false;
-    EXPECT_EQ(one.map, runShotsStatevector(qc, options).map);
+    EXPECT_EQ(one.map, runShots(qc, options).map);
 }
 
 TEST(FusionTest, DensityBackendFusedMatchesUnfused)

@@ -6,7 +6,7 @@
  * statevector engine (GHZ lines, QFT, shallow QAOA, mid-circuit
  * measure/reset, readout noise), bit-determinism across thread counts,
  * entanglement-aware router arbitration with typed explicit-override
- * rejection, jobKey chi sensitivity, wire explain fields, and the
+ * rejection, jobKey MPS-knob sensitivity, wire explain fields, and the
  * assertion compiler's typed rejection under backend=mps.
  */
 #include <cmath>
@@ -421,10 +421,11 @@ TEST(MpsBackendTest, TruncationErrorSurfacedByPreparedCircuit)
     options.mps_chi = 2;
     options.mps_trunc_tol = 1.0; // opt in to lossy compression
     const QuantumCircuit qc = brickwork(6, 6);
-    const backend::RoutedRun run = backend::prepareRun(qc, options);
-    EXPECT_EQ(run.choice.backend, BackendKind::kMps);
-    EXPECT_GT(run.prepared->truncationError(), 0.0);
-    const Counts counts = backend::runPrepared(*run.prepared, options);
+    const backend::Route routed = backend::route(qc, options);
+    EXPECT_EQ(routed.choice.backend, BackendKind::kMps);
+    const auto prepared = backend::prepareRouted(qc, options, routed);
+    EXPECT_GT(prepared->truncationError(), 0.0);
+    const Counts counts = backend::runPrepared(*prepared, options);
     EXPECT_EQ(counts.shots, 512);
 }
 
@@ -508,7 +509,7 @@ TEST(RouterMpsTest, ExplicitMpsOverTruncationToleranceIsTypedError)
     EXPECT_NE(choice.reason.find("mps_tol"), std::string::npos)
         << choice.reason;
     try {
-        backend::prepareRun(qc, options);
+        backend::prepareRouted(qc, options, backend::route(qc, options));
         FAIL() << "expected kBadRequest";
     } catch (const UserError& err) {
         EXPECT_EQ(err.code(), ErrorCode::kBadRequest);
@@ -537,7 +538,8 @@ TEST(RouterMpsTest, ExplainRoutingReportsEntanglementLine)
     SimOptions options;
     options.shots = 4096;
     const std::string report =
-        backend::explainRouting(trotterChain(32, 2), options);
+        backend::explainRouting(
+            backend::route(trotterChain(32, 2), options), options);
     EXPECT_NE(report.find("entanglement:"), std::string::npos) << report;
     EXPECT_NE(report.find("effective chi"), std::string::npos) << report;
     EXPECT_NE(report.find("mps="), std::string::npos) << report;
@@ -546,23 +548,42 @@ TEST(RouterMpsTest, ExplainRoutingReportsEntanglementLine)
 // ---------------------------------------------------------------------
 // Serve-layer integration
 
-TEST(MpsServeTest, JobKeyAbsorbsChiOnlyWhenMpsRouted)
+TEST(MpsServeTest, JobKeyAbsorbsMpsKnobsOnlyWhenRoutingReadsThem)
 {
-    serve::JobSpec mps_spec;
-    mps_spec.circuit = trotterChain(26, 2);
-    mps_spec.shots = 64;
-    mps_spec.seed = 1;
-    const Hash128 base = serve::jobKey(mps_spec);
-    mps_spec.mps_chi = 128;
-    EXPECT_NE(serve::jobKey(mps_spec), base);
+    // auto and mps requests route on mps_chi and mps_tol, so both
+    // separate the key.
+    for (BackendRequest request : {BackendRequest::kAuto,
+                                   BackendRequest::kMps}) {
+        SCOPED_TRACE(backendRequestName(request));
+        serve::JobSpec spec;
+        spec.circuit = brickwork(5, 3);
+        spec.shots = 64;
+        spec.seed = 1;
+        spec.backend = request;
+        const Hash128 base = serve::jobKey(spec);
+        serve::JobSpec chi = spec;
+        chi.mps_chi = 128;
+        EXPECT_NE(serve::jobKey(chi), base);
+        serve::JobSpec tol = spec;
+        tol.mps_trunc_tol = 1e-3;
+        EXPECT_NE(serve::jobKey(tol), base);
+    }
 
-    serve::JobSpec sv_spec;
-    sv_spec.circuit = brickwork(5, 3);
-    sv_spec.shots = 64;
-    sv_spec.seed = 1;
-    const Hash128 sv_base = serve::jobKey(sv_spec);
-    sv_spec.mps_chi = 128;
-    EXPECT_EQ(serve::jobKey(sv_spec), sv_base);
+    // The exact backends never read them.
+    for (BackendRequest request :
+         {BackendRequest::kStatevector, BackendRequest::kStabilizer,
+          BackendRequest::kDensityMatrix}) {
+        SCOPED_TRACE(backendRequestName(request));
+        serve::JobSpec spec;
+        spec.circuit = brickwork(5, 3);
+        spec.shots = 64;
+        spec.seed = 1;
+        spec.backend = request;
+        const Hash128 base = serve::jobKey(spec);
+        spec.mps_chi = 128;
+        spec.mps_trunc_tol = 1e-3;
+        EXPECT_EQ(serve::jobKey(spec), base);
+    }
 }
 
 TEST(MpsServeTest, ExplainLineCarriesMpsBlock)

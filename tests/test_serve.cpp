@@ -8,6 +8,7 @@
 #include <csignal>
 #include <cstdio>
 #include <future>
+#include <map>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -18,6 +19,7 @@
 #include "algos/states.hpp"
 #include "circuit/hash.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "core/runner.hpp"
 #include "linalg/states.hpp"
 #include "resilience/journal.hpp"
@@ -232,6 +234,185 @@ TEST(JobTest, ProgramPathMatchesDirectPolicyRun)
     expectCountsIdentical(via_job.program_counts, direct.program_counts);
     EXPECT_EQ(via_job.slot_error_rate, direct.slot_error_rate);
     EXPECT_EQ(via_job.pass_rate, direct.pass_rate);
+}
+
+// ---------------------------------------------------------------------
+// Pinned payload digests: one small spec per executeJob shape. Journal
+// replay compares against digests like these, so a change here means
+// journals written by an earlier build fail to replay bit-identically.
+// ---------------------------------------------------------------------
+
+/** Pseudo-random u3 + cx layers on n qubits (n clbits, unmeasured). */
+QuantumCircuit
+layered(int n, int layers, uint64_t seed)
+{
+    QuantumCircuit qc(n, n);
+    Rng rng(seed);
+    for (int l = 0; l < layers; ++l) {
+        for (int q = 0; q < n; ++q) {
+            qc.u3(q, rng.uniform(0, 3), rng.uniform(0, 3),
+                  rng.uniform(0, 3));
+        }
+        for (int q = l % 2; q + 1 < n; q += 2) qc.cx(q, q + 1);
+    }
+    return qc;
+}
+
+QuantumCircuit
+layeredMeasured(int n, int layers, uint64_t seed)
+{
+    QuantumCircuit qc = layered(n, layers, seed);
+    qc.measureAll();
+    return qc;
+}
+
+/** Imperfect Bell pair under a SWAP-design assertion of the Bell state. */
+std::shared_ptr<const AssertedProgram>
+noisyBellProgram()
+{
+    QuantumCircuit qc(2);
+    qc.h(0);
+    qc.cx(0, 1);
+    qc.rx(0, 0.5);
+    auto program = std::make_shared<AssertedProgram>(qc);
+    program->assertState({0, 1}, StateSet::pure(ghzVector(2)),
+                         AssertionDesign::kSwap);
+    program->measureProgram();
+    return program;
+}
+
+std::vector<std::pair<std::string, JobSpec>>
+digestSpecs()
+{
+    std::vector<std::pair<std::string, JobSpec>> specs;
+    auto add = [&](const std::string& name, JobSpec spec, uint64_t seed) {
+        spec.shots = 512;
+        spec.seed = seed;
+        spec.num_threads = 2;
+        specs.emplace_back(name, std::move(spec));
+    };
+
+    JobSpec plain;
+    plain.circuit = layeredMeasured(5, 3, 5);
+    add("plain", plain, 11);
+
+    JobSpec slots;
+    QuantumCircuit sq(3, 3);
+    sq.h(0);
+    sq.cx(0, 1);
+    sq.ry(2, 0.7);
+    sq.measureAll();
+    slots.circuit = sq;
+    slots.assert_clbits = {{2}};
+    add("plain_assert_clbits", slots, 12);
+
+    JobSpec mid;
+    QuantumCircuit mq(4, 4);
+    mq.compose(layered(4, 2, 6), {0, 1, 2, 3});
+    mq.measure(0, 0);
+    mq.reset(1);
+    mq.compose(layered(4, 1, 7), {0, 1, 2, 3});
+    mq.measureAll();
+    mid.circuit = mq;
+    add("plain_mid_circuit", mid, 13);
+
+    JobSpec trajectory;
+    trajectory.circuit = layeredMeasured(4, 2, 8);
+    trajectory.noise = NoiseModel::depolarizing(0.01, 0.03);
+    trajectory.backend = BackendRequest::kStatevector;
+    add("statevector_trajectory", trajectory, 14);
+
+    const AssertionPolicy policies[] = {
+        AssertionPolicy::kAbort, AssertionPolicy::kDiscard,
+        AssertionPolicy::kRetry, AssertionPolicy::kRepair};
+    for (AssertionPolicy policy : policies) {
+        JobSpec program;
+        program.program = noisyBellProgram();
+        program.policy = policy;
+        add(std::string("program_") + policyName(policy), program, 15);
+    }
+
+    JobSpec sampled;
+    QuantumCircuit ghz(3, 3);
+    ghz.h(0);
+    ghz.cx(0, 1);
+    ghz.cx(1, 2);
+    ghz.measureAll();
+    sampled.circuit = ghz;
+    sampled.auto_assert = true;
+    sampled.assert_lowering = acomp::LoweringRequest::kPauliSample;
+    sampled.noise = NoiseModel::depolarizing(0.01, 0.02);
+    sampled.policy = AssertionPolicy::kRetry;
+    add("auto_assert_pauli_sample", sampled, 16);
+
+    JobSpec density;
+    density.circuit = layeredMeasured(4, 2, 9);
+    density.noise = NoiseModel::ibmqMelbourneLike();
+    density.backend = BackendRequest::kDensityMatrix;
+    add("density_melbourne", density, 17);
+
+    JobSpec stabilizer;
+    QuantumCircuit stab(6, 6);
+    stab.h(0);
+    for (int q = 0; q + 1 < 6; ++q) stab.cx(q, q + 1);
+    stab.measure(0, 0);
+    stab.h(3);
+    stab.measureAll();
+    stabilizer.circuit = stab;
+    stabilizer.backend = BackendRequest::kStabilizer;
+    add("stabilizer", stabilizer, 18);
+
+    JobSpec mps;
+    mps.circuit = layeredMeasured(6, 3, 10);
+    mps.backend = BackendRequest::kMps;
+    add("mps_chain", mps, 19);
+    return specs;
+}
+
+TEST(JobTest, PayloadDigestsMatchPinnedValues)
+{
+    const std::map<std::string, std::string> pinned = {
+        {"plain", "2608ece52e8a767585c9970603a11b0d"},
+        {"plain_assert_clbits", "c73447e044e2f136af3efebffa0d3c31"},
+        {"plain_mid_circuit", "e044aa891bb3d9c3d1f4e534910f72c9"},
+        {"statevector_trajectory", "72256382a157f65fb2879e2da78822fa"},
+        {"program_abort", "0700647a71fe07b755654f30f919fcb5"},
+        {"program_discard", "c7cf7b3c95bfbd177df2c86fe94b08dd"},
+        {"program_retry", "a6fadfd8be5f18148c7ca16df440350b"},
+        {"program_repair", "6484fec940779a72c193bcdf7ff20e7c"},
+        {"auto_assert_pauli_sample", "f8282e1c96a63acbc4b65ac6dc02e362"},
+        {"density_melbourne", "66b6672b7dd106eaf5dab41742d88177"},
+        {"stabilizer", "26051371c39bb4bdfd4ff4c7b1d565d8"},
+        {"mps_chain", "d47a8ba543bec0de6d5aa77b8a3bf21e"},
+    };
+    const std::vector<std::pair<std::string, JobSpec>> specs = digestSpecs();
+    ASSERT_EQ(specs.size(), pinned.size());
+    for (const auto& [name, spec] : specs) {
+        SCOPED_TRACE(name);
+        EXPECT_EQ(payloadHash(executeJob(spec)).str(), pinned.at(name));
+    }
+}
+
+TEST(JobTest, ShotLoopIsThreadCountDeterministic)
+{
+    // One plain job and one multi-variant retry-policy job through the
+    // one shot loop at 1, 2 and 8 threads (tier1 runs this under TSan).
+    for (const auto& [name, spec] : digestSpecs()) {
+        if (name != "plain" && name != "auto_assert_pauli_sample") {
+            continue;
+        }
+        SCOPED_TRACE(name);
+        JobSpec one = spec;
+        one.num_threads = 1;
+        const JobResult reference = executeJob(one);
+        EXPECT_EQ(name == "plain" ? 1 : 3, reference.assert_variants);
+        for (int threads : {2, 8}) {
+            JobSpec many = spec;
+            many.num_threads = threads;
+            EXPECT_EQ(payloadHash(executeJob(many)), payloadHash(reference))
+                << threads << " threads";
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -637,6 +818,41 @@ TEST(WireTest, RejectsBadRequests)
     } catch (const UserError& err) {
         EXPECT_EQ(err.code(), ErrorCode::kQasmSyntax);
     }
+}
+
+TEST(WireTest, RejectsUnknownFieldsByName)
+{
+    const std::pair<const char*, const char*> cases[] = {
+        {R"({"qasm":"OPENQASM 2.0; qreg q[1];","mps_trunc_tol":1e-3})",
+         "mps_trunc_tol"},
+        {R"({"op":"explain","qasm":"OPENQASM 2.0; qreg q[1];","shot":5})",
+         "shot"},
+        {R"({"qasm":"OPENQASM 2.0; qreg q[1];",)"
+         R"("noise":{"kind":"depolarizing","p1":0.1,"p3":0.2}})",
+         "p3"},
+        {R"({"qasm":"OPENQASM 2.0; qreg q[1];",)"
+         R"("noise":{"kind":"melbourne","p1":0.1}})",
+         "p1"},
+        {R"({"op":"ping","id":"p","queue":1})", "queue"},
+    };
+    for (const auto& [doc, field] : cases) {
+        SCOPED_TRACE(doc);
+        try {
+            parseRequest(doc);
+            FAIL() << "expected an unknown-field rejection";
+        } catch (const UserError& err) {
+            EXPECT_EQ(err.code(), ErrorCode::kBadRequest);
+            EXPECT_NE(std::string(err.what()).find(std::string("'") +
+                                                   field + "'"),
+                      std::string::npos)
+                << err.what();
+        }
+    }
+
+    // The spelling the parser reads is accepted.
+    const WireRequest ok = parseRequest(
+        R"({"qasm":"OPENQASM 2.0; qreg q[1];","mps_tol":1e-3})");
+    EXPECT_DOUBLE_EQ(ok.spec.mps_trunc_tol, 1e-3);
 }
 
 TEST(WireTest, EncodesResultsAsParseableJson)

@@ -6,7 +6,7 @@
  *
  * Usage:
  *   qa_explain FILE [--noise none|melbourne|depolarizing]
- *             [--p1 X] [--p2 X] [--shots N] [--backend NAME] [--naive]
+ *             [--p1 X] [--p2 X] [--shots N] [--backend NAME]
  *             [--chi N] [--mps-tol X]
  *             [--auto-assert] [--lowering NAME]
  *
@@ -24,8 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "acomp/compiler.hpp"
-#include "backend/router.hpp"
+#include "acomp/run.hpp"
 #include "circuit/qasm.hpp"
 #include "common/error.hpp"
 #include "sim/noise.hpp"
@@ -41,7 +40,7 @@ usage(int code)
     std::cerr << "usage: qa_explain FILE [--noise none|melbourne|"
                  "depolarizing] [--p1 X] [--p2 X]\n"
                  "                  [--shots N] [--backend auto|"
-                 "statevector|density_matrix|stabilizer|mps] [--naive]\n"
+                 "statevector|density_matrix|stabilizer|mps]\n"
                  "                  [--no-fusion] [--fusion-max 1|2|3]\n"
                  "                  [--chi N] [--mps-tol X]\n"
                  "                  [--auto-assert] [--lowering auto|swap|"
@@ -65,7 +64,6 @@ main(int argc, char** argv)
     double p1 = 1e-3, p2 = 1e-2;
     int shots = defaults::kShots;
     BackendRequest request = BackendRequest::kAuto;
-    bool naive = false;
     bool fusion = defaults::kFusion;
     int fusion_max = defaults::kFusionMaxQubits;
     int mps_chi = defaults::kMpsChi;
@@ -101,8 +99,6 @@ main(int argc, char** argv)
                 return 2;
             }
             ++i;
-        } else if (arg == "--naive") {
-            naive = true;
         } else if (arg == "--auto-assert") {
             auto_assert = true;
         } else if (arg == "--lowering") {
@@ -171,23 +167,19 @@ main(int argc, char** argv)
         options.shots = shots;
         options.noise = noise.enabled() ? &noise : nullptr;
         options.backend = request;
-        options.naive = naive;
         options.fusion = fusion;
         options.fusion_max_qubits = fusion_max;
         options.mps_chi = mps_chi;
         options.mps_trunc_tol = mps_tol;
-        if (auto_assert) {
-            acomp::AcompOptions aopts;
-            aopts.lowering = lowering;
-            aopts.backend = request;
-            const acomp::CompiledProgram compiled =
-                acomp::autoAssert(circuit, aopts, &positions);
-            std::cout << acomp::formatLoweringTable(compiled);
-            std::cout << backend::explainRouting(compiled.variants[0],
-                                                 options);
-        } else {
-            std::cout << backend::explainRouting(circuit, options);
+        acomp::AcompOptions aopts;
+        aopts.lowering = lowering;
+        aopts.backend = request;
+        const acomp::PlannedRun plan = acomp::planRun(
+            circuit, options, auto_assert ? &aopts : nullptr, &positions);
+        if (plan.compiled) {
+            std::cout << acomp::formatLoweringTable(*plan.compiled);
         }
+        std::cout << backend::explainRouting(plan.route, options);
     } catch (const UserError& err) {
         std::cerr << "qa_explain: " << err.what() << "\n";
         return 1;
