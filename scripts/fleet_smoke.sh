@@ -12,7 +12,7 @@
 #      lands), with shard 1 SIGKILLed after the 40th response. Zero lost
 #      jobs and zero duplicate responses are required: the router must
 #      fail the dead shard's in-flight work over to its ring successors
-#      and never double-answer a hedged or retried job.
+#      and never double-answer a failed-over or retried job.
 #
 # Afterwards every shard journal written during the chaos run —
 # including the killed shard's possibly-torn generation-1 journal and

@@ -13,11 +13,13 @@
 # drives a plain job and a multi-variant retry job through it at 1, 2
 # and 8 threads) — under TSAN, and an ASan+UBSan build
 # (QA_ENABLE_ASAN=ON) that runs the fault-injection, recovery-policy,
-# service, backend, MPS, assertion-compiler, and resilience tests, whose
-# error paths exercise exception propagation out of worker pools,
-# scheduler callbacks, the backend router's incapable-request
-# rejections, the compiler's unsupported-assertion diagnostics, and the
-# adversarial wire corpus. The release half also runs the
+# service, backend, MPS, assertion-compiler, resilience, and fleet
+# tests, whose error paths exercise exception propagation out of worker
+# pools, scheduler callbacks, the backend router's incapable-request
+# rejections, the compiler's unsupported-assertion diagnostics, the
+# adversarial wire corpus, and the fleet router's alias and generation
+# bookkeeping (including the RouterTest cases against real qassertd
+# shards). The release half also runs the
 # assertion-compiler smoke (scripts/acomp_smoke.sh): a raw GHZ circuit
 # auto-asserted by qassertd --auto-assert must pass clean and flag an
 # injected X fault on every shot, including through a 2-shard
@@ -98,7 +100,8 @@ if [[ "$skip_asan" -ne 1 ]]; then
     cmake --build build-asan -j \
         --target test_inject --target test_policy --target test_engine \
         --target test_serve --target test_backend --target test_resilience \
-        --target test_fusion --target test_acomp --target test_mps
+        --target test_fusion --target test_acomp --target test_mps \
+        --target test_fleet
     ./build-asan/tests/test_fusion
     ./build-asan/tests/test_acomp
     ./build-asan/tests/test_inject
@@ -109,6 +112,7 @@ if [[ "$skip_asan" -ne 1 ]]; then
     ./build-asan/tests/test_backend
     ./build-asan/tests/test_mps
     ./build-asan/tests/test_resilience
+    ./build-asan/tests/test_fleet
 fi
 
 echo "tier-1 OK"

@@ -25,6 +25,7 @@ errorCodeName(ErrorCode code)
       case ErrorCode::kNoShardAvailable:  return "no_shard_available";
       case ErrorCode::kUnsupportedAssertion:
           return "unsupported_assertion";
+      case ErrorCode::kResourceExhausted: return "resource_exhausted";
     }
     return "unknown";
 }

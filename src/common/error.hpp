@@ -45,8 +45,10 @@ enum class ErrorCode
     kShedding,          ///< Circuit breaker open; load shed at admission.
     kJournalCorrupt,    ///< Journal record damaged beyond the torn tail.
     kNoShardAvailable,  ///< Fleet router found no live shard for a job.
-    kUnsupportedAssertion ///< Assertion projector admits no lowering
-                          ///< under the requested knobs (acomp).
+    kUnsupportedAssertion, ///< Assertion projector admits no lowering
+                           ///< under the requested knobs (acomp).
+    kResourceExhausted     ///< Job ran out of memory (std::bad_alloc);
+                           ///< deterministic, so never retried.
 };
 
 /** Stable human-readable name of an error code. */

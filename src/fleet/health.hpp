@@ -8,8 +8,8 @@
  *  - **up**: probes answering; the shard takes its ring keyspace.
  *  - **degraded**: at least one recent probe failed or timed out, but
  *    fewer than `fail_threshold` in a row. Still routable (jobs in
- *    flight are likely fine), but the router counts it and hedging
- *    triggers sooner in spirit — one more failure streak away from down.
+ *    flight are likely fine), but one more failure streak away from
+ *    down.
  *  - **down**: `fail_threshold` consecutive failures, a process exit,
  *    or a write failure on the shard's stdin. Not routable; its
  *    keyspace re-hashes to ring successors until recovery.

@@ -1,7 +1,5 @@
 #include "fleet/pending.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 
 namespace qa
@@ -23,7 +21,6 @@ PendingTable::add(std::string client_id, serve::JsonValue request,
     job->deadline_ms = deadline_ms;
     job->chain = std::move(chain);
     job->admitted = now;
-    job->last_dispatch = now;
     jobs_.emplace(job->seq, job);
     return job;
 }
@@ -70,10 +67,7 @@ PendingTable::onShard(size_t shard) const
 {
     std::vector<PendingPtr> out;
     for (const auto& [seq, job] : jobs_) {
-        if (std::find(job->awaiting.begin(), job->awaiting.end(), shard) !=
-            job->awaiting.end()) {
-            out.push_back(job);
-        }
+        if (job->awaiting == shard) out.push_back(job);
     }
     return out;
 }

@@ -5,16 +5,17 @@
  *
  * Every admitted client request becomes one PendingJob. Each dispatch
  * of that job to a shard — the first send, a failover resubmission
- * after a shard death, a spillover retry after queue_full, a hedged
- * duplicate — gets its own router-issued *alias* id ("!f<seq>.<n>"),
- * which is what the shard echoes back. All aliases of a job map to the
- * same entry, and resolve() removes the job *and every alias* in one
- * step: the first response wins, and any later response through another
- * alias (the hedge loser, a zombie shard flushing its pipe) finds
- * nothing and is dropped as a stray. That single-removal point is the
- * fleet-level exactly-once guarantee — no client request is ever
- * answered twice, and none is forgotten (jobs stay in the table until
- * answered or typed-failed).
+ * after a shard death, a backoff retry after queue_full — gets its own
+ * router-issued *alias* id ("!f<seq>.<n>"), which is what the shard
+ * echoes back. A job has at most one outstanding dispatch
+ * (PendingJob::awaiting is a single slot), and every path that issues
+ * a new one first clears the old. All aliases of a job map to the same
+ * entry, and resolve() removes the job *and every alias* in one step:
+ * the first response wins, and any later response through another
+ * alias (a zombie shard flushing its pipe) finds nothing and is dropped
+ * as a stray. That single-removal point is the fleet-level exactly-once
+ * guarantee — no client request is ever answered twice, and none is
+ * forgotten (jobs stay in the table until answered or typed-failed).
  *
  * Thread safety: none here by design. The router already serializes
  * admission, responses, and maintenance under one mutex; a second lock
@@ -25,6 +26,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -61,8 +63,8 @@ struct PendingJob
     /** Next chain index a fresh dispatch should try. */
     size_t next_chain = 0;
 
-    /** Shards with an outstanding dispatch of this job. */
-    std::vector<size_t> awaiting;
+    /** Shard holding the job's one outstanding dispatch, if any. */
+    std::optional<size_t> awaiting;
 
     /** Dispatches issued so far (fleet-level attempt count). */
     int dispatches = 0;
@@ -70,14 +72,10 @@ struct PendingJob
     /** Times the job parked because no shard would take a dispatch. */
     int parks = 0;
 
-    /** A hedged duplicate has been issued. */
-    bool hedged = false;
-
     /** Waiting out a retry backoff instead of being in flight. */
     bool parked = false;
 
     Clock::TimePoint admitted;
-    Clock::TimePoint last_dispatch;
     Clock::TimePoint release; ///< Backoff end (valid when parked).
 
     /** Every alias issued for this job (cleared on resolution). */
@@ -120,10 +118,10 @@ class PendingTable
      */
     void erase(const PendingPtr& job);
 
-    /** Jobs with an outstanding dispatch on `shard` (failover scan). */
+    /** Jobs whose outstanding dispatch is on `shard` (failover scan). */
     std::vector<PendingPtr> onShard(size_t shard) const;
 
-    /** Every pending job (maintenance scans: backoffs, hedges). */
+    /** Every pending job (maintenance scan: backoff releases). */
     std::vector<PendingPtr> all() const;
 
     /** Pending job count. */

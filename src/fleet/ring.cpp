@@ -23,43 +23,19 @@ keyPosition(const Hash128& key)
 } // namespace
 
 HashRing::HashRing(size_t nshards, size_t vnodes, uint64_t seed)
-    : HashRing(nshards, std::vector<double>(nshards, 1.0), vnodes, seed)
-{}
-
-HashRing::HashRing(size_t nshards, const std::vector<double>& weights,
-                   size_t vnodes, uint64_t seed)
     : nshards_(nshards)
 {
     QA_REQUIRE(nshards > 0, "hash ring needs at least one shard");
     QA_REQUIRE(vnodes > 0, "hash ring needs at least one vnode per shard");
-    QA_REQUIRE(weights.size() == nshards,
-               "hash ring needs one weight per shard");
     points_.reserve(nshards * vnodes);
     for (size_t shard = 0; shard < nshards; ++shard) {
-        const double w = weights[shard];
-        QA_REQUIRE(w > 0.0, "hash ring weights must be positive");
-        // Position of vnode v depends only on (seed, shard, v):
-        // reweighting grows or trims a shard's vnode tail without
-        // moving any surviving point, so most keys keep their home.
-        const size_t count = std::max<size_t>(
-            1, size_t(double(vnodes) * w + 0.5));
-        for (size_t v = 0; v < count; ++v) {
+        for (size_t v = 0; v < vnodes; ++v) {
             HashStream hs(seed);
             hs.u64(shard).u64(v);
             points_.emplace_back(hs.digest().hi, shard);
         }
     }
     std::sort(points_.begin(), points_.end());
-}
-
-size_t
-HashRing::vnodesOf(size_t shard) const
-{
-    size_t count = 0;
-    for (const auto& point : points_) {
-        if (point.second == shard) ++count;
-    }
-    return count;
 }
 
 size_t

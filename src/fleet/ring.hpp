@@ -15,16 +15,8 @@
  * successors; every other shard keeps its keys (and its result-cache
  * affinity). When the shard comes back, the same walk finds it first
  * again and affinity restores by construction: shardFor is a pure
- * function of (ring layout, key, up-set).
- *
- * Load-aware placement (PR 9) weights the ring: a shard measured twice
- * as fast as the fleet mean owns ~twice the vnodes and therefore ~twice
- * the keyspace. Weighting only changes *how many* of a shard's vnodes
- * exist, never *where* they sit — vnode v of shard s hashes from
- * (seed, s, v) alone — so reweighting from w to w' moves only the keys
- * owned by the added/removed tail vnodes and every other key keeps its
- * affinity home. Weights are clamped and quantized by the caller (the
- * router) so jittery load measurements do not churn the ring.
+ * function of (ring layout, key, up-set), and the layout never changes
+ * after construction.
  */
 #ifndef QA_FLEET_RING_HPP
 #define QA_FLEET_RING_HPP
@@ -47,24 +39,13 @@ class HashRing
     /**
      * Build the ring for shards [0, nshards). More vnodes flatten the
      * keyspace split (64 per shard keeps the max/min shard share within
-     * ~±25% for uniform keys). Throws UserError on nshards == 0.
+     * ~±25% for uniform keys). Throws UserError on nshards == 0 or
+     * vnodes == 0.
      */
     explicit HashRing(size_t nshards, size_t vnodes = 64,
                       uint64_t seed = 0x716172696e67ULL); // "qaring"
 
-    /**
-     * Weighted ring: shard s owns round(vnodes * weights[s]) vnodes
-     * (floored at 1 so every shard keeps at least one ring position and
-     * stays reachable by the clockwise walk). `weights.size()` must be
-     * `nshards`; an unweighted ring equals weights of all 1.0.
-     */
-    HashRing(size_t nshards, const std::vector<double>& weights,
-             size_t vnodes = 64, uint64_t seed = 0x716172696e67ULL);
-
     size_t shards() const { return nshards_; }
-
-    /** Ring positions shard `s` currently owns (tests, fleet_status). */
-    size_t vnodesOf(size_t shard) const;
 
     /** Ring-owner shard of `key`, ignoring liveness (the affinity home). */
     size_t shardFor(const Hash128& key) const;
@@ -81,8 +62,8 @@ class HashRing
     /**
      * Every shard exactly once, in the order the clockwise walk from
      * `key` first meets them: [affinity home, first failover successor,
-     * second, ...]. Retries, spillover, and hedged resubmissions all
-     * take the next entry, so their target choice is deterministic too.
+     * second, ...]. Failovers and retries take the next entry, so their
+     * target choice is deterministic too.
      */
     std::vector<size_t> preferenceChain(const Hash128& key) const;
 

@@ -178,7 +178,6 @@ FleetRouter::start()
                             options_.journal_dir + "': " + ec.message());
     }
     for (size_t i = 0; i < shards_.size(); ++i) spawnShardLocked(i);
-    last_adaptive_ = clock_.now();
     maintenance_ = std::thread([this] { maintenanceLoop(); });
 }
 
@@ -285,8 +284,8 @@ FleetRouter::onShardLine(size_t index, uint64_t generation,
     shard.responses++;
     const PendingPtr job = pending_.find(alias);
     if (!job) {
-        // Hedge loser, post-failover duplicate, or stale-generation
-        // flush: the job already resolved through another alias.
+        // Post-failover duplicate or stale-generation flush: the job
+        // already resolved through another alias.
         counters_.strays++;
         return;
     }
@@ -319,11 +318,7 @@ FleetRouter::onShardLine(size_t index, uint64_t generation,
     }
 
     if (is_error && fleetRetryableCode(code_name) && !draining_) {
-        // This dispatch is spent; the job may have a hedge in flight.
-        job->awaiting.erase(
-            std::remove(job->awaiting.begin(), job->awaiting.end(), index),
-            job->awaiting.end());
-        if (!job->awaiting.empty()) return;
+        job->awaiting.reset(); // this dispatch is spent
 
         // A refusal (queue_full/shedding) is saturation, not failure:
         // rewind placement one step so the retry lands on the same
@@ -376,8 +371,6 @@ FleetRouter::onShardExit(size_t index, uint64_t generation)
     if (shard.generation != generation) return;
     shard.alive = false;
     shard.ping_outstanding = false;
-    shard.outlier = false;
-    shard.outlier_streak = 0;
     shard.health.onProcessExit();
     shard.transport->noteEof();
     shard.transport->finished(); // reaps a pipe child's zombie now
@@ -389,69 +382,46 @@ FleetRouter::onShardExit(size_t index, uint64_t generation)
             std::min(shard.respawn_attempts, 16)));
     if (draining_) return;
 
-    // Failover: every job whose only outstanding dispatch died with the
-    // shard gets resubmitted down its preference chain right away.
+    // Failover: every job whose outstanding dispatch died with the shard
+    // gets resubmitted down its preference chain right away. (A parked
+    // job has no outstanding dispatch; its backoff release re-dispatches.)
     for (const PendingPtr& job : pending_.onShard(index)) {
-        job->awaiting.erase(
-            std::remove(job->awaiting.begin(), job->awaiting.end(), index),
-            job->awaiting.end());
-        if (!job->awaiting.empty()) continue; // hedge still in flight
-        if (job->parked) continue;            // backoff release re-dispatches
+        job->awaiting.reset();
         counters_.failovers++;
-        dispatchLocked(job, /*hedge=*/false);
+        dispatchLocked(job);
     }
 }
 
-bool
-FleetRouter::dispatchLocked(const PendingPtr& job, bool hedge)
+void
+FleetRouter::dispatchLocked(const PendingPtr& job)
 {
     const size_t n = job->chain.size();
-    // Pass 0 routes past sustained load outliers (spill); pass 1 takes
-    // any admitting shard, so an all-outlier fleet still serves.
-    for (int pass = options_.spill ? 0 : 1; pass < 2; ++pass) {
-        bool skipped_outlier = false;
-        for (size_t tried = 0; tried < n; ++tried) {
-            const size_t target =
-                job->chain[(job->next_chain + tried) % n];
-            Shard& shard = *shards_[target];
-            if (!shard.alive) continue;
-            if (shard.health.state() == ShardHealth::kDown) continue;
-            if (hedge &&
-                std::find(job->awaiting.begin(), job->awaiting.end(),
-                          target) != job->awaiting.end()) {
-                continue;
-            }
-            if (pass == 0 && shard.outlier) {
-                skipped_outlier = true;
-                continue;
-            }
-            if (!shard.breaker->tryAdmit()) continue;
+    for (size_t tried = 0; tried < n; ++tried) {
+        const size_t target = job->chain[(job->next_chain + tried) % n];
+        Shard& shard = *shards_[target];
+        if (!shard.alive) continue;
+        if (shard.health.state() == ShardHealth::kDown) continue;
+        if (!shard.breaker->tryAdmit()) continue;
 
-            const std::string alias = pending_.issueAlias(job);
-            job->request.set("id", serve::JsonValue::makeString(alias));
-            if (!shard.transport->writeLine(job->request.dump())) {
-                // Broken pipe / timed-out socket write: the reader's
-                // EOF will run the full death path; meanwhile this
-                // alias simply never answers (the job resolves through
-                // the next dispatch, the alias becomes a stray entry
-                // cleaned up at resolution).
-                shard.health.onFailure();
-                continue;
-            }
-            job->next_chain += tried + 1;
-            shard.forwarded++;
-            job->awaiting.push_back(target);
-            job->dispatches++;
-            job->parked = false;
-            job->last_dispatch = clock_.now();
-            if (pass == 0 && skipped_outlier) counters_.spills++;
-            return true;
+        const std::string alias = pending_.issueAlias(job);
+        job->request.set("id", serve::JsonValue::makeString(alias));
+        if (!shard.transport->writeLine(job->request.dump())) {
+            // Broken pipe / timed-out socket write: the reader's EOF will
+            // run the full death path; meanwhile this alias simply never
+            // answers (the job resolves through the next dispatch, the
+            // alias becomes a stray entry cleaned up at resolution).
+            shard.health.onFailure();
+            continue;
         }
-        if (pass == 0 && !skipped_outlier) break; // re-walk changes nothing
+        job->next_chain += tried + 1;
+        shard.forwarded++;
+        job->awaiting = target;
+        job->dispatches++;
+        job->parked = false;
+        return;
     }
     job->next_chain += n; // full fruitless walk: keep rotation moving
-    if (!hedge) parkOrFailLocked(job);
-    return false;
+    parkOrFailLocked(job);
 }
 
 void
@@ -536,7 +506,7 @@ FleetRouter::handleLine(const std::string& line)
         pending_.add(id, std::move(parsed), key, request.spec.deadline_ms,
                      ring_.preferenceChain(key), clock_.now());
     counters_.admitted++;
-    dispatchLocked(job, /*hedge=*/false);
+    dispatchLocked(job);
     return true;
 }
 
@@ -614,138 +584,9 @@ FleetRouter::maintenanceTickLocked()
         }
     }
 
-    if (options_.spill) scoreOutliersLocked();
-    if (options_.adaptive_placement &&
-        clock_.elapsedMs(last_adaptive_) >= options_.adaptive_interval_ms) {
-        adaptiveReweighLocked();
-        last_adaptive_ = now;
-    }
-
     for (const PendingPtr& job : pending_.all()) {
-        if (job->parked) {
-            if (now >= job->release) dispatchLocked(job, /*hedge=*/false);
-            continue;
-        }
-        if (options_.hedge_ms > 0.0 && !job->hedged &&
-            job->awaiting.size() == 1 &&
-            clock_.elapsedMs(job->last_dispatch) >= options_.hedge_ms) {
-            if (dispatchLocked(job, /*hedge=*/true)) {
-                job->hedged = true;
-                counters_.hedges++;
-            }
-        }
+        if (job->parked && now >= job->release) dispatchLocked(job);
     }
-}
-
-void
-FleetRouter::scoreOutliersLocked()
-{
-    // A shard's load only counts as an outlier against what the *rest*
-    // of the fleet reports — fleet-wide saturation is back-pressure,
-    // not an outlier — and only after `spill_streak` consecutive
-    // outlier-looking probes, so one garbage-collection hiccup on a
-    // shard does not bounce its keyspace around the ring.
-    for (size_t i = 0; i < shards_.size(); ++i) {
-        Shard& shard = *shards_[i];
-        if (!shard.alive || shard.health.state() == ShardHealth::kDown) {
-            shard.outlier = false;
-            shard.outlier_streak = 0;
-            continue;
-        }
-        if (shard.pongs_scored == shard.pings_ok) continue; // no new data
-        shard.pongs_scored = shard.pings_ok;
-
-        double peer_depth = 0.0;
-        double peer_rtt = 0.0;
-        size_t peers = 0;
-        for (size_t j = 0; j < shards_.size(); ++j) {
-            if (j == i || !shards_[j]->alive) continue;
-            peer_depth += shards_[j]->queue_depth;
-            peer_rtt += shards_[j]->last_rtt_ms;
-            peers++;
-        }
-        if (peers == 0) { // a one-shard fleet has nothing to spill to
-            shard.outlier = false;
-            shard.outlier_streak = 0;
-            continue;
-        }
-        peer_depth /= double(peers);
-        peer_rtt /= double(peers);
-
-        const bool depth_outlier =
-            shard.queue_depth >= options_.spill_min_depth &&
-            shard.queue_depth > options_.spill_factor * peer_depth;
-        const bool rtt_outlier =
-            shard.last_rtt_ms >= options_.spill_min_rtt_ms &&
-            shard.last_rtt_ms > options_.spill_factor * peer_rtt;
-        if (depth_outlier || rtt_outlier) {
-            shard.outlier_streak =
-                std::min(shard.outlier_streak + 1, 1 << 20);
-            if (shard.outlier_streak >= options_.spill_streak) {
-                shard.outlier = true;
-            }
-        } else {
-            shard.outlier_streak = 0;
-            shard.outlier = false;
-        }
-    }
-}
-
-void
-FleetRouter::adaptiveReweighLocked()
-{
-    // Measure each live shard's service rate (responses per second
-    // since the previous reweigh), smooth it, and re-derive ring
-    // weights relative to the fleet mean. Clamping and quantizing the
-    // weight means a steady fleet rebuilds nothing, and even a 2x-fast
-    // shard moves only the keys its extra tail vnodes claim.
-    const double interval_s =
-        std::max(1e-3, clock_.elapsedMs(last_adaptive_) / 1000.0);
-    double rate_sum = 0.0;
-    size_t live = 0;
-    for (const auto& shard_ptr : shards_) {
-        Shard& shard = *shard_ptr;
-        const double delta =
-            double(shard.responses - shard.rate_base_responses);
-        shard.rate_base_responses = shard.responses;
-        const double rate = delta / interval_s;
-        shard.service_rate =
-            shard.service_rate == 0.0
-                ? rate
-                : (1.0 - options_.adaptive_alpha) * shard.service_rate +
-                      options_.adaptive_alpha * rate;
-        if (shard.alive) {
-            rate_sum += shard.service_rate;
-            live++;
-        }
-    }
-    if (live == 0 || rate_sum <= 0.0) return; // no signal yet
-
-    const double mean = rate_sum / double(live);
-    std::vector<double> weights(shards_.size(), 1.0);
-    bool changed = false;
-    for (size_t i = 0; i < shards_.size(); ++i) {
-        Shard& shard = *shards_[i];
-        double w = shard.weight;
-        if (shard.alive && shard.service_rate > 0.0) {
-            w = shard.service_rate / mean;
-            w = std::min(2.0, std::max(0.5, w));
-            w = double(int(w * 4.0 + 0.5)) / 4.0; // quantize: 1/4 steps
-        }
-        weights[i] = w;
-        if (w != shard.weight) {
-            shard.weight = w;
-            changed = true;
-        }
-    }
-    if (!changed) return;
-
-    ring_ = HashRing(shards_.size(), weights, options_.vnodes);
-    counters_.rebalances++;
-    status_cache_valid_ = false;
-    // In-flight jobs keep their admission-time chains (their dispatch
-    // bookkeeping indexes into them); only new admissions see the
-    // reweighted ring. That is the affinity-preserving choice too.
 }
 
 bool
@@ -824,9 +665,7 @@ FleetCounters
 FleetRouter::counters() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    FleetCounters snapshot = counters_;
-    snapshot.status_cache_hits = status_cache_hits_;
-    return snapshot;
+    return counters_;
 }
 
 ShardStatus
@@ -859,10 +698,6 @@ FleetRouter::shardStatus(size_t index) const
                                ? endpoints_[index].str()
                                : std::string("unspawned"));
     status.queue_depth = shard.queue_depth;
-    status.outlier = shard.outlier;
-    status.service_rate = shard.service_rate;
-    status.weight = shard.weight;
-    status.vnodes = ring_.vnodesOf(index);
     return status;
 }
 
@@ -876,18 +711,9 @@ FleetRouter::fleetStatusJson(const std::string& id) const
 std::string
 FleetRouter::fleetStatusLocked(const std::string& id) const
 {
-    // The id is the only per-request part of the line, so the body is
-    // cacheable: under a status-polling load the snapshot is rebuilt at
-    // most once per TTL instead of once per request.
-    if (options_.status_cache_ms > 0.0 && status_cache_valid_ &&
-        clock_.elapsedMs(status_cache_at_) < options_.status_cache_ms) {
-        status_cache_hits_++;
-        return "{\"id\":\"" + serve::jsonEscape(id) + "\"" +
-               status_cache_body_;
-    }
-
     std::ostringstream out;
-    out << ",\"status\":\"ok\",\"fleet\":{\"shards\":" << shards_.size()
+    out << "{\"id\":\"" << serve::jsonEscape(id)
+        << "\",\"status\":\"ok\",\"fleet\":{\"shards\":" << shards_.size()
         << ",\"pending\":" << pending_.size()
         << ",\"admitted\":" << counters_.admitted
         << ",\"resolved_ok\":" << counters_.resolved_ok
@@ -895,12 +721,8 @@ FleetRouter::fleetStatusLocked(const std::string& id) const
         << ",\"rejected\":" << counters_.rejected
         << ",\"retried\":" << counters_.retried
         << ",\"failovers\":" << counters_.failovers
-        << ",\"hedges\":" << counters_.hedges
         << ",\"strays\":" << counters_.strays
         << ",\"no_shard\":" << counters_.no_shard
-        << ",\"spills\":" << counters_.spills
-        << ",\"rebalances\":" << counters_.rebalances
-        << ",\"status_cache_hits\":" << status_cache_hits_
         << ",\"shard\":[";
     for (size_t i = 0; i < shards_.size(); ++i) {
         const Shard& shard = *shards_[i];
@@ -927,17 +749,10 @@ FleetRouter::fleetStatusLocked(const std::string& id) const
             << ",\"down_transitions\":" << shard.health.downTransitions()
             << ",\"last_rtt_ms\":" << serve::jsonNumber(shard.last_rtt_ms)
             << ",\"queue_depth\":" << serve::jsonNumber(shard.queue_depth)
-            << ",\"outlier\":" << (shard.outlier ? "true" : "false")
-            << ",\"service_rate\":" << serve::jsonNumber(shard.service_rate)
-            << ",\"weight\":" << serve::jsonNumber(shard.weight)
-            << ",\"vnodes\":" << ring_.vnodesOf(i) << "}";
+            << "}";
     }
     out << "]}}";
-    status_cache_body_ = out.str();
-    status_cache_at_ = clock_.now();
-    status_cache_valid_ = true;
-    return "{\"id\":\"" + serve::jsonEscape(id) + "\"" +
-           status_cache_body_;
+    return out.str();
 }
 
 void

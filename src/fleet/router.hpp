@@ -27,13 +27,12 @@
  *    retried on the ring with counter-based jittered backoff — also
  *    honouring the shard's own retry_after_ms hint — bounded by the
  *    attempt budget and the job's deadline.
- *  - **Hedged resubmission**: optionally, a job stuck past the stall
- *    threshold is duplicated to the next live shard; first response
- *    wins, the loser is dropped as a stray.
+ *  - **One outstanding dispatch**: a job is in flight on at most one
+ *    shard at a time; failover, retry and park all clear it before the
+ *    next dispatch is issued (PendingJob::awaiting is a single slot).
  *  - **Exactly-once**: every admitted job resolves to the client
  *    exactly once, through any combination of shard crash, respawn,
- *    retry, and hedging (fleet/pending.hpp is the single resolution
- *    point).
+ *    and retry (fleet/pending.hpp is the single resolution point).
  *  - **All shards down** is a typed kNoShardAvailable error after the
  *    retry budget, never a hang.
  *
@@ -48,18 +47,13 @@
  *    a read timeout or health-down, after which the router tears the
  *    connection down itself so the ordinary EOF death path (failover +
  *    backoff reconnect) runs.
- *  - **Load-aware placement**: pong-carried queue depths and probe
- *    RTTs feed an outlier detector; dispatch routes past an "up" shard
- *    whose load is a sustained outlier (spill), and measured service
- *    rates periodically reweight the ring's vnodes (rebalance) so a
- *    consistently faster shard owns more keyspace.
- *  - **Cached fleet_status**: status snapshots are served from a
- *    bounded-staleness cache so status polling cannot contend with
- *    dispatch under load.
+ *  - **Pong telemetry**: each pong's queue depth and the probe RTT are
+ *    reported per shard in fleet_status. Placement does not read them:
+ *    every job walks its fixed ring chain.
  *
  * Threads: the caller's admission thread (handleLine), one reader
  * thread per live shard, and one maintenance thread (probes, backoff
- * releases, hedges, respawns/reconnects). One router mutex guards all
+ * releases, respawns/reconnects). One router mutex guards all
  * shared state; shard writes take only the per-transport write mutex.
  */
 #ifndef QA_FLEET_ROUTER_HPP
@@ -110,7 +104,7 @@ struct RouterOptions
 
     size_t shards = 3;
 
-    /** Ring vnodes per shard (at weight 1.0). */
+    /** Ring vnodes per shard. */
     size_t vnodes = 64;
 
     /** TCP transport bounds (connect / write / idle-read). */
@@ -129,12 +123,6 @@ struct RouterOptions
 
     /** Unanswered-ping bound; past it the probe counts as a failure. */
     double ping_timeout_ms = 2000.0;
-
-    /**
-     * Hedged-resubmission stall threshold; 0 disables hedging. Only
-     * ever one hedge per job, to a shard the job is not already on.
-     */
-    double hedge_ms = 0.0;
 
     /** Maintenance loop tick. */
     double maintenance_tick_ms = 10.0;
@@ -157,44 +145,6 @@ struct RouterOptions
     /** Bound on client and shard line lengths. */
     size_t max_line = size_t(1) << 20;
 
-    /**
-     * Outlier spill: when enabled, dispatch's first pass skips an "up"
-     * shard whose pong queue depth or probe RTT has been an outlier
-     * against the rest of the fleet for `spill_streak` consecutive
-     * probes (a second pass still allows outliers, so a fleet that is
-     * uniformly loaded never rejects work it could do).
-     */
-    bool spill = false;
-
-    /** Outlier factor over the mean of the *other* shards. */
-    double spill_factor = 3.0;
-
-    /** Queue-depth floor below which a shard is never an outlier. */
-    double spill_min_depth = 4.0;
-
-    /** RTT floor (ms) below which RTT never marks an outlier. */
-    double spill_min_rtt_ms = 50.0;
-
-    /** Consecutive outlier probes before spill starts. */
-    int spill_streak = 3;
-
-    /**
-     * Load-aware adaptive placement: periodically reweight ring vnodes
-     * by each shard's measured service rate (EWMA of responses/s,
-     * clamped to [0.5, 2.0] of the fleet mean and quantized to 1/4
-     * steps so measurement jitter cannot churn the ring).
-     */
-    bool adaptive_placement = false;
-
-    /** Reweigh cadence. */
-    double adaptive_interval_ms = 2000.0;
-
-    /** Service-rate EWMA smoothing factor. */
-    double adaptive_alpha = 0.3;
-
-    /** fleet_status cache TTL; 0 = rebuild the snapshot per request. */
-    double status_cache_ms = 0.0;
-
     /** Time source; nullptr = the real steady clock. */
     Clock* clock = nullptr;
 
@@ -214,12 +164,8 @@ struct FleetCounters
     uint64_t rejected = 0;       ///< Malformed requests refused at the edge.
     uint64_t retried = 0;        ///< Fleet-level redispatches after refusals.
     uint64_t failovers = 0;      ///< Jobs resubmitted off a dead shard.
-    uint64_t hedges = 0;         ///< Hedged duplicates issued.
     uint64_t strays = 0;         ///< Late/duplicate shard responses dropped.
     uint64_t no_shard = 0;       ///< Jobs failed kNoShardAvailable.
-    uint64_t spills = 0;         ///< Dispatches routed past an outlier shard.
-    uint64_t rebalances = 0;     ///< Adaptive ring reweights applied.
-    uint64_t status_cache_hits = 0; ///< fleet_status served from cache.
 };
 
 /** Point-in-time view of one shard (fleet_status, tests). */
@@ -243,10 +189,6 @@ struct ShardStatus
     std::string transport;  ///< "pipe" or "tcp".
     std::string attachment; ///< "pid 1234" / "127.0.0.1:9001".
     double queue_depth = 0.0; ///< Last pong-reported queue depth.
-    bool outlier = false;     ///< Currently spilled past by dispatch.
-    double service_rate = 0.0; ///< EWMA responses/s (adaptive placement).
-    double weight = 1.0;       ///< Current ring weight.
-    size_t vnodes = 0;         ///< Ring positions currently owned.
 };
 
 class FleetRouter
@@ -333,16 +275,7 @@ class FleetRouter
          */
         uint64_t attachment_ping_failures = 0;
 
-        // Outlier spill (pong-fed; evaluated each probe).
-        double queue_depth = 0.0;
-        uint64_t pongs_scored = 0; ///< pings_ok already folded into streak.
-        int outlier_streak = 0;
-        bool outlier = false;
-
-        // Adaptive placement (response-rate EWMA; per adaptive tick).
-        uint64_t rate_base_responses = 0;
-        double service_rate = 0.0;
-        double weight = 1.0;
+        double queue_depth = 0.0; ///< Last pong-reported queue depth.
     };
 
     std::vector<std::string> shardArgv(size_t index,
@@ -358,17 +291,14 @@ class FleetRouter
     void onReaderTimeout(size_t index, uint64_t generation);
     void handlePongLocked(size_t index, const std::string& alias,
                           double queue_depth);
-    void scoreOutliersLocked();
-    void adaptiveReweighLocked();
 
     /**
-     * Issue one dispatch of `job` to the first admitting shard on its
-     * chain (`hedge` additionally skips shards the job already waits
-     * on, and fails soft). Returns false when no shard took it; for
-     * non-hedge dispatches the job is then parked for a backoff retry
-     * or — budget exhausted — resolved with kNoShardAvailable.
+     * Issue the one outstanding dispatch of `job` (which must have none)
+     * to the first admitting shard on its chain. When no shard takes it
+     * the job is parked for a backoff retry or — budget exhausted —
+     * resolved with kNoShardAvailable.
      */
-    bool dispatchLocked(const PendingPtr& job, bool hedge);
+    void dispatchLocked(const PendingPtr& job);
     void parkOrFailLocked(const PendingPtr& job);
     void resolveLocked(const PendingPtr& job, const std::string& line,
                        bool ok);
@@ -381,7 +311,7 @@ class FleetRouter
     RouterOptions options_;
     Clock& clock_;
     Emit emit_;
-    HashRing ring_;
+    const HashRing ring_;
     std::vector<net::Endpoint> endpoints_; ///< Non-empty: TCP fleet.
 
     mutable std::mutex mutex_;
@@ -393,15 +323,6 @@ class FleetRouter
     bool draining_ = false;
     bool stopped_ = false;
     bool started_ = false;
-
-    Clock::TimePoint last_adaptive_;
-
-    // fleet_status cache: the body after the id is identical across
-    // requests within the TTL, so only the id gets re-wrapped.
-    mutable std::string status_cache_body_;
-    mutable Clock::TimePoint status_cache_at_;
-    mutable bool status_cache_valid_ = false;
-    mutable uint64_t status_cache_hits_ = 0;
 
     std::thread maintenance_;
     std::mutex emit_mutex_;

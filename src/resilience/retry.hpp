@@ -48,7 +48,8 @@ struct RetryOptions
  * True for failures that can plausibly succeed on a clean re-execution:
  * a lost worker, a propagated worker-pool failure, or an unclassified
  * exception (kGeneric — thrown infrastructure errors land there).
- * Typed caller mistakes are permanent.
+ * Typed caller mistakes and out-of-memory (kResourceExhausted) are
+ * permanent.
  */
 bool isTransientError(ErrorCode code);
 

@@ -1,6 +1,7 @@
 #include "serve/job.hpp"
 
 #include <algorithm>
+#include <new>
 
 #include "acomp/run.hpp"
 #include "circuit/hash.hpp"
@@ -245,6 +246,22 @@ executeJob(const JobSpec& spec)
     }
     if (plain && !spec.assert_clbits.empty()) {
         postSelect(result, spec.assert_clbits, spec.circuit.numClbits());
+    }
+    return result;
+}
+
+JobResult
+failedResult(const std::exception& err)
+{
+    JobResult result;
+    result.status = JobStatus::kFailed;
+    result.error_message = err.what();
+    if (const auto* user = dynamic_cast<const UserError*>(&err)) {
+        result.error_code = user->code();
+    } else if (dynamic_cast<const std::bad_alloc*>(&err) != nullptr) {
+        result.error_code = ErrorCode::kResourceExhausted;
+    } else {
+        result.error_code = ErrorCode::kGeneric;
     }
     return result;
 }

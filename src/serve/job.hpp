@@ -16,6 +16,7 @@
 #define QA_SERVE_JOB_HPP
 
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <string>
 #include <vector>
@@ -250,6 +251,14 @@ acomp::PlannedRun planJob(const JobSpec& spec);
  * unsupported policy/slot combination, non-positive shots).
  */
 JobResult executeJob(const JobSpec& spec);
+
+/**
+ * The failed result for an exception thrown while executing a job. A
+ * UserError keeps its typed code; std::bad_alloc is kResourceExhausted,
+ * which is never retried because running out of memory is a property
+ * of the job; any other exception is kGeneric.
+ */
+JobResult failedResult(const std::exception& err);
 
 /**
  * 128-bit digest of a result's deterministic payload: status, counts,

@@ -45,16 +45,8 @@ replayJournal(const std::string& path, std::ostream& out,
             id = requestId(parsed);
             WireRequest request = buildRequest(parsed);
             result = executeJob(request.spec);
-        } catch (const UserError& err) {
-            result = JobResult{};
-            result.status = JobStatus::kFailed;
-            result.error_code = err.code();
-            result.error_message = err.what();
         } catch (const std::exception& err) {
-            result = JobResult{};
-            result.status = JobStatus::kFailed;
-            result.error_code = ErrorCode::kGeneric;
-            result.error_message = err.what();
+            result = failedResult(err);
         }
         out << encodeReplay(id, result) << "\n";
         report.executed++;

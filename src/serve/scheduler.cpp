@@ -333,16 +333,8 @@ Scheduler::runAttempt(const Ticket& ticket, int attempt)
             metrics_.recordBackend(result.backend.backend);
             if (cacheable) cache_.put(key, result);
         }
-    } catch (const UserError& err) {
-        result = JobResult{};
-        result.status = JobStatus::kFailed;
-        result.error_code = err.code();
-        result.error_message = err.what();
     } catch (const std::exception& err) {
-        result = JobResult{};
-        result.status = JobStatus::kFailed;
-        result.error_code = ErrorCode::kGeneric;
-        result.error_message = err.what();
+        result = failedResult(err);
     }
     if (from_cache) {
         result.exec_ms = 0.0;

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <new>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -104,6 +105,7 @@ TEST(RetryTest, TransientClassification)
     EXPECT_FALSE(isTransientError(ErrorCode::kShedding));
     EXPECT_FALSE(isTransientError(ErrorCode::kPolicyUnsupported));
     EXPECT_FALSE(isTransientError(ErrorCode::kQasmSyntax));
+    EXPECT_FALSE(isTransientError(ErrorCode::kResourceExhausted));
 }
 
 TEST(RetryTest, BackoffIsDeterministicJitteredExponential)
@@ -546,6 +548,29 @@ TEST(SchedulerChaosTest, PermanentErrorsDoNotBurnRetries)
     const JobResult result = scheduler.submit(std::move(bad)).get();
     EXPECT_EQ(int(result.status), int(JobStatus::kFailed));
     EXPECT_EQ(result.error_code, ErrorCode::kPolicyUnsupported);
+    EXPECT_EQ(scheduler.metrics().retried, 0u);
+}
+
+TEST(SchedulerChaosTest, OutOfMemoryFailsTypedWithoutRetry)
+{
+    // Running out of memory is deterministic for a job: a retry would
+    // only exhaust memory again, so the first attempt is final.
+    std::atomic<int> attempts{0};
+    SchedulerOptions options;
+    options.workers = 1;
+    options.cache_capacity = 0;
+    options.retry.base_backoff_ms = 0.1;
+    options.exec_hook = [&attempts](uint64_t, int) {
+        attempts.fetch_add(1);
+        throw std::bad_alloc();
+    };
+    Scheduler scheduler(options);
+
+    const JobResult result = scheduler.submit(coinSpec(6)).get();
+    EXPECT_EQ(int(result.status), int(JobStatus::kFailed));
+    EXPECT_EQ(result.error_code, ErrorCode::kResourceExhausted);
+    EXPECT_STREQ(errorCodeName(result.error_code), "resource_exhausted");
+    EXPECT_EQ(attempts.load(), 1);
     EXPECT_EQ(scheduler.metrics().retried, 0u);
 }
 

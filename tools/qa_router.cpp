@@ -15,21 +15,15 @@
  * Usage:
  *   qa_router --shards N [--shard-cmd "qassertd --workers 1 ..."]
  *             [--journal-dir DIR] [--vnodes N] [--probe-ms X]
- *             [--ping-timeout-ms X] [--hedge-ms X] [--retries N]
- *             [--no-respawn] [--drain-ms X] [--max-line N]
+ *             [--ping-timeout-ms X] [--retries N] [--no-respawn]
+ *             [--drain-ms X] [--max-line N]
  *   qa_router --connect host:port,host:port,...
  *             [--connect-timeout-ms X] [--write-timeout-ms X]
  *             [--idle-timeout-ms X] [... same routing flags]
  *
  * --connect switches the fleet to remote TCP shards (qassertd
  * --listen daemons); the shard count is the endpoint count and
- * "respawn" means re-dialing a dead endpoint. Placement knobs (work
- * for both transports):
- *   --spill             skip persistently-overloaded shards (outlier
- *                       detection from pong queue depth + probe RTT)
- *   --adaptive          reweigh ring vnodes from measured per-shard
- *                       service rate
- *   --status-cache-ms X cache the fleet_status body for X ms
+ * "respawn" means re-dialing a dead endpoint.
  *
  * Extra ops beyond the qassertd set:
  *   {"op":"fleet_status","id":"s1"}  -> per-shard health/counters; the
@@ -155,9 +149,6 @@ main(int argc, char** argv)
         } else if (arg == "--ping-timeout-ms") {
             options.ping_timeout_ms = double(parsePositiveArg(arg, value));
             ++i;
-        } else if (arg == "--hedge-ms") {
-            options.hedge_ms = double(parsePositiveArg(arg, value));
-            ++i;
         } else if (arg == "--retries") {
             options.retry.max_attempts = parsePositiveArg(arg, value);
             ++i;
@@ -187,17 +178,6 @@ main(int argc, char** argv)
             options.tcp.read_idle_timeout_ms =
                 double(parsePositiveArg(arg, value));
             ++i;
-        } else if (arg == "--spill") {
-            options.spill = true;
-        } else if (arg == "--adaptive") {
-            options.adaptive_placement = true;
-        } else if (arg == "--adaptive-ms") {
-            options.adaptive_interval_ms =
-                double(parsePositiveArg(arg, value));
-            ++i;
-        } else if (arg == "--status-cache-ms") {
-            options.status_cache_ms = double(parsePositiveArg(arg, value));
-            ++i;
         } else if (arg == "--drain-ms") {
             drain_ms = double(parsePositiveArg(arg, value));
             ++i;
@@ -210,16 +190,12 @@ main(int argc, char** argv)
                    " [--journal-dir DIR]\n"
                    "                 [--vnodes N] [--probe-ms X]"
                    " [--ping-timeout-ms X]\n"
-                   "                 [--hedge-ms X] [--retries N]"
-                   " [--no-respawn]\n"
-                   "                 [--drain-ms X] [--max-line N]\n"
+                   "                 [--retries N] [--no-respawn]"
+                   " [--drain-ms X] [--max-line N]\n"
                    "       qa_router --connect host:port,...\n"
                    "                 [--connect-timeout-ms X]"
                    " [--write-timeout-ms X]\n"
-                   "                 [--idle-timeout-ms X]"
-                   " [--spill] [--adaptive]\n"
-                   "                 [--adaptive-ms X]"
-                   " [--status-cache-ms X]\n"
+                   "                 [--idle-timeout-ms X]\n"
                    "NDJSON requests on stdin, one response line per "
                    "request on stdout;\n"
                    "{\"op\":\"fleet_status\"} reports per-shard health "
@@ -262,9 +238,7 @@ main(int argc, char** argv)
               << (options.journal_dir.empty()
                       ? std::string()
                       : ", journals in " + options.journal_dir)
-              << (options.hedge_ms > 0.0 ? ", hedging" : "")
-              << (options.spill ? ", spill" : "")
-              << (options.adaptive_placement ? ", adaptive" : "") << ")\n";
+              << ")\n";
 
     std::string line;
     while (g_signal == 0) {
@@ -301,8 +275,7 @@ main(int argc, char** argv)
               << ", ok " << counters.resolved_ok << ", error "
               << counters.resolved_error << ", retried "
               << counters.retried << ", failovers " << counters.failovers
-              << ", hedges " << counters.hedges << ", strays "
-              << counters.strays << ", no_shard " << counters.no_shard
-              << "\n";
+              << ", strays " << counters.strays << ", no_shard "
+              << counters.no_shard << "\n";
     return 0;
 }
