@@ -34,7 +34,12 @@
 # starved chi=2 override with the typed capability error. The TSan
 # half additionally runs the fleet transport
 # tests (TransportTest + RemoteRouterTest), whose per-connection socket
-# reader threads race against router maintenance and teardown.
+# reader threads race against router maintenance and teardown, and the
+# socket serve-loop test (ServeLoopTest: a SocketServer over a real
+# Scheduler, its connection thread racing worker callbacks that write
+# to the same connection). The chaos smoke also sends SIGTERM to
+# qassertd, qassertd --listen and a two-shard qa_router with their
+# input still open and requires a clean drain.
 #
 # Usage: scripts/tier1.sh [--skip-tsan] [--skip-asan] [--skip-release]
 #
@@ -82,7 +87,7 @@ if [[ "$skip_tsan" -ne 1 ]]; then
     ./build-tsan/tests/test_policy \
         --gtest_filter='PolicyTest.*'
     ./build-tsan/tests/test_serve \
-        --gtest_filter='SchedulerTest.*:CacheTest.*:JobTest.*'
+        --gtest_filter='SchedulerTest.*:CacheTest.*:JobTest.*:ServeLoopTest.*'
     ./build-tsan/tests/test_backend \
         --gtest_filter='BackendDeterminismTest.*:CrossBackendTest.*'
     ./build-tsan/tests/test_mps \

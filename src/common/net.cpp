@@ -280,5 +280,73 @@ setNonBlocking(int fd, bool enabled)
     return ::fcntl(fd, F_SETFL, next) >= 0;
 }
 
+LineReader::Status
+LineReader::next(std::string* out)
+{
+    out->clear();
+    for (;;) {
+        // Scan only bytes not inspected before; a long partial line is
+        // not rescanned from the start on every read.
+        const size_t nl = buffer_.find('\n', scanned_);
+        if (nl != std::string::npos) {
+            const bool overflow = discarding_ || nl > max_len_;
+            if (!overflow) out->assign(buffer_, 0, nl);
+            buffer_.erase(0, nl + 1);
+            scanned_ = 0;
+            discarding_ = false;
+            return overflow ? Status::kOverflow : Status::kOk;
+        }
+        if (buffer_.size() > max_len_) {
+            discarding_ = true; // drop what we have, then the rest
+            buffer_.clear();
+        }
+        scanned_ = buffer_.size();
+        if (eof_) {
+            if (buffer_.empty() && !discarding_) return Status::kEof;
+            // Final unterminated line.
+            const bool overflow = discarding_;
+            if (!overflow) out->assign(buffer_);
+            buffer_.clear();
+            scanned_ = 0;
+            discarding_ = false;
+            return overflow ? Status::kOverflow : Status::kOk;
+        }
+        if (idle_timeout_ms_ > 0.0 && !pollReadable(fd_, idle_timeout_ms_)) {
+            // Idle bound hit with no complete line buffered: the peer
+            // is wedged (partitioned socket, stalled child), or a serve
+            // loop wants to check its flags. The partial line stays
+            // buffered so a later next() resumes cleanly.
+            return Status::kTimeout;
+        }
+        char chunk[4096];
+        const ssize_t n = ::read(fd_, chunk, sizeof chunk);
+        if (n < 0) {
+            if (errno == EINTR) continue;
+            if (errno == EAGAIN || errno == EWOULDBLOCK) {
+                // Non-blocking fd (TCP transport) raced poll; wait for
+                // readability — bounded by the idle timeout when set.
+                if (idle_timeout_ms_ <= 0.0) pollReadable(fd_, -1.0);
+                continue;
+            }
+            eof_ = true; // treat read errors as stream end
+            continue;
+        }
+        if (n == 0) {
+            eof_ = true;
+            continue;
+        }
+        if (discarding_) {
+            // Still inside the oversize line: keep only what follows
+            // its newline (the newline itself ends the overflow above).
+            const void* end = std::memchr(chunk, '\n', size_t(n));
+            if (end == nullptr) continue;
+            const char* from = static_cast<const char*>(end);
+            buffer_.assign(from, size_t(chunk + n - from));
+            continue;
+        }
+        buffer_.append(chunk, size_t(n));
+    }
+}
+
 } // namespace net
 } // namespace qa

@@ -1,9 +1,12 @@
 /**
  * @file
- * Small POSIX TCP helpers shared by the remote-fleet pieces: the
- * qassertd listen loop (serve/listen.hpp), the router's TCP shard
- * transport (fleet/transport.hpp), and the qa_netchaos fault-injection
- * proxy.
+ * Small POSIX stream helpers shared by the service and fleet pieces:
+ * TCP listen/connect/accept for the qassertd listen loop
+ * (serve/listen.hpp), the router's TCP shard transport
+ * (fleet/transport.hpp) and the qa_netchaos fault-injection proxy, plus
+ * LineReader, the one bounded NDJSON line reader. It reads qassertd's
+ * and qa_router's stdin, every `qassertd --listen` connection, shard
+ * responses, and the load generator's view of its target.
  *
  * Design rules that every user of this file relies on:
  *  - **Everything is bounded.** connect, write, and poll all take a
@@ -20,6 +23,7 @@
 #ifndef QA_COMMON_NET_HPP
 #define QA_COMMON_NET_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -90,6 +94,54 @@ void closeQuiet(int fd);
 
 /** Set/clear O_NONBLOCK; returns false on fcntl failure. */
 bool setNonBlocking(int fd, bool enabled);
+
+/**
+ * Buffered bounded NDJSON line reader over a raw fd (a pipe, a socket,
+ * or stdin). A line longer than `max_len` bytes (newline excluded) is
+ * dropped as it arrives, never buffered whole: memory stays within
+ * about `max_len` plus one 4 KiB read, whatever the peer sends.
+ */
+class LineReader
+{
+  public:
+    enum class Status
+    {
+        kOk,       ///< One complete line (newline stripped) in `out`.
+        kEof,      ///< Stream ended before any byte of a new line.
+        kOverflow, ///< Line exceeded the bound; rest consumed.
+        kTimeout   ///< No bytes arrived within the idle-read timeout.
+    };
+
+    /**
+     * `idle_timeout_ms` bounds how long one next() call may sit waiting
+     * for the fd to become readable (0 = wait forever, the pipe-shard
+     * default). A wedged peer — a partitioned TCP shard, a child that
+     * stopped writing without exiting — surfaces as kTimeout instead of
+     * parking the reader thread forever, and a serve loop uses the same
+     * tick to notice drain signals. Buffered complete lines are still
+     * returned first, and next() may be called again after a timeout
+     * (the partial line, or the overflow in progress, is kept).
+     */
+    explicit LineReader(int fd, size_t max_len = size_t(1) << 20,
+                        double idle_timeout_ms = 0.0)
+        : fd_(fd), max_len_(max_len), idle_timeout_ms_(idle_timeout_ms)
+    {}
+
+    /** Read the next line; EINTR and EAGAIN are retried. A final line
+     * with no newline is kOk, or kOverflow when over the bound. */
+    Status next(std::string* out);
+
+    size_t maxLen() const { return max_len_; }
+
+  private:
+    int fd_;
+    size_t max_len_;
+    double idle_timeout_ms_;
+    std::string buffer_;
+    size_t scanned_ = 0;     ///< buffer_ prefix already searched for '\n'.
+    bool eof_ = false;
+    bool discarding_ = false; ///< Over the bound: drop bytes to '\n'.
+};
 
 } // namespace net
 } // namespace qa

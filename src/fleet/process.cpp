@@ -9,7 +9,6 @@
 #include <unistd.h>
 
 #include "common/error.hpp"
-#include "common/net.hpp"
 
 namespace qa
 {
@@ -185,72 +184,6 @@ ChildProcess::rawStatus() const
 {
     std::lock_guard<std::mutex> lock(reap_mutex_);
     return status_;
-}
-
-LineReader::Status
-LineReader::next(std::string* out)
-{
-    out->clear();
-    bool overflow = overflow_pending_; // resumed after a mid-line timeout
-    overflow_pending_ = false;
-    for (;;) {
-        // Scan only bytes not inspected before; a long partial line is
-        // not rescanned from the start on every read.
-        const size_t nl = buffer_.find('\n', scanned_);
-        if (nl != std::string::npos) {
-            if (!overflow && nl <= max_len_) {
-                out->assign(buffer_, 0, nl);
-            } else {
-                overflow = true;
-            }
-            buffer_.erase(0, nl + 1);
-            scanned_ = 0;
-            return overflow ? Status::kOverflow : Status::kOk;
-        }
-        scanned_ = buffer_.size();
-        if (buffer_.size() > max_len_ && !overflow) {
-            overflow = true; // keep consuming to the newline
-            buffer_.clear();
-            scanned_ = 0;
-        }
-        if (eof_) {
-            if (buffer_.empty()) return Status::kEof;
-            // Final unterminated line.
-            if (!overflow) out->assign(buffer_);
-            buffer_.clear();
-            scanned_ = 0;
-            return overflow ? Status::kOverflow : Status::kOk;
-        }
-        if (idle_timeout_ms_ > 0.0 &&
-            !net::pollReadable(fd_, idle_timeout_ms_)) {
-            // Idle bound hit with no complete line buffered: the peer
-            // is wedged (partitioned socket, stalled child). Surface it
-            // instead of parking this thread forever; the partial line
-            // stays buffered so a later next() resumes cleanly.
-            overflow_pending_ = overflow;
-            return Status::kTimeout;
-        }
-        char chunk[4096];
-        const ssize_t n = ::read(fd_, chunk, sizeof chunk);
-        if (n < 0) {
-            if (errno == EINTR) continue;
-            if (errno == EAGAIN || errno == EWOULDBLOCK) {
-                // Non-blocking fd (TCP transport) raced poll; wait for
-                // readability — bounded by the idle timeout when set.
-                if (idle_timeout_ms_ <= 0.0) {
-                    net::pollReadable(fd_, -1.0);
-                }
-                continue;
-            }
-            eof_ = true; // treat read errors as stream end
-            continue;
-        }
-        if (n == 0) {
-            eof_ = true;
-            continue;
-        }
-        buffer_.append(chunk, size_t(n));
-    }
 }
 
 } // namespace fleet

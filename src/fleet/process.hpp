@@ -14,9 +14,10 @@
  *  - writes handle EINTR and report (not raise) EPIPE — a dead shard
  *    must never take the router down, so spawn() also forces SIGPIPE to
  *    SIG_IGN process-wide (documented; the tool mains do it too);
- *  - reads handle EINTR and are bounded per line, mirroring
- *    readLineBounded on the serve side, and can additionally enforce an
- *    idle-read timeout so a wedged peer cannot park a reader forever;
+ *  - responses are read with net::LineReader (common/net.hpp), the
+ *    same bounded reader qassertd uses for its own input: EINTR-safe,
+ *    bounded per line without buffering an oversize one, and with an
+ *    optional idle-read timeout so a wedged peer cannot park a reader;
  *  - reaping closes the child's stdin pipe fd immediately (a dead
  *    child's write end is pure leak — before this fix an exec-failure
  *    child reaped via tryReap kept both pipe fds open until the
@@ -34,6 +35,8 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "common/net.hpp"
 
 namespace qa
 {
@@ -103,46 +106,9 @@ class ChildProcess
     mutable std::mutex reap_mutex_;
 };
 
-/** Buffered bounded line reader over a raw fd (a ChildProcess stdout). */
-class LineReader
-{
-  public:
-    enum class Status
-    {
-        kOk,      ///< One complete line (newline stripped) in `out`.
-        kEof,     ///< Stream ended before any byte of a new line.
-        kOverflow, ///< Line exceeded the bound; rest consumed.
-        kTimeout  ///< No bytes arrived within the idle-read timeout.
-    };
-
-    /**
-     * `idle_timeout_ms` bounds how long one next() call may sit waiting
-     * for the fd to become readable (0 = wait forever, the pipe-shard
-     * default). A wedged peer — a partitioned TCP shard, a child that
-     * stopped writing without exiting — surfaces as kTimeout instead of
-     * parking the reader thread forever; buffered complete lines are
-     * still returned first, and next() may be called again after a
-     * timeout (the partial line in the buffer is kept).
-     */
-    explicit LineReader(int fd, size_t max_len = size_t(1) << 20,
-                        double idle_timeout_ms = 0.0)
-        : fd_(fd), max_len_(max_len), idle_timeout_ms_(idle_timeout_ms)
-    {}
-
-    /** Read the next line; EINTR and EAGAIN are retried (poll-bounded). */
-    Status next(std::string* out);
-
-    void setIdleTimeout(double ms) { idle_timeout_ms_ = ms; }
-
-  private:
-    int fd_;
-    size_t max_len_;
-    double idle_timeout_ms_;
-    std::string buffer_;
-    size_t scanned_ = 0; ///< buffer_ prefix already searched for '\n'.
-    bool eof_ = false;
-    bool overflow_pending_ = false; ///< Timed out mid-overflow line.
-};
+/** The reader now lives in common/net; perfbench/cpp/drive.cpp still
+ * reads its child's responses through this old name. */
+using LineReader = net::LineReader;
 
 } // namespace fleet
 } // namespace qa

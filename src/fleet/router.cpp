@@ -185,20 +185,20 @@ void
 FleetRouter::readerLoop(size_t index, uint64_t generation, int fd,
                         double idle_timeout_ms)
 {
-    LineReader reader(fd, options_.max_line, idle_timeout_ms);
+    net::LineReader reader(fd, options_.max_line, idle_timeout_ms);
     std::string line;
     for (;;) {
-        const LineReader::Status status = reader.next(&line);
-        if (status == LineReader::Status::kEof) {
+        const net::LineReader::Status status = reader.next(&line);
+        if (status == net::LineReader::Status::kEof) {
             onShardExit(index, generation);
             return;
         }
-        if (status == LineReader::Status::kOverflow) {
+        if (status == net::LineReader::Status::kOverflow) {
             std::lock_guard<std::mutex> lock(mutex_);
             shards_[index]->health.onFailure();
             continue;
         }
-        if (status == LineReader::Status::kTimeout) {
+        if (status == net::LineReader::Status::kTimeout) {
             // The peer went silent past the idle bound (blackholed
             // socket, wedged daemon). Tear the attachment down; the
             // loop then observes EOF and runs the full death path.

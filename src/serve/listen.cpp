@@ -1,9 +1,5 @@
 #include "serve/listen.hpp"
 
-#include <unistd.h>
-
-#include <cerrno>
-
 #include "common/error.hpp"
 #include "common/net.hpp"
 #include "serve/wire.hpp"
@@ -13,20 +9,21 @@ namespace qa
 namespace serve
 {
 
+namespace
+{
+
+constexpr int kListenBacklog = 16;
+
+/** Bound on one response write to a client that stopped reading. */
+constexpr double kWriteTimeoutMs = 10000.0;
+
+} // namespace
+
 LineService::LineService(Scheduler& scheduler,
                          resilience::Journal* journal,
                          const Options& options)
     : scheduler_(scheduler), journal_(journal), options_(options)
 {}
-
-std::string
-LineService::overflowError(size_t max_line) const
-{
-    return encodeError("", ErrorCode::kBadRequest,
-                       "input line exceeds the " +
-                           std::to_string(max_line) +
-                           "-byte bound; request rejected unread");
-}
 
 bool
 LineService::handleLine(const std::string& line, const Emit& emit)
@@ -112,6 +109,28 @@ LineService::handleLine(const std::string& line, const Emit& emit)
     return true;
 }
 
+bool
+serveLines(LineService& service, net::LineReader& reader,
+           const LineService::Emit& emit, const std::atomic<bool>* stop,
+           const volatile std::sig_atomic_t* cancel)
+{
+    std::string line;
+    for (;;) {
+        if (stop != nullptr && stop->load()) return false;
+        if (cancel != nullptr && *cancel != 0) return false;
+        switch (reader.next(&line)) {
+        case net::LineReader::Status::kTimeout: continue; // re-check flags
+        case net::LineReader::Status::kEof: return false;
+        case net::LineReader::Status::kOverflow:
+            emit(encodeOverflow(reader.maxLen()));
+            continue;
+        case net::LineReader::Status::kOk:
+            if (!service.handleLine(line, emit)) return true;
+            continue;
+        }
+    }
+}
+
 /**
  * One accepted connection: the reader thread owns the receive side,
  * the locked writer (shared with scheduler callbacks) owns the send
@@ -121,7 +140,6 @@ LineService::handleLine(const std::string& line, const Emit& emit)
 struct SocketServer::Connection
 {
     int fd = -1;
-    double write_timeout_ms = 10000.0;
     std::thread reader;
     std::mutex write_mutex;
     bool write_dead = false;
@@ -140,7 +158,7 @@ struct SocketServer::Connection
         std::string buf = line;
         buf.push_back('\n');
         if (!net::writeAllBounded(fd, buf.data(), buf.size(),
-                                  write_timeout_ms)) {
+                                  kWriteTimeoutMs)) {
             // Client gone or wedged past the bound: stop writing (the
             // reader will observe the death too) but keep the fd open
             // for the remaining callback holders.
@@ -148,91 +166,7 @@ struct SocketServer::Connection
             net::shutdownBoth(fd);
         }
     }
-
-    void
-    teardown()
-    {
-        net::shutdownBoth(fd);
-    }
 };
-
-namespace
-{
-
-/** Bounded poll-driven NDJSON reader for one connection fd. */
-class ConnReader
-{
-  public:
-    ConnReader(int fd, size_t max_len, double poll_ms)
-        : fd_(fd), max_len_(max_len), poll_ms_(poll_ms)
-    {}
-
-    enum class Status
-    {
-        kOk,
-        kEof,
-        kOverflow,
-        kIdle ///< Poll tick elapsed with no data (caller checks flags).
-    };
-
-    Status
-    next(std::string* out)
-    {
-        out->clear();
-        for (;;) {
-            const size_t nl = buffer_.find('\n', scanned_);
-            if (nl != std::string::npos) {
-                const bool overflow = overflow_ || nl > max_len_;
-                if (!overflow) out->assign(buffer_, 0, nl);
-                buffer_.erase(0, nl + 1);
-                scanned_ = 0;
-                overflow_ = false;
-                return overflow ? Status::kOverflow : Status::kOk;
-            }
-            scanned_ = buffer_.size();
-            if (buffer_.size() > max_len_ && !overflow_) {
-                overflow_ = true; // keep consuming to the newline
-                buffer_.clear();
-                scanned_ = 0;
-            }
-            if (eof_) {
-                if (buffer_.empty() && !overflow_) return Status::kEof;
-                const bool overflow = overflow_;
-                if (!overflow) out->assign(buffer_);
-                buffer_.clear();
-                overflow_ = false;
-                return overflow ? Status::kOverflow : Status::kOk;
-            }
-            if (!net::pollReadable(fd_, poll_ms_)) return Status::kIdle;
-            char chunk[4096];
-            const ssize_t n = ::read(fd_, chunk, sizeof chunk);
-            if (n < 0) {
-                if (errno == EINTR || errno == EAGAIN ||
-                    errno == EWOULDBLOCK) {
-                    continue;
-                }
-                eof_ = true;
-                continue;
-            }
-            if (n == 0) {
-                eof_ = true;
-                continue;
-            }
-            buffer_.append(chunk, size_t(n));
-        }
-    }
-
-  private:
-    int fd_;
-    size_t max_len_;
-    double poll_ms_;
-    std::string buffer_;
-    size_t scanned_ = 0;
-    bool eof_ = false;
-    bool overflow_ = false;
-};
-
-} // namespace
 
 SocketServer::SocketServer(LineService& service, const Options& options)
     : service_(service), options_(options)
@@ -244,7 +178,7 @@ SocketServer::~SocketServer()
     net::closeQuiet(listen_fd_);
     std::lock_guard<std::mutex> lock(conns_mutex_);
     for (const auto& conn : conns_) {
-        conn->teardown();
+        net::shutdownBoth(conn->fd);
         if (conn->reader.joinable()) conn->reader.join();
     }
     conns_.clear();
@@ -254,34 +188,21 @@ bool
 SocketServer::start(std::string* error)
 {
     listen_fd_ = net::tcpListen(options_.host, options_.port,
-                                options_.backlog, &port_, error);
+                                kListenBacklog, &port_, error);
     return listen_fd_ >= 0;
 }
 
 void
 SocketServer::serveConnection(const std::shared_ptr<Connection>& conn)
 {
-    ConnReader reader(conn->fd, options_.max_line, options_.poll_ms);
-    std::string line;
-    bool shutdown_requested = false;
-    while (!stopping_.load()) {
-        const ConnReader::Status status = reader.next(&line);
-        if (status == ConnReader::Status::kIdle) continue;
-        if (status == ConnReader::Status::kEof) break;
-        if (status == ConnReader::Status::kOverflow) {
-            conn->writeLine(service_.overflowError(options_.max_line));
-            continue;
-        }
-        // Completion callbacks capture the connection shared_ptr: the
-        // fd stays valid for a late write (job finishing after the
-        // client left), and dies with the last in-flight job.
-        if (!service_.handleLine(line, [conn](const std::string& out) {
-                conn->writeLine(out);
-            })) {
-            shutdown_requested = true;
-            break;
-        }
-    }
+    net::LineReader reader(conn->fd, options_.max_line, kServeTickMs);
+    // Completion callbacks capture the connection shared_ptr: the fd
+    // stays valid for a late write (job finishing after the client
+    // left), and dies with the last in-flight job.
+    const bool shutdown_requested = serveLines(
+        service_, reader,
+        [conn](const std::string& out) { conn->writeLine(out); },
+        &stopping_, nullptr); // run() turns a drain signal into stopping_
     conn->done.store(true);
     if (shutdown_requested) stop();
 }
@@ -303,7 +224,7 @@ void
 SocketServer::run(const volatile std::sig_atomic_t* cancel)
 {
     while (!stopping_.load() && (cancel == nullptr || *cancel == 0)) {
-        const int fd = net::tcpAccept(listen_fd_, options_.poll_ms);
+        const int fd = net::tcpAccept(listen_fd_, kServeTickMs);
         if (fd == -1) { // poll tick: reap closed connections, re-check
             std::lock_guard<std::mutex> lock(conns_mutex_);
             reapFinishedLocked();
@@ -312,7 +233,6 @@ SocketServer::run(const volatile std::sig_atomic_t* cancel)
         if (fd == -2) break; // listener broken (or closed under us)
         auto conn = std::make_shared<Connection>();
         conn->fd = fd;
-        conn->write_timeout_ms = options_.write_timeout_ms;
         {
             std::lock_guard<std::mutex> lock(conns_mutex_);
             accepted_++;
@@ -328,7 +248,7 @@ SocketServer::run(const volatile std::sig_atomic_t* cancel)
     // join. Scheduler callbacks may still hold connection refs; they
     // write into shut-down fds harmlessly.
     std::lock_guard<std::mutex> lock(conns_mutex_);
-    for (const auto& conn : conns_) conn->teardown();
+    for (const auto& conn : conns_) net::shutdownBoth(conn->fd);
     for (const auto& conn : conns_) {
         if (conn->reader.joinable()) conn->reader.join();
     }

@@ -1,9 +1,10 @@
 /**
  * @file
- * qassertd's remote front-end: the shared per-line request service and
- * the TCP accept loop behind `qassertd --listen`.
+ * qassertd's front-ends: the shared per-line request service, the one
+ * serve loop that feeds it, and the TCP accept loop behind
+ * `qassertd --listen`.
  *
- * The wire protocol is byte-identical to the stdin/stdout path
+ * The wire protocol is byte-identical on stdin/stdout and over a socket
  * (serve/wire.hpp) — a connection is just another NDJSON stream — so
  * everything the pipe fleet relies on (immediate queue_full/shedding
  * refusals with retry_after_ms, pings answered on the read loop,
@@ -15,19 +16,24 @@
  *  - **LineService** — one request line in, zero-or-more response lines
  *    out through a caller-supplied emit. Owns the journal sequence (one
  *    write-ahead stream across every connection) and the scheduler
- *    hand-off; used by both the stdin loop and every socket connection,
- *    so the two front-ends cannot drift.
- *  - **SocketServer** — bind/listen/accept with one reader thread per
- *    connection and a per-connection locked writer. The writer is held
- *    by shared_ptr from scheduler completion callbacks, so a connection
- *    that dies mid-job leaves the late result writing into a dead (but
- *    still valid) fd — never a reused descriptor.
+ *    hand-off.
+ *  - **serveLines** — the one read loop: a bounded net::LineReader
+ *    (common/net.hpp) in, oversize lines answered with encodeOverflow
+ *    and never buffered whole, every other line handed to LineService.
+ *    qassertd's stdin mode and every socket connection run it, so the
+ *    two front-ends cannot drift.
+ *  - **SocketServer** — bind/listen/accept with one serveLines thread
+ *    per connection and a per-connection locked writer. The writer is
+ *    held by shared_ptr from scheduler completion callbacks, so a
+ *    connection that dies mid-job leaves the late result writing into a
+ *    dead (but still valid) fd — never a reused descriptor.
  *
  * Shutdown: {"op":"shutdown"} on *any* connection — or the process
- * drain signals — stops the accept loop, tears every connection down,
- * and returns from run(); the caller then drains the scheduler exactly
- * as the stdin path does. EOF on one connection only ends that
- * connection: remote routers come and go, the daemon stays.
+ * drain signals, seen on the kServeTickMs poll tick — stops the accept
+ * loop, tears every connection down, and returns from run(); the
+ * caller then drains the scheduler exactly as the stdin path does. EOF
+ * on one connection only ends that connection: remote routers come and
+ * go, the daemon stays.
  */
 #ifndef QA_SERVE_LISTEN_HPP
 #define QA_SERVE_LISTEN_HPP
@@ -42,6 +48,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/net.hpp"
 #include "resilience/journal.hpp"
 #include "serve/scheduler.hpp"
 
@@ -77,9 +84,6 @@ class LineService
      */
     bool handleLine(const std::string& line, const Emit& emit);
 
-    /** The oversize-line rejection (callers consume the line first). */
-    std::string overflowError(size_t max_line) const;
-
   private:
     Scheduler& scheduler_;
     resilience::Journal* journal_;
@@ -87,6 +91,22 @@ class LineService
     std::mutex journal_mutex_; ///< seq mint + write-ahead are atomic.
     uint64_t journal_seq_ = 0;
 };
+
+/** Poll tick of the read and accept loops: how often an idle stream
+ * re-checks the stop flag and drain signals. */
+constexpr double kServeTickMs = 200.0;
+
+/**
+ * The one serve loop: answer an oversize line with encodeOverflow and
+ * hand every other line to `service`, responses through `emit`. True
+ * when a shutdown op arrived; false at EOF, once `*stop` is set, or
+ * once `*cancel` goes non-zero (either may be nullptr). Give `reader`
+ * the kServeTickMs idle timeout so an idle stream sees the flags.
+ */
+bool serveLines(LineService& service, net::LineReader& reader,
+                const LineService::Emit& emit,
+                const std::atomic<bool>* stop,
+                const volatile std::sig_atomic_t* cancel);
 
 /** TCP accept loop serving LineService to any number of connections. */
 class SocketServer
@@ -97,13 +117,6 @@ class SocketServer
         std::string host = "127.0.0.1";
         int port = 0; ///< 0 = ephemeral (read back via port()).
         size_t max_line = size_t(1) << 20;
-        int backlog = 16;
-
-        /** Accept/read poll cadence (drain-signal responsiveness). */
-        double poll_ms = 200.0;
-
-        /** Bound on one response write to a non-draining client. */
-        double write_timeout_ms = 10000.0;
     };
 
     SocketServer(LineService& service, const Options& options);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <initializer_list>
-#include <istream>
 #include <sstream>
 #include <string_view>
 
@@ -265,17 +264,27 @@ parseRequest(const std::string& line)
     return buildRequest(JsonValue::parse(line));
 }
 
+namespace
+{
+
+/**
+ * One job's response line. `timing` adds the fields that vary run to
+ * run (cache_hit, queue_ms, exec_ms); without them the line is the
+ * deterministic replay payload.
+ */
 std::string
-encodeResult(const std::string& id, const JobResult& result)
+encodeJob(const std::string& id, const JobResult& result, bool timing)
 {
     if (result.status != JobStatus::kOk) {
         return encodeError(id.empty() ? result.tag : id, result.error_code,
                            result.error_message);
     }
     std::ostringstream oss;
-    oss << "{\"id\":\"" << jsonEscape(id) << "\",\"status\":\"ok\""
-        << ",\"cache_hit\":" << (result.cache_hit ? "true" : "false")
-        << ",\"backend\":\"" << backendName(result.backend.backend)
+    oss << "{\"id\":\"" << jsonEscape(id) << "\",\"status\":\"ok\"";
+    if (timing) {
+        oss << ",\"cache_hit\":" << (result.cache_hit ? "true" : "false");
+    }
+    oss << ",\"backend\":\"" << backendName(result.backend.backend)
         << "\""
         << ",\"shots\":" << result.counts.shots
         << ",\"truncated\":" << (result.truncated ? "true" : "false")
@@ -299,46 +308,26 @@ encodeResult(const std::string& id, const JobResult& result)
     if (result.backend.backend == BackendKind::kMps) {
         encodeMpsBlock(oss, result);
     }
-    oss << ",\"queue_ms\":" << jsonNumber(result.queue_ms)
-        << ",\"exec_ms\":" << jsonNumber(result.exec_ms) << "}";
+    if (timing) {
+        oss << ",\"queue_ms\":" << jsonNumber(result.queue_ms)
+            << ",\"exec_ms\":" << jsonNumber(result.exec_ms);
+    }
+    oss << "}";
     return oss.str();
+}
+
+} // namespace
+
+std::string
+encodeResult(const std::string& id, const JobResult& result)
+{
+    return encodeJob(id, result, true);
 }
 
 std::string
 encodeReplay(const std::string& id, const JobResult& result)
 {
-    if (result.status != JobStatus::kOk) {
-        return encodeError(id.empty() ? result.tag : id, result.error_code,
-                           result.error_message);
-    }
-    std::ostringstream oss;
-    oss << "{\"id\":\"" << jsonEscape(id) << "\",\"status\":\"ok\""
-        << ",\"backend\":\"" << backendName(result.backend.backend)
-        << "\""
-        << ",\"shots\":" << result.counts.shots
-        << ",\"truncated\":" << (result.truncated ? "true" : "false")
-        << ",\"pass_rate\":" << jsonNumber(result.pass_rate);
-    oss << ",\"slot_error_rate\":[";
-    for (size_t i = 0; i < result.slot_error_rate.size(); ++i) {
-        if (i) oss << ",";
-        oss << jsonNumber(result.slot_error_rate[i]);
-    }
-    oss << "]";
-    oss << ",\"counts\":";
-    encodeCounts(oss, result.counts);
-    if (!result.slot_error_rate.empty()) {
-        oss << ",\"program_counts\":";
-        encodeCounts(oss, result.program_counts);
-        oss << ",\"accepted_shots\":" << result.program_counts.shots;
-    }
-    if (!result.assertions.empty()) {
-        encodeAutoAssert(oss, result.assertions, result.assert_variants);
-    }
-    if (result.backend.backend == BackendKind::kMps) {
-        encodeMpsBlock(oss, result);
-    }
-    oss << "}";
-    return oss.str();
+    return encodeJob(id, result, false);
 }
 
 std::string
@@ -354,6 +343,14 @@ encodeError(const std::string& id, ErrorCode code,
     }
     oss << "}";
     return oss.str();
+}
+
+std::string
+encodeOverflow(size_t max_line)
+{
+    return encodeError("", ErrorCode::kBadRequest,
+                       "input line exceeds the " + std::to_string(max_line) +
+                           "-byte bound; request rejected unread");
 }
 
 std::string
@@ -452,31 +449,6 @@ encodeMetrics(const MetricsSnapshot& snapshot)
     encodeHistogram(oss, "execute_ms", snapshot.execute);
     oss << "}}";
     return oss.str();
-}
-
-ReadLineStatus
-readLineBounded(std::istream& in, std::string* out, size_t max_len)
-{
-    out->clear();
-    bool overflow = false;
-    for (;;) {
-        const int ch = in.get();
-        if (ch == std::char_traits<char>::eof()) {
-            // EOF (or a failed read, e.g. EINTR from a drain signal)
-            // with buffered bytes still yields the partial line.
-            if (out->empty() && !overflow) return ReadLineStatus::kEof;
-            break;
-        }
-        if (ch == '\n') break;
-        if (overflow) continue; // discard to the terminator
-        if (out->size() >= max_len) {
-            overflow = true;
-            out->clear();
-            continue;
-        }
-        out->push_back(char(ch));
-    }
-    return overflow ? ReadLineStatus::kOverflow : ReadLineStatus::kOk;
 }
 
 } // namespace serve

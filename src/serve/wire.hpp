@@ -55,7 +55,7 @@
 #ifndef QA_SERVE_WIRE_HPP
 #define QA_SERVE_WIRE_HPP
 
-#include <iosfwd>
+#include <cstddef>
 #include <string>
 
 #include "serve/job.hpp"
@@ -126,6 +126,10 @@ std::string encodeError(const std::string& id, ErrorCode code,
                         const std::string& message,
                         double retry_after_ms = 0.0);
 
+/** The "bad_request" answer to an input line over `max_line` bytes;
+ * its id is empty because the line was dropped unread. */
+std::string encodeOverflow(size_t max_line);
+
 /**
  * Encode a ping response: `{"id":...,"status":"ok","pong":true,
  * "queue_depth":N,"in_flight":N}`. Cheap enough for the fleet router's
@@ -154,24 +158,6 @@ std::string encodeExplain(const std::string& id,
 
 /** Encode a metrics snapshot as one response line. */
 std::string encodeMetrics(const MetricsSnapshot& snapshot);
-
-/** Outcome of one bounded NDJSON line read. */
-enum class ReadLineStatus
-{
-    kOk,      ///< One complete line (newline stripped) in `out`.
-    kEof,     ///< Stream ended (or failed, e.g. EINTR) before any byte.
-    kOverflow ///< Line exceeded the bound; rest of the line consumed.
-};
-
-/**
- * Read one newline-terminated line of at most `max_len` bytes
- * (excluding the newline). An over-long line is consumed to its
- * terminator — so the stream stays line-synchronised — and reported as
- * kOverflow; the caller responds with a typed kBadRequest instead of
- * buffering an unbounded request.
- */
-ReadLineStatus readLineBounded(std::istream& in, std::string* out,
-                               size_t max_len);
 
 } // namespace serve
 } // namespace qa

@@ -192,7 +192,7 @@ Statevector::sampleBasis(Rng& rng) const
     return amps_.dim() - 1;
 }
 
-// runShots is implemented by the shot-execution engine (sim/engine.cpp).
+// runShots is defined in backend/dispatch.cpp (route, prepare, run).
 
 Distribution
 exactDistribution(const QuantumCircuit& circuit)

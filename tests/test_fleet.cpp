@@ -10,11 +10,13 @@
  */
 #include <dirent.h>
 #include <signal.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <fstream>
 #include <mutex>
 #include <set>
 #include <string>
@@ -296,18 +298,106 @@ TEST(PendingTest, OnShardFindsOutstandingDispatches)
 
 // ------------------------------------------------------------- process
 
+/** Write all of `data` to a pipe's write end (partial writes retried). */
+void
+writeAllTo(int fd, const std::string& data)
+{
+    size_t off = 0;
+    while (off < data.size()) {
+        const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
+        ASSERT_GT(n, 0);
+        off += size_t(n);
+    }
+}
+
+/** A pipe already holding `data` with its write end closed: the read
+ * end sees exactly those bytes, then EOF. `data` must fit the pipe
+ * buffer (64 KiB on Linux). */
+int
+pipeHolding(const std::string& data)
+{
+    int fds[2] = {-1, -1};
+    if (::pipe(fds) != 0) return -1;
+    writeAllTo(fds[1], data);
+    ::close(fds[1]);
+    return fds[0];
+}
+
+/** VmRSS of this process in KiB, from /proc/self/status. */
+size_t
+residentKiB()
+{
+    std::ifstream status("/proc/self/status");
+    std::string key;
+    while (status >> key) {
+        if (key == "VmRSS:") {
+            size_t kib = 0;
+            status >> kib;
+            return kib;
+        }
+    }
+    return 0;
+}
+
+TEST(ReadLineTest, SplitsLinesAndReportsEof)
+{
+    // A blank line is a line, and a final line without its newline
+    // still comes back (qassertd's stdin may end that way).
+    const int fd = pipeHolding("alpha\nbeta\n\ngamma");
+    ASSERT_GE(fd, 0);
+    net::LineReader reader(fd, 64);
+    std::string line;
+    for (const char* want : {"alpha", "beta", "", "gamma"}) {
+        ASSERT_EQ(reader.next(&line), net::LineReader::Status::kOk);
+        EXPECT_EQ(line, want);
+    }
+    EXPECT_EQ(reader.next(&line), net::LineReader::Status::kEof);
+    ::close(fd);
+}
+
+TEST(ReadLineTest, OversizeLineIsConsumedAndStreamResyncs)
+{
+    const int fd = pipeHolding(std::string(100, 'x') + "\nnext\n");
+    ASSERT_GE(fd, 0);
+    net::LineReader reader(fd, 16);
+    std::string line;
+    EXPECT_EQ(reader.next(&line), net::LineReader::Status::kOverflow);
+    // The oversize line was consumed to its terminator, so the next
+    // read starts at the next request instead of mid-garbage.
+    ASSERT_EQ(reader.next(&line), net::LineReader::Status::kOk);
+    EXPECT_EQ(line, "next");
+    EXPECT_EQ(reader.next(&line), net::LineReader::Status::kEof);
+    ::close(fd);
+}
+
+TEST(ReadLineTest, ExactBoundIsNotOverflow)
+{
+    // A line of exactly the bound is not overflow; one byte more is,
+    // and so is an oversize final line with no newline (never kEof).
+    const int fd = pipeHolding("1234\n12345\n" + std::string(9, 'y'));
+    ASSERT_GE(fd, 0);
+    net::LineReader reader(fd, 4);
+    std::string line;
+    ASSERT_EQ(reader.next(&line), net::LineReader::Status::kOk);
+    EXPECT_EQ(line, "1234");
+    EXPECT_EQ(reader.next(&line), net::LineReader::Status::kOverflow);
+    EXPECT_EQ(reader.next(&line), net::LineReader::Status::kOverflow);
+    EXPECT_EQ(reader.next(&line), net::LineReader::Status::kEof);
+    ::close(fd);
+}
+
 TEST(ProcessTest, EchoRoundTripAndEofDrain)
 {
     ChildProcess cat({"/bin/cat"});
     ASSERT_TRUE(cat.writeLine("hello fleet"));
-    LineReader reader(cat.readFd());
+    net::LineReader reader(cat.readFd());
     std::string line;
-    ASSERT_EQ(reader.next(&line), LineReader::Status::kOk);
+    ASSERT_EQ(reader.next(&line), net::LineReader::Status::kOk);
     EXPECT_EQ(line, "hello fleet");
 
     // EOF on stdin drains cat; its stdout EOF follows.
     cat.closeStdin();
-    EXPECT_EQ(reader.next(&line), LineReader::Status::kEof);
+    EXPECT_EQ(reader.next(&line), net::LineReader::Status::kEof);
     for (int i = 0; i < 200 && !cat.tryReap(); ++i) {
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
@@ -320,20 +410,42 @@ TEST(ProcessTest, OverlongLinesAreBoundedNotBuffered)
     ASSERT_TRUE(cat.writeLine(std::string(300, 'x')));
     ASSERT_TRUE(cat.writeLine("short"));
     cat.closeStdin();
-    LineReader reader(cat.readFd(), 64);
+    net::LineReader reader(cat.readFd(), 64);
     std::string line;
-    EXPECT_EQ(reader.next(&line), LineReader::Status::kOverflow);
-    ASSERT_EQ(reader.next(&line), LineReader::Status::kOk);
+    EXPECT_EQ(reader.next(&line), net::LineReader::Status::kOverflow);
+    ASSERT_EQ(reader.next(&line), net::LineReader::Status::kOk);
     EXPECT_EQ(line, "short"); // stream stayed line-synchronised
-    EXPECT_EQ(reader.next(&line), LineReader::Status::kEof);
+    EXPECT_EQ(reader.next(&line), net::LineReader::Status::kEof);
+
+    // 64 MiB in one line, arriving chunk by chunk: the reader drops it
+    // as it comes instead of buffering it until the newline.
+    int fds[2] = {-1, -1};
+    ASSERT_EQ(::pipe(fds), 0);
+    const size_t before_kib = residentKiB();
+    std::thread writer([fd = fds[1]] {
+        const std::string chunk(size_t(1) << 16, 'x');
+        for (int i = 0; i < 1024; ++i) writeAllTo(fd, chunk);
+        writeAllTo(fd, "\nok\n");
+        ::close(fd);
+    });
+    net::LineReader huge(fds[0], 4096);
+    EXPECT_EQ(huge.next(&line), net::LineReader::Status::kOverflow);
+    EXPECT_EQ(huge.next(&line), net::LineReader::Status::kOk);
+    EXPECT_EQ(line, "ok");
+    const size_t after_kib = residentKiB(); // reader still alive
+    EXPECT_EQ(huge.next(&line), net::LineReader::Status::kEof);
+    writer.join();
+    ::close(fds[0]);
+    EXPECT_LT(after_kib, before_kib + 8 * 1024)
+        << "an oversize line stayed resident";
 }
 
 TEST(ProcessTest, ExecFailureIsImmediateEofNotAHang)
 {
     ChildProcess broken({"/nonexistent/binary/for/sure"});
-    LineReader reader(broken.readFd());
+    net::LineReader reader(broken.readFd());
     std::string line;
-    EXPECT_EQ(reader.next(&line), LineReader::Status::kEof);
+    EXPECT_EQ(reader.next(&line), net::LineReader::Status::kEof);
 }
 
 size_t
@@ -355,9 +467,9 @@ TEST(ProcessTest, ReapPathClosesPipeFdsNoLeakAcrossRespawns)
     const size_t before = countOpenFds();
     for (int i = 0; i < 8; ++i) {
         ChildProcess broken({"/nonexistent/binary/for/sure"});
-        LineReader reader(broken.readFd());
+        net::LineReader reader(broken.readFd());
         std::string line;
-        EXPECT_EQ(reader.next(&line), LineReader::Status::kEof);
+        EXPECT_EQ(reader.next(&line), net::LineReader::Status::kEof);
         broken.forceReap();
     }
     for (int i = 0; i < 4; ++i) {
@@ -373,10 +485,10 @@ TEST(ProcessTest, IdleReadTimeoutSurfacesInsteadOfBlockingForever)
     // cat echoes only what it is sent: an idle stream must surface
     // kTimeout within the bound, and the reader must stay usable.
     ChildProcess cat({"/bin/cat"});
-    LineReader reader(cat.readFd(), size_t(1) << 20, 60.0);
+    net::LineReader reader(cat.readFd(), size_t(1) << 20, 60.0);
     std::string line;
     const auto t0 = std::chrono::steady_clock::now();
-    EXPECT_EQ(reader.next(&line), LineReader::Status::kTimeout);
+    EXPECT_EQ(reader.next(&line), net::LineReader::Status::kTimeout);
     const double waited_ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - t0)
@@ -386,7 +498,7 @@ TEST(ProcessTest, IdleReadTimeoutSurfacesInsteadOfBlockingForever)
 
     // Bytes that arrive after a timeout are not lost.
     ASSERT_TRUE(cat.writeLine("late but intact"));
-    ASSERT_EQ(reader.next(&line), LineReader::Status::kOk);
+    ASSERT_EQ(reader.next(&line), net::LineReader::Status::kOk);
     EXPECT_EQ(line, "late but intact");
     cat.forceReap();
 }
@@ -555,16 +667,16 @@ class FakeTcpShard
     void
     serveConn(int fd)
     {
-        LineReader reader(fd, size_t(1) << 20, 50.0);
+        net::LineReader reader(fd, size_t(1) << 20, 50.0);
         std::string line;
         for (;;) {
-            const LineReader::Status status = reader.next(&line);
-            if (status == LineReader::Status::kEof) break;
-            if (status == LineReader::Status::kTimeout) {
+            const net::LineReader::Status status = reader.next(&line);
+            if (status == net::LineReader::Status::kEof) break;
+            if (status == net::LineReader::Status::kTimeout) {
                 if (stopping_.load()) break;
                 continue;
             }
-            if (status != LineReader::Status::kOk) continue;
+            if (status != net::LineReader::Status::kOk) continue;
             handleLine(fd, line);
         }
         {
@@ -648,13 +760,13 @@ TEST(TransportTest, PipeTransportEchoAndTerminate)
     EXPECT_FALSE(cat.remote());
     EXPECT_STREQ(cat.kindName(), "pipe");
     ASSERT_TRUE(cat.writeLine("over the pipe"));
-    LineReader reader(cat.readFd());
+    net::LineReader reader(cat.readFd());
     std::string line;
-    ASSERT_EQ(reader.next(&line), LineReader::Status::kOk);
+    ASSERT_EQ(reader.next(&line), net::LineReader::Status::kOk);
     EXPECT_EQ(line, "over the pipe");
 
     cat.terminate();
-    EXPECT_EQ(reader.next(&line), LineReader::Status::kEof);
+    EXPECT_EQ(reader.next(&line), net::LineReader::Status::kEof);
     EXPECT_TRUE(cat.finished());
 }
 
@@ -670,15 +782,15 @@ TEST(TransportTest, TcpTransportRoundTripAgainstFakeShard)
     EXPECT_EQ(tcp.pid(), -1);
 
     ASSERT_TRUE(tcp.writeLine("{\"op\":\"ping\",\"id\":\"t1\"}"));
-    LineReader reader(tcp.readFd());
+    net::LineReader reader(tcp.readFd());
     std::string line;
-    ASSERT_EQ(reader.next(&line), LineReader::Status::kOk);
+    ASSERT_EQ(reader.next(&line), net::LineReader::Status::kOk);
     EXPECT_NE(line.find("\"pong\":true"), std::string::npos) << line;
 
     // terminate() must unblock the reader with EOF (shutdown, not a
     // close racing the read) and latch finished().
     tcp.terminate();
-    EXPECT_EQ(reader.next(&line), LineReader::Status::kEof);
+    EXPECT_EQ(reader.next(&line), net::LineReader::Status::kEof);
     EXPECT_TRUE(tcp.finished());
     EXPECT_FALSE(tcp.writeLine("after death"));
 }
@@ -702,9 +814,9 @@ TEST(TransportTest, FailedConnectIsImmediateEofNotAThrowOrHang)
 
     // The stand-in readFd must deliver EOF instantly — the exact shape
     // an exec failure has on the pipe path.
-    LineReader reader(tcp.readFd());
+    net::LineReader reader(tcp.readFd());
     std::string line;
-    EXPECT_EQ(reader.next(&line), LineReader::Status::kEof);
+    EXPECT_EQ(reader.next(&line), net::LineReader::Status::kEof);
 }
 
 // ------------------------------------------------- router (fake shards)

@@ -99,53 +99,14 @@ brickwork(int n, int depth)
 }
 
 /**
- * Exact clbit-string distribution by dense branch enumeration: gates
- * evolve the statevector, measure/reset ops fork on both outcomes with
- * their true probabilities. Tractable for the test widths used here.
+ * Exact outcome distribution (qa::exactDistribution), optionally folded
+ * through readout error.
  */
-void
-enumerateBranches(Statevector sv, size_t idx, double weight,
-                  std::string clbits, const QuantumCircuit& qc,
-                  std::map<std::string, double>* out)
-{
-    const auto& instrs = qc.instructions();
-    while (idx < instrs.size()) {
-        const Instruction& instr = instrs[idx];
-        if (instr.type == OpType::kMeasure ||
-            instr.type == OpType::kReset) {
-            const int q = instr.qubits[0];
-            const double p1 = sv.probabilityOne(q);
-            for (int outcome = 0; outcome < 2; ++outcome) {
-                const double p = outcome ? p1 : 1.0 - p1;
-                if (p < 1e-12) continue;
-                Statevector branch = sv;
-                branch.collapse(q, outcome);
-                std::string cl = clbits;
-                if (instr.type == OpType::kMeasure) {
-                    cl[size_t(instr.cbit)] = char('0' + outcome);
-                } else if (outcome == 1) {
-                    branch.applyMatrix(gates::x(), {q});
-                }
-                enumerateBranches(std::move(branch), idx + 1,
-                                  weight * p, cl, qc, out);
-            }
-            return;
-        }
-        if (instr.isGate()) sv.applyGate(instr);
-        ++idx;
-    }
-    (*out)[clbits] += weight;
-}
-
-/** Exact outcome distribution, optionally folded through readout error. */
 std::map<std::string, double>
 exactClbitDistribution(const QuantumCircuit& qc, double p01 = 0.0,
-                  double p10 = 0.0)
+                       double p10 = 0.0)
 {
-    std::map<std::string, double> ideal;
-    enumerateBranches(Statevector(qc.numQubits()), 0, 1.0,
-                      std::string(size_t(qc.numClbits()), '0'), qc,
-                      &ideal);
+    std::map<std::string, double> ideal = exactDistribution(qc).probs;
     if (p01 <= 0.0 && p10 <= 0.0) return ideal;
     std::vector<int> measured;
     for (const Instruction& instr : qc.instructions()) {

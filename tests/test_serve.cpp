@@ -3,15 +3,17 @@
  * Tests for the assertion service layer (src/serve): structural job
  * hashing, the LRU result cache, scheduler determinism across worker
  * counts, backpressure/priority/deadline behaviour, the JSON parser,
- * and the qassertd wire protocol.
+ * the qassertd wire protocol, and the serve loop over a real socket.
  */
 #include <csignal>
 #include <cstdio>
+#include <chrono>
 #include <future>
 #include <map>
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include "algos/states.hpp"
 #include "circuit/hash.hpp"
 #include "common/error.hpp"
+#include "common/net.hpp"
 #include "common/rng.hpp"
 #include "core/runner.hpp"
 #include "linalg/states.hpp"
@@ -27,6 +30,7 @@
 #include "serve/cache.hpp"
 #include "serve/job.hpp"
 #include "serve/json.hpp"
+#include "serve/listen.hpp"
 #include "serve/metrics.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/wire.hpp"
@@ -892,6 +896,41 @@ TEST(WireTest, EncodesResultsAsParseableJson)
     EXPECT_EQ(qf.find("code")->asString(), "queue_full");
 }
 
+TEST(WireTest, ReplayLinesAreResultLinesMinusTiming)
+{
+    const std::string ghz =
+        "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\ncreg c[3];\n"
+        "h q[0];\ncx q[0],q[1];\ncx q[1],q[2];\nmeasure q[0] -> c[0];\n"
+        "measure q[1] -> c[1];\nmeasure q[2] -> c[2];\n";
+    const std::string common =
+        "\"shots\":128,\"seed\":5,\"qasm\":\"" + jsonEscape(ghz) + "\"}";
+    const std::pair<std::string, const char*> jobs[] = {
+        {"{\"id\":\"aa\",\"auto_assert\":true," + common, "auto_assert"},
+        {"{\"id\":\"mps\",\"backend\":\"mps\"," + common, "mps"},
+    };
+    for (const auto& [text, block] : jobs) {
+        const WireRequest request = parseRequest(text);
+        const JobResult result = executeJob(request.spec);
+        ASSERT_EQ(int(result.status), int(JobStatus::kOk))
+            << result.error_message;
+        std::map<std::string, JsonValue> full =
+            JsonValue::parse(encodeResult(request.id, result)).asObject();
+        EXPECT_EQ(full.count(block), 1u) << request.id;
+        for (const char* timing : {"cache_hit", "queue_ms", "exec_ms"}) {
+            EXPECT_EQ(full.erase(timing), 1u) << timing;
+        }
+        const std::map<std::string, JsonValue> replay =
+            JsonValue::parse(encodeReplay(request.id, result)).asObject();
+        ASSERT_EQ(replay.size(), full.size()) << request.id;
+        for (const auto& [key, value] : full) {
+            const auto it = replay.find(key);
+            ASSERT_NE(it, replay.end()) << request.id << ": " << key;
+            EXPECT_EQ(it->second.dump(), value.dump())
+                << request.id << ": " << key;
+        }
+    }
+}
+
 TEST(WireTest, EncodesMetricsSnapshots)
 {
     SchedulerOptions options;
@@ -1094,6 +1133,63 @@ TEST(JsonTest, SetAndDumpRoundTrip)
 
     JsonValue scalar = JsonValue::makeNumber(1);
     EXPECT_THROW(scalar.set("k", JsonValue::makeNumber(2)), UserError);
+}
+
+// ---------------------------------------------------------------------
+// Serve loop over a socket
+// ---------------------------------------------------------------------
+
+TEST(ServeLoopTest, SocketServerAnswersPingOverflowJobAndShutdown)
+{
+    SchedulerOptions options;
+    options.workers = 1;
+    Scheduler scheduler(options);
+    LineService service(scheduler, nullptr, LineService::Options{});
+    SocketServer::Options sopts;
+    sopts.max_line = 256;
+    SocketServer server(service, sopts);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+    auto ran = std::async(std::launch::async,
+                          [&server] { server.run(nullptr); });
+
+    const int fd = net::tcpConnect("127.0.0.1", server.port(), 5000.0);
+    EXPECT_GE(fd, 0);
+    const auto send = [fd](const std::string& line) {
+        const std::string buf = line + "\n";
+        EXPECT_TRUE(net::writeAllBounded(fd, buf.data(), buf.size(), 5000.0));
+    };
+    send(R"({"op":"ping","id":"p"})");
+    send(std::string(1000, 'x')); // over max_line: rejected unread
+    send(R"({"id":"j","shots":64,"seed":3,"qasm":"OPENQASM 2.0;\n)"
+         R"(qreg q[1];\ncreg c[1];\nh q[0];\nmeasure q[0] -> c[0];\n"})");
+
+    net::LineReader reader(fd, size_t(1) << 20, 5000.0);
+    std::vector<std::string> lines;
+    std::string line;
+    while (lines.size() < 3 &&
+           reader.next(&line) == net::LineReader::Status::kOk) {
+        lines.push_back(line);
+    }
+    ASSERT_EQ(lines.size(), 3u);
+    const JsonValue pong = JsonValue::parse(lines[0]);
+    EXPECT_EQ(pong.find("id")->asString(), "p");
+    EXPECT_TRUE(pong.find("pong")->asBool());
+    EXPECT_EQ(lines[1], encodeOverflow(sopts.max_line));
+    const JsonValue job = JsonValue::parse(lines[2]);
+    EXPECT_EQ(job.find("id")->asString(), "j");
+    EXPECT_EQ(job.find("status")->asString(), "ok");
+    EXPECT_EQ(job.find("shots")->asInt(), 64);
+
+    // A shutdown op on the connection ends the whole server.
+    send(R"({"op":"shutdown"})");
+    EXPECT_EQ(ran.wait_for(std::chrono::seconds(5)),
+              std::future_status::ready)
+        << "shutdown op did not end run()";
+    server.stop(); // no-op once run() has returned
+    ran.wait();
+    EXPECT_EQ(server.accepted(), 1u);
+    net::closeQuiet(fd);
 }
 
 } // namespace

@@ -59,6 +59,7 @@
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
+#include "common/net.hpp"
 #include "fleet/process.hpp"
 #include "serve/json.hpp"
 #include "serve/wire.hpp"
@@ -340,9 +341,9 @@ main(int argc, char** argv)
     Hash128 combined_digest; // XOR-combined: order-independent.
 
     std::thread reader([&] {
-        fleet::LineReader lines(target.readFd());
+        net::LineReader lines(target.readFd());
         std::string line;
-        while (lines.next(&line) != fleet::LineReader::Status::kEof) {
+        while (lines.next(&line) != net::LineReader::Status::kEof) {
             std::string id;
             if (!serve::peekResponseId(line, &id)) continue;
             if (id == "!status") {

@@ -36,14 +36,18 @@
  */
 #include <csignal>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "common/error.hpp"
+#include "common/net.hpp"
 #include "fleet/router.hpp"
+#include "serve/listen.hpp"
 #include "serve/wire.hpp"
 
 namespace
@@ -53,23 +57,15 @@ using namespace qa;
 
 volatile std::sig_atomic_t g_signal = 0;
 
+/**
+ * The SIGTERM/SIGINT handler only records the signal. The read loops
+ * see it on their next poll tick (serve::kServeTickMs) and fall through
+ * to the graceful drain instead of dying mid-job.
+ */
 extern "C" void
 onDrainSignal(int sig)
 {
     g_signal = sig;
-}
-
-/** No SA_RESTART: the blocking stdin read must EINTR into the drain. */
-void
-installDrainHandlers()
-{
-    struct sigaction action;
-    std::memset(&action, 0, sizeof(action));
-    action.sa_handler = onDrainSignal;
-    sigemptyset(&action.sa_mask);
-    action.sa_flags = 0;
-    sigaction(SIGTERM, &action, nullptr);
-    sigaction(SIGINT, &action, nullptr);
 }
 
 int
@@ -216,13 +212,18 @@ main(int argc, char** argv)
     // SIGPIPE-kill the router (ChildProcess sets this too; being
     // explicit in main documents the requirement).
     std::signal(SIGPIPE, SIG_IGN);
-    installDrainHandlers();
+    std::signal(SIGTERM, onDrainSignal);
+    std::signal(SIGINT, onDrainSignal);
 
-    fleet::FleetRouter router(options, [](const std::string& line) {
-        // FleetRouter serializes emit calls; no extra lock needed.
+    // FleetRouter serializes its own emit calls; the lock also orders
+    // them against the overflow rejections the stdin loop writes.
+    std::mutex out_mutex;
+    const auto writeOut = [&out_mutex](const std::string& line) {
+        std::lock_guard<std::mutex> lock(out_mutex);
         std::cout << line << "\n";
         std::cout.flush();
-    });
+    };
+    fleet::FleetRouter router(options, writeOut);
     try {
         router.start();
     } catch (const UserError& err) {
@@ -240,19 +241,15 @@ main(int argc, char** argv)
                       : ", journals in " + options.journal_dir)
               << ")\n";
 
+    net::LineReader reader(STDIN_FILENO, options.max_line,
+                           serve::kServeTickMs);
     std::string line;
     while (g_signal == 0) {
-        const serve::ReadLineStatus read =
-            serve::readLineBounded(std::cin, &line, options.max_line);
-        if (read == serve::ReadLineStatus::kEof) break;
-        if (read == serve::ReadLineStatus::kOverflow) {
-            std::cout << serve::encodeError(
-                             "", ErrorCode::kBadRequest,
-                             "input line exceeds the " +
-                                 std::to_string(options.max_line) +
-                                 "-byte bound; request rejected unread")
-                      << "\n";
-            std::cout.flush();
+        const net::LineReader::Status read = reader.next(&line);
+        if (read == net::LineReader::Status::kTimeout) continue;
+        if (read == net::LineReader::Status::kEof) break;
+        if (read == net::LineReader::Status::kOverflow) {
+            writeOut(serve::encodeOverflow(options.max_line));
             continue;
         }
         if (line.find_first_not_of(" \t\r") == std::string::npos) continue;

@@ -54,12 +54,13 @@
  */
 #include <csignal>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <mutex>
 #include <string>
+
+#include <unistd.h>
 
 #include "common/error.hpp"
 #include "common/net.hpp"
@@ -77,27 +78,15 @@ using namespace qa::serve;
 
 volatile std::sig_atomic_t g_signal = 0;
 
+/**
+ * The SIGTERM/SIGINT handler only records the signal. The read loops
+ * see it on their next poll tick (serve::kServeTickMs) and fall through
+ * to the graceful drain instead of dying mid-job.
+ */
 extern "C" void
 onDrainSignal(int sig)
 {
     g_signal = sig;
-}
-
-/**
- * Install SIGTERM/SIGINT handlers *without* SA_RESTART, so the blocking
- * stdin read fails with EINTR and the main loop falls through to the
- * graceful-drain path instead of dying mid-job.
- */
-void
-installDrainHandlers()
-{
-    struct sigaction action;
-    std::memset(&action, 0, sizeof(action));
-    action.sa_handler = onDrainSignal;
-    sigemptyset(&action.sa_mask);
-    action.sa_flags = 0;
-    sigaction(SIGTERM, &action, nullptr);
-    sigaction(SIGINT, &action, nullptr);
 }
 
 /** Serializes response lines from concurrent worker callbacks. */
@@ -262,7 +251,8 @@ main(int argc, char** argv)
 
     // Before replay, not just before serving: replay must see drain
     // signals too (clean abort between jobs instead of a default kill).
-    installDrainHandlers();
+    std::signal(SIGTERM, onDrainSignal);
+    std::signal(SIGINT, onDrainSignal);
 
     if (!replay_path.empty()) return replayJournalCli(replay_path);
 
@@ -283,6 +273,8 @@ main(int argc, char** argv)
     LineService::Options service_options;
     service_options.auto_assert = auto_assert;
     LineService service(scheduler, journal.get(), service_options);
+    // Outlives the drain below: completion callbacks still write to it.
+    ResponseWriter out;
 
     if (!listen_spec.empty()) {
         // TCP front-end: same LineService, sockets instead of stdin.
@@ -318,7 +310,6 @@ main(int argc, char** argv)
         std::cerr << "qassertd: listener stopped ("
                   << server.accepted() << " connections served)\n";
     } else {
-        ResponseWriter out;
         std::cerr << "qassertd: ready (" << scheduler.workers()
                   << " workers" << (journal ? ", journaled" : "")
                   << (options.supervisor.stall_timeout_ms > 0.0
@@ -326,24 +317,11 @@ main(int argc, char** argv)
                           : "")
                   << ")\n";
 
-        std::string line;
-        bool shutdown_requested = false;
-        while (!shutdown_requested && g_signal == 0) {
-            const ReadLineStatus read =
-                readLineBounded(std::cin, &line, max_line);
-            if (read == ReadLineStatus::kEof) {
-                break; // closed pipe, or EINTR from a drain signal
-            }
-            if (read == ReadLineStatus::kOverflow) {
-                out.writeLine(service.overflowError(max_line));
-                continue;
-            }
-            shutdown_requested = !service.handleLine(
-                line,
-                [&out](const std::string& response) {
-                    out.writeLine(response);
-                });
-        }
+        net::LineReader reader(STDIN_FILENO, max_line, kServeTickMs);
+        serveLines(
+            service, reader,
+            [&out](const std::string& response) { out.writeLine(response); },
+            nullptr, &g_signal);
     }
 
     if (g_signal != 0) {
