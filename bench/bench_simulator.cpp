@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include "algos/qft.hpp"
+#include "backend/backend.hpp"
 #include "linalg/states.hpp"
 #include "sim/density.hpp"
 #include "sim/fusion.hpp"
@@ -35,6 +36,25 @@ layeredCircuit(int n, int layers)
         for (int q = 1; q + 1 < n; q += 2) qc.cx(q, q + 1);
     }
     return qc;
+}
+
+/**
+ * Statevector counts on the raw gates (the analysis' fused stream
+ * reset); with `replay_all` also without its shot plan, so every shot
+ * replays every instruction.
+ */
+Counts
+runReference(const QuantumCircuit& qc, const SimOptions& options,
+             bool replay_all)
+{
+    backend::CircuitAnalysis analysis =
+        backend::analyzeForRouting(qc, options);
+    analysis.fused.reset();
+    if (replay_all) analysis.plan = ShotPlan{};
+    const auto prepared =
+        backend::backendFor(BackendKind::kStatevector)
+            .prepare(qc, options, analysis);
+    return backend::runPrepared(*prepared, options);
 }
 
 void
@@ -73,8 +93,9 @@ BENCHMARK(BM_StatevectorLayersUnfused)->DenseRange(4, 16, 4);
 /**
  * The PR 6 acceptance workload: a 16-qubit random 1q+2q layered
  * circuit at 4096 shots through the full shot engine (fused prefix +
- * terminal sampling). The Fused/Unfused pair brackets the fusion +
- * SIMD win on a realistic job.
+ * terminal sampling). The fused/unfused pair brackets the fusion win
+ * on a realistic job; BM_StatevectorLayers against
+ * BM_StatevectorLayersUnfused measures SIMD against scalar.
  */
 void
 BM_ShotEngineRandom16(benchmark::State& state)
@@ -87,10 +108,12 @@ BM_ShotEngineRandom16(benchmark::State& state)
     SimOptions options;
     options.shots = 4096;
     options.seed = 11;
-    options.fusion = state.range(0) != 0;
-    options.simd = state.range(0) != 0;
+    const bool fused = state.range(0) != 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(runShots(qc, options).shots);
+        benchmark::DoNotOptimize(
+            (fused ? runShots(qc, options)
+                   : runReference(qc, options, false))
+                .shots);
     }
     state.SetItemsProcessed(int64_t(state.iterations()) * options.shots);
 }
@@ -154,7 +177,7 @@ BENCHMARK(BM_ShotEngineTerminal)->Arg(1)->Arg(2)->Arg(8)
 
 /**
  * Seed-equivalent reference on the same workload: full per-shot replay
- * (options.naive), pinned to one iteration because a single run costs
+ * of the raw gates, pinned to one iteration because a single run costs
  * seconds. The BM_ShotEngineTerminal/1 ratio is the engine speedup.
  */
 void
@@ -165,9 +188,8 @@ BM_ShotEngineTerminalNaive(benchmark::State& state)
     options.shots = 4096;
     options.seed = 7;
     options.num_threads = 1;
-    options.naive = true;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(runShots(qc, options).shots);
+        benchmark::DoNotOptimize(runReference(qc, options, true).shots);
     }
     state.SetItemsProcessed(int64_t(state.iterations()) * options.shots);
 }

@@ -20,7 +20,9 @@
 # (stdin), qassertd --listen (one TCP connection) and qa_router with two
 # local shards is sent the three jobs and a ping, then SIGTERM once the
 # pong shows the jobs were read. Each must exit 0 within 5 s, log
-# "caught SIGTERM; draining", and have answered every job.
+# "caught SIGTERM; draining", and have answered every job. The --listen
+# case also sends a slow job that is still running when SIGTERM lands;
+# its reply must arrive on the connection before EOF.
 #
 # Usage: scripts/chaos_smoke.sh [path/to/qassertd]
 # (qa_router is taken from the same directory as qassertd.)
@@ -139,9 +141,9 @@ term_and_check() {
              cat "$2" >&2; exit 1; }
 }
 
-# Every job in file $2 (from $1) answered ok.
+# Every job in file $2 (from $1) answered ok, plus any ids after $2.
 check_answers() {
-    for id in job-a job-b job-c; do
+    for id in job-a job-b job-c "${@:3}"; do
         grep -qF "{\"id\":\"$id\",\"status\":\"ok\"" "$2" \
             || { echo "chaos_smoke: $1 never answered $id" >&2; exit 1; }
     done
@@ -167,23 +169,46 @@ drain_stdin() {
 drain_stdin "qassertd" "$QASSERTD" --workers 2
 drain_stdin "qa_router" "$QA_ROUTER" --shards 2 --shard-cmd "$QASSERTD"
 
-# --listen: one connection stays open across the signal. Its answers
-# are collected before SIGTERM, because the drain closes connections.
+# --listen: one connection stays open across the signal, and job-slow
+# (12-qubit melbourne trajectories: about 0.45 s in a release build,
+# 3.5 s under ASan, on a 4-core x86-64 host) is still running when
+# SIGTERM lands. The drain must send its reply on the connection before
+# closing it.
+slow_qasm='OPENQASM 2.0;\nqreg q[12];\ncreg c[12];\n'
+for layer in 0 1 2 3 4 5; do
+    for q in $(seq 0 11); do slow_qasm+="h q[$q];\\nt q[$q];\\n"; done
+    for q in $(seq $(( layer % 2 )) 2 10); do
+        slow_qasm+="cx q[$q],q[$(( q + 1 ))];\\n"
+    done
+done
+for q in $(seq 0 11); do slow_qasm+="measure q[$q] -> c[$q];\\n"; done
+slow_request="{\"id\":\"job-slow\",\"qasm\":\"$slow_qasm\",\"shots\":25,\"seed\":14,\"noise\":\"melbourne\"}"
+
 "$QASSERTD" --workers 2 --listen 127.0.0.1:0 \
     --port-file "$workdir/listen.port" 2> "$workdir/listen.err" &
 daemon_pid=$!
 wait_for "$workdir/listen.err" "listening on"
 exec 4<> "/dev/tcp/127.0.0.1/$(cat "$workdir/listen.port")"
-printf '%s\n' "${requests[@]}" "$ping" >&4
+printf '%s\n' "$slow_request" "${requests[@]}" "$ping" >&4
 : > "$workdir/listen.out"
-for _ in $(seq 1 $(( ${#requests[@]} + 1 ))); do
-    IFS= read -r -t 5 -u 4 reply \
-        || { echo "chaos_smoke: qassertd --listen stopped answering" >&2;
-             exit 1; }
+# Replies up to the pong: every request has been read by then.
+while IFS= read -r -t 5 -u 4 reply; do
+    printf '%s\n' "$reply" >> "$workdir/listen.out"
+    [[ "$reply" == *'"id":"after-jobs"'* ]] && break
+done
+grep -qF '"id":"after-jobs"' "$workdir/listen.out" \
+    || { echo "chaos_smoke: qassertd --listen stopped answering" >&2;
+         exit 1; }
+if grep -qF '"id":"job-slow"' "$workdir/listen.out"; then
+    echo "chaos_smoke: job-slow finished before SIGTERM" >&2
+    exit 1
+fi
+term_and_check "qassertd --listen" "$workdir/listen.err"
+# The remaining replies, then EOF once the daemon has exited.
+while IFS= read -r -t 5 -u 4 reply; do
     printf '%s\n' "$reply" >> "$workdir/listen.out"
 done
-term_and_check "qassertd --listen" "$workdir/listen.err"
 exec 4<&-
-check_answers "qassertd --listen" "$workdir/listen.out"
+check_answers "qassertd --listen" "$workdir/listen.out" job-slow
 
 echo "chaos_smoke OK: replay bit-identical across clean run, SIGKILL, and torn tail; SIGTERM drains qassertd, qassertd --listen and qa_router"

@@ -39,7 +39,10 @@
 # Scheduler, its connection thread racing worker callbacks that write
 # to the same connection). The chaos smoke also sends SIGTERM to
 # qassertd, qassertd --listen and a two-shard qa_router with their
-# input still open and requires a clean drain.
+# input still open and requires a clean drain; over --listen a job
+# still running at the signal must still get its reply. The ASan
+# engine filter includes the naive-replay reference test, which hands
+# the statevector backend a hand-built CircuitAnalysis.
 #
 # Usage: scripts/tier1.sh [--skip-tsan] [--skip-asan] [--skip-release]
 #
@@ -112,7 +115,7 @@ if [[ "$skip_asan" -ne 1 ]]; then
     ./build-asan/tests/test_inject
     ./build-asan/tests/test_policy
     ./build-asan/tests/test_engine \
-        --gtest_filter='ShotPoolTest.*:EngineTest.Deadline*:EngineTest.StatevectorSampler*'
+        --gtest_filter='ShotPoolTest.*:EngineTest.Deadline*:EngineTest.StatevectorSampler*:EngineTest.PrefixCachedAgreesExactlyWithNaive'
     ./build-asan/tests/test_serve
     ./build-asan/tests/test_backend
     ./build-asan/tests/test_mps

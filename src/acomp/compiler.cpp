@@ -33,42 +33,6 @@ siteWhere(const AssertionSite& site, size_t index)
     return oss.str();
 }
 
-/** The unitary-design dispatch of core/asserted_program.cpp. */
-QuantumCircuit
-buildUnitaryFragment(const CorrectSubspace& subspace,
-                     AssertionDesign design, SwapPlacement placement,
-                     const BuildContext& ctx)
-{
-    switch (design) {
-      case AssertionDesign::kSwap:
-        return buildSwapAssertion(subspace, ctx, placement);
-      case AssertionDesign::kOr:
-        return buildOrAssertion(subspace, ctx);
-      case AssertionDesign::kNdd:
-        return buildNddAssertion(subspace, ctx);
-      default:
-        break;
-    }
-    QA_FAIL("acomp lowers to swap/or/ndd unitary designs only");
-}
-
-AssertionPlan
-planUnitary(const CorrectSubspace& subspace, AssertionDesign design,
-            SwapPlacement placement)
-{
-    switch (design) {
-      case AssertionDesign::kSwap:
-        return planSwapAssertion(subspace, placement);
-      case AssertionDesign::kOr:
-        return planOrAssertion(subspace);
-      case AssertionDesign::kNdd:
-        return planNddAssertion(subspace);
-      default:
-        break;
-    }
-    QA_FAIL("acomp lowers to swap/or/ndd unitary designs only");
-}
-
 AssertionDesign
 designFor(LoweringForm form)
 {
@@ -155,7 +119,7 @@ costUnitary(const AssertionSite& site, const CorrectSubspace& subspace,
     Candidate cand;
     cand.form = form;
     try {
-        cand.plan = planUnitary(subspace, designFor(form), placement);
+        cand.plan = planAssertion(subspace, designFor(form), placement);
         BuildContext ctx;
         ctx.total_qubits = raw_qubits + cand.plan.num_ancillas;
         ctx.total_clbits = cand.plan.num_clbits;
@@ -171,7 +135,7 @@ costUnitary(const AssertionSite& site, const CorrectSubspace& subspace,
                 ctx.free_qubits.push_back(q);
             }
         }
-        const QuantumCircuit frag = buildUnitaryFragment(
+        const QuantumCircuit frag = buildAssertion(
             subspace, designFor(form), placement, ctx);
         const CircuitCost cost = circuitCost(frag);
         cand.gates = cost.cx + cost.sg + cost.measure;
@@ -358,8 +322,7 @@ resolveSite(const AssertionSite& site, size_t index,
 /** Emit one slot's fragment into a variant; fills the summary at v=0. */
 void
 emitSlot(QuantumCircuit& variant, const ResolvedSlot& slot, size_t v,
-         int raw_qubits, int ancilla_pool, SwapPlacement placement,
-         SlotSummary* summary)
+         int raw_qubits, SwapPlacement placement, SlotSummary* summary)
 {
     const AssertionSite& site = *slot.site;
     variant.barrier();
@@ -397,7 +360,7 @@ emitSlot(QuantumCircuit& variant, const ResolvedSlot& slot, size_t v,
                 ctx.free_qubits.push_back(q);
             }
         }
-        const QuantumCircuit frag = buildUnitaryFragment(
+        const QuantumCircuit frag = buildAssertion(
             *slot.subspace, designFor(slot.form), placement, ctx);
         std::vector<int> qmap, cmap;
         for (int q = 0; q < variant.numQubits(); ++q) qmap.push_back(q);
@@ -409,7 +372,6 @@ emitSlot(QuantumCircuit& variant, const ResolvedSlot& slot, size_t v,
         break;
       }
     }
-    (void)ancilla_pool;
 
     if (summary != nullptr) {
         summary->form = slot.form;
@@ -496,7 +458,7 @@ compileAssertions(const QuantumCircuit& raw,
             while (cursor < slots.size() &&
                    slots[cursor].site->position == i) {
                 emitSlot(variant, slots[cursor], v, raw.numQubits(),
-                         ancilla_pool, opts.placement,
+                         opts.placement,
                          v == 0 ? &summaries[cursor] : nullptr);
                 ++cursor;
             }

@@ -98,8 +98,9 @@ class Backend
 
     /**
      * Prepare from the router's analysis of `circuit` under `options`
-     * (analyzeForRouting): the dense backends take the profile and the
-     * fused stream from it instead of recomputing them.
+     * (analyzeForRouting): the dense backends take the profile, the
+     * shot plan and the fused stream from it instead of recomputing
+     * them, and run exactly what it describes (see CircuitAnalysis).
      */
     virtual std::shared_ptr<const PreparedCircuit>
     prepare(const QuantumCircuit& circuit, const SimOptions& options,

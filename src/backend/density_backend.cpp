@@ -7,15 +7,17 @@
  * resets, and a hard qubit cap (4^n matrix entries).
  *
  * Shots are nearly free — one O(log d) cumulative-table draw plus one
- * readout bernoulli per measured bit — which is what makes this backend
- * win for non-Pauli channels on small circuits despite the 4^n state.
+ * readout bernoulli per measured bit, through the same terminal sampler
+ * the statevector backend uses — which is what makes this backend win
+ * for non-Pauli channels on small circuits despite the 4^n state. It
+ * fuses by the statevector backend's rule: the router's fused stream
+ * unless Kraus noise is active.
  */
 #include "backend/backend.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <optional>
 
-#include "backend/analyzer.hpp"
 #include "common/error.hpp"
 #include "sim/density.hpp"
 #include "sim/engine.hpp"
@@ -28,8 +30,6 @@ namespace backend
 namespace
 {
 
-constexpr int kMaxQubits = 8;
-
 class DensityPrepared final : public PreparedCircuit
 {
   public:
@@ -40,28 +40,23 @@ class DensityPrepared final : public PreparedCircuit
           noise_(options.noise != nullptr && options.noise->enabled()
                      ? options.noise
                      : nullptr),
-          clbits0_(size_t(std::max(circuit.numClbits(), 0)), '0')
+          clbits0_(size_t(std::max(circuit.numClbits(), 0)), '0'),
+          measures_(analysis.profile.terminal_measures)
     {
         if (noise_ != nullptr) noise_->validate();
 
-        const CircuitProfile& profile = analysis.profile;
-        QA_REQUIRE(profile.terminal_measure_only,
+        QA_REQUIRE(analysis.profile.terminal_measure_only,
                    "density-matrix backend requires terminal-only "
                    "measurements and no resets");
-        QA_REQUIRE(num_qubits_ <= kMaxQubits,
+        QA_REQUIRE(num_qubits_ <= kDensityMaxQubits,
                    "density-matrix backend supports at most " +
-                       std::to_string(kMaxQubits) + " qubits");
-        measures_ = profile.terminal_measures;
+                       std::to_string(kDensityMaxQubits) + " qubits");
 
         // Fuse only when no per-gate Kraus channel is active: fusion
         // changes gate arity, which would redirect the channel loop
         // below to the wrong list (noise_1q vs noise_2q).
-        const bool kraus =
-            noise_ != nullptr && (!noise_->noise_1q.empty() ||
-                                  !noise_->noise_2q.empty());
-        const bool fuse = options.fusion && !kraus;
-        QA_REQUIRE(!fuse || analysis.fused.has_value(),
-                   "density-matrix prepare needs the fused stream");
+        const bool fuse =
+            analysis.fused.has_value() && !analysis.plan.kraus_noise;
         const std::vector<Instruction>& program =
             fuse ? analysis.fused->instructions : circuit.instructions();
 
@@ -69,7 +64,6 @@ class DensityPrepared final : public PreparedCircuit
         // touched qubit — the same ordering the statevector engine uses
         // for its per-shot trajectories, so distributions match.
         DensityState state(num_qubits_);
-        state.setSimd(options.simd);
         for (const Instruction& instr : program) {
             if (instr.type != OpType::kGate) continue;
             state.applyGate(instr);
@@ -84,18 +78,13 @@ class DensityPrepared final : public PreparedCircuit
             }
         }
 
-        // Cumulative table over the diagonal: each shot is one
-        // O(log d) draw. Clamp tiny negative diagonals (roundoff).
+        // Sample the diagonal; clamp tiny negative entries (roundoff).
         const CMatrix& rho = state.rho();
-        const size_t dim = size_t(1) << num_qubits_;
-        cumulative_.resize(dim);
-        double acc = 0.0;
-        for (size_t i = 0; i < dim; ++i) {
-            acc += std::max(0.0, rho(i, i).real());
-            cumulative_[i] = acc;
+        std::vector<double> weights(size_t(1) << num_qubits_);
+        for (size_t i = 0; i < weights.size(); ++i) {
+            weights[i] = std::max(0.0, rho(i, i).real());
         }
-        QA_REQUIRE(acc > 1e-14,
-                   "density evolution produced a zero-mass diagonal");
+        table_.emplace(std::move(weights));
     }
 
     std::unique_ptr<ShotSampler> makeSampler() const override;
@@ -103,23 +92,8 @@ class DensityPrepared final : public PreparedCircuit
     std::string
     sampleShot(Rng& rng) const
     {
-        const double draw = rng.uniform() * cumulative_.back();
-        const auto it = std::upper_bound(cumulative_.begin(),
-                                         cumulative_.end(), draw);
-        const uint64_t index =
-            it == cumulative_.end()
-                ? uint64_t(cumulative_.size()) - 1
-                : uint64_t(it - cumulative_.begin());
-
-        std::string clbits = clbits0_;
-        for (const auto& [q, c] : measures_) {
-            int outcome = int((index >> (num_qubits_ - 1 - q)) & 1);
-            if (noise_ != nullptr) {
-                outcome = applyReadoutError(outcome, *noise_, rng);
-            }
-            clbits[size_t(c)] = outcome ? '1' : '0';
-        }
-        return clbits;
+        return sampleTerminalShot(*table_, num_qubits_, measures_, noise_,
+                                  clbits0_, rng);
     }
 
   private:
@@ -127,7 +101,7 @@ class DensityPrepared final : public PreparedCircuit
     const NoiseModel* noise_;
     std::string clbits0_;
     std::vector<std::pair<int, int>> measures_;
-    std::vector<double> cumulative_;
+    std::optional<SampleTable> table_;
 };
 
 class DensitySampler final : public ShotSampler

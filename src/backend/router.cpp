@@ -14,12 +14,6 @@ namespace
 {
 
 /**
- * Density-matrix memory wall: 4^n complex doubles. Above this the
- * statevector engine is always preferred, whatever the shot count.
- */
-constexpr int kDensityMaxQubits = 8;
-
-/**
  * Below this width the dense statevector engine is comfortable (2^n
  * fits in cache-friendly memory) and its SIMD kernels beat the MPS
  * SVD machinery even on product-ish states, so auto-routing never
@@ -182,10 +176,9 @@ analyzeForRouting(const QuantumCircuit& circuit, const SimOptions& options)
     CircuitAnalysis analysis;
     analysis.profile = analyzeCircuit(circuit);
     analysis.entanglement = analyzeEntanglement(circuit);
-    if (options.fusion) {
-        analysis.fused = fuseCircuit(
-            circuit, FusionOptions{true, options.fusion_max_qubits});
-    }
+    analysis.plan = analyzeShotPlan(circuit, options.noise);
+    analysis.fused = fuseCircuit(
+        circuit, FusionOptions{true, defaults::kFusionMaxQubits});
     return analysis;
 }
 
@@ -226,9 +219,9 @@ route(const QuantumCircuit& circuit, const SimOptions& options)
     choice.mps_trunc_bound = mpsTruncationBound(ent, chi_cap);
 
     // Fusion summary: what the dense backends will execute. Kraus
-    // channels revert the noisy stream to raw gates at prepare time,
-    // so the cost model only credits fusion when none are active.
-    choice.fusion_enabled = options.fusion && !options.naive;
+    // channels keep them on the raw gates at prepare time, so the cost
+    // model only credits fusion when none are active.
+    choice.fusion_enabled = out.analysis.fused.has_value();
     if (choice.fusion_enabled) choice.fusion = out.analysis.fused->stats;
     size_t effective = profile.instructions;
     if (choice.fusion_enabled && !noise.kraus) {
@@ -263,13 +256,6 @@ route(const QuantumCircuit& circuit, const SimOptions& options)
                       " request"
                 : std::string(backendName(choice.backend)) +
                       " backend cannot run this job: " + why;
-        return out;
-    }
-
-    if (options.naive) {
-        choice.backend = BackendKind::kStatevector;
-        choice.reason =
-            "naive replay is a statevector-engine diagnostic mode";
         return out;
     }
 
@@ -392,28 +378,20 @@ explainRouting(const Route& route, const SimOptions& options)
                                           : "mid-circuit")
         << "\n";
     out << "noise: " << describeNoise(noise) << "\n";
-    if (!choice.fusion_enabled) {
-        out << "fusion: off\n";
-    } else {
-        const FusionStats& fs = choice.fusion;
-        out << "fusion: on (max "
-            << std::clamp(options.fusion_max_qubits, 1, 3)
-            << " qubits): " << fs.gates_in << " gates -> "
-            << fs.gates_out << " kernels (ratio "
-            << std::fixed << std::setprecision(2) << fs.ratio()
-            << std::defaultfloat << ", " << fs.fused_groups
-            << " fused groups, largest " << fs.max_group << ")";
-        if (noise.kraus) {
-            out << " [Kraus-noisy gates run unfused]";
-        }
-        out << "\n";
-        out << "kernels:";
-        for (const auto& [name, n] : fs.kernel_counts) {
-            out << " " << name << "=" << n;
-        }
-        if (fs.kernel_counts.empty()) out << " none";
-        out << "\n";
+    const FusionStats& fs = choice.fusion;
+    out << "fusion: on (max " << defaults::kFusionMaxQubits
+        << " qubits): " << fs.gates_in << " gates -> " << fs.gates_out
+        << " kernels (ratio " << std::fixed << std::setprecision(2)
+        << fs.ratio() << std::defaultfloat << ", " << fs.fused_groups
+        << " fused groups, largest " << fs.max_group << ")";
+    if (noise.kraus) out << " [Kraus-noisy gates run unfused]";
+    out << "\n";
+    out << "kernels:";
+    for (const auto& [name, n] : fs.kernel_counts) {
+        out << " " << name << "=" << n;
     }
+    if (fs.kernel_counts.empty()) out << " none";
+    out << "\n";
     out << "entanglement: width " << ent.max_cut_crossings
         << " (needs chi ~ 2^" << ent.needed_log2_chi << "), chi cap "
         << std::max(1, options.mps_chi) << " -> effective chi "

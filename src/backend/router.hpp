@@ -4,15 +4,16 @@
  * cheapest capable simulation backend.
  *
  * Routing is a pure function of the circuit structure, the noise model,
- * and the run options it reads (shots, explicit backend request, naive
- * flag, fusion knobs, MPS chi cap and tolerance) — never of wall-clock,
- * thread count, or RNG state. The serve layer's cache key absorbs every
- * one of those inputs, so the key itself never has to route.
+ * and the run options it reads (shots, explicit backend request, MPS
+ * chi cap and tolerance) — never of wall-clock, thread count, or RNG
+ * state. The serve layer's cache key absorbs every one of those inputs,
+ * so the key itself never has to route.
  *
- * route() analyzes a circuit once — profile, entanglement, fused
- * stream — and hands that analysis on with the decision, so prepare()
- * never repeats it. Routing never throws: an explicit request for a
- * backend that cannot run the job comes back with `capable == false`
+ * route() analyzes a circuit once — profile, entanglement, shot plan,
+ * fused stream — and hands that analysis on with the decision. The
+ * analysis alone decides what a dense backend's prepare() executes, so
+ * no backend repeats it. Routing never throws: an explicit request for
+ * a backend that cannot run the job comes back with `capable == false`
  * and a reason, and the caller decides how to surface the error.
  */
 #ifndef QA_BACKEND_ROUTER_HPP
@@ -22,14 +23,20 @@
 #include <string>
 
 #include "backend/analyzer.hpp"
+#include "sim/engine.hpp"
 #include "sim/fusion.hpp"
 #include "sim/options.hpp"
-#include "sim/statevector.hpp"
 
 namespace qa
 {
 namespace backend
 {
+
+/**
+ * Density-matrix memory wall: 4^n complex doubles. The density backend
+ * refuses wider circuits, and routing never sends them there.
+ */
+inline constexpr int kDensityMaxQubits = 8;
 
 /** The routing decision for one job, recorded in results and metrics. */
 struct BackendChoice
@@ -55,16 +62,16 @@ struct BackendChoice
     int non_clifford_gates = 0;
 
     /**
-     * True when the job's options enable gate fusion for the dense
-     * backends (options.fusion and not naive). Per-gate Kraus noise
-     * still reverts the affected stream to raw gates at prepare time.
+     * True when the analysis carries a fused stream, which route()
+     * always builds. Per-gate Kraus noise still keeps the dense
+     * backends on the raw gates at prepare time.
      */
     bool fusion_enabled = false;
 
     /**
-     * What the fusion pass does to this circuit's full stream (empty
-     * when fusion_enabled is false). Deterministic — safe to absorb
-     * into cache keys and explain output.
+     * What the fusion pass does to this circuit's full stream.
+     * Deterministic — safe to absorb into cache keys and explain
+     * output.
      */
     FusionStats fusion;
 
@@ -86,23 +93,37 @@ struct BackendChoice
 /**
  * What routing learns about one circuit. route() computes it once and
  * prepare() consumes it, so no backend repeats the analysis or the
- * fusion pass.
+ * fusion pass. It is also the one thing that decides what a dense
+ * backend executes: the statevector and density backends fuse exactly
+ * when `fused` is present and `plan.kraus_noise` is false, and the
+ * statevector backend splits and samples as `plan` says.
+ *
+ * Tests reach the reference executions through this seam: `fused`
+ * reset runs the raw gates, and a default ShotPlan as well (split 0,
+ * no terminal sampling) replays every instruction per shot.
  */
 struct CircuitAnalysis
 {
     CircuitProfile profile;
     EntanglementProfile entanglement;
 
+    /** Where the shot-invariant prefix ends, and terminal sampling. */
+    ShotPlan plan;
+
     /**
-     * The whole-circuit fused stream when options.fusion is on (empty
-     * otherwise). Measurements and resets flush every fusion group, so
-     * the stream splits at the first of them into exactly the fused
-     * prefix and the fused suffix.
+     * The whole-circuit fused stream (defaults::kFusionMaxQubits).
+     * Measurements and resets flush every fusion group, so the stream
+     * splits at the first of them into exactly the fused prefix and
+     * the fused suffix.
      */
     std::optional<FusedProgram> fused;
 };
 
-/** Analyze a circuit for routing and prepare; pure, never throws. */
+/**
+ * Analyze a circuit for routing and prepare: profile, entanglement,
+ * shot plan under options.noise, and the fused stream. Pure, never
+ * throws.
+ */
 CircuitAnalysis analyzeForRouting(const QuantumCircuit& circuit,
                                   const SimOptions& options);
 
@@ -123,11 +144,12 @@ struct Route
 
 /**
  * Route one shot-execution job. Considers, in order: an explicit
- * `options.backend` request (validated, never overridden), the naive
- * replay flag (statevector only), the stabilizer fast path (Clifford
- * circuit, noise absent or Pauli/readout only), the density-matrix
- * backend (non-Pauli channels on a small terminal-measurement circuit
- * where exact channel evolution beats per-shot trajectory replay), and
+ * `options.backend` request (validated, never overridden), the
+ * stabilizer fast path (Clifford circuit, noise absent or
+ * Pauli/readout only), the chi-capped MPS backend (wide,
+ * low-entanglement, noise-free gates), the density-matrix backend
+ * (non-Pauli channels on a small terminal-measurement circuit where
+ * exact channel evolution beats per-shot trajectory replay), and
  * finally the general statevector engine. Never throws.
  */
 Route route(const QuantumCircuit& circuit, const SimOptions& options);

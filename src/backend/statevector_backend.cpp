@@ -5,12 +5,14 @@
  * each shot then samples the cached state directly (terminal-sampling
  * fast path) or replays the suffix on its sampler's scratch copy.
  *
- * Fusion comes from the router's analysis. Without Kraus noise the
+ * The router's analysis decides what runs: its shot plan places the
+ * split and picks terminal sampling, and its fused stream replaces the
+ * raw gates unless Kraus noise is active. Without Kraus noise the
  * prefix ends at the first measurement or reset, which flushes every
  * fusion group, so the whole-circuit fused stream splits there into
- * exactly the fused prefix and suffix. With Kraus noise the prefix ends
- * at a gate and is fused on its own; the suffix stays raw, because
- * fusion changes gate arity and so which channel list a gate draws.
+ * exactly the fused prefix and suffix. With Kraus noise the whole
+ * stream stays raw, because fusion changes gate arity and so which
+ * channel list a gate draws.
  */
 #include "backend/backend.hpp"
 
@@ -52,59 +54,41 @@ class StatevectorPrepared final : public PreparedCircuit
           noise_(options.noise != nullptr && options.noise->enabled()
                      ? options.noise
                      : nullptr),
+          plan_(analysis.plan),
           prefix_(circuit.numQubits()),
           clbits0_(size_t(std::max(circuit.numClbits(), 0)), '0')
     {
         if (noise_ != nullptr) noise_->validate();
-        prefix_.setSimd(options.simd);
-
-        // The naive plan (split = 0, no fast path) replays every
-        // instruction per shot: the reference the cached plan must
-        // agree with exactly.
-        if (!options.naive) plan_ = analyzeShotPlan(circuit, noise_);
 
         // The stream shots execute, and where its prefix ends.
-        const bool fuse = options.fusion && !options.naive;
-        const std::vector<Instruction>* stream = &circuit.instructions();
+        const bool fuse = analysis.fused.has_value() && !plan_.kraus_noise;
+        const std::vector<Instruction>& stream =
+            fuse ? analysis.fused->instructions : circuit.instructions();
         size_t split = plan_.split;
-        if (fuse && !plan_.kraus_noise) {
-            QA_REQUIRE(analysis.fused.has_value(),
-                       "statevector prepare needs the fused stream");
-            stream = &analysis.fused->instructions;
-            split = size_t(std::find_if(stream->begin(), stream->end(),
+        if (fuse) {
+            split = size_t(std::find_if(stream.begin(), stream.end(),
                                         [](const Instruction& instr) {
                                             return instr.type ==
                                                        OpType::kMeasure ||
                                                    instr.type ==
                                                        OpType::kReset;
                                         }) -
-                           stream->begin());
+                           stream.begin());
         }
 
         // Evolve the deterministic prefix once. It contains no
         // stochastic instruction, so per-shot RNG draws are unaffected
         // by where the split falls.
-        const auto evolve = [&](const std::vector<Instruction>& instrs,
-                                size_t end) {
-            for (size_t i = 0; i < end; ++i) {
-                if (instrs[i].type == OpType::kGate) {
-                    prefix_.applyGate(instrs[i]);
-                }
+        for (size_t i = 0; i < split; ++i) {
+            if (stream[i].type == OpType::kGate) {
+                prefix_.applyGate(stream[i]);
             }
-        };
-        if (fuse && plan_.kraus_noise) {
-            const FusedProgram prog = fuseInstructions(
-                *stream, 0, split,
-                FusionOptions{true, options.fusion_max_qubits});
-            evolve(prog.instructions, prog.instructions.size());
-        } else {
-            evolve(*stream, split);
         }
 
         if (plan_.terminal_sampling) {
             table_ = std::make_unique<SampleTable>(prefix_);
         } else {
-            suffix_.assign(stream->begin() + long(split), stream->end());
+            suffix_.assign(stream.begin() + long(split), stream.end());
         }
     }
 
@@ -119,19 +103,13 @@ class StatevectorPrepared final : public PreparedCircuit
     std::string
     runShot(Rng& rng, Statevector* scratch) const
     {
-        std::string clbits = clbits0_;
         if (plan_.terminal_sampling) {
-            const uint64_t index = table_->sample(rng);
-            for (const auto& [q, c] : plan_.terminal_measures) {
-                int outcome = int((index >> (num_qubits_ - 1 - q)) & 1);
-                if (noise_ != nullptr) {
-                    outcome = applyReadoutError(outcome, *noise_, rng);
-                }
-                clbits[size_t(c)] = outcome ? '1' : '0';
-            }
-            return clbits;
+            return sampleTerminalShot(*table_, num_qubits_,
+                                      plan_.terminal_measures, noise_,
+                                      clbits0_, rng);
         }
 
+        std::string clbits = clbits0_;
         *scratch = prefix_;
         for (const Instruction& instr : suffix_) {
             switch (instr.type) {

@@ -285,6 +285,7 @@ LineReader::next(std::string* out)
 {
     out->clear();
     for (;;) {
+        if (stop_ != nullptr && stop_->load()) return Status::kEof;
         // Scan only bytes not inspected before; a long partial line is
         // not rescanned from the start on every read.
         const size_t nl = buffer_.find('\n', scanned_);

@@ -23,6 +23,7 @@
 #ifndef QA_COMMON_NET_HPP
 #define QA_COMMON_NET_HPP
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -121,10 +122,16 @@ class LineReader
      * tick to notice drain signals. Buffered complete lines are still
      * returned first, and next() may be called again after a timeout
      * (the partial line, or the overflow in progress, is kept).
+     *
+     * Once `*stop` is set (when given), next() returns kEof without
+     * reading further: the owner is closing the stream, and a peer
+     * dribbling one long line cannot hold the reader past one tick.
      */
     explicit LineReader(int fd, size_t max_len = size_t(1) << 20,
-                        double idle_timeout_ms = 0.0)
-        : fd_(fd), max_len_(max_len), idle_timeout_ms_(idle_timeout_ms)
+                        double idle_timeout_ms = 0.0,
+                        const std::atomic<bool>* stop = nullptr)
+        : fd_(fd), max_len_(max_len), idle_timeout_ms_(idle_timeout_ms),
+          stop_(stop)
     {}
 
     /** Read the next line; EINTR and EAGAIN are retried. A final line
@@ -137,6 +144,7 @@ class LineReader
     int fd_;
     size_t max_len_;
     double idle_timeout_ms_;
+    const std::atomic<bool>* stop_;
     std::string buffer_;
     size_t scanned_ = 0;     ///< buffer_ prefix already searched for '\n'.
     bool eof_ = false;

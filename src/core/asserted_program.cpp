@@ -8,54 +8,13 @@ namespace qa
 namespace
 {
 
-/** Build a standalone assertion fragment for costing or insertion. */
-QuantumCircuit
-buildFragment(const CorrectSubspace& subspace, AssertionDesign design,
-              SwapPlacement placement, const BuildContext& ctx)
-{
-    switch (design) {
-      case AssertionDesign::kSwap:
-        return buildSwapAssertion(subspace, ctx, placement);
-      case AssertionDesign::kOr:
-        return buildOrAssertion(subspace, ctx);
-      case AssertionDesign::kNdd:
-        return buildNddAssertion(subspace, ctx);
-      case AssertionDesign::kProq:
-        return buildProqAssertion(subspace, ctx);
-      case AssertionDesign::kCustom:
-      case AssertionDesign::kAuto:
-        break;
-    }
-    QA_FAIL("buildFragment needs a concrete design");
-}
-
-AssertionPlan
-planFor(const CorrectSubspace& subspace, AssertionDesign design,
-        SwapPlacement placement)
-{
-    switch (design) {
-      case AssertionDesign::kSwap:
-        return planSwapAssertion(subspace, placement);
-      case AssertionDesign::kOr:
-        return planOrAssertion(subspace);
-      case AssertionDesign::kNdd:
-        return planNddAssertion(subspace);
-      case AssertionDesign::kProq:
-        return planProqAssertion(subspace);
-      case AssertionDesign::kCustom:
-      case AssertionDesign::kAuto:
-        break;
-    }
-    QA_FAIL("planFor needs a concrete design");
-}
-
 /** Cost a design against a hypothetical standalone layout. */
 CircuitCost
 costDesign(const CorrectSubspace& subspace, AssertionDesign design,
            SwapPlacement placement, const std::vector<int>& free_qubits,
            int base_qubits)
 {
-    const AssertionPlan plan = planFor(subspace, design, placement);
+    const AssertionPlan plan = planAssertion(subspace, design, placement);
     BuildContext ctx;
     ctx.total_qubits = base_qubits + plan.num_ancillas;
     ctx.total_clbits = plan.num_clbits;
@@ -67,7 +26,7 @@ costDesign(const CorrectSubspace& subspace, AssertionDesign design,
     ctx.free_qubits = free_qubits;
 
     const QuantumCircuit frag =
-        buildFragment(subspace, design, placement, ctx);
+        buildAssertion(subspace, design, placement, ctx);
     CircuitCost cost = circuitCost(frag);
     cost.ancilla = plan.num_ancillas;
     return cost;
@@ -147,7 +106,7 @@ AssertedProgram::assertState(const std::vector<int>& qubits,
         }
     }
 
-    const AssertionPlan plan = planFor(subspace, resolved, placement);
+    const AssertionPlan plan = planAssertion(subspace, resolved, placement);
     const int first_clbit = circ_.numClbits();
     widen(0, plan.num_clbits);
 
@@ -162,7 +121,7 @@ AssertedProgram::assertState(const std::vector<int>& qubits,
     ctx.free_qubits = free_qubits;
 
     const QuantumCircuit frag =
-        buildFragment(subspace, resolved, placement, ctx);
+        buildAssertion(subspace, resolved, placement, ctx);
 
     std::vector<int> qmap, cmap;
     for (int q = 0; q < circ_.numQubits(); ++q) qmap.push_back(q);

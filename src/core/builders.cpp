@@ -609,4 +609,44 @@ buildNddAssertion(const CorrectSubspace& subspace, const BuildContext& ctx)
     return frag;
 }
 
+AssertionPlan
+planAssertion(const CorrectSubspace& subspace, AssertionDesign design,
+              SwapPlacement placement)
+{
+    switch (design) {
+      case AssertionDesign::kSwap:
+        return planSwapAssertion(subspace, placement);
+      case AssertionDesign::kOr:
+        return planOrAssertion(subspace);
+      case AssertionDesign::kNdd:
+        return planNddAssertion(subspace);
+      case AssertionDesign::kProq:
+        return planProqAssertion(subspace);
+      case AssertionDesign::kCustom:
+      case AssertionDesign::kAuto:
+        break;
+    }
+    QA_FAIL("planAssertion needs a concrete design");
+}
+
+QuantumCircuit
+buildAssertion(const CorrectSubspace& subspace, AssertionDesign design,
+               SwapPlacement placement, const BuildContext& ctx)
+{
+    switch (design) {
+      case AssertionDesign::kSwap:
+        return buildSwapAssertion(subspace, ctx, placement);
+      case AssertionDesign::kOr:
+        return buildOrAssertion(subspace, ctx);
+      case AssertionDesign::kNdd:
+        return buildNddAssertion(subspace, ctx);
+      case AssertionDesign::kProq:
+        return buildProqAssertion(subspace, ctx);
+      case AssertionDesign::kCustom:
+      case AssertionDesign::kAuto:
+        break;
+    }
+    QA_FAIL("buildAssertion needs a concrete design");
+}
+
 } // namespace qa

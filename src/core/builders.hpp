@@ -102,6 +102,21 @@ QuantumCircuit buildProqAssertion(const CorrectSubspace& subspace,
 ///@}
 
 /**
+ * @name Design dispatch
+ * The plan and the fragment of one concrete design (kSwap, kOr, kNdd or
+ * kProq; `placement` shapes kSwap only). Throws on kCustom and kAuto.
+ * AssertedProgram and the assertion compiler both build through these.
+ */
+///@{
+AssertionPlan planAssertion(const CorrectSubspace& subspace,
+                            AssertionDesign design, SwapPlacement placement);
+QuantumCircuit buildAssertion(const CorrectSubspace& subspace,
+                              AssertionDesign design,
+                              SwapPlacement placement,
+                              const BuildContext& ctx);
+///@}
+
+/**
  * Basis-change pair shared by the SWAP and OR designs: uinv maps the
  * correct subspace onto the computational states whose leading qubits
  * are |0>, u is its exact inverse. Both act on local qubits [0, n).

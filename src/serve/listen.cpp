@@ -111,13 +111,11 @@ LineService::handleLine(const std::string& line, const Emit& emit)
 
 bool
 serveLines(LineService& service, net::LineReader& reader,
-           const LineService::Emit& emit, const std::atomic<bool>* stop,
-           const volatile std::sig_atomic_t* cancel)
+           const LineService::Emit& emit, const std::atomic<int>* cancel)
 {
     std::string line;
     for (;;) {
-        if (stop != nullptr && stop->load()) return false;
-        if (cancel != nullptr && *cancel != 0) return false;
+        if (cancel != nullptr && cancel->load() != 0) return false;
         switch (reader.next(&line)) {
         case net::LineReader::Status::kTimeout: continue; // re-check flags
         case net::LineReader::Status::kEof: return false;
@@ -195,14 +193,17 @@ SocketServer::start(std::string* error)
 void
 SocketServer::serveConnection(const std::shared_ptr<Connection>& conn)
 {
-    net::LineReader reader(conn->fd, options_.max_line, kServeTickMs);
-    // Completion callbacks capture the connection shared_ptr: the fd
-    // stays valid for a late write (job finishing after the client
-    // left), and dies with the last in-flight job.
+    // The reader ends at stopping_, which run() also sets on a drain
+    // signal. Completion callbacks capture the connection shared_ptr:
+    // the fd stays valid for a late write (job finishing after the
+    // client left, or after run() returned), and dies with the last
+    // in-flight job.
+    net::LineReader reader(conn->fd, options_.max_line, kServeTickMs,
+                           &stopping_);
     const bool shutdown_requested = serveLines(
         service_, reader,
         [conn](const std::string& out) { conn->writeLine(out); },
-        &stopping_, nullptr); // run() turns a drain signal into stopping_
+        nullptr);
     conn->done.store(true);
     if (shutdown_requested) stop();
 }
@@ -221,9 +222,10 @@ SocketServer::reapFinishedLocked()
 }
 
 void
-SocketServer::run(const volatile std::sig_atomic_t* cancel)
+SocketServer::run(const std::atomic<int>* cancel)
 {
-    while (!stopping_.load() && (cancel == nullptr || *cancel == 0)) {
+    while (!stopping_.load() &&
+           (cancel == nullptr || cancel->load() == 0)) {
         const int fd = net::tcpAccept(listen_fd_, kServeTickMs);
         if (fd == -1) { // poll tick: reap closed connections, re-check
             std::lock_guard<std::mutex> lock(conns_mutex_);
@@ -244,11 +246,11 @@ SocketServer::run(const volatile std::sig_atomic_t* cancel)
     }
     stopping_.store(true);
 
-    // Tear every connection down (a blocked reader wakes with EOF) and
-    // join. Scheduler callbacks may still hold connection refs; they
-    // write into shut-down fds harmlessly.
+    // Every reader sees stopping_ on its next poll tick; join them.
+    // The sockets stay open: a completion callback still holding a
+    // connection writes its reply when the job finishes, and the fd
+    // closes when the last such holder lets go.
     std::lock_guard<std::mutex> lock(conns_mutex_);
-    for (const auto& conn : conns_) net::shutdownBoth(conn->fd);
     for (const auto& conn : conns_) {
         if (conn->reader.joinable()) conn->reader.join();
     }

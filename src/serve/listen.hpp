@@ -30,16 +30,18 @@
  *
  * Shutdown: {"op":"shutdown"} on *any* connection — or the process
  * drain signals, seen on the kServeTickMs poll tick — stops the accept
- * loop, tears every connection down, and returns from run(); the
- * caller then drains the scheduler exactly as the stdin path does. EOF
- * on one connection only ends that connection: remote routers come and
- * go, the daemon stays.
+ * loop and every connection's reader on that same tick, joins them and
+ * returns from run(); the caller then drains the scheduler exactly as
+ * the stdin path does. Connections are not shut down: a job still
+ * running writes its reply when it finishes, and each fd closes when
+ * the last completion callback holding its connection lets go, so a
+ * client reads every answer before EOF. EOF on one connection only
+ * ends that connection: remote routers come and go, the daemon stays.
  */
 #ifndef QA_SERVE_LISTEN_HPP
 #define QA_SERVE_LISTEN_HPP
 
 #include <atomic>
-#include <csignal>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -99,14 +101,14 @@ constexpr double kServeTickMs = 200.0;
 /**
  * The one serve loop: answer an oversize line with encodeOverflow and
  * hand every other line to `service`, responses through `emit`. True
- * when a shutdown op arrived; false at EOF, once `*stop` is set, or
- * once `*cancel` goes non-zero (either may be nullptr). Give `reader`
- * the kServeTickMs idle timeout so an idle stream sees the flags.
+ * when a shutdown op arrived; false at EOF (which a reader built with
+ * a stop flag reports once it is set) or once `*cancel` goes non-zero
+ * (nullptr: never). Give `reader` the kServeTickMs idle timeout so an
+ * idle stream sees the flags.
  */
 bool serveLines(LineService& service, net::LineReader& reader,
                 const LineService::Emit& emit,
-                const std::atomic<bool>* stop,
-                const volatile std::sig_atomic_t* cancel);
+                const std::atomic<int>* cancel);
 
 /** TCP accept loop serving LineService to any number of connections. */
 class SocketServer
@@ -136,9 +138,12 @@ class SocketServer
     /**
      * Accept and serve until a shutdown request arrives on some
      * connection, `*cancel` goes non-zero (drain signal), or stop() is
-     * called. Joins every connection thread before returning.
+     * called. Every reader stops on its next poll tick (one stuck in a
+     * write is bounded by the write timeout) and is joined before
+     * run() returns; replies to jobs still in flight are written when
+     * they complete.
      */
-    void run(const volatile std::sig_atomic_t* cancel);
+    void run(const std::atomic<int>* cancel);
 
     /** Make run() return (callable from any thread). Idempotent. */
     void stop();

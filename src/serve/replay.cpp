@@ -28,7 +28,7 @@ replayJournal(const std::string& path, std::ostream& out,
          << scan.completed.size() << " completion record(s)\n";
 
     for (const resilience::JournalEntry& entry : scan.accepted) {
-        if (options.cancel != nullptr && *options.cancel != 0) {
+        if (options.cancel != nullptr && options.cancel->load() != 0) {
             report.status = ReplayStatus::kInterrupted;
             out.flush();
             diag << "replay: cancelled after " << report.executed << "/"

@@ -22,7 +22,7 @@
 #ifndef QA_SERVE_REPLAY_HPP
 #define QA_SERVE_REPLAY_HPP
 
-#include <csignal>
+#include <atomic>
 #include <cstddef>
 #include <iosfwd>
 #include <string>
@@ -44,11 +44,11 @@ enum class ReplayStatus
 struct ReplayOptions
 {
     /**
-     * Cooperative cancellation flag (a signal handler's sig_atomic_t),
+     * Cooperative cancellation flag (set non-zero by a signal handler),
      * polled between jobs; nullptr = not cancellable. Replay never
      * stops mid-job, so every emitted line is complete.
      */
-    const volatile std::sig_atomic_t* cancel = nullptr;
+    const std::atomic<int>* cancel = nullptr;
 };
 
 /** What happened, for exit codes and tests. */

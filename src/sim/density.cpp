@@ -27,7 +27,7 @@ namespace
  */
 void
 applyAxis(CMatrix& rho, const CMatrix& m, const std::vector<int>& qubits,
-          int num_qubits, int axis, bool simd)
+          int num_qubits, int axis)
 {
     const int shift = axis == 0 ? num_qubits : 0;
     std::vector<int> pos(qubits.size());
@@ -35,7 +35,7 @@ applyAxis(CMatrix& rho, const CMatrix& m, const std::vector<int>& qubits,
         pos[j] = shift + num_qubits - 1 - qubits[j];
     }
     const uint64_t dim = uint64_t(rho.rows()) * rho.cols();
-    applyDenseKernel(&rho(0, 0), dim, m, pos.data(), qubits.size(), simd);
+    applyDenseKernel(&rho(0, 0), dim, m, pos.data(), qubits.size(), true);
 }
 
 } // namespace
@@ -60,7 +60,7 @@ DensityState::DensityState(CMatrix rho) : num_qubits_(0),
 void
 DensityState::applyLeft(const CMatrix& m, const std::vector<int>& qubits)
 {
-    applyAxis(rho_, m, qubits, num_qubits_, 0, simd_);
+    applyAxis(rho_, m, qubits, num_qubits_, 0);
 }
 
 void
@@ -69,8 +69,8 @@ DensityState::applyMatrix(const CMatrix& m, const std::vector<int>& qubits)
     for (int q : qubits) {
         QA_REQUIRE(q >= 0 && q < num_qubits_, "qubit index out of range");
     }
-    applyAxis(rho_, m, qubits, num_qubits_, 0, simd_);
-    applyAxis(rho_, m.conjugate(), qubits, num_qubits_, 1, simd_);
+    applyAxis(rho_, m, qubits, num_qubits_, 0);
+    applyAxis(rho_, m.conjugate(), qubits, num_qubits_, 1);
 }
 
 void
@@ -86,8 +86,8 @@ DensityState::applyKraus(const KrausChannel& channel, int q)
     CMatrix result(rho_.rows(), rho_.cols());
     for (const CMatrix& k : channel.ops()) {
         CMatrix term = rho_;
-        applyAxis(term, k, {q}, num_qubits_, 0, simd_);
-        applyAxis(term, k.conjugate(), {q}, num_qubits_, 1, simd_);
+        applyAxis(term, k, {q}, num_qubits_, 0);
+        applyAxis(term, k.conjugate(), {q}, num_qubits_, 1);
         result += term;
     }
     rho_ = std::move(result);

@@ -29,10 +29,6 @@ class DensityState
     int numQubits() const { return num_qubits_; }
     const CMatrix& rho() const { return rho_; }
 
-    /** Allow/forbid the AVX2 kernel path for this state (default on). */
-    void setSimd(bool simd) { simd_ = simd; }
-    bool simdEnabled() const { return simd_; }
-
     /** Conjugate the state by a 2^k unitary on the listed qubits. */
     void applyMatrix(const CMatrix& m, const std::vector<int>& qubits);
 
@@ -54,7 +50,6 @@ class DensityState
 
     int num_qubits_;
     CMatrix rho_;
-    bool simd_ = true;
 };
 
 /**

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/error.hpp"
 #include "sim/result.hpp"
@@ -19,6 +20,18 @@ gateIsNoisy(const Instruction& instr, const NoiseModel& noise)
     const auto& channels =
         instr.arity() == 1 ? noise.noise_1q : noise.noise_2q;
     return !channels.empty();
+}
+
+/** |amplitude|^2 of each basis state, in index order. */
+std::vector<double>
+basisWeights(const Statevector& state)
+{
+    const CVector& amps = state.amplitudes();
+    std::vector<double> weights(amps.dim());
+    for (uint64_t i = 0; i < amps.dim(); ++i) {
+        weights[i] = std::norm(amps[i]);
+    }
+    return weights;
 }
 
 } // namespace
@@ -88,15 +101,16 @@ analyzeShotPlan(const QuantumCircuit& circuit, const NoiseModel* noise)
 }
 
 SampleTable::SampleTable(const Statevector& state)
+    : SampleTable(basisWeights(state))
+{}
+
+SampleTable::SampleTable(std::vector<double> weights)
+    : cumulative_(std::move(weights))
 {
-    const CVector& amps = state.amplitudes();
-    cumulative_.resize(amps.dim());
-    double acc = 0.0;
-    for (uint64_t i = 0; i < amps.dim(); ++i) {
-        acc += std::norm(amps[i]);
-        cumulative_[i] = acc;
-    }
-    QA_REQUIRE(acc > 1e-14, "sample table over a zero-mass state");
+    std::partial_sum(cumulative_.begin(), cumulative_.end(),
+                     cumulative_.begin());
+    QA_REQUIRE(!cumulative_.empty() && cumulative_.back() > 1e-14,
+               "sample table over a zero-mass state");
 }
 
 uint64_t
@@ -107,6 +121,22 @@ SampleTable::sample(Rng& rng) const
         std::upper_bound(cumulative_.begin(), cumulative_.end(), draw);
     if (it == cumulative_.end()) return uint64_t(cumulative_.size()) - 1;
     return uint64_t(it - cumulative_.begin());
+}
+
+std::string
+sampleTerminalShot(const SampleTable& table, int num_qubits,
+                   const std::vector<std::pair<int, int>>& measures,
+                   const NoiseModel* noise, std::string clbits, Rng& rng)
+{
+    const uint64_t index = table.sample(rng);
+    for (const auto& [q, c] : measures) {
+        int outcome = int((index >> (num_qubits - 1 - q)) & 1);
+        if (noise != nullptr) {
+            outcome = applyReadoutError(outcome, *noise, rng);
+        }
+        clbits[size_t(c)] = outcome ? '1' : '0';
+    }
+    return clbits;
 }
 
 } // namespace qa

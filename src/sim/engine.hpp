@@ -83,7 +83,14 @@ ShotPlan analyzeShotPlan(const QuantumCircuit& circuit,
 class SampleTable
 {
   public:
+    /** Over |amplitude|^2 of each basis state. */
     explicit SampleTable(const Statevector& state);
+
+    /**
+     * Over non-negative basis weights, index order (need not sum to 1;
+     * a density matrix's clamped diagonal, for one). Consumes them.
+     */
+    explicit SampleTable(std::vector<double> weights);
 
     /** Sample a basis index from the underlying distribution. */
     uint64_t sample(Rng& rng) const;
@@ -99,6 +106,18 @@ class SampleTable
  * regardless of how the quantum outcome was produced.
  */
 int applyReadoutError(int outcome, const NoiseModel& noise, Rng& rng);
+
+/**
+ * One terminally sampled shot: draw a basis index of an n-qubit state
+ * from `table`, write each (qubit, clbit) pair of `measures` into
+ * `clbits` in order, applying `noise`'s readout error (nullptr: none)
+ * to each bit. The statevector and density backends both sample
+ * through it, so they consume identical RNG draws.
+ */
+std::string sampleTerminalShot(
+    const SampleTable& table, int num_qubits,
+    const std::vector<std::pair<int, int>>& measures,
+    const NoiseModel* noise, std::string clbits, Rng& rng);
 
 /** Worker count for a shot loop: <= 0 means hardware concurrency. */
 int resolveShotThreads(int requested, int shots);

@@ -111,14 +111,11 @@ inline constexpr int kServeThreads = 1;
 inline constexpr double kDeadlineMs = 0.0;
 inline constexpr BackendRequest kBackend = BackendRequest::kAuto;
 
-/** Gate fusion on by default; see sim/fusion.hpp. */
-inline constexpr bool kFusion = true;
-
-/** Largest qubit union one fused group may cover (2 or 3). */
+/**
+ * Largest qubit union one fused group may cover: the dense backends
+ * run every routed circuit through this one fusion pass (sim/fusion.hpp).
+ */
 inline constexpr int kFusionMaxQubits = 2;
-
-/** AVX2 kernels on by default (runtime-dispatched; see sim/kernels.hpp). */
-inline constexpr bool kSimd = true;
 
 /**
  * MPS bond-dimension cap: every two-site update keeps at most this many
@@ -150,13 +147,6 @@ struct SimOptions
     int num_threads = defaults::kSimThreads;
 
     /**
-     * Skip circuit analysis and replay every instruction each shot on
-     * the statevector backend (the pre-engine reference path; kept for
-     * tests and benchmarks). Forces statevector routing.
-     */
-    bool naive = false;
-
-    /**
      * Wall-clock budget in milliseconds; <= 0 runs unbounded. When the
      * budget expires mid-run the engine stops cooperatively, joins every
      * worker, and returns the shots completed so far with
@@ -171,25 +161,6 @@ struct SimOptions
      * fails with ErrorCode::kBadRequest if it cannot run the circuit.
      */
     BackendRequest backend = defaults::kBackend;
-
-    /**
-     * Gate fusion for the dense backends (sim/fusion.hpp): coalesce
-     * runs of gates sharing <= fusion_max_qubits qubits into single
-     * kernels at prepare time. Off under `naive`, and never applied to
-     * gates that receive per-gate Kraus noise (fusion would change
-     * gate arity and thus which channel list applies). Results equal
-     * the unfused evolution up to floating-point reassociation; fixed
-     * seeds keep sampled counts bit-identical across thread counts
-     * either way.
-     */
-    bool fusion = defaults::kFusion;
-    int fusion_max_qubits = defaults::kFusionMaxQubits;
-
-    /**
-     * Allow the AVX2 amplitude kernels when compiled in and supported
-     * by the CPU; false forces the scalar kernels.
-     */
-    bool simd = defaults::kSimd;
 
     /**
      * MPS backend bond-dimension cap (chi). Larger values widen the

@@ -283,16 +283,6 @@ TEST(RouterTest, MidCircuitMeasurementExcludesDensity)
     EXPECT_EQ(choice.backend, BackendKind::kStatevector);
 }
 
-TEST(RouterTest, NaiveFlagForcesStatevector)
-{
-    SimOptions options;
-    options.naive = true;
-    const BackendChoice choice =
-        backend::routeShots(ghzCircuit(3), options);
-    EXPECT_EQ(choice.backend, BackendKind::kStatevector);
-    EXPECT_TRUE(choice.capable);
-}
-
 TEST(RouterTest, ExplicitRequestIsHonoredAndValidated)
 {
     QuantumCircuit t_circuit(1, 1);

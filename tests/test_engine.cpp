@@ -15,6 +15,7 @@
 #include "common/error.hpp"
 #include "sim/engine.hpp"
 #include "sim/statevector.hpp"
+#include "test_util.hpp"
 
 namespace qa
 {
@@ -199,9 +200,10 @@ TEST(EngineTest, PrefixCachedAgreesExactlyWithNaive)
         cached.shots = 1024;
         cached.seed = 5150;
         cached.noise = model;
-        SimOptions naive = cached;
-        naive.naive = true;
-        EXPECT_EQ(runShots(qc, cached).map, runShots(qc, naive).map)
+        const Counts naive = test::runReference(
+            BackendKind::kStatevector, qc, cached,
+            test::Reference::kReplayAll);
+        EXPECT_EQ(runShots(qc, cached).map, naive.map)
             << (model ? "noisy" : "noiseless");
     }
 }

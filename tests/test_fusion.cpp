@@ -20,6 +20,7 @@
 #include "sim/kernels.hpp"
 #include "sim/noise.hpp"
 #include "sim/statevector.hpp"
+#include "test_util.hpp"
 
 namespace qa
 {
@@ -193,16 +194,14 @@ TEST(FusionTest, KrausNoiseKeepsTheNoisyStreamUnfused)
     fused.seed = 99;
     fused.num_threads = 1;
     fused.noise = &noise;
-    SimOptions unfused = fused;
-    unfused.fusion = false;
 
     // With per-gate Kraus channels the engine must replay the raw
     // stream either way, so the trajectories consume identical RNG
     // draws and the counts match bit-for-bit.
     fused.backend = BackendRequest::kStatevector;
-    unfused.backend = BackendRequest::kStatevector;
     const Counts a = runShots(qc, fused);
-    const Counts b = runShots(qc, unfused);
+    const Counts b = test::runReference(BackendKind::kStatevector, qc,
+                                        fused, test::Reference::kUnfused);
     EXPECT_EQ(a.map, b.map);
 
     // The first gate is noisy, so the shot plan leaves no prefix to
@@ -237,8 +236,10 @@ TEST(FusionTest, CountsAreBitIdenticalAcrossThreadCounts)
 
     // The unfused reference samples the same outcomes for this seed.
     options.num_threads = 1;
-    options.fusion = false;
-    EXPECT_EQ(one.map, runShots(qc, options).map);
+    EXPECT_EQ(one.map,
+              test::runReference(BackendKind::kStatevector, qc, options,
+                                 test::Reference::kUnfused)
+                  .map);
 }
 
 TEST(FusionTest, DensityBackendFusedMatchesUnfused)
@@ -256,10 +257,9 @@ TEST(FusionTest, DensityBackendFusedMatchesUnfused)
     const Counts fused =
         backend::backendFor(BackendKind::kDensityMatrix)
             .runShots(qc, options);
-    options.fusion = false;
     const Counts unfused =
-        backend::backendFor(BackendKind::kDensityMatrix)
-            .runShots(qc, options);
+        test::runReference(BackendKind::kDensityMatrix, qc, options,
+                           test::Reference::kUnfused);
     EXPECT_EQ(fused.map, unfused.map);
 }
 

@@ -5,6 +5,7 @@
  * counts, backpressure/priority/deadline behaviour, the JSON parser,
  * the qassertd wire protocol, and the serve loop over a real socket.
  */
+#include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <chrono>
@@ -13,6 +14,7 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -370,6 +372,22 @@ digestSpecs()
     mps.circuit = layeredMeasured(6, 3, 10);
     mps.backend = BackendRequest::kMps;
     add("mps_chain", mps, 19);
+
+    // Readout-only noise keeps the density backend on its fused stream
+    // (density_melbourne's Kraus channels keep it on the raw gates).
+    JobSpec density_readout;
+    density_readout.circuit = layeredMeasured(4, 2, 20);
+    density_readout.noise.readout_p01 = 0.02;
+    density_readout.noise.readout_p10 = 0.05;
+    density_readout.backend = BackendRequest::kDensityMatrix;
+    add("density_readout_only", density_readout, 20);
+
+    // Terminal sampling with readout flips on the statevector backend.
+    JobSpec readout;
+    readout.circuit = layeredMeasured(5, 3, 21);
+    readout.noise.readout_p01 = 0.02;
+    readout.noise.readout_p10 = 0.05;
+    add("statevector_readout", readout, 21);
     return specs;
 }
 
@@ -388,6 +406,8 @@ TEST(JobTest, PayloadDigestsMatchPinnedValues)
         {"density_melbourne", "66b6672b7dd106eaf5dab41742d88177"},
         {"stabilizer", "26051371c39bb4bdfd4ff4c7b1d565d8"},
         {"mps_chain", "d47a8ba543bec0de6d5aa77b8a3bf21e"},
+        {"density_readout_only", "8dc9b5d2a3cfd785bc41c93ae41e6f45"},
+        {"statevector_readout", "fd2a411c53fe76c1af18f7c84a3802c5"},
     };
     const std::vector<std::pair<std::string, JobSpec>> specs = digestSpecs();
     ASSERT_EQ(specs.size(), pinned.size());
@@ -1092,7 +1112,7 @@ TEST(ReplayTest, DrainSignalCancelsCleanlyBetweenJobs)
     // single job — clean output (nothing emitted), journal untouched,
     // typed kInterrupted status (qassertd maps it to exit code 3).
     const std::string path = writeReplayJournal("replay_cancel.ndjson");
-    volatile std::sig_atomic_t cancel = SIGTERM;
+    std::atomic<int> cancel{SIGTERM};
     ReplayOptions options;
     options.cancel = &cancel;
     std::ostringstream out, diag;
@@ -1189,6 +1209,79 @@ TEST(ServeLoopTest, SocketServerAnswersPingOverflowJobAndShutdown)
     server.stop(); // no-op once run() has returned
     ran.wait();
     EXPECT_EQ(server.accepted(), 1u);
+    net::closeQuiet(fd);
+}
+
+TEST(ServeLoopTest, StopLetsInFlightJobsAnswerBeforeEof)
+{
+    // A drain must not cut off the reply to a job still running: stop()
+    // ends run() while the exec hook holds the job, and the client
+    // still reads the ok reply, then EOF, once the scheduler drains.
+    SchedulerOptions options;
+    options.workers = 1;
+    std::promise<void> started;
+    std::future<void> running = started.get_future();
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    options.exec_hook = [&started, released](uint64_t, int) {
+        started.set_value();
+        released.wait();
+    };
+    Scheduler scheduler(options);
+    LineService service(scheduler, nullptr, LineService::Options{});
+    SocketServer server(service, SocketServer::Options{});
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+    auto ran = std::async(std::launch::async,
+                          [&server] { server.run(nullptr); });
+
+    const int fd = net::tcpConnect("127.0.0.1", server.port(), 5000.0);
+    ASSERT_GE(fd, 0);
+    const std::string job =
+        R"({"id":"held","shots":32,"seed":4,"qasm":"OPENQASM 2.0;\n)"
+        R"(qreg q[1];\ncreg c[1];\nh q[0];\nmeasure q[0] -> c[0];\n"})"
+        "\n";
+    ASSERT_TRUE(net::writeAllBounded(fd, job.data(), job.size(), 5000.0));
+    running.wait();
+
+    // A second client, once served (its ping answered), dribbles one
+    // endless line: its reader must still stop on the tick instead of
+    // waiting for a newline.
+    const int slow = net::tcpConnect("127.0.0.1", server.port(), 5000.0);
+    EXPECT_GE(slow, 0);
+    const std::string ping = "{\"op\":\"ping\",\"id\":\"p\"}\n";
+    EXPECT_TRUE(
+        net::writeAllBounded(slow, ping.data(), ping.size(), 5000.0));
+    net::LineReader slow_reader(slow, size_t(1) << 20, 5000.0);
+    std::string line;
+    EXPECT_EQ(slow_reader.next(&line), net::LineReader::Status::kOk);
+    std::atomic<bool> dribbling{true};
+    std::thread dribbler([slow, &dribbling] {
+        while (dribbling.load() &&
+               net::writeAllBounded(slow, "x", 1, 1000.0)) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        }
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+    server.stop();
+    EXPECT_EQ(ran.wait_for(std::chrono::seconds(5)),
+              std::future_status::ready)
+        << "run() did not return within 5 s of stop()";
+    dribbling.store(false);
+    dribbler.join();
+
+    release.set_value();
+    EXPECT_TRUE(scheduler.drainFor(5000.0));
+
+    net::LineReader reader(fd, size_t(1) << 20, 5000.0);
+    ASSERT_EQ(reader.next(&line), net::LineReader::Status::kOk);
+    const JsonValue reply = JsonValue::parse(line);
+    EXPECT_EQ(reply.find("id")->asString(), "held");
+    EXPECT_EQ(reply.find("status")->asString(), "ok");
+    EXPECT_EQ(reader.next(&line), net::LineReader::Status::kEof);
+    EXPECT_EQ(server.accepted(), 2u);
+    net::closeQuiet(slow);
     net::closeQuiet(fd);
 }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "backend/backend.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
 
@@ -47,6 +48,39 @@ expectMatrixNear(const CMatrix& a, const CMatrix& b, double eps = 1e-9)
                 << "entry (" << r << ", " << c << ")";
         }
     }
+}
+
+/** The reference executions a dense backend reaches by its analysis. */
+enum class Reference
+{
+    kUnfused,  ///< Raw gates under the analysed shot plan.
+    kReplayAll ///< Raw gates, split 0, no terminal sampling.
+};
+
+/**
+ * The router's analysis of `circuit` edited to reach a reference path
+ * through Backend::prepare: the fused stream reset, and for kReplayAll
+ * a default ShotPlan too, so every shot replays every instruction.
+ */
+inline backend::CircuitAnalysis
+referenceAnalysis(const QuantumCircuit& circuit, const SimOptions& options,
+                  Reference reference)
+{
+    backend::CircuitAnalysis analysis =
+        backend::analyzeForRouting(circuit, options);
+    analysis.fused.reset();
+    if (reference == Reference::kReplayAll) analysis.plan = ShotPlan{};
+    return analysis;
+}
+
+/** Counts of `circuit` on backend `kind` under referenceAnalysis. */
+inline Counts
+runReference(BackendKind kind, const QuantumCircuit& circuit,
+             const SimOptions& options, Reference reference)
+{
+    const auto prepared = backend::backendFor(kind).prepare(
+        circuit, options, referenceAnalysis(circuit, options, reference));
+    return backend::runPrepared(*prepared, options);
 }
 
 } // namespace test

@@ -12,7 +12,9 @@
  *
  * FILE may be "-" for stdin. --shots feeds the router's density-vs-
  * replay cost model; --backend exercises explicit-override validation
- * (an incapable override is reported, not executed). --auto-assert
+ * (an incapable override is reported, not executed). The fusion plan
+ * printed is the one every routed dense run executes; it has no
+ * switches. --auto-assert
  * runs the assertion compiler over the raw circuit first and prints
  * the per-slot lowering table (form, ancillas, gates, sub-circuits)
  * before routing the instrumented variant; --lowering pins the form.
@@ -41,13 +43,13 @@ usage(int code)
                  "depolarizing] [--p1 X] [--p2 X]\n"
                  "                  [--shots N] [--backend auto|"
                  "statevector|density_matrix|stabilizer|mps]\n"
-                 "                  [--no-fusion] [--fusion-max 1|2|3]\n"
                  "                  [--chi N] [--mps-tol X]\n"
                  "                  [--auto-assert] [--lowering auto|swap|"
                  "or|ndd|pauli|pauli_sample]\n"
                  "FILE is a QASM circuit, or - for stdin; prints the "
                  "backend routing decision\n"
-                 "and the dense-backend fusion plan without executing.\n"
+                 "and the fusion plan every dense run uses, without "
+                 "executing.\n"
                  "--auto-assert additionally prints the assertion "
                  "compiler's lowering table and\n"
                  "routes the instrumented circuit\n";
@@ -64,8 +66,6 @@ main(int argc, char** argv)
     double p1 = 1e-3, p2 = 1e-2;
     int shots = defaults::kShots;
     BackendRequest request = BackendRequest::kAuto;
-    bool fusion = defaults::kFusion;
-    int fusion_max = defaults::kFusionMaxQubits;
     int mps_chi = defaults::kMpsChi;
     double mps_tol = defaults::kMpsTruncTol;
     bool auto_assert = false;
@@ -118,12 +118,6 @@ main(int argc, char** argv)
             if (value == nullptr) return usage(2);
             mps_tol = std::atof(value);
             ++i;
-        } else if (arg == "--no-fusion") {
-            fusion = false;
-        } else if (arg == "--fusion-max") {
-            if (value == nullptr) return usage(2);
-            fusion_max = std::atoi(value);
-            ++i;
         } else if (path.empty() && (arg == "-" || arg[0] != '-')) {
             path = arg;
         } else {
@@ -167,8 +161,6 @@ main(int argc, char** argv)
         options.shots = shots;
         options.noise = noise.enabled() ? &noise : nullptr;
         options.backend = request;
-        options.fusion = fusion;
-        options.fusion_max_qubits = fusion_max;
         options.mps_chi = mps_chi;
         options.mps_trunc_tol = mps_tol;
         acomp::AcompOptions aopts;

@@ -54,7 +54,9 @@ namespace
 
 using namespace qa;
 
-volatile std::sig_atomic_t g_signal = 0;
+std::atomic<int> g_signal{0};
+static_assert(std::atomic<int>::is_always_lock_free,
+              "the drain flag is set from a signal handler");
 
 extern "C" void
 onSignal(int sig)

@@ -34,6 +34,7 @@
  * and exit 0. Diagnostics go to stderr; stdout is a pure response
  * stream.
  */
+#include <atomic>
 #include <csignal>
 #include <cstdlib>
 #include <iostream>
@@ -55,7 +56,9 @@ namespace
 
 using namespace qa;
 
-volatile std::sig_atomic_t g_signal = 0;
+std::atomic<int> g_signal{0};
+static_assert(std::atomic<int>::is_always_lock_free,
+              "the drain flag is set from a signal handler");
 
 /**
  * The SIGTERM/SIGINT handler only records the signal. The read loops

@@ -52,6 +52,7 @@
  * Diagnostics (startup banner, shutdown summary) go to stderr so stdout
  * stays a pure response stream.
  */
+#include <atomic>
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
@@ -76,7 +77,9 @@ namespace
 using namespace qa;
 using namespace qa::serve;
 
-volatile std::sig_atomic_t g_signal = 0;
+std::atomic<int> g_signal{0};
+static_assert(std::atomic<int>::is_always_lock_free,
+              "the drain flag is set from a signal handler");
 
 /**
  * The SIGTERM/SIGINT handler only records the signal. The read loops
@@ -321,7 +324,7 @@ main(int argc, char** argv)
         serveLines(
             service, reader,
             [&out](const std::string& response) { out.writeLine(response); },
-            nullptr, &g_signal);
+            &g_signal);
     }
 
     if (g_signal != 0) {
