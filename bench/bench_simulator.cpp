@@ -2,8 +2,8 @@
  * @file
  * Substrate benchmark: throughput of the simulation backends that every
  * reproduction number rests on -- statevector gate kernels, shot
- * sampling, exact branching distributions, density-matrix evolution,
- * and the stabilizer tableau.
+ * sampling, per-shot RNG streams, exact branching distributions,
+ * density-matrix evolution, and the stabilizer tableau.
  */
 #include <cmath>
 
@@ -141,6 +141,40 @@ BM_ShotSampling(benchmark::State& state)
 }
 BENCHMARK(BM_ShotSampling)->Arg(128)->Arg(1024)
     ->Unit(benchmark::kMillisecond);
+
+/**
+ * Per-shot stream cost: a fresh counter-based stream plus its first
+ * draw, which is what every sampled shot pays before any simulation.
+ */
+void
+BM_RngForStreamFirstDraw(benchmark::State& state)
+{
+    uint64_t stream = 0;
+    for (auto _ : state) {
+        Rng rng = Rng::forStream(7, stream++);
+        benchmark::DoNotOptimize(rng.uniform());
+    }
+    state.SetItemsProcessed(int64_t(state.iterations()));
+}
+BENCHMARK(BM_RngForStreamFirstDraw);
+
+/**
+ * One long stream: 10,000 draws, almost all past the first 156, so the
+ * steady-state generator (full twists every 312 draws) dominates.
+ */
+void
+BM_RngLongStream(benchmark::State& state)
+{
+    uint64_t seed = 0;
+    for (auto _ : state) {
+        Rng rng(seed++);
+        double sum = 0.0;
+        for (int i = 0; i < 10000; ++i) sum += rng.uniform();
+        benchmark::DoNotOptimize(sum);
+    }
+    state.SetItemsProcessed(int64_t(state.iterations()) * 10000);
+}
+BENCHMARK(BM_RngLongStream);
 
 /** n-qubit QFT with every qubit measured: the terminal fast-path case. */
 QuantumCircuit

@@ -3,10 +3,13 @@
  * Shot-execution engine tests: circuit analysis (prefix split rules and
  * the terminal-sampling fast path), bit-exact determinism across thread
  * counts, exact agreement between prefix-cached and naive per-shot
- * execution, the O(log d) sample table, and the sorted
- * basisProbabilities container.
+ * execution, the O(log d) sample table, the sorted
+ * basisProbabilities container, and draw-for-draw equivalence of Rng's
+ * lazy engine with std::mt19937_64.
  */
+#include <random>
 #include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -434,6 +437,162 @@ TEST(RngTest, StreamsDependOnlyOnSeedAndIndex)
     // Distinct streams diverge immediately.
     Rng c = Rng::forStream(42, 8);
     EXPECT_NE(Rng::forStream(42, 7).uniform(), c.uniform());
+}
+
+/**
+ * Rng's wrappers spelled over std::mt19937_64, the reference its lazy
+ * engine must reproduce draw for draw.
+ */
+struct ReferenceRng
+{
+    std::mt19937_64 engine;
+
+    explicit ReferenceRng(uint64_t seed) : engine(seed) {}
+
+    static ReferenceRng
+    forStream(uint64_t seed, uint64_t stream)
+    {
+        return ReferenceRng(splitmix64(seed + 0x9E3779B97F4A7C15ULL * stream));
+    }
+
+    double
+    uniform()
+    {
+        return std::uniform_real_distribution<double>(0.0, 1.0)(engine);
+    }
+
+    double
+    uniform(double lo, double hi)
+    {
+        return std::uniform_real_distribution<double>(lo, hi)(engine);
+    }
+
+    double
+    normal()
+    {
+        return std::normal_distribution<double>(0.0, 1.0)(engine);
+    }
+
+    uint64_t
+    index(uint64_t n)
+    {
+        return std::uniform_int_distribution<uint64_t>(0, n - 1)(engine);
+    }
+
+    bool
+    bernoulli(double p)
+    {
+        return std::bernoulli_distribution(p)(engine);
+    }
+
+    size_t
+    discrete(const std::vector<double>& weights)
+    {
+        double total = 0.0;
+        for (double w : weights) total += w;
+        const double draw = uniform() * total;
+        double acc = 0.0;
+        for (size_t i = 0; i < weights.size(); ++i) {
+            acc += weights[i];
+            if (draw < acc) return i;
+        }
+        return weights.empty() ? 0 : weights.size() - 1;
+    }
+};
+
+/**
+ * Number of calls of `draw` (a generic lambda over Rng or ReferenceRng)
+ * that differ between the two, over `calls` calls on each given pair.
+ */
+template <class Draw>
+int
+countMismatches(Rng& rng, ReferenceRng& ref, int calls, Draw draw)
+{
+    int mismatches = 0;
+    for (int i = 0; i < calls; ++i) {
+        if (draw(rng) != draw(ref)) ++mismatches;
+    }
+    return mismatches;
+}
+
+TEST(RngTest, EveryWrapperMatchesStdMt19937OverManyStreams)
+{
+    // 700 calls per stream: every stream crosses engine draws 156 (end of
+    // the lazy phase), 312 and 624 (full twists).
+    constexpr int kStreams = 1000;
+    constexpr int kCalls = 700;
+    const std::vector<double> weights{0.1, 0.0, 2.5, 0.4, 1.0};
+    auto check = [&](const char* name, auto draw) {
+        int mismatches = 0;
+        for (uint64_t s = 0; s < kStreams; ++s) {
+            Rng rng = Rng::forStream(2021, s);
+            ReferenceRng ref = ReferenceRng::forStream(2021, s);
+            mismatches += countMismatches(rng, ref, kCalls, draw);
+        }
+        EXPECT_EQ(mismatches, 0) << name;
+    };
+    check("uniform()", [](auto& r) { return r.uniform(); });
+    check("uniform(lo, hi)", [](auto& r) { return r.uniform(-3.0, 5.5); });
+    check("normal()", [](auto& r) { return r.normal(); });
+    check("bernoulli(0.3)", [](auto& r) { return r.bernoulli(0.3); });
+    check("discrete(w)", [&](auto& r) { return r.discrete(weights); });
+    check("index(1)", [](auto& r) { return r.index(1); });
+    check("index(3)", [](auto& r) { return r.index(3); });
+    check("index(2^40+7)",
+          [](auto& r) { return r.index((uint64_t(1) << 40) + 7); });
+}
+
+TEST(RngTest, ExplicitSeedsMatchStdMt19937)
+{
+    // index(2^40+7) takes the full 64 bits of each engine draw (a
+    // rejection step can take two), uniform() the top 53.
+    for (uint64_t seed : {uint64_t(0), uint64_t(1), ~uint64_t(0)}) {
+        Rng rng(seed);
+        ReferenceRng ref(seed);
+        EXPECT_EQ(countMismatches(rng, ref, 1000, [](auto& r) {
+                      return r.index((uint64_t(1) << 40) + 7);
+                  }),
+                  0)
+            << "seed " << seed;
+        EXPECT_EQ(countMismatches(rng, ref, 1000,
+                                  [](auto& r) { return r.uniform(); }),
+                  0)
+            << "seed " << seed;
+    }
+}
+
+TEST(RngTest, CopiesContinueIdenticallyAtEveryPhase)
+{
+    // Copy points in the lazy phase (0, 155), at its end (156), just past
+    // it (157) and in the second pass (400).
+    for (int taken : {0, 155, 156, 157, 400}) {
+        Rng original = Rng::forStream(5, uint64_t(taken));
+        ReferenceRng ref = ReferenceRng::forStream(5, uint64_t(taken));
+        for (int i = 0; i < taken; ++i) {
+            original.uniform();
+            ref.uniform();
+        }
+        Rng copy = original;
+        Rng assigned(0);
+        assigned = original;
+        // Each continues alone: the copy's draws must not move the
+        // original's state, nor the other way round.
+        std::vector<double> from_copy, from_assigned;
+        for (int i = 0; i < 700; ++i) from_copy.push_back(copy.uniform());
+        for (int i = 0; i < 700; ++i) {
+            from_assigned.push_back(assigned.uniform());
+        }
+        int mismatches = 0;
+        for (int i = 0; i < 700; ++i) {
+            const double expected = ref.uniform();
+            const double got = original.uniform();
+            if (got != expected || from_copy[size_t(i)] != expected ||
+                from_assigned[size_t(i)] != expected) {
+                ++mismatches;
+            }
+        }
+        EXPECT_EQ(mismatches, 0) << "copied after " << taken << " draws";
+    }
 }
 
 } // namespace
