@@ -2,15 +2,18 @@
  * @file
  * Substrate benchmark: throughput of the simulation backends that every
  * reproduction number rests on -- statevector gate kernels, shot
- * sampling, per-shot RNG streams, exact branching distributions,
- * density-matrix evolution, and the stabilizer tableau.
+ * sampling, per-shot RNG streams, mid-circuit assertion replay, exact
+ * branching distributions, density-matrix evolution, and the
+ * stabilizer tableau.
  */
 #include <cmath>
 
 #include <benchmark/benchmark.h>
 
+#include "algos/adder.hpp"
 #include "algos/qft.hpp"
 #include "backend/backend.hpp"
+#include "core/asserted_program.hpp"
 #include "linalg/states.hpp"
 #include "sim/density.hpp"
 #include "sim/fusion.hpp"
@@ -253,6 +256,81 @@ BM_ShotEngineMidCircuit(benchmark::State& state)
     state.SetItemsProcessed(int64_t(state.iterations()) * options.shots);
 }
 BENCHMARK(BM_ShotEngineMidCircuit)->Arg(1)->Arg(2)->Arg(8)
+    ->Unit(benchmark::kMillisecond);
+
+/** Appendix-D adder (both controls on) under a precise SWAP assertion. */
+QuantumCircuit
+assertedAdder()
+{
+    QuantumCircuit qc(5);
+    const std::vector<int> data{0, 1, 2};
+    qc.x(0); // initial value 4
+    qc.x(3);
+    qc.x(4);
+    algos::appendQft(qc, data);
+    algos::appendControlledAdder(qc, {3, 4}, data, 3);
+    AssertedProgram prog(qc);
+    prog.assertState({0, 1, 2, 3, 4},
+                     StateSet::pure(finalState(qc).amplitudes()),
+                     AssertionDesign::kSwap);
+    prog.measureProgram();
+    return prog.circuit();
+}
+
+/**
+ * A 24-qubit, two-layer Trotter chain (rx layers plus cx/rz/cx
+ * couplers) under a SWAP assertion of span{|00>, |11>} on its last
+ * pair.
+ */
+QuantumCircuit
+assertedTrotterChain()
+{
+    constexpr int n = 24;
+    QuantumCircuit qc(n);
+    for (int q = 0; q < n; ++q) qc.rx(q, 0.30 + 0.01 * q);
+    for (int l = 0; l < 2; ++l) {
+        for (int q = 0; q + 1 < n; ++q) {
+            qc.cx(q, q + 1);
+            qc.rz(q + 1, 0.17);
+            qc.cx(q, q + 1);
+        }
+        for (int q = 0; q < n; ++q) qc.rx(q, 0.21);
+    }
+    AssertedProgram prog(qc);
+    prog.assertState({n - 2, n - 1},
+                     StateSet::approximate({CVector::basisState(4, 0),
+                                            CVector::basisState(4, 3)}),
+                     AssertionDesign::kSwap);
+    prog.measureProgram();
+    return prog.circuit();
+}
+
+/**
+ * Assertion shots whose ancilla is measured mid-circuit, so every shot
+ * replays a suffix: arg 0 is the asserted adder on the statevector
+ * backend (512 shots), arg 1 the asserted Trotter chain on MPS (128
+ * shots). One thread, so one sampler serves every shot.
+ */
+void
+BM_AssertionReplayShots(benchmark::State& state)
+{
+    const bool mps = state.range(0) == 1;
+    const QuantumCircuit qc = mps ? assertedTrotterChain() : assertedAdder();
+    SimOptions options;
+    options.shots = mps ? 128 : 512;
+    options.seed = 17;
+    options.num_threads = 1;
+    options.backend =
+        mps ? BackendRequest::kMps : BackendRequest::kStatevector;
+    const auto prepared = backend::prepareRouted(
+        qc, options, backend::route(qc, options));
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            backend::runPrepared(*prepared, options).shots);
+    }
+    state.SetItemsProcessed(int64_t(state.iterations()) * options.shots);
+}
+BENCHMARK(BM_AssertionReplayShots)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 /**

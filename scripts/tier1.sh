@@ -45,7 +45,12 @@
 # the statevector backend a hand-built CircuitAnalysis, and the RngTest
 # cases, which check Rng's lazily initialised engine against
 # std::mt19937_64 across draws 156, 312 and 624 and through copies, so
-# an off-by-one into its fixed 312-word state shows up under ASan.
+# an off-by-one into its fixed 312-word state shows up under ASan. It
+# also includes the outcome-trie warm/cold cases (EngineTest.OutcomeTrie*):
+# a replaying shot walks a flat vector of trie nodes by child index, and
+# one case fills it past its node cap, so a bad index shows up there.
+# The TSan MPS filter runs the MPS warm/cold case next to the
+# mid-circuit thread-count test.
 #
 # Usage: scripts/tier1.sh [--skip-tsan] [--skip-asan] [--skip-release]
 #
@@ -97,7 +102,7 @@ if [[ "$skip_tsan" -ne 1 ]]; then
     ./build-tsan/tests/test_backend \
         --gtest_filter='BackendDeterminismTest.*:CrossBackendTest.*'
     ./build-tsan/tests/test_mps \
-        --gtest_filter='MpsBackendTest.BitIdenticalAcrossThreadCounts:MpsBackendTest.MidCircuitBitIdenticalAcrossThreadCounts:RouterMpsTest.WideTrotterChainExecutesExactly'
+        --gtest_filter='MpsBackendTest.BitIdenticalAcrossThreadCounts:MpsBackendTest.MidCircuitBitIdenticalAcrossThreadCounts:MpsBackendTest.OutcomeTrieWarmMatchesCold:RouterMpsTest.WideTrotterChainExecutesExactly'
     ./build-tsan/tests/test_resilience
     ./build-tsan/tests/test_fleet \
         --gtest_filter='TransportTest.*:RemoteRouterTest.*'
@@ -118,7 +123,7 @@ if [[ "$skip_asan" -ne 1 ]]; then
     ./build-asan/tests/test_inject
     ./build-asan/tests/test_policy
     ./build-asan/tests/test_engine \
-        --gtest_filter='ShotPoolTest.*:EngineTest.Deadline*:EngineTest.StatevectorSampler*:EngineTest.PrefixCachedAgreesExactlyWithNaive:RngTest.*'
+        --gtest_filter='ShotPoolTest.*:EngineTest.Deadline*:EngineTest.StatevectorSampler*:EngineTest.PrefixCachedAgreesExactlyWithNaive:EngineTest.OutcomeTrie*:RngTest.*'
     ./build-asan/tests/test_serve
     ./build-asan/tests/test_backend
     ./build-asan/tests/test_mps

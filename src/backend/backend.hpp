@@ -50,6 +50,12 @@ namespace backend
  * needs, so concurrent samplers from the same PreparedCircuit never
  * share state. runOne draws only from the caller's Rng — one shot is
  * deterministic given the stream.
+ *
+ * A replaying sampler (statevector, stabilizer, MPS) also owns an
+ * outcome trie (backend/outcome_trie.hpp) of the paths its earlier
+ * shots took, and answers a shot from it when it can. A hit makes
+ * exactly the draws the replay would, so a sampler's history never
+ * changes what runOne returns for a given stream.
  */
 class ShotSampler
 {

@@ -10,7 +10,11 @@
  * peels the trailing run of measurements off the suffix: those are
  * served by one left-to-right conditional sample per shot (no collapse,
  * no re-canonicalization), so terminal-measurement circuits never copy
- * the chain at all.
+ * the chain at all. A suffix is noise-free (the backend rejects Kraus
+ * channels), so each shot first walks its sampler's outcome trie
+ * (backend/outcome_trie.hpp), whose leaves keep the post-suffix chains:
+ * a hit samples the tail from a cached chain, with no copy and no
+ * re-canonicalization. Only a miss replays the suffix.
  *
  * Gate set: any 1q/2q gate with a concrete unitary (2q pairs at any
  * distance — MpsState SWAP-routes). 3q gates (ccx, cswap, the SWAP-test
@@ -31,6 +35,7 @@
 #include <vector>
 
 #include "backend/analyzer.hpp"
+#include "backend/outcome_trie.hpp"
 #include "common/error.hpp"
 #include "mps/mps_state.hpp"
 #include "sim/engine.hpp"
@@ -62,6 +67,15 @@ struct MpsOp
     int cbit = -1;  ///< destination bit (measures)
 };
 
+/** One pool worker's mutable MPS state. */
+struct MpsWorker
+{
+    mps::MpsState scratch; ///< the chain a replaying shot evolves
+    OutcomeTrie trie;      ///< outcome paths of this worker's shots
+    std::vector<mps::MpsState> chains; ///< leaf chains, by trie slot
+    size_t chain_bytes = 0;            ///< memoryBytes() over chains
+};
+
 class MpsPrepared final : public PreparedCircuit
 {
   public:
@@ -79,8 +93,8 @@ class MpsPrepared final : public PreparedCircuit
                             "mps backend cannot run gate-level Kraus "
                             "channels (pure-state chain, no per-gate "
                             "trajectory noise)");
-            readout_p01_ = noise->readout_p01;
-            readout_p10_ = noise->readout_p10;
+            readout_.readout_p01 = noise->readout_p01;
+            readout_.readout_p10 = noise->readout_p10;
         }
 
         std::vector<MpsOp> ops;
@@ -110,6 +124,13 @@ class MpsPrepared final : public PreparedCircuit
         tail_.assign(ops.begin() + long(tail), ops.end());
         suffix_.assign(std::make_move_iterator(ops.begin() + long(split)),
                        std::make_move_iterator(ops.begin() + long(tail)));
+        for (const MpsOp& op : suffix_) {
+            if (op.kind == MpsOp::Kind::kMeasure) {
+                stop_cbits_.push_back(op.cbit);
+            } else if (op.kind == MpsOp::Kind::kReset) {
+                stop_cbits_.push_back(-1);
+            }
+        }
     }
 
     std::unique_ptr<ShotSampler> makeSampler() const override;
@@ -120,42 +141,39 @@ class MpsPrepared final : public PreparedCircuit
         return prefix_.stats().discarded_weight;
     }
 
-    /** One trajectory: replay the suffix, then sample the tail. */
+    /**
+     * One trajectory: the suffix from the worker's outcome trie, or
+     * replayed on its scratch chain when the walk falls off; then the
+     * tail.
+     */
     std::string
-    runShot(mps::MpsState& scratch, Rng& rng) const
+    runShot(MpsWorker& worker, Rng& rng) const
     {
         std::string clbits = clbits0_;
         const mps::MpsState* state = &prefix_;
         if (!suffix_.empty()) {
-            scratch = prefix_;
-            for (const MpsOp& op : suffix_) {
-                switch (op.kind) {
-                  case MpsOp::Kind::k1q:
-                    scratch.apply1q(op.matrix, op.q0);
-                    break;
-                  case MpsOp::Kind::k2q:
-                    scratch.apply2q(op.matrix, op.q0, op.q1);
-                    break;
-                  case MpsOp::Kind::kMeasure: {
-                    int outcome = scratch.measureCollapse(op.q0, rng);
-                    outcome = applyReadout(outcome, rng);
-                    clbits[size_t(op.cbit)] = outcome ? '1' : '0';
-                    break;
-                  }
-                  case MpsOp::Kind::kReset:
-                    scratch.resetQubit(op.q0, rng);
-                    break;
-                }
+            const Rng start = rng;
+            const int leaf =
+                worker.trie.walk(rng, [&](size_t d, int outcome) {
+                    writeBit(stop_cbits_[d], outcome, rng, clbits);
+                });
+            if (leaf >= 0 && tail_.empty()) return clbits;
+            const int chain = leaf < 0 ? -1 : worker.trie.slot(leaf);
+            if (chain >= 0) {
+                state = &worker.chains[size_t(chain)];
+            } else {
+                rng = start;
+                clbits = clbits0_;
+                replaySuffix(worker, rng, clbits);
+                state = &worker.scratch;
             }
-            state = &scratch;
         }
         if (!tail_.empty()) {
             std::string bits;
             state->sampleAll(rng, &bits);
             for (const MpsOp& op : tail_) {
-                int outcome = bits[size_t(op.q0)] == '1' ? 1 : 0;
-                outcome = applyReadout(outcome, rng);
-                clbits[size_t(op.cbit)] = outcome ? '1' : '0';
+                writeBit(op.cbit, bits[size_t(op.q0)] == '1' ? 1 : 0, rng,
+                         clbits);
             }
         }
         return clbits;
@@ -234,40 +252,85 @@ class MpsPrepared final : public PreparedCircuit
         }
     }
 
-    int
-    applyReadout(int outcome, Rng& rng) const
+    /**
+     * Replay the suffix on the worker's scratch chain, recording its
+     * outcome path; a completed path keeps the chain as its leaf while
+     * the worker's leaf budget lasts.
+     */
+    void
+    replaySuffix(MpsWorker& worker, Rng& rng, std::string& clbits) const
     {
-        if (readout_p01_ <= 0.0 && readout_p10_ <= 0.0) return outcome;
-        NoiseModel readout;
-        readout.readout_p01 = readout_p01_;
-        readout.readout_p10 = readout_p10_;
-        return applyReadoutError(outcome, readout, rng);
+        OutcomeTrie::Recorder recorder(&worker.trie);
+        mps::MpsState& scratch = worker.scratch;
+        scratch = prefix_;
+        for (const MpsOp& op : suffix_) {
+            switch (op.kind) {
+              case MpsOp::Kind::k1q:
+              case MpsOp::Kind::k2q:
+                applyGateOp(&scratch, op);
+                break;
+              case MpsOp::Kind::kMeasure:
+              case MpsOp::Kind::kReset: {
+                const OutcomeDraw draw{OutcomeDraw::Kind::kZeroBelow, 0,
+                                       scratch.probabilityZero(op.q0)};
+                const int outcome = draw.outcome(rng);
+                recorder.record(draw, outcome);
+                scratch.collapseTo(op.q0, outcome);
+                if (op.kind == MpsOp::Kind::kMeasure) {
+                    writeBit(op.cbit, outcome, rng, clbits);
+                } else if (outcome == 1) {
+                    scratch.applyX(op.q0);
+                }
+                break;
+              }
+            }
+        }
+        const int leaf = recorder.finish();
+        if (leaf < 0 || tail_.empty() || worker.trie.slot(leaf) >= 0) {
+            return;
+        }
+        const size_t bytes = scratch.memoryBytes();
+        if (worker.chain_bytes + bytes > OutcomeTrie::kMaxLeafBytes) return;
+        worker.trie.setSlot(leaf, int(worker.chains.size()));
+        worker.chains.push_back(scratch);
+        worker.chain_bytes += bytes;
+    }
+
+    /** Record a measured outcome (cbit < 0: a reset, nothing to do). */
+    void
+    writeBit(int cbit, int outcome, Rng& rng, std::string& clbits) const
+    {
+        if (cbit < 0) return;
+        outcome = applyReadoutError(outcome, readout_, rng);
+        clbits[size_t(cbit)] = outcome ? '1' : '0';
     }
 
     mps::MpsState prefix_;
     std::string clbits0_;
-    double readout_p01_ = 0.0;
-    double readout_p10_ = 0.0;
+    NoiseModel readout_; ///< readout error only; no channels
     std::vector<MpsOp> suffix_;
     std::vector<MpsOp> tail_;
+
+    /** Clbit of each suffix measurement in order, -1 for a reset. */
+    std::vector<int> stop_cbits_;
 };
 
 class MpsSampler final : public ShotSampler
 {
   public:
     explicit MpsSampler(const MpsPrepared& prepared)
-        : prepared_(prepared), scratch_(prepared.prefix())
+        : prepared_(prepared), worker_{prepared.prefix(), {}, {}, 0}
     {}
 
     std::string
     runOne(Rng& rng) override
     {
-        return prepared_.runShot(scratch_, rng);
+        return prepared_.runShot(worker_, rng);
     }
 
   private:
     const MpsPrepared& prepared_;
-    mps::MpsState scratch_;
+    MpsWorker worker_;
 };
 
 std::unique_ptr<ShotSampler>

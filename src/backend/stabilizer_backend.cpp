@@ -8,9 +8,12 @@
  * instructions before the first stochastic point (measurement, reset,
  * or a gate with an active Pauli channel) evolve one shared tableau;
  * each shot copies it (O(n^2) bytes) and replays only the stochastic
- * suffix. Gates are applied by name when the tableau knows them and via
- * Clifford recognition (stab/clifford.hpp) otherwise, so rz(pi/2) or a
- * Clifford `unitary` instruction routes here too.
+ * suffix. When no suffix gate is noisy, a shot first walks its
+ * sampler's outcome trie (backend/outcome_trie.hpp), which answers it
+ * with no tableau copy at all, and replays only on a miss. Gates are
+ * applied by name when the tableau knows them and via Clifford
+ * recognition (stab/clifford.hpp) otherwise, so rz(pi/2) or a Clifford
+ * `unitary` instruction routes here too.
  *
  * Noise: Pauli-mixture Kraus channels are sampled per trajectory as
  * sign-only tableau updates (probabilities are state-independent, which
@@ -23,6 +26,7 @@
 #include <algorithm>
 
 #include "backend/analyzer.hpp"
+#include "backend/outcome_trie.hpp"
 #include "common/error.hpp"
 #include "sim/engine.hpp"
 #include "stab/tableau.hpp"
@@ -67,8 +71,8 @@ class StabilizerPrepared final : public PreparedCircuit
             noise != nullptr && noise->enabled() ? noise : nullptr;
         if (active != nullptr) {
             active->validate();
-            readout_p01_ = active->readout_p01;
-            readout_p10_ = active->readout_p10;
+            readout_.readout_p01 = active->readout_p01;
+            readout_.readout_p10 = active->readout_p10;
             adoptChannels(active->noise_1q, &chan1_);
             adoptChannels(active->noise_2q, &chan2_);
         }
@@ -139,16 +143,45 @@ class StabilizerPrepared final : public PreparedCircuit
         suffix_.assign(std::make_move_iterator(ops.begin() +
                                                long(split)),
                        std::make_move_iterator(ops.end()));
+        for (const SuffixOp& op : suffix_) {
+            if (op.kind == SuffixOp::Kind::kMeasure) {
+                stop_cbits_.push_back(op.cbit);
+            } else if (op.kind == SuffixOp::Kind::kReset) {
+                stop_cbits_.push_back(-1);
+            }
+            memoizes_ &= !op.noisy;
+        }
     }
 
     std::unique_ptr<ShotSampler> makeSampler() const override;
 
-    /** One trajectory: copy the prefix tableau, replay the suffix. */
+    /**
+     * True when shots may walk an outcome trie: no suffix gate carries
+     * Pauli noise, so only measurements draw.
+     */
+    bool memoizes() const { return memoizes_; }
+
+    /**
+     * One trajectory: walk `trie` (null: no trie); when the walk falls
+     * off, copy the prefix tableau and replay the suffix.
+     */
     std::string
-    runShot(StabilizerTableau& scratch, Rng& rng) const
+    runShot(StabilizerTableau& scratch, OutcomeTrie* trie, Rng& rng) const
     {
-        scratch = prefix_;
         std::string clbits = clbits0_;
+        if (trie != nullptr) {
+            const Rng start = rng;
+            const int leaf =
+                trie->walk(rng, [&](size_t d, int outcome) {
+                    writeBit(stop_cbits_[d], outcome, rng, clbits);
+                });
+            if (leaf >= 0) return clbits;
+            rng = start;
+            clbits = clbits0_;
+        }
+
+        OutcomeTrie::Recorder recorder(trie);
+        scratch = prefix_;
         for (const SuffixOp& op : suffix_) {
             switch (op.kind) {
               case SuffixOp::Kind::kNamedGate:
@@ -156,22 +189,31 @@ class StabilizerPrepared final : public PreparedCircuit
                 applyGateOp(scratch, op);
                 if (op.noisy) applyPauliNoise(scratch, op, rng);
                 break;
-              case SuffixOp::Kind::kMeasure: {
-                int outcome = scratch.measure(op.qubits[0], rng);
-                if (readout_p01_ > 0.0 || readout_p10_ > 0.0) {
-                    outcome = applyReadout(outcome, rng);
+              case SuffixOp::Kind::kMeasure:
+              case SuffixOp::Kind::kReset: {
+                // A random outcome is the tableau's bernoulli(0.5) draw;
+                // a deterministic one draws nothing.
+                const int q = op.qubits[0];
+                const bool fixed =
+                    recorder.recording() && scratch.isDeterministic(q);
+                const int outcome = scratch.measure(q, rng);
+                recorder.record(
+                    fixed ? OutcomeDraw{OutcomeDraw::Kind::kFixed,
+                                        uint8_t(outcome), 0.0}
+                          : OutcomeDraw{OutcomeDraw::Kind::kFairCoin, 0,
+                                        0.0},
+                    outcome);
+                if (op.kind == SuffixOp::Kind::kMeasure) {
+                    writeBit(op.cbit, outcome, rng, clbits);
+                } else if (outcome == 1) {
+                    // Measure-and-correct, as on the other backends.
+                    scratch.applyX(q);
                 }
-                clbits[size_t(op.cbit)] = outcome ? '1' : '0';
                 break;
               }
-              case SuffixOp::Kind::kReset:
-                // Measure-and-correct, matching Statevector::reset.
-                if (scratch.measure(op.qubits[0], rng) == 1) {
-                    scratch.applyX(op.qubits[0]);
-                }
-                break;
             }
         }
+        recorder.finish();
         return clbits;
     }
 
@@ -225,22 +267,25 @@ class StabilizerPrepared final : public PreparedCircuit
         }
     }
 
-    int
-    applyReadout(int outcome, Rng& rng) const
+    /** Record a measured outcome (cbit < 0: a reset, nothing to do). */
+    void
+    writeBit(int cbit, int outcome, Rng& rng, std::string& clbits) const
     {
-        NoiseModel readout;
-        readout.readout_p01 = readout_p01_;
-        readout.readout_p10 = readout_p10_;
-        return applyReadoutError(outcome, readout, rng);
+        if (cbit < 0) return;
+        outcome = applyReadoutError(outcome, readout_, rng);
+        clbits[size_t(cbit)] = outcome ? '1' : '0';
     }
 
     StabilizerTableau prefix_;
     std::string clbits0_;
-    double readout_p01_ = 0.0;
-    double readout_p10_ = 0.0;
+    NoiseModel readout_; ///< readout error only; no channels
     std::vector<PauliChannel> chan1_;
     std::vector<PauliChannel> chan2_;
     std::vector<SuffixOp> suffix_;
+
+    /** Clbit of each suffix measurement in order, -1 for a reset. */
+    std::vector<int> stop_cbits_;
+    bool memoizes_ = true;
 };
 
 class StabilizerSampler final : public ShotSampler
@@ -253,12 +298,14 @@ class StabilizerSampler final : public ShotSampler
     std::string
     runOne(Rng& rng) override
     {
-        return prepared_.runShot(scratch_, rng);
+        return prepared_.runShot(
+            scratch_, prepared_.memoizes() ? &trie_ : nullptr, rng);
     }
 
   private:
     const StabilizerPrepared& prepared_;
     StabilizerTableau scratch_;
+    OutcomeTrie trie_;
 };
 
 std::unique_ptr<ShotSampler>

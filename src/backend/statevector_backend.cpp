@@ -3,7 +3,9 @@
  * The dense statevector engine behind the Backend interface. Prepare
  * evolves the deterministic prefix once (sim/engine.hpp's ShotPlan);
  * each shot then samples the cached state directly (terminal-sampling
- * fast path) or replays the suffix on its sampler's scratch copy.
+ * fast path) or replays the suffix on its sampler's scratch copy. When
+ * no suffix gate draws, a replaying shot first walks its sampler's
+ * outcome trie (backend/outcome_trie.hpp) and replays only on a miss.
  *
  * The router's analysis decides what runs: its shot plan places the
  * split and picks terminal sampling, and its fused stream replaces the
@@ -19,6 +21,7 @@
 #include <algorithm>
 #include <optional>
 
+#include "backend/outcome_trie.hpp"
 #include "common/error.hpp"
 #include "sim/engine.hpp"
 
@@ -89,6 +92,19 @@ class StatevectorPrepared final : public PreparedCircuit
             table_ = std::make_unique<SampleTable>(prefix_);
         } else {
             suffix_.assign(stream.begin() + long(split), stream.end());
+            memoizes_ = true;
+            for (const Instruction& instr : suffix_) {
+                if (instr.type == OpType::kMeasure) {
+                    stop_cbits_.push_back(instr.cbit);
+                } else if (instr.type == OpType::kReset) {
+                    stop_cbits_.push_back(-1);
+                } else if (instr.type == OpType::kGate &&
+                           noise_ != nullptr) {
+                    memoizes_ &= (instr.arity() == 1 ? noise_->noise_1q
+                                                     : noise_->noise_2q)
+                                     .empty();
+                }
+            }
         }
     }
 
@@ -97,11 +113,21 @@ class StatevectorPrepared final : public PreparedCircuit
     /** True when shots replay the suffix on a scratch copy. */
     bool replays() const { return !plan_.terminal_sampling; }
 
+    /**
+     * True when replaying shots may walk an outcome trie: no suffix gate
+     * draws from the stream. Tested on the model itself, since a gate
+     * draws whenever its arity's channel list is non-empty.
+     */
+    bool memoizes() const { return memoizes_; }
+
     const Statevector& prefix() const { return prefix_; }
 
-    /** One shot: sample the cached state, or replay onto `scratch`. */
+    /**
+     * One shot: sample the cached state, or walk `trie` (null: no trie)
+     * and replay onto `scratch` when the walk falls off.
+     */
     std::string
-    runShot(Rng& rng, Statevector* scratch) const
+    runShot(Rng& rng, Statevector* scratch, OutcomeTrie* trie) const
     {
         if (plan_.terminal_sampling) {
             return sampleTerminalShot(*table_, num_qubits_,
@@ -110,6 +136,18 @@ class StatevectorPrepared final : public PreparedCircuit
         }
 
         std::string clbits = clbits0_;
+        if (trie != nullptr) {
+            const Rng start = rng;
+            const int leaf =
+                trie->walk(rng, [&](size_t d, int outcome) {
+                    writeBit(stop_cbits_[d], outcome, rng, clbits);
+                });
+            if (leaf >= 0) return clbits;
+            rng = start;
+            clbits = clbits0_;
+        }
+
+        OutcomeTrie::Recorder recorder(trie);
         *scratch = prefix_;
         for (const Instruction& instr : suffix_) {
             switch (instr.type) {
@@ -119,25 +157,41 @@ class StatevectorPrepared final : public PreparedCircuit
                     applyGateNoise(*scratch, instr, *noise_, rng);
                 }
                 break;
-              case OpType::kMeasure: {
-                int outcome = scratch->measure(instr.qubits[0], rng);
-                if (noise_ != nullptr) {
-                    outcome = applyReadoutError(outcome, *noise_, rng);
+              case OpType::kMeasure:
+              case OpType::kReset: {
+                const int q = instr.qubits[0];
+                const OutcomeDraw draw{OutcomeDraw::Kind::kOneBelow, 0,
+                                       scratch->probabilityOne(q)};
+                const int outcome = draw.outcome(rng);
+                recorder.record(draw, outcome);
+                scratch->collapse(q, outcome);
+                if (instr.type == OpType::kMeasure) {
+                    writeBit(instr.cbit, outcome, rng, clbits);
+                } else if (outcome == 1) {
+                    scratch->applyX(q);
                 }
-                clbits[size_t(instr.cbit)] = outcome ? '1' : '0';
                 break;
               }
-              case OpType::kReset:
-                scratch->reset(instr.qubits[0], rng);
-                break;
               case OpType::kBarrier:
                 break;
             }
         }
+        recorder.finish();
         return clbits;
     }
 
   private:
+    /** Record a measured outcome (cbit < 0: a reset, nothing to do). */
+    void
+    writeBit(int cbit, int outcome, Rng& rng, std::string& clbits) const
+    {
+        if (cbit < 0) return;
+        if (noise_ != nullptr) {
+            outcome = applyReadoutError(outcome, *noise_, rng);
+        }
+        clbits[size_t(cbit)] = outcome ? '1' : '0';
+    }
+
     int num_qubits_;
     const NoiseModel* noise_;
     ShotPlan plan_;
@@ -147,11 +201,16 @@ class StatevectorPrepared final : public PreparedCircuit
 
     /** Post-split instructions a replaying shot executes. */
     std::vector<Instruction> suffix_;
+
+    /** Clbit of each suffix measurement in order, -1 for a reset. */
+    std::vector<int> stop_cbits_;
+    bool memoizes_ = false;
 };
 
 /**
  * Owns one worker's scratch state, reused across shots so the prefix
- * copy recycles its allocation. Terminal-sampling runs never touch it.
+ * copy recycles its allocation, and its outcome trie. Terminal-sampling
+ * runs never touch either.
  */
 class StatevectorSampler final : public ShotSampler
 {
@@ -165,13 +224,14 @@ class StatevectorSampler final : public ShotSampler
     std::string
     runOne(Rng& rng) override
     {
-        return prepared_.runShot(rng,
-                                 scratch_ ? &*scratch_ : nullptr);
+        return prepared_.runShot(rng, scratch_ ? &*scratch_ : nullptr,
+                                 prepared_.memoizes() ? &trie_ : nullptr);
     }
 
   private:
     const StatevectorPrepared& prepared_;
     std::optional<Statevector> scratch_;
+    OutcomeTrie trie_;
 };
 
 std::unique_ptr<ShotSampler>

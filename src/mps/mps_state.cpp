@@ -25,7 +25,7 @@ swapMatrix()
     return swap;
 }
 
-/** Pauli X, used by resetQubit's measure-and-correct. */
+/** Pauli X, for applyX (a reset's measure-and-correct). */
 const CMatrix&
 xMatrix()
 {
@@ -237,12 +237,12 @@ MpsState::applyTwoSiteGate(const CMatrix& u4, int i)
     }
 }
 
-int
-MpsState::measureCollapse(int qubit, Rng& rng)
+double
+MpsState::probabilityZero(int qubit) const
 {
     QA_REQUIRE(qubit >= 0 && qubit < numQubits(),
                "MPS measurement qubit out of range");
-    Site& site = sites_[size_t(qubit)];
+    const Site& site = sites_[size_t(qubit)];
     const int r = site.right;
 
     // Reduced outcome weights from the mixed-canonical environment:
@@ -260,8 +260,17 @@ MpsState::measureCollapse(int qubit, Rng& rng)
         }
     }
     const double total = w[0] + w[1];
-    const double p0 = total > 0.0 ? w[0] / total : 1.0;
-    const int outcome = rng.uniform() < p0 ? 0 : 1;
+    return total > 0.0 ? w[0] / total : 1.0;
+}
+
+void
+MpsState::collapseTo(int qubit, int outcome)
+{
+    QA_REQUIRE(qubit >= 0 && qubit < numQubits(),
+               "MPS measurement qubit out of range");
+    QA_REQUIRE(outcome == 0 || outcome == 1, "outcome must be 0 or 1");
+    Site& site = sites_[size_t(qubit)];
+    const int r = site.right;
 
     // Project out the other branch; canonicalize() restores B-form,
     // the bond spectra, and unit norm in one exact pass.
@@ -272,13 +281,25 @@ MpsState::measureCollapse(int qubit, Rng& rng)
         }
     }
     canonicalize();
-    return outcome;
 }
 
 void
-MpsState::resetQubit(int qubit, Rng& rng)
+MpsState::applyX(int qubit)
 {
-    if (measureCollapse(qubit, rng) == 1) apply1q(xMatrix(), qubit);
+    apply1q(xMatrix(), qubit);
+}
+
+size_t
+MpsState::memoryBytes() const
+{
+    size_t bytes = sizeof(*this);
+    for (const Site& site : sites_) {
+        bytes += sizeof(Site) + site.t.capacity() * sizeof(Complex);
+    }
+    for (const std::vector<double>& spectrum : lambda_) {
+        bytes += sizeof(spectrum) + spectrum.capacity() * sizeof(double);
+    }
+    return bytes;
 }
 
 void

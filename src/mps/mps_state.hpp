@@ -85,14 +85,23 @@ class MpsState
     void apply2q(const CMatrix& u, int q0, int q1);
 
     /**
-     * Measure one qubit in the computational basis: draw the outcome
-     * from the reduced density (one uniform from `rng`), project,
-     * renormalize, and re-canonicalize the chain. Returns 0 or 1.
+     * Probability that measuring one qubit yields 0, from its reduced
+     * density. A measurement draws one uniform u and reads 0 when
+     * u < probabilityZero(qubit), then calls collapseTo.
      */
-    int measureCollapse(int qubit, Rng& rng);
+    double probabilityZero(int qubit) const;
 
-    /** Reset to |0>: measureCollapse, then X when the outcome was 1. */
-    void resetQubit(int qubit, Rng& rng);
+    /**
+     * Project one qubit onto `outcome`, renormalize, and re-canonicalize
+     * the chain. A reset is collapseTo followed by applyX on outcome 1.
+     */
+    void collapseTo(int qubit, int outcome);
+
+    /** Apply Pauli X to one qubit. */
+    void applyX(int qubit);
+
+    /** Heap and object bytes the chain holds (site tensors, spectra). */
+    size_t memoryBytes() const;
 
     /**
      * Sample one computational-basis bitstring (qubit 0 first) by

@@ -30,6 +30,14 @@ bitPositions(const std::vector<int>& qubits, int num_qubits)
     return pos;
 }
 
+/** Pauli X, for a reset's measure-and-correct. */
+const CMatrix&
+xMatrix()
+{
+    static const CMatrix x{{0, 1}, {1, 0}};
+    return x;
+}
+
 } // namespace
 
 Statevector::Statevector(int num_qubits)
@@ -81,15 +89,6 @@ Statevector::probabilityOne(int q) const
     return prob;
 }
 
-int
-Statevector::measure(int q, Rng& rng)
-{
-    const double p1 = probabilityOne(q);
-    const int outcome = rng.uniform() < p1 ? 1 : 0;
-    collapse(q, outcome);
-    return outcome;
-}
-
 void
 Statevector::collapse(int q, int outcome)
 {
@@ -111,11 +110,12 @@ Statevector::collapse(int q, int outcome)
 }
 
 void
-Statevector::reset(int q, Rng& rng)
+Statevector::applyX(int q)
 {
-    if (measure(q, rng) == 1) {
-        applyMatrix(CMatrix{{0, 1}, {1, 0}}, {q});
-    }
+    QA_REQUIRE(q >= 0 && q < num_qubits_, "qubit index out of range");
+    const int pos = num_qubits_ - 1 - q;
+    applyDenseKernel(amps_.data().data(), amps_.dim(), xMatrix(), &pos, 1,
+                     simd_);
 }
 
 void
@@ -240,8 +240,7 @@ exactDistribution(const QuantumCircuit& circuit)
                     if (instr.type == OpType::kMeasure) {
                         next.clbits[instr.cbit] = outcome ? '1' : '0';
                     } else if (outcome == 1) {
-                        next.state.applyMatrix(CMatrix{{0, 1}, {1, 0}},
-                                               {q});
+                        next.state.applyX(q);
                     }
                     stack.push_back(std::move(next));
                 }

@@ -57,20 +57,22 @@ class Statevector
     /** Apply a gate instruction. */
     void applyGate(const Instruction& instr);
 
-    /** Probability that measuring qubit q yields 1. */
+    /**
+     * Probability that measuring qubit q yields 1. A measurement draws
+     * one uniform u, reads 1 when u < probabilityOne(q), then calls
+     * collapse.
+     */
     double probabilityOne(int q) const;
-
-    /** Measure qubit q, collapse, and return the outcome (0 or 1). */
-    int measure(int q, Rng& rng);
 
     /**
      * Project qubit q onto the given outcome and renormalize.
-     * Requires the outcome to have nonzero probability.
+     * Requires the outcome to have nonzero probability. A reset is
+     * collapse followed by applyX on outcome 1.
      */
     void collapse(int q, int outcome);
 
-    /** Reset qubit q to |0> (measure + conditional flip). */
-    void reset(int q, Rng& rng);
+    /** Flip qubit q (Pauli X) in place; allocates nothing. */
+    void applyX(int q);
 
     /** Sample one stochastic trajectory of a single-qubit Kraus channel. */
     void applyKrausTrajectory(const KrausChannel& channel, int q, Rng& rng);

@@ -4,16 +4,22 @@
  * the terminal-sampling fast path), bit-exact determinism across thread
  * counts, exact agreement between prefix-cached and naive per-shot
  * execution, the O(log d) sample table, the sorted
- * basisProbabilities container, and draw-for-draw equivalence of Rng's
- * lazy engine with std::mt19937_64.
+ * basisProbabilities container, warm samplers (answering from their
+ * outcome tries) against fresh ones, and draw-for-draw equivalence of
+ * Rng's lazy engine with std::mt19937_64.
  */
+#include <memory>
 #include <random>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "backend/backend.hpp"
+#include "backend/outcome_trie.hpp"
 #include "circuit/stdgates.hpp"
 #include "common/error.hpp"
 #include "sim/engine.hpp"
@@ -425,6 +431,101 @@ TEST(EngineTest, StatevectorSamplerReplaysOneShotDeterministically)
     const std::string replay = sampler->runOne(b);
     EXPECT_EQ(first, replay);
     EXPECT_EQ(first.size(), size_t(qc.numClbits()));
+}
+
+// ---------------------------------------------------------------------
+// Outcome-trie replay: a warm sampler answers from the outcome paths of
+// its earlier shots, a fresh one replays; both must give the same bits.
+
+/**
+ * Distinct prefixes, the empty one included, over a set of equal-length
+ * bitstrings: the outcome-trie nodes their paths need.
+ */
+size_t
+distinctPrefixes(const std::set<std::string>& paths)
+{
+    std::set<std::string> prefixes;
+    for (const std::string& path : paths) {
+        for (size_t len = 0; len <= path.size(); ++len) {
+            prefixes.insert(path.substr(0, len));
+        }
+    }
+    return prefixes.size();
+}
+
+/** `kind`'s prepared circuit, the router's analysis unedited. */
+std::shared_ptr<const backend::PreparedCircuit>
+prepareOn(BackendKind kind, const QuantumCircuit& qc,
+          const NoiseModel* noise)
+{
+    SimOptions options;
+    options.noise = noise;
+    return backend::backendFor(kind).prepare(qc, options);
+}
+
+TEST(EngineTest, OutcomeTrieWarmMatchesColdStatevector)
+{
+    // A mid-circuit measure and a reset, noise-free and under readout
+    // error (the trie's gate), and under Kraus noise (no trie).
+    NoiseModel readout;
+    readout.readout_p01 = 0.02;
+    readout.readout_p10 = 0.05;
+    const NoiseModel kraus = NoiseModel::depolarizing(0.01, 0.03);
+    const std::pair<const char*, const NoiseModel*> cases[] = {
+        {"noise-free", nullptr}, {"readout", &readout}, {"kraus", &kraus}};
+    for (const auto& [name, noise] : cases) {
+        SCOPED_TRACE(name);
+        test::expectWarmSamplerMatchesCold(
+            *prepareOn(BackendKind::kStatevector, kitchenSink(4), noise),
+            31, 400);
+    }
+}
+
+TEST(EngineTest, OutcomeTrieWarmMatchesColdStabilizer)
+{
+    // GHZ: qubit 0's measurement is random, qubit 1's is then
+    // deterministic; a reset and a fresh superposition follow.
+    QuantumCircuit qc(5, 7);
+    qc.h(0);
+    for (int q = 0; q + 1 < 5; ++q) qc.cx(q, q + 1);
+    qc.measure(0, 5);
+    qc.measure(1, 6);
+    qc.reset(2);
+    qc.h(2);
+    qc.cx(2, 3);
+    qc.measureAll();
+    NoiseModel readout;
+    readout.readout_p01 = 0.02;
+    readout.readout_p10 = 0.05;
+    const std::pair<const char*, const NoiseModel*> cases[] = {
+        {"noise-free", nullptr}, {"readout", &readout}};
+    for (const auto& [name, noise] : cases) {
+        SCOPED_TRACE(name);
+        test::expectWarmSamplerMatchesCold(
+            *prepareOn(BackendKind::kStabilizer, qc, noise), 32, 400);
+    }
+}
+
+TEST(EngineTest, OutcomeTrieWarmMatchesColdPastNodeCap)
+{
+    // Sixteen fair coins in a row: 2^16 outcome paths, so the shots
+    // below need more trie nodes than a sampler may hold.
+    constexpr int kFlips = 16;
+    constexpr int kShots = 1000;
+    QuantumCircuit qc(1, kFlips);
+    for (int c = 0; c < kFlips; ++c) {
+        qc.h(0);
+        qc.measure(0, c);
+    }
+    for (BackendKind kind :
+         {BackendKind::kStatevector, BackendKind::kStabilizer}) {
+        SCOPED_TRACE(backendName(kind));
+        std::set<std::string> paths;
+        test::expectWarmSamplerMatchesCold(*prepareOn(kind, qc, nullptr), 33,
+                                           kShots, &paths);
+        EXPECT_GT(distinctPrefixes(paths),
+                  backend::OutcomeTrie::kMaxNodes);
+    }
 }
 
 TEST(RngTest, StreamsDependOnlyOnSeedAndIndex)

@@ -5,13 +5,16 @@
  * binding chi cap, cross-backend chi-square equivalence against the
  * statevector engine (GHZ lines, QFT, shallow QAOA, mid-circuit
  * measure/reset, readout noise), bit-determinism across thread counts,
+ * warm samplers against fresh ones past the leaf-chain budget,
  * entanglement-aware router arbitration with typed explicit-override
  * rejection, jobKey MPS-knob sensitivity, wire explain fields, and the
  * assertion compiler's typed rejection under backend=mps.
  */
 #include <cmath>
 #include <map>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +23,7 @@
 #include "algos/qft.hpp"
 #include "algos/states.hpp"
 #include "backend/backend.hpp"
+#include "backend/outcome_trie.hpp"
 #include "backend/router.hpp"
 #include "baselines/chi_square.hpp"
 #include "circuit/stdgates.hpp"
@@ -28,6 +32,7 @@
 #include "serve/job.hpp"
 #include "sim/statevector.hpp"
 #include "serve/wire.hpp"
+#include "test_util.hpp"
 
 namespace qa
 {
@@ -212,9 +217,11 @@ TEST(MpsStateTest, MeasureCollapseProjectsAndRenormalizes)
     mps::MpsState state(2, 4);
     state.apply1q(gates::h(), 0);
     state.apply2q(gates::cx(), 0, 1);
+    EXPECT_NEAR(state.probabilityZero(0), 0.5, 1e-12);
     Rng rng = Rng::forStream(7, 0);
-    const int outcome = state.measureCollapse(0, rng);
-    ASSERT_TRUE(outcome == 0 || outcome == 1);
+    const int outcome = rng.uniform() < state.probabilityZero(0) ? 0 : 1;
+    state.collapseTo(0, outcome);
+    EXPECT_NEAR(state.probabilityZero(1), outcome == 0 ? 1.0 : 0.0, 1e-10);
     const std::string expect = outcome == 0 ? "00" : "11";
     EXPECT_NEAR(std::abs(state.amplitude(expect)), 1.0, 1e-10);
 }
@@ -356,6 +363,91 @@ TEST(MpsBackendTest, MidCircuitBitIdenticalAcrossThreadCounts)
     const Counts one = runOn(BackendKind::kMps, qc, nullptr, 2048, 1);
     const Counts eight = runOn(BackendKind::kMps, qc, nullptr, 2048, 8);
     EXPECT_EQ(one.map, eight.map);
+}
+
+TEST(MpsBackendTest, OutcomeTrieWarmMatchesCold)
+{
+    // Mid-circuit measures and resets, then the peeled terminal tail,
+    // noise-free and under readout error.
+    QuantumCircuit qc(5, 5);
+    qc.h(0);
+    qc.cx(0, 1);
+    qc.ry(2, 0.7);
+    qc.measure(0, 0);
+    qc.reset(0);
+    qc.measure(2, 2);
+    qc.t(1);
+    qc.cx(1, 3);
+    qc.reset(2);
+    qc.cx(3, 4);
+    qc.measure(1, 1);
+    qc.measure(3, 3);
+    qc.measure(4, 4);
+    NoiseModel readout;
+    readout.readout_p01 = 0.02;
+    readout.readout_p10 = 0.05;
+    const std::pair<const char*, const NoiseModel*> cases[] = {
+        {"noise-free", nullptr}, {"readout", &readout}};
+    for (const auto& [name, noise] : cases) {
+        SCOPED_TRACE(name);
+        SimOptions options;
+        options.noise = noise;
+        test::expectWarmSamplerMatchesCold(
+            *backend::backendFor(BackendKind::kMps).prepare(qc, options),
+            35, 400);
+    }
+}
+
+TEST(MpsBackendTest, OutcomeTrieWarmMatchesColdPastLeafBudget)
+{
+    // A 64-qubit brickwork (bond dimension ~8 across the chain), then
+    // eight mid-circuit measurements, a reset and a final layer: each
+    // outcome path keeps a post-suffix chain of ~150 KiB, and the paths
+    // below need more than a sampler's leaf budget.
+    constexpr int n = 64;
+    QuantumCircuit gates(n);
+    for (int d = 0; d < 6; ++d) {
+        for (int q = 0; q < n; ++q) gates.ry(q, 0.40 + 0.13 * q + 0.31 * d);
+        for (int q = d % 2; q + 1 < n; q += 2) gates.cx(q, q + 1);
+    }
+    std::vector<int> wires;
+    for (int q = 0; q < n; ++q) wires.push_back(q);
+    QuantumCircuit qc(n, n);
+    qc.compose(gates, wires);
+    std::vector<int> measured;
+    for (int q = 3; q < n; q += 8) {
+        qc.measure(q, q);
+        measured.push_back(q);
+    }
+    qc.reset(11);
+    for (int q = 0; q < n; ++q) qc.ry(q, 0.5);
+    qc.measureAll();
+
+    SimOptions options;
+    std::set<std::string> seen;
+    test::expectWarmSamplerMatchesCold(
+        *backend::backendFor(BackendKind::kMps).prepare(qc, options), 34,
+        48, &seen);
+
+    // One path's leaf chain, replayed by hand, sizes them all.
+    mps::MpsState leaf(n, options.mps_chi);
+    for (const Instruction& instr : gates.instructions()) {
+        if (instr.arity() == 1) {
+            leaf.apply1q(instr.matrix, instr.qubits[0]);
+        } else {
+            leaf.apply2q(instr.matrix, instr.qubits[0], instr.qubits[1]);
+        }
+    }
+    for (int q : measured) leaf.collapseTo(q, 0);
+    for (int q = 0; q < n; ++q) leaf.apply1q(gates::ry(0.5), q);
+    std::set<std::string> paths;
+    for (const std::string& bits : seen) {
+        std::string path;
+        for (int q : measured) path += bits[size_t(q)];
+        paths.insert(path);
+    }
+    EXPECT_GT(paths.size() * leaf.memoryBytes(),
+              2 * backend::OutcomeTrie::kMaxLeafBytes);
 }
 
 TEST(MpsBackendTest, KrausNoiseRejectedAtPrepare)

@@ -388,6 +388,54 @@ digestSpecs()
     readout.noise.readout_p01 = 0.02;
     readout.noise.readout_p10 = 0.05;
     add("statevector_readout", readout, 21);
+
+    // Mid-circuit measure and reset replayed under readout-only noise.
+    JobSpec mid_readout;
+    mid_readout.circuit = mq;
+    mid_readout.noise.readout_p01 = 0.02;
+    mid_readout.noise.readout_p10 = 0.05;
+    mid_readout.backend = BackendRequest::kStatevector;
+    add("statevector_mid_circuit_readout", mid_readout, 22);
+
+    // GHZ: measuring qubit 0 is random, then qubit 1 is deterministic;
+    // a reset and a fresh superposition follow before the final read.
+    JobSpec stab_readout;
+    QuantumCircuit sr(5, 7);
+    sr.h(0);
+    for (int q = 0; q + 1 < 5; ++q) sr.cx(q, q + 1);
+    sr.measure(0, 5);
+    sr.measure(1, 6);
+    sr.reset(2);
+    sr.h(2);
+    sr.cx(2, 3);
+    sr.measureAll();
+    stab_readout.circuit = sr;
+    stab_readout.noise.readout_p01 = 0.02;
+    stab_readout.noise.readout_p10 = 0.05;
+    stab_readout.backend = BackendRequest::kStabilizer;
+    add("stabilizer_mid_circuit_readout", stab_readout, 23);
+
+    // A SWAP assertion's ancilla is measured and reset mid-circuit, so
+    // MPS shots replay a suffix before the terminal sample.
+    QuantumCircuit chain(6);
+    chain.compose(layered(4, 2, 24), {2, 3, 4, 5});
+    chain.h(0);
+    chain.cx(0, 1);
+    chain.rx(0, 0.5);
+    AssertedProgram asserted(chain);
+    asserted.assertState({0, 1}, StateSet::pure(ghzVector(2)),
+                         AssertionDesign::kSwap);
+    QuantumCircuit after(6);
+    after.compose(layered(6, 1, 25), {0, 1, 2, 3, 4, 5});
+    asserted.append(after);
+    asserted.measureProgram();
+    JobSpec mps_assert;
+    mps_assert.circuit = asserted.circuit();
+    mps_assert.assert_clbits = {asserted.assertionClbits()};
+    mps_assert.noise.readout_p01 = 0.02;
+    mps_assert.noise.readout_p10 = 0.05;
+    mps_assert.backend = BackendRequest::kMps;
+    add("mps_mid_circuit_assert", mps_assert, 25);
     return specs;
 }
 
@@ -408,6 +456,11 @@ TEST(JobTest, PayloadDigestsMatchPinnedValues)
         {"mps_chain", "d47a8ba543bec0de6d5aa77b8a3bf21e"},
         {"density_readout_only", "8dc9b5d2a3cfd785bc41c93ae41e6f45"},
         {"statevector_readout", "fd2a411c53fe76c1af18f7c84a3802c5"},
+        {"statevector_mid_circuit_readout",
+         "f75e2cbb4740444bccb2884a6cb5d9bb"},
+        {"stabilizer_mid_circuit_readout",
+         "947b4923ed8eacbf0bdb2251a4d158ad"},
+        {"mps_mid_circuit_assert", "d3efe074513215896331c26b0c443e8f"},
     };
     const std::vector<std::pair<std::string, JobSpec>> specs = digestSpecs();
     ASSERT_EQ(specs.size(), pinned.size());

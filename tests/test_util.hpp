@@ -5,6 +5,9 @@
 #ifndef QA_TESTS_TEST_UTIL_HPP
 #define QA_TESTS_TEST_UTIL_HPP
 
+#include <set>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "backend/backend.hpp"
@@ -81,6 +84,30 @@ runReference(BackendKind kind, const QuantumCircuit& circuit,
     const auto prepared = backend::backendFor(kind).prepare(
         circuit, options, referenceAnalysis(circuit, options, reference));
     return backend::runPrepared(*prepared, options);
+}
+
+/**
+ * For every shot s < shots, a sampler that has already run shots
+ * 0..s-1 must return the bitstring a fresh sampler returns for
+ * Rng::forStream(seed, s), and leave the stream at the same point: what
+ * a sampler memoises from earlier shots never changes a later one.
+ * `seen` (optional) collects the distinct bitstrings.
+ */
+inline void
+expectWarmSamplerMatchesCold(const backend::PreparedCircuit& prepared,
+                             uint64_t seed, int shots,
+                             std::set<std::string>* seen = nullptr)
+{
+    const auto warm = prepared.makeSampler();
+    for (int s = 0; s < shots; ++s) {
+        Rng warm_rng = Rng::forStream(seed, uint64_t(s));
+        Rng cold_rng = Rng::forStream(seed, uint64_t(s));
+        const std::string bits = warm->runOne(warm_rng);
+        ASSERT_EQ(bits, prepared.makeSampler()->runOne(cold_rng))
+            << "shot " << s;
+        ASSERT_EQ(warm_rng.uniform(), cold_rng.uniform()) << "shot " << s;
+        if (seen != nullptr) seen->insert(bits);
+    }
 }
 
 } // namespace test
