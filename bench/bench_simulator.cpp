@@ -306,22 +306,49 @@ assertedTrotterChain()
 }
 
 /**
+ * A 16-qubit GHZ chain checked by one assertion ancilla: for each
+ * neighbouring pair, both qubits are CX'd onto the ancilla, which is
+ * measured mid-circuit (the pair's ZZ parity) and reset; then every
+ * data qubit is measured. Clifford throughout.
+ */
+QuantumCircuit
+assertedGhzParity()
+{
+    constexpr int n = 16;
+    QuantumCircuit qc(n + 1, 2 * n - 1);
+    qc.h(0);
+    for (int q = 0; q + 1 < n; ++q) qc.cx(q, q + 1);
+    for (int q = 0; q + 1 < n; ++q) {
+        qc.cx(q, n);
+        qc.cx(q + 1, n);
+        qc.measure(n, n + q);
+        qc.reset(n);
+    }
+    for (int q = 0; q < n; ++q) qc.measure(q, q);
+    return qc;
+}
+
+/**
  * Assertion shots whose ancilla is measured mid-circuit, so every shot
  * replays a suffix: arg 0 is the asserted adder on the statevector
  * backend (512 shots), arg 1 the asserted Trotter chain on MPS (128
- * shots). One thread, so one sampler serves every shot.
+ * shots), arg 2 the parity-checked GHZ chain on the stabilizer backend
+ * (512 shots). One thread, so one sampler serves every shot.
  */
 void
 BM_AssertionReplayShots(benchmark::State& state)
 {
-    const bool mps = state.range(0) == 1;
-    const QuantumCircuit qc = mps ? assertedTrotterChain() : assertedAdder();
+    const int job = int(state.range(0));
+    const QuantumCircuit qc = job == 0   ? assertedAdder()
+                              : job == 1 ? assertedTrotterChain()
+                                         : assertedGhzParity();
     SimOptions options;
-    options.shots = mps ? 128 : 512;
+    options.shots = job == 1 ? 128 : 512;
     options.seed = 17;
     options.num_threads = 1;
-    options.backend =
-        mps ? BackendRequest::kMps : BackendRequest::kStatevector;
+    options.backend = job == 0   ? BackendRequest::kStatevector
+                      : job == 1 ? BackendRequest::kMps
+                                 : BackendRequest::kStabilizer;
     const auto prepared = backend::prepareRouted(
         qc, options, backend::route(qc, options));
     for (auto _ : state) {
@@ -330,7 +357,7 @@ BM_AssertionReplayShots(benchmark::State& state)
     }
     state.SetItemsProcessed(int64_t(state.iterations()) * options.shots);
 }
-BENCHMARK(BM_AssertionReplayShots)->Arg(0)->Arg(1)
+BENCHMARK(BM_AssertionReplayShots)->Arg(0)->Arg(1)->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
 /**

@@ -42,10 +42,12 @@
 # input still open and requires a clean drain; over --listen a job
 # still running at the signal must still get its reply. The ASan
 # engine filter includes the naive-replay reference test, which hands
-# the statevector backend a hand-built CircuitAnalysis, and the RngTest
-# cases, which check Rng's lazily initialised engine against
-# std::mt19937_64 across draws 156, 312 and 624 and through copies, so
-# an off-by-one into its fixed 312-word state shows up under ASan. It
+# the statevector, stabilizer and MPS backends a hand-built
+# CircuitAnalysis (so all three run the shared suffix replay from split
+# 0), and the RngTest cases, which check Rng's lazily initialised
+# engine against std::mt19937_64 across draws 156, 312 and 624 and
+# through copies, so an off-by-one into its fixed 312-word state shows
+# up under ASan. It
 # also includes the outcome-trie warm/cold cases (EngineTest.OutcomeTrie*):
 # a replaying shot walks a flat vector of trie nodes by child index, and
 # one case fills it past its node cap, so a bad index shows up there.

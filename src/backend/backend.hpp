@@ -6,8 +6,12 @@
  * PreparedCircuit — the shot-invariant work done once — and a
  * PreparedCircuit hands out ShotSamplers — the per-worker mutable
  * scratch — so one pooled shot loop (runShotLoop) can drive any backend
- * with the engine's counter-based RNG streams. Four implementations are
- * registered:
+ * with the engine's counter-based RNG streams. There is one Backend
+ * class; its kind selects one of four prepare functions, each in its
+ * own translation unit under src/backend/, and every prepared circuit
+ * hands out the one sampler template (detail::PreparedBase). The three
+ * replaying kinds (statevector, stabilizer, MPS) share one suffix
+ * replay, backend/suffix_replay.hpp. The four kinds:
  *
  *  - statevector: the general dense engine with prefix caching and the
  *    terminal-sampling fast path (sim/engine.hpp's ShotPlan); O(2^n)
@@ -53,9 +57,10 @@ namespace backend
  *
  * A replaying sampler (statevector, stabilizer, MPS) also owns an
  * outcome trie (backend/outcome_trie.hpp) of the paths its earlier
- * shots took, and answers a shot from it when it can. A hit makes
- * exactly the draws the replay would, so a sampler's history never
- * changes what runOne returns for a given stream.
+ * shots took, and the shared suffix replay (backend/suffix_replay.hpp)
+ * answers a shot from it when it can. A hit makes exactly the draws the
+ * replay would, so a sampler's history never changes what runOne
+ * returns for a given stream.
  */
 class ShotSampler
 {
@@ -90,8 +95,8 @@ class PreparedCircuit
 };
 
 /**
- * A simulation backend. Stateless and shared (backendFor returns
- * process-lifetime singletons); all per-job state lives in the
+ * A simulation backend: one per BackendKind, shared for the process
+ * lifetime (backendFor); all per-job state lives in the
  * PreparedCircuit. prepare() borrows the circuit and options.noise —
  * both must outlive the prepared run — and throws UserError when the
  * job is outside the backend's capabilities (the router exists to avoid
@@ -100,17 +105,18 @@ class PreparedCircuit
 class Backend
 {
   public:
-    virtual ~Backend() = default;
+    explicit Backend(BackendKind kind) : kind_(kind) {}
 
     /**
      * Prepare from the router's analysis of `circuit` under `options`
-     * (analyzeForRouting): the dense backends take the profile, the
-     * shot plan and the fused stream from it instead of recomputing
-     * them, and run exactly what it describes (see CircuitAnalysis).
+     * (analyzeForRouting): every backend takes the prefix split from
+     * its shot plan, and the dense backends the fused stream, instead
+     * of recomputing them, so each runs exactly what it describes (see
+     * CircuitAnalysis).
      */
-    virtual std::shared_ptr<const PreparedCircuit>
+    std::shared_ptr<const PreparedCircuit>
     prepare(const QuantumCircuit& circuit, const SimOptions& options,
-            const CircuitAnalysis& analysis) const = 0;
+            const CircuitAnalysis& analysis) const;
 
     /** Analyze, then prepare: for callers that did not route first. */
     std::shared_ptr<const PreparedCircuit>
@@ -119,9 +125,12 @@ class Backend
     /** prepare + runPrepared: the one-call form. */
     Counts runShots(const QuantumCircuit& circuit,
                     const SimOptions& options) const;
+
+  private:
+    BackendKind kind_;
 };
 
-/** The registered backend singleton for a kind. */
+/** The backend of a kind. */
 const Backend& backendFor(BackendKind kind);
 
 /**
@@ -179,12 +188,48 @@ prepareRouted(const QuantumCircuit& circuit, const SimOptions& options,
 
 namespace detail
 {
-// Singleton accessors for the registered implementations (one per
-// translation unit under src/backend/); reach them via backendFor.
-const Backend& statevectorBackend();
-const Backend& densityMatrixBackend();
-const Backend& stabilizerBackend();
-const Backend& mpsBackend();
+
+/**
+ * A PreparedCircuit whose samplers are the one sampler template: the
+ * prepared circuit and one worker's `Derived::Scratch`
+ * (default-constructed), driven through
+ * `Derived::runShot(Scratch&, Rng&) const`.
+ */
+template <typename Derived>
+class PreparedBase : public PreparedCircuit
+{
+  public:
+    std::unique_ptr<ShotSampler>
+    makeSampler() const final
+    {
+        return std::make_unique<Sampler>(static_cast<const Derived&>(*this));
+    }
+
+  private:
+    struct Sampler final : ShotSampler
+    {
+        explicit Sampler(const Derived& p) : prepared(p) {}
+
+        std::string
+        runOne(Rng& rng) override
+        {
+            return prepared.runShot(scratch, rng);
+        }
+
+        const Derived& prepared;
+        typename Derived::Scratch scratch;
+    };
+};
+
+/** `noise` when it is enabled, after validating it; else null. */
+const NoiseModel* activeNoise(const NoiseModel* noise);
+
+/** Backend::prepare for one kind, one per file under src/backend/. */
+using PrepareFn = std::shared_ptr<const PreparedCircuit>(
+    const QuantumCircuit&, const SimOptions&, const CircuitAnalysis&);
+PrepareFn prepareStatevector, prepareDensityMatrix, prepareStabilizer,
+    prepareMps;
+
 } // namespace detail
 
 } // namespace backend

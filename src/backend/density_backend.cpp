@@ -30,21 +30,19 @@ namespace backend
 namespace
 {
 
-class DensityPrepared final : public PreparedCircuit
+class DensityPrepared final : public detail::PreparedBase<DensityPrepared>
 {
   public:
+    struct Scratch {}; ///< density shots need none
+
     DensityPrepared(const QuantumCircuit& circuit,
                     const SimOptions& options,
                     const CircuitAnalysis& analysis)
         : num_qubits_(circuit.numQubits()),
-          noise_(options.noise != nullptr && options.noise->enabled()
-                     ? options.noise
-                     : nullptr),
+          noise_(detail::activeNoise(options.noise)),
           clbits0_(size_t(std::max(circuit.numClbits(), 0)), '0'),
           measures_(analysis.profile.terminal_measures)
     {
-        if (noise_ != nullptr) noise_->validate();
-
         QA_REQUIRE(analysis.profile.terminal_measure_only,
                    "density-matrix backend requires terminal-only "
                    "measurements and no resets");
@@ -87,10 +85,8 @@ class DensityPrepared final : public PreparedCircuit
         table_.emplace(std::move(weights));
     }
 
-    std::unique_ptr<ShotSampler> makeSampler() const override;
-
     std::string
-    sampleShot(Rng& rng) const
+    runShot(Scratch&, Rng& rng) const
     {
         return sampleTerminalShot(*table_, num_qubits_, measures_, noise_,
                                   clbits0_, rng);
@@ -104,54 +100,15 @@ class DensityPrepared final : public PreparedCircuit
     std::optional<SampleTable> table_;
 };
 
-class DensitySampler final : public ShotSampler
-{
-  public:
-    explicit DensitySampler(const DensityPrepared& prepared)
-        : prepared_(prepared)
-    {}
-
-    std::string
-    runOne(Rng& rng) override
-    {
-        return prepared_.sampleShot(rng);
-    }
-
-  private:
-    const DensityPrepared& prepared_;
-};
-
-std::unique_ptr<ShotSampler>
-DensityPrepared::makeSampler() const
-{
-    return std::make_unique<DensitySampler>(*this);
-}
-
-class DensityBackend final : public Backend
-{
-  public:
-    std::shared_ptr<const PreparedCircuit>
-    prepare(const QuantumCircuit& circuit, const SimOptions& options,
-            const CircuitAnalysis& analysis) const override
-    {
-        return std::make_shared<DensityPrepared>(circuit, options,
-                                                 analysis);
-    }
-};
-
 } // namespace
 
-namespace detail
+std::shared_ptr<const PreparedCircuit>
+detail::prepareDensityMatrix(const QuantumCircuit& circuit,
+                             const SimOptions& options,
+                             const CircuitAnalysis& analysis)
 {
-
-const Backend&
-densityMatrixBackend()
-{
-    static const DensityBackend instance;
-    return instance;
+    return std::make_shared<DensityPrepared>(circuit, options, analysis);
 }
-
-} // namespace detail
 
 } // namespace backend
 } // namespace qa

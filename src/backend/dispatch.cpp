@@ -1,12 +1,13 @@
 /**
  * @file
- * Backend registry and the routed shot-execution entry points: the one
- * shot loop shared by every backend and every assertion policy,
+ * The Backend class and the routed shot-execution entry points: the
+ * one shot loop shared by every backend and every assertion policy,
  * prepareRouted, and the top-level qa::runShots the rest of the
  * codebase calls.
  */
 #include "backend/backend.hpp"
 
+#include <iterator>
 #include <utility>
 
 #include "common/error.hpp"
@@ -85,15 +86,27 @@ class ShotBody
 const Backend&
 backendFor(BackendKind kind)
 {
-    switch (kind) {
+    static const Backend backends[] = { // in BackendKind order
+        Backend(BackendKind::kStatevector),
+        Backend(BackendKind::kDensityMatrix),
+        Backend(BackendKind::kStabilizer), Backend(BackendKind::kMps)};
+    QA_REQUIRE(size_t(kind) < std::size(backends), "unknown backend kind");
+    return backends[size_t(kind)];
+}
+
+std::shared_ptr<const PreparedCircuit>
+Backend::prepare(const QuantumCircuit& circuit, const SimOptions& options,
+                 const CircuitAnalysis& analysis) const
+{
+    switch (kind_) {
       case BackendKind::kStatevector:
-        return detail::statevectorBackend();
+        return detail::prepareStatevector(circuit, options, analysis);
       case BackendKind::kDensityMatrix:
-        return detail::densityMatrixBackend();
+        return detail::prepareDensityMatrix(circuit, options, analysis);
       case BackendKind::kStabilizer:
-        return detail::stabilizerBackend();
+        return detail::prepareStabilizer(circuit, options, analysis);
       case BackendKind::kMps:
-        return detail::mpsBackend();
+        return detail::prepareMps(circuit, options, analysis);
     }
     QA_FAIL("unknown backend kind");
 }
@@ -164,6 +177,14 @@ Backend::runShots(const QuantumCircuit& circuit,
                   const SimOptions& options) const
 {
     return runPrepared(*prepare(circuit, options), options);
+}
+
+const NoiseModel*
+detail::activeNoise(const NoiseModel* noise)
+{
+    if (noise == nullptr || !noise->enabled()) return nullptr;
+    noise->validate();
+    return noise;
 }
 
 std::shared_ptr<const PreparedCircuit>

@@ -4,17 +4,15 @@
  * matrix-product-state core (mps/mps_state.hpp), O(chi^3) per two-site
  * update where the dense engines are O(2^n) per instruction.
  *
- * Preparation mirrors the stabilizer backend's prefix split: gates
- * before the first measurement/reset evolve one shared chain; each shot
- * copies it and replays only the stochastic suffix. A second split
- * peels the trailing run of measurements off the suffix: those are
- * served by one left-to-right conditional sample per shot (no collapse,
- * no re-canonicalization), so terminal-measurement circuits never copy
- * the chain at all. A suffix is noise-free (the backend rejects Kraus
- * channels), so each shot first walks its sampler's outcome trie
- * (backend/outcome_trie.hpp), whose leaves keep the post-suffix chains:
- * a hit samples the tail from a cached chain, with no copy and no
- * re-canonicalization. Only a miss replays the suffix.
+ * Preparation evolves one shared chain through the prefix the router's
+ * shot plan names; each shot runs the shared suffix replay
+ * (backend/suffix_replay.hpp), whose measurement is `uniform() < P(0)`
+ * then a collapse. The trailing run of measurements is peeled off the
+ * suffix and served by one left-to-right conditional sample per shot
+ * (no collapse, no re-canonicalization), so terminal-measurement
+ * circuits never copy the chain at all. A replayed path keeps its
+ * post-suffix chain at its trie leaf, and a trie hit samples the tail
+ * from that chain, with no copy and no re-canonicalization.
  *
  * Gate set: any 1q/2q gate with a concrete unitary (2q pairs at any
  * distance — MpsState SWAP-routes). 3q gates (ccx, cswap, the SWAP-test
@@ -34,11 +32,9 @@
 #include <utility>
 #include <vector>
 
-#include "backend/analyzer.hpp"
-#include "backend/outcome_trie.hpp"
+#include "backend/suffix_replay.hpp"
 #include "common/error.hpp"
 #include "mps/mps_state.hpp"
-#include "sim/engine.hpp"
 #include "transpile/lower.hpp"
 
 namespace qa
@@ -49,320 +45,203 @@ namespace backend
 namespace
 {
 
-/** One instruction of the MPS execution stream, pre-resolved. */
-struct MpsOp
+/** A 1q or 2q unitary on the chain. */
+struct MpsGate
 {
-    enum class Kind
-    {
-        k1q,
-        k2q,
-        kMeasure,
-        kReset,
-    };
-
-    Kind kind = Kind::k1q;
-    CMatrix matrix; ///< 2x2 or 4x4 unitary (gates only)
+    CMatrix matrix; ///< 2x2 or 4x4 unitary
     int q0 = 0;     ///< target / MSB of the 4x4 index
-    int q1 = 0;     ///< LSB of the 4x4 index (2q gates)
-    int cbit = -1;  ///< destination bit (measures)
+    int q1 = -1;    ///< LSB of the 4x4 index; -1 for a 1q gate
 };
 
-/** One pool worker's mutable MPS state. */
-struct MpsWorker
+/**
+ * The chain's replay steps (see backend/suffix_replay.hpp). A pure-state
+ * chain has no per-gate trajectory noise, so they reject a model with
+ * gate-level Kraus channels.
+ */
+struct MpsSteps
 {
-    mps::MpsState scratch; ///< the chain a replaying shot evolves
-    OutcomeTrie trie;      ///< outcome paths of this worker's shots
-    std::vector<mps::MpsState> chains; ///< leaf chains, by trie slot
-    size_t chain_bytes = 0;            ///< memoryBytes() over chains
-};
+    using State = mps::MpsState;
+    using Gate = MpsGate;
 
-class MpsPrepared final : public PreparedCircuit
-{
-  public:
-    MpsPrepared(const QuantumCircuit& circuit, const SimOptions& options)
-        : prefix_(std::max(circuit.numQubits(), 1),
-                  std::max(options.mps_chi, 1)),
-          clbits0_(size_t(std::max(circuit.numClbits(), 0)), '0')
+    MpsSteps(int qubits, const NoiseModel* noise) : num_qubits(qubits)
     {
-        const NoiseModel* noise = options.noise;
-        if (noise != nullptr && noise->enabled()) {
-            noise->validate();
-            QA_REQUIRE_CODE(noise->noise_1q.empty() &&
-                                noise->noise_2q.empty(),
+        QA_REQUIRE_CODE(noise == nullptr || (noise->noise_1q.empty() &&
+                                             noise->noise_2q.empty()),
+                        ErrorCode::kBadRequest,
+                        "mps backend cannot run gate-level Kraus channels "
+                        "(pure-state chain, no per-gate trajectory noise)");
+    }
+
+    int num_qubits;
+
+    /** Lowers 3q gates to the 1q+CX basis. */
+    template <typename Emit>
+    void
+    resolve(const Instruction& instr, Emit&& emit) const
+    {
+        const int arity = instr.arity();
+        if (arity <= 2) {
+            QA_REQUIRE_CODE(instr.matrix.rows() == (arity == 1 ? 2u : 4u),
                             ErrorCode::kBadRequest,
-                            "mps backend cannot run gate-level Kraus "
-                            "channels (pure-state chain, no per-gate "
-                            "trajectory noise)");
-            readout_.readout_p01 = noise->readout_p01;
-            readout_.readout_p10 = noise->readout_p10;
+                            "mps backend needs a concrete unitary for "
+                            "gate '" +
+                                instr.name + "'");
+            emit(Gate{instr.matrix, instr.qubits[0],
+                      arity == 2 ? instr.qubits[1] : -1});
+            return;
         }
-
-        std::vector<MpsOp> ops;
-        for (const Instruction& instr : circuit.instructions()) {
-            resolveInstruction(instr, circuit.numQubits(), &ops);
-        }
-
-        // Deterministic prefix: gates before the first collapse evolve
-        // the shared chain once.
-        size_t split = ops.size();
-        for (size_t i = 0; i < ops.size(); ++i) {
-            if (ops[i].kind == MpsOp::Kind::kMeasure ||
-                ops[i].kind == MpsOp::Kind::kReset) {
-                split = i;
-                break;
-            }
-        }
-        for (size_t i = 0; i < split; ++i) applyGateOp(&prefix_, ops[i]);
-
-        // Peel the trailing all-measure run: it is served by one
-        // conditional sample instead of per-measure collapse sweeps.
-        size_t tail = ops.size();
-        while (tail > split &&
-               ops[tail - 1].kind == MpsOp::Kind::kMeasure) {
-            --tail;
-        }
-        tail_.assign(ops.begin() + long(tail), ops.end());
-        suffix_.assign(std::make_move_iterator(ops.begin() + long(split)),
-                       std::make_move_iterator(ops.begin() + long(tail)));
-        for (const MpsOp& op : suffix_) {
-            if (op.kind == MpsOp::Kind::kMeasure) {
-                stop_cbits_.push_back(op.cbit);
-            } else if (op.kind == MpsOp::Kind::kReset) {
-                stop_cbits_.push_back(-1);
-            }
+        QA_REQUIRE_CODE(arity == 3, ErrorCode::kBadRequest,
+                        "mps backend cannot run " + std::to_string(arity) +
+                            "-qubit gate '" + instr.name +
+                            "' (max arity 3, lowered)");
+        // Lower through the transpiler on a full-width scratch circuit
+        // so qubit indices survive unchanged.
+        QuantumCircuit wrapper(num_qubits, 0);
+        wrapper.append(instr);
+        const QuantumCircuit lowered = lowerToBasis(wrapper);
+        for (const Instruction& low : lowered.instructions()) {
+            QA_REQUIRE(low.isGate() && low.arity() <= 2,
+                       "basis lowering produced a non-basis op");
+            resolve(low, emit);
         }
     }
 
-    std::unique_ptr<ShotSampler> makeSampler() const override;
+    void
+    apply(State& state, const Gate& gate) const
+    {
+        if (gate.q1 < 0) {
+            state.apply1q(gate.matrix, gate.q0);
+        } else {
+            state.apply2q(gate.matrix, gate.q0, gate.q1);
+        }
+    }
+
+    bool noisy(const Gate&) const { return false; }
+    void applyNoise(State&, const Gate&, Rng&) const {}
+
+    int
+    measure(State& state, int q, Rng& rng, OutcomeDraw* record) const
+    {
+        const OutcomeDraw draw{OutcomeDraw::Kind::kZeroBelow, 0,
+                               state.probabilityZero(q)};
+        const int outcome = draw.outcome(rng);
+        state.collapseTo(q, outcome);
+        if (record != nullptr) *record = draw;
+        return outcome;
+    }
+};
+
+/**
+ * First instruction of the trailing measure/barrier run after `split`:
+ * those measurements are peeled off the suffix.
+ */
+size_t
+tailStart(const std::vector<Instruction>& instrs, size_t split)
+{
+    size_t tail = instrs.size();
+    while (tail > split && (instrs[tail - 1].type == OpType::kMeasure ||
+                            instrs[tail - 1].type == OpType::kBarrier)) {
+        --tail;
+    }
+    return tail;
+}
+
+class MpsPrepared final : public detail::PreparedBase<MpsPrepared>
+{
+  public:
+    /** One worker's replay scratch, plus the chains its leaves keep. */
+    struct Scratch
+    {
+        SuffixReplay<MpsSteps>::Scratch replay;
+        std::vector<mps::MpsState> chains; ///< leaf chains, by trie slot
+        size_t chain_bytes = 0;            ///< memoryBytes() over chains
+    };
+
+    MpsPrepared(const QuantumCircuit& circuit, const SimOptions& options,
+                const CircuitAnalysis& analysis)
+        : replay_(MpsSteps(circuit.numQubits(),
+                           detail::activeNoise(options.noise)),
+                  mps::MpsState(std::max(circuit.numQubits(), 1),
+                                std::max(options.mps_chi, 1)),
+                  circuit.instructions(), analysis.plan.split,
+                  tailStart(circuit.instructions(), analysis.plan.split),
+                  circuit.numClbits(), options.noise)
+    {
+        const std::vector<Instruction>& instrs = circuit.instructions();
+        for (size_t i = tailStart(instrs, analysis.plan.split);
+             i < instrs.size(); ++i) {
+            if (instrs[i].type == OpType::kMeasure) {
+                tail_.emplace_back(instrs[i].qubits[0], instrs[i].cbit);
+            }
+        }
+    }
 
     double
     truncationError() const override
     {
-        return prefix_.stats().discarded_weight;
+        return replay_.prefix().stats().discarded_weight;
     }
 
-    /**
-     * One trajectory: the suffix from the worker's outcome trie, or
-     * replayed on its scratch chain when the walk falls off; then the
-     * tail.
-     */
+    /** One trajectory: the suffix through the shared replay, then the tail. */
     std::string
-    runShot(MpsWorker& worker, Rng& rng) const
+    runShot(Scratch& scratch, Rng& rng) const
     {
-        std::string clbits = clbits0_;
-        const mps::MpsState* state = &prefix_;
-        if (!suffix_.empty()) {
-            const Rng start = rng;
-            const int leaf =
-                worker.trie.walk(rng, [&](size_t d, int outcome) {
-                    writeBit(stop_cbits_[d], outcome, rng, clbits);
+        std::string clbits = replay_.clbits0();
+        const mps::MpsState* state = &replay_.prefix();
+        if (!replay_.empty()) {
+            // A hit needs its leaf's chain to sample the tail from.
+            const OutcomeTrie& trie = scratch.replay.trie;
+            const SuffixRun run =
+                replay_.run(scratch.replay, rng, clbits, [&](int leaf) {
+                    return tail_.empty() || trie.slot(leaf) >= 0;
                 });
-            if (leaf >= 0 && tail_.empty()) return clbits;
-            const int chain = leaf < 0 ? -1 : worker.trie.slot(leaf);
-            if (chain >= 0) {
-                state = &worker.chains[size_t(chain)];
-            } else {
-                rng = start;
-                clbits = clbits0_;
-                replaySuffix(worker, rng, clbits);
-                state = &worker.scratch;
+            if (run.replayed) {
+                state = &*scratch.replay.state;
+                keepChain(scratch, run.leaf);
+            } else if (!tail_.empty()) {
+                state = &scratch.chains[size_t(trie.slot(run.leaf))];
             }
         }
         if (!tail_.empty()) {
             std::string bits;
             state->sampleAll(rng, &bits);
-            for (const MpsOp& op : tail_) {
-                writeBit(op.cbit, bits[size_t(op.q0)] == '1' ? 1 : 0, rng,
-                         clbits);
+            for (const auto& [q, cbit] : tail_) {
+                replay_.writeBit(cbit, bits[size_t(q)] == '1' ? 1 : 0, rng,
+                                 clbits);
             }
         }
         return clbits;
     }
 
-    const mps::MpsState& prefix() const { return prefix_; }
-
   private:
-    /** Resolve one instruction, lowering 3q gates to the 1q+CX basis. */
+    /** Keep a replayed chain at its leaf while the leaf budget lasts. */
     void
-    resolveInstruction(const Instruction& instr, int num_qubits,
-                       std::vector<MpsOp>* ops)
+    keepChain(Scratch& scratch, int leaf) const
     {
-        switch (instr.type) {
-          case OpType::kGate: {
-            const int arity = instr.arity();
-            if (arity <= 2) {
-                QA_REQUIRE_CODE(
-                    instr.matrix.rows() == (arity == 1 ? 2u : 4u),
-                    ErrorCode::kBadRequest,
-                    "mps backend needs a concrete unitary for gate '" +
-                        instr.name + "'");
-                MpsOp op;
-                op.kind = arity == 1 ? MpsOp::Kind::k1q
-                                     : MpsOp::Kind::k2q;
-                op.matrix = instr.matrix;
-                op.q0 = instr.qubits[0];
-                if (arity == 2) op.q1 = instr.qubits[1];
-                ops->push_back(std::move(op));
-                return;
-            }
-            QA_REQUIRE_CODE(arity == 3, ErrorCode::kBadRequest,
-                            "mps backend cannot run " +
-                                std::to_string(arity) +
-                                "-qubit gate '" + instr.name +
-                                "' (max arity 3, lowered)");
-            // Lower through the transpiler on a full-width scratch
-            // circuit so qubit indices survive unchanged.
-            QuantumCircuit wrapper(num_qubits, 0);
-            wrapper.append(instr);
-            const QuantumCircuit lowered = lowerToBasis(wrapper);
-            for (const Instruction& low : lowered.instructions()) {
-                QA_REQUIRE(low.isGate() && low.arity() <= 2,
-                           "basis lowering produced a non-basis op");
-                resolveInstruction(low, num_qubits, ops);
-            }
-            return;
-          }
-          case OpType::kMeasure: {
-            MpsOp op;
-            op.kind = MpsOp::Kind::kMeasure;
-            op.q0 = instr.qubits[0];
-            op.cbit = instr.cbit;
-            ops->push_back(std::move(op));
-            return;
-          }
-          case OpType::kReset: {
-            MpsOp op;
-            op.kind = MpsOp::Kind::kReset;
-            op.q0 = instr.qubits[0];
-            ops->push_back(std::move(op));
-            return;
-          }
-          case OpType::kBarrier:
-            return;
-        }
+        OutcomeTrie& trie = scratch.replay.trie;
+        if (leaf < 0 || tail_.empty() || trie.slot(leaf) >= 0) return;
+        const mps::MpsState& chain = *scratch.replay.state;
+        const size_t bytes = chain.memoryBytes();
+        if (scratch.chain_bytes + bytes > OutcomeTrie::kMaxLeafBytes) return;
+        trie.setSlot(leaf, int(scratch.chains.size()));
+        scratch.chains.push_back(chain);
+        scratch.chain_bytes += bytes;
     }
 
-    static void
-    applyGateOp(mps::MpsState* state, const MpsOp& op)
-    {
-        if (op.kind == MpsOp::Kind::k1q) {
-            state->apply1q(op.matrix, op.q0);
-        } else {
-            state->apply2q(op.matrix, op.q0, op.q1);
-        }
-    }
+    SuffixReplay<MpsSteps> replay_;
 
-    /**
-     * Replay the suffix on the worker's scratch chain, recording its
-     * outcome path; a completed path keeps the chain as its leaf while
-     * the worker's leaf budget lasts.
-     */
-    void
-    replaySuffix(MpsWorker& worker, Rng& rng, std::string& clbits) const
-    {
-        OutcomeTrie::Recorder recorder(&worker.trie);
-        mps::MpsState& scratch = worker.scratch;
-        scratch = prefix_;
-        for (const MpsOp& op : suffix_) {
-            switch (op.kind) {
-              case MpsOp::Kind::k1q:
-              case MpsOp::Kind::k2q:
-                applyGateOp(&scratch, op);
-                break;
-              case MpsOp::Kind::kMeasure:
-              case MpsOp::Kind::kReset: {
-                const OutcomeDraw draw{OutcomeDraw::Kind::kZeroBelow, 0,
-                                       scratch.probabilityZero(op.q0)};
-                const int outcome = draw.outcome(rng);
-                recorder.record(draw, outcome);
-                scratch.collapseTo(op.q0, outcome);
-                if (op.kind == MpsOp::Kind::kMeasure) {
-                    writeBit(op.cbit, outcome, rng, clbits);
-                } else if (outcome == 1) {
-                    scratch.applyX(op.q0);
-                }
-                break;
-              }
-            }
-        }
-        const int leaf = recorder.finish();
-        if (leaf < 0 || tail_.empty() || worker.trie.slot(leaf) >= 0) {
-            return;
-        }
-        const size_t bytes = scratch.memoryBytes();
-        if (worker.chain_bytes + bytes > OutcomeTrie::kMaxLeafBytes) return;
-        worker.trie.setSlot(leaf, int(worker.chains.size()));
-        worker.chains.push_back(scratch);
-        worker.chain_bytes += bytes;
-    }
-
-    /** Record a measured outcome (cbit < 0: a reset, nothing to do). */
-    void
-    writeBit(int cbit, int outcome, Rng& rng, std::string& clbits) const
-    {
-        if (cbit < 0) return;
-        outcome = applyReadoutError(outcome, readout_, rng);
-        clbits[size_t(cbit)] = outcome ? '1' : '0';
-    }
-
-    mps::MpsState prefix_;
-    std::string clbits0_;
-    NoiseModel readout_; ///< readout error only; no channels
-    std::vector<MpsOp> suffix_;
-    std::vector<MpsOp> tail_;
-
-    /** Clbit of each suffix measurement in order, -1 for a reset. */
-    std::vector<int> stop_cbits_;
-};
-
-class MpsSampler final : public ShotSampler
-{
-  public:
-    explicit MpsSampler(const MpsPrepared& prepared)
-        : prepared_(prepared), worker_{prepared.prefix(), {}, {}, 0}
-    {}
-
-    std::string
-    runOne(Rng& rng) override
-    {
-        return prepared_.runShot(worker_, rng);
-    }
-
-  private:
-    const MpsPrepared& prepared_;
-    MpsWorker worker_;
-};
-
-std::unique_ptr<ShotSampler>
-MpsPrepared::makeSampler() const
-{
-    return std::make_unique<MpsSampler>(*this);
-}
-
-class MpsBackend final : public Backend
-{
-  public:
-    std::shared_ptr<const PreparedCircuit>
-    prepare(const QuantumCircuit& circuit, const SimOptions& options,
-            const CircuitAnalysis&) const override
-    {
-        return std::make_shared<MpsPrepared>(circuit, options);
-    }
+    /** (qubit, clbit) of each peeled terminal measurement, in order. */
+    std::vector<std::pair<int, int>> tail_;
 };
 
 } // namespace
 
-namespace detail
+std::shared_ptr<const PreparedCircuit>
+detail::prepareMps(const QuantumCircuit& circuit, const SimOptions& options,
+                   const CircuitAnalysis& analysis)
 {
-
-const Backend&
-mpsBackend()
-{
-    static const MpsBackend instance;
-    return instance;
+    return std::make_shared<MpsPrepared>(circuit, options, analysis);
 }
-
-} // namespace detail
 
 } // namespace backend
 } // namespace qa

@@ -9,9 +9,10 @@
  * records how the backend turned the stream into an outcome there (an
  * OutcomeDraw) and links a child per outcome. A shot walks the trie,
  * making exactly the draws and comparisons the replay would make; only
- * when it falls off does the backend restore the stream and replay the
- * suffix as before, recording the path it takes. A hit therefore
- * produces the replay's bitstring by construction.
+ * when it falls off does the shared suffix replay
+ * (backend/suffix_replay.hpp) restore the stream and replay the suffix,
+ * recording the path it takes. A hit therefore produces the replay's
+ * bitstring by construction.
  *
  * A trie belongs to one ShotSampler, so it is never shared between
  * threads. Two constants bound its memory. Once kMaxNodes is reached
@@ -92,7 +93,7 @@ class OutcomeTrie
     /**
      * Walk one shot from the root: at each node draw its outcome, call
      * on_outcome(d, outcome) for the suffix's d-th stochastic op (the
-     * backend applies readout error and writes the clbit there), and
+     * replay applies readout error and writes the clbit there), and
      * follow the child. Returns the leaf reached, or -1 when the path
      * falls off the trie; the stream and clbits are then part-consumed
      * and the caller restores both before replaying.

@@ -179,6 +179,15 @@ analyzeForRouting(const QuantumCircuit& circuit, const SimOptions& options)
     analysis.plan = analyzeShotPlan(circuit, options.noise);
     analysis.fused = fuseCircuit(
         circuit, FusionOptions{true, defaults::kFusionMaxQubits});
+    if (analysis.fused.has_value()) {
+        const std::vector<Instruction>& fused = analysis.fused->instructions;
+        size_t& split = analysis.fused_split;
+        while (split < fused.size() &&
+               fused[split].type != OpType::kMeasure &&
+               fused[split].type != OpType::kReset) {
+            ++split;
+        }
+    }
     return analysis;
 }
 

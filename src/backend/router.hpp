@@ -117,6 +117,9 @@ struct CircuitAnalysis
      * the fused suffix.
      */
     std::optional<FusedProgram> fused;
+
+    /** plan.split in the fused stream: its first measurement or reset. */
+    size_t fused_split = 0;
 };
 
 /**

@@ -3,7 +3,7 @@
  * Deterministic network-fault plans for the remote fleet — the model
  * behind the qa_netchaos proxy (tools/qa_netchaos.cpp).
  *
- * Mirrors chaos.hpp one layer down: where ChaosPlan perturbs the
+ * Mirrors tests/chaos.hpp one layer down: where ChaosPlan perturbs the
  * *serving* of jobs (stalls, throws), a NetFaultPlan perturbs the
  * *bytes between router and shard*. Every per-connection decision is a
  * pure function of (seed, connection index) and every per-chunk

@@ -1,4 +1,4 @@
-#include "resilience/chaos.hpp"
+#include "chaos.hpp"
 
 #include <cerrno>
 #include <cstring>

@@ -17,8 +17,8 @@
  * family — is a file operation (chopFileTail) applied between a kill
  * and a replay.
  */
-#ifndef QA_RESILIENCE_CHAOS_HPP
-#define QA_RESILIENCE_CHAOS_HPP
+#ifndef QA_TESTS_CHAOS_HPP
+#define QA_TESTS_CHAOS_HPP
 
 #include <cstdint>
 #include <string>
@@ -128,4 +128,4 @@ const std::vector<AdversarialPayload>& adversarialWireCorpus();
 } // namespace resilience
 } // namespace qa
 
-#endif // QA_RESILIENCE_CHAOS_HPP
+#endif // QA_TESTS_CHAOS_HPP

@@ -196,24 +196,62 @@ TEST(EngineTest, TerminalSamplingBitIdenticalAcrossThreadCounts)
 TEST(EngineTest, PrefixCachedAgreesExactlyWithNaive)
 {
     // Mid-circuit measurement, reset, trajectory noise, and readout
-    // error: the cached plan must replay the identical RNG stream the
-    // naive full-replay plan consumes.
-    const QuantumCircuit qc = kitchenSink(3);
+    // error: on every replaying backend the cached plan must replay the
+    // identical RNG stream the naive full-replay plan consumes.
     NoiseModel noise = NoiseModel::depolarizing(0.001, 0.02);
     noise.readout_p01 = 0.01;
     noise.readout_p10 = 0.03;
 
-    const std::vector<const NoiseModel*> models{nullptr, &noise};
-    for (const NoiseModel* model : models) {
+    // A Clifford circuit whose 1q gates are noise-free under 2q-only
+    // Pauli depolarizing, so the prefix is non-empty either way.
+    QuantumCircuit clifford(4, 5);
+    clifford.h(0);
+    clifford.s(1);
+    clifford.h(2);
+    clifford.cx(0, 1);
+    clifford.cx(1, 2);
+    clifford.measure(1, 4); // mid-circuit measurement
+    clifford.reset(2);      // mid-circuit reset
+    clifford.h(2);
+    clifford.cz(2, 3);
+    clifford.measureAll();
+    NoiseModel pauli = NoiseModel::depolarizing(0.0, 0.03);
+    pauli.readout_p01 = 0.02;
+    pauli.readout_p10 = 0.04;
+
+    NoiseModel readout;
+    readout.readout_p01 = 0.02;
+    readout.readout_p10 = 0.05;
+
+    struct Case
+    {
+        BackendKind kind;
+        BackendRequest request; ///< how the routed run reaches `kind`
+        QuantumCircuit circuit;
+        const NoiseModel* noise;
+    };
+    const Case cases[] = {
+        {BackendKind::kStatevector, BackendRequest::kAuto, kitchenSink(3),
+         nullptr},
+        {BackendKind::kStatevector, BackendRequest::kAuto, kitchenSink(3),
+         &noise},
+        {BackendKind::kStabilizer, BackendRequest::kAuto, clifford, nullptr},
+        {BackendKind::kStabilizer, BackendRequest::kAuto, clifford, &pauli},
+        {BackendKind::kMps, BackendRequest::kMps, kitchenSink(3), nullptr},
+        {BackendKind::kMps, BackendRequest::kMps, kitchenSink(3), &readout},
+    };
+    for (const Case& c : cases) {
+        SCOPED_TRACE(std::string(backendName(c.kind)) +
+                     (c.noise ? " noisy" : " noiseless"));
         SimOptions cached;
         cached.shots = 1024;
         cached.seed = 5150;
-        cached.noise = model;
+        cached.noise = c.noise;
+        cached.backend = c.request;
+        ASSERT_EQ(backend::route(c.circuit, cached).choice.backend, c.kind);
         const Counts naive = test::runReference(
-            BackendKind::kStatevector, qc, cached,
-            test::Reference::kReplayAll);
-        EXPECT_EQ(runShots(qc, cached).map, naive.map)
-            << (model ? "noisy" : "noiseless");
+            c.kind, c.circuit, cached, test::Reference::kReplayAll);
+        EXPECT_EQ(runShots(c.circuit, cached).map, naive.map);
     }
 }
 

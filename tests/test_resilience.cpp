@@ -26,7 +26,6 @@
 #include "common/clock.hpp"
 #include "common/error.hpp"
 #include "resilience/breaker.hpp"
-#include "resilience/chaos.hpp"
 #include "resilience/journal.hpp"
 #include "resilience/netfault.hpp"
 #include "resilience/retry.hpp"
@@ -35,6 +34,7 @@
 #include "serve/json.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/wire.hpp"
+#include "chaos.hpp"
 
 namespace qa
 {
