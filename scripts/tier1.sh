@@ -7,8 +7,10 @@
 # answered exactly once), then a
 # ThreadSanitizer build (QA_ENABLE_TSAN=ON) that runs the shot-engine,
 # policy-runner, service-scheduler, backend-subsystem, MPS-backend,
-# gate-fusion/kernel, and resilience-chaos tests — the multi-threaded code paths, including
-# watchdog reclaim/respawn, zombie joins, and the one shot loop every
+# gate-fusion/kernel, and resilience tests — the multi-threaded code paths, including
+# the scheduler's one-attempt resolve racing drainFor/stop (each job is
+# run and resolved by the one worker that popped it; stop() cancels what
+# is still queued and joins every worker), and the one shot loop every
 # backend and policy shares (JobTest.ShotLoopIsThreadCountDeterministic
 # drives a plain job and a multi-variant retry job through it at 1, 2
 # and 8 threads) — under TSAN, and an ASan+UBSan build

@@ -2,11 +2,12 @@
  * @file
  * Clock abstraction for testable timeouts.
  *
- * Every resilience component that compares "now" against a budget
- * (watchdog stall detection, circuit-breaker cooldowns, retry release
- * times) reads time through a Clock* so tests can drive those decisions
- * with a ManualClock instead of real sleeps. Production code passes
- * nullptr and gets the process-wide steady clock.
+ * Every component that compares "now" against a budget (the fleet
+ * router's ping timeouts, backoff releases and respawn schedule, the
+ * scheduler's queue and execution timings) reads time through a Clock*
+ * so tests can drive those decisions with a ManualClock instead of real
+ * sleeps. Production code passes nullptr and gets the process-wide
+ * steady clock.
  *
  * The abstraction deliberately reuses std::chrono::steady_clock's
  * time_point type: manual time stays directly comparable with instants

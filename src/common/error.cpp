@@ -15,12 +15,9 @@ errorCodeName(ErrorCode code)
       case ErrorCode::kPolicyExhausted:   return "policy_exhausted";
       case ErrorCode::kQasmSyntax:        return "qasm_syntax";
       case ErrorCode::kDeadlineExpired:   return "deadline_expired";
-      case ErrorCode::kWorkerFailure:     return "worker_failure";
       case ErrorCode::kQueueFull:         return "queue_full";
       case ErrorCode::kServiceStopped:    return "service_stopped";
       case ErrorCode::kBadRequest:        return "bad_request";
-      case ErrorCode::kWorkerLost:        return "worker_lost";
-      case ErrorCode::kShedding:          return "shedding";
       case ErrorCode::kJournalCorrupt:    return "journal_corrupt";
       case ErrorCode::kNoShardAvailable:  return "no_shard_available";
       case ErrorCode::kUnsupportedAssertion:

@@ -37,12 +37,9 @@ enum class ErrorCode
     kPolicyExhausted,   ///< Bounded retries used up without a pass.
     kQasmSyntax,        ///< Malformed QASM input.
     kDeadlineExpired,   ///< Deadline elapsed before any work completed.
-    kWorkerFailure,     ///< A parallel worker failed; first cause chained.
     kQueueFull,         ///< Service admission queue at capacity.
     kServiceStopped,    ///< Submission to a stopped/stopping service.
     kBadRequest,        ///< Malformed service request (wire protocol).
-    kWorkerLost,        ///< Scheduler worker wedged/died while executing.
-    kShedding,          ///< Circuit breaker open; load shed at admission.
     kJournalCorrupt,    ///< Journal record damaged beyond the torn tail.
     kNoShardAvailable,  ///< Fleet router found no live shard for a job.
     kUnsupportedAssertion, ///< Assertion projector admits no lowering

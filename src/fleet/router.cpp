@@ -25,25 +25,17 @@ durationMs(double ms)
 }
 
 /**
- * Shard error codes the fleet is allowed to redispatch: refusals
- * (queue_full/shedding — the shard is healthy but saturated),
- * service_stopped (the shard is draining; a sibling is not), and the
- * transient execution failures the scheduler itself would retry. Typed
- * caller mistakes (bad_request, qasm_syntax, ...) fail identically on
- * every shard and are delivered as-is.
+ * Shard error codes the fleet is allowed to redispatch: the refusals a
+ * shard answers without running the job — queue_full (the shard is
+ * healthy but saturated) and service_stopped (the shard is draining; a
+ * sibling is not). Every other error, `generic` included, comes from
+ * running the job, which is a pure function of its spec: it would fail
+ * identically on every shard, so it is delivered as it is.
  */
 bool
 fleetRetryableCode(const std::string& name)
 {
-    if (name == "queue_full" || name == "shedding" ||
-        name == "service_stopped") {
-        return true;
-    }
-    ErrorCode code = ErrorCode::kGeneric;
-    if (name == "worker_lost") code = ErrorCode::kWorkerLost;
-    else if (name == "worker_failure") code = ErrorCode::kWorkerFailure;
-    else if (name != "generic") return false;
-    return resilience::isTransientError(code);
+    return name == "queue_full" || name == "service_stopped";
 }
 
 /** Swap the quoted alias id in a shard response for the client's id. */
@@ -61,22 +53,6 @@ rewriteResponseId(const std::string& line, const std::string& alias,
 }
 
 } // namespace
-
-resilience::BreakerOptions
-defaultShardBreaker()
-{
-    resilience::BreakerOptions options;
-    options.enabled = true;
-    // Shard-sized traffic: a smaller window and sample floor than the
-    // in-process scheduler breaker, so a genuinely failing shard trips
-    // within a few dozen responses.
-    options.window = 32;
-    options.min_samples = 8;
-    options.failure_threshold = 0.6;
-    options.open_cooldown_ms = 500.0;
-    options.half_open_probes = 2;
-    return options;
-}
 
 FleetRouter::FleetRouter(RouterOptions options, Emit emit)
     : options_(std::move(options)), clock_(resolveClock(options_.clock)),
@@ -102,8 +78,6 @@ FleetRouter::FleetRouter(RouterOptions options, Emit emit)
     for (size_t i = 0; i < options_.shards; ++i) {
         auto shard = std::make_unique<Shard>();
         shard->health = HealthTracker(options_.health);
-        shard->breaker = std::make_unique<resilience::CircuitBreaker>(
-            options_.breaker, options_.clock);
         shards_.push_back(std::move(shard));
     }
 }
@@ -310,23 +284,17 @@ FleetRouter::onShardLine(size_t index, uint64_t generation,
         return;
     }
 
-    if (is_error) {
-        shard.errors++;
-        shard.breaker->recordFailure();
-    } else {
-        shard.breaker->recordSuccess();
-    }
+    if (is_error) shard.errors++;
 
     if (is_error && fleetRetryableCode(code_name) && !draining_) {
         job->awaiting.reset(); // this dispatch is spent
 
-        // A refusal (queue_full/shedding) is saturation, not failure:
-        // rewind placement one step so the retry lands on the same
-        // shard once it recovers, keeping the job's cache affinity.
-        // Other retryable codes keep the advanced cursor and fail over
-        // down the chain.
-        if ((code_name == "queue_full" || code_name == "shedding") &&
-            job->next_chain > 0) {
+        // queue_full is saturation, not failure: rewind placement one
+        // step so the retry lands on the same shard once it recovers,
+        // keeping the job's cache affinity. A draining shard
+        // (service_stopped) keeps the advanced cursor and the job fails
+        // over down the chain.
+        if (code_name == "queue_full" && job->next_chain > 0) {
             job->next_chain--;
         }
 
@@ -401,7 +369,6 @@ FleetRouter::dispatchLocked(const PendingPtr& job)
         Shard& shard = *shards_[target];
         if (!shard.alive) continue;
         if (shard.health.state() == ShardHealth::kDown) continue;
-        if (!shard.breaker->tryAdmit()) continue;
 
         const std::string alias = pending_.issueAlias(job);
         job->request.set("id", serve::JsonValue::makeString(alias));
@@ -428,8 +395,8 @@ void
 FleetRouter::parkOrFailLocked(const PendingPtr& job)
 {
     // No shard took the job. Park for a jittered backoff while the
-    // attempt budget lasts — a respawn or breaker cooldown may be
-    // moments away — then fail typed: never hang the client.
+    // attempt budget lasts — a respawn or reconnect may be moments
+    // away — then fail typed: never hang the client.
     job->parks++;
     const int attempts = job->dispatches + job->parks;
     const double spent = clock_.elapsedMs(job->admitted);
@@ -680,7 +647,6 @@ FleetRouter::shardStatus(size_t index) const
     status.alive = shard.alive;
     status.generation = shard.generation;
     status.health = shard.health.state();
-    status.breaker = shard.breaker->state();
     status.forwarded = shard.forwarded;
     status.responses = shard.responses;
     status.errors = shard.errors;
@@ -738,8 +704,7 @@ FleetRouter::fleetStatusLocked(const std::string& id) const
             << "\",\"pid\":" << (shard.transport ? shard.transport->pid() : -1)
             << ",\"alive\":" << (shard.alive ? "true" : "false")
             << ",\"generation\":" << shard.generation << ",\"state\":\""
-            << shardHealthName(shard.health.state()) << "\",\"breaker\":\""
-            << resilience::breakerStateName(shard.breaker->state())
+            << shardHealthName(shard.health.state())
             << "\",\"forwarded\":" << shard.forwarded
             << ",\"responses\":" << shard.responses
             << ",\"errors\":" << shard.errors

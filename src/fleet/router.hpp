@@ -12,27 +12,29 @@
  * client's ids.
  *
  * Robustness contract (DESIGN.md Sec. 13):
- *  - **Health probing**: a maintenance thread wire-pings every shard
- *    each probe interval; timeouts and failures drive the per-shard
- *    up/degraded/down state machine (fleet/health.hpp).
+ *  - **Health from liveness alone**: a maintenance thread wire-pings
+ *    every shard each probe interval; ping timeouts, write failures,
+ *    unparseable lines and process exit drive the per-shard
+ *    up/degraded/down state machine (fleet/health.hpp). A job's own
+ *    outcome never does: an error reply is a fact about the program
+ *    the client sent, and the same job fails the same way on any shard.
  *  - **Failover**: a down shard's keyspace re-hashes to its ring
  *    successors (fleet/ring.hpp); jobs in flight on a dead shard are
  *    resubmitted to the next live shard. Recovery restores affinity by
  *    construction.
- *  - **Per-shard circuit breakers** (resilience/breaker.hpp): a shard
- *    answering with failures trips its breaker and stops receiving
- *    dispatches until its cooldown probe succeeds.
- *  - **Deadline-aware jittered retries** (resilience/retry.hpp):
- *    shard-level refusals (queue_full/shedding/worker_lost/...) are
- *    retried on the ring with counter-based jittered backoff — also
- *    honouring the shard's own retry_after_ms hint — bounded by the
- *    attempt budget and the job's deadline.
+ *  - **Refusals only are redispatched** (resilience/retry.hpp): a shard
+ *    that refused a job without running it (queue_full,
+ *    service_stopped) sees it again after a counter-based jittered
+ *    backoff — also honouring the shard's own retry_after_ms hint —
+ *    bounded by the attempt budget and the job's deadline. Every other
+ *    reply, `generic` included, is delivered as it is: the job ran, and
+ *    running it again would only repeat its result.
  *  - **One outstanding dispatch**: a job is in flight on at most one
  *    shard at a time; failover, retry and park all clear it before the
  *    next dispatch is issued (PendingJob::awaiting is a single slot).
  *  - **Exactly-once**: every admitted job resolves to the client
  *    exactly once, through any combination of shard crash, respawn,
- *    and retry (fleet/pending.hpp is the single resolution point).
+ *    and redispatch (fleet/pending.hpp is the single resolution point).
  *  - **All shards down** is a typed kNoShardAvailable error after the
  *    retry budget, never a hang.
  *
@@ -75,16 +77,12 @@
 #include "fleet/process.hpp"
 #include "fleet/ring.hpp"
 #include "fleet/transport.hpp"
-#include "resilience/breaker.hpp"
 #include "resilience/retry.hpp"
 
 namespace qa
 {
 namespace fleet
 {
-
-/** Per-shard breaker defaults tuned for shard-sized outcome volumes. */
-resilience::BreakerOptions defaultShardBreaker();
 
 /** Fleet sizing and behaviour knobs. */
 struct RouterOptions
@@ -130,14 +128,11 @@ struct RouterOptions
     /** Respawn dead shards (with backoff); off leaves them down. */
     bool respawn = true;
 
-    /** Fleet-level retry sizing (attempts, jittered backoff). */
+    /** Refusal redispatch and park sizing (attempts, jittered backoff). */
     resilience::RetryOptions retry;
 
     /** Respawn backoff sizing (slower than job retries). */
     resilience::RetryOptions respawn_backoff;
-
-    /** Per-shard circuit breaker. */
-    resilience::BreakerOptions breaker = defaultShardBreaker();
 
     /** Health state-machine thresholds. */
     HealthOptions health;
@@ -176,8 +171,6 @@ struct ShardStatus
     bool alive = false;
     uint64_t generation = 0;
     ShardHealth health = ShardHealth::kUp;
-    resilience::CircuitBreaker::State breaker =
-        resilience::CircuitBreaker::State::kClosed;
     uint64_t forwarded = 0;
     uint64_t responses = 0;
     uint64_t errors = 0;
@@ -246,7 +239,6 @@ class FleetRouter
         uint64_t generation = 0;
         bool alive = false;
         HealthTracker health;
-        std::unique_ptr<resilience::CircuitBreaker> breaker;
 
         bool ping_outstanding = false;
         std::string ping_id;

@@ -9,19 +9,6 @@ namespace qa
 namespace resilience
 {
 
-bool
-isTransientError(ErrorCode code)
-{
-    switch (code) {
-      case ErrorCode::kGeneric:
-      case ErrorCode::kWorkerLost:
-      case ErrorCode::kWorkerFailure:
-        return true;
-      default:
-        return false;
-    }
-}
-
 double
 retryBackoffMs(const RetryOptions& options, uint64_t job_seq, int retry)
 {
@@ -40,25 +27,6 @@ retryBackoffMs(const RetryOptions& options, uint64_t job_seq, int retry)
         (job_seq * 0x9E3779B97F4A7C15ULL + uint64_t(retry)));
     const double unit = double(draw >> 11) * 0x1.0p-53;
     return backoff * (0.5 + 0.5 * unit);
-}
-
-RetryDecision
-decideRetry(const RetryOptions& options, uint64_t job_seq,
-            int failed_attempt, ErrorCode code, double deadline_ms,
-            double spent_ms)
-{
-    RetryDecision decision;
-    if (!isTransientError(code)) return decision;
-    if (failed_attempt + 1 >= options.max_attempts) return decision;
-
-    const double backoff =
-        retryBackoffMs(options, job_seq, failed_attempt + 1);
-    if (deadline_ms > 0.0 && spent_ms + backoff >= deadline_ms) {
-        return decision; // budget exhausted: fail with the error we have
-    }
-    decision.retry = true;
-    decision.backoff_ms = backoff;
-    return decision;
 }
 
 } // namespace resilience

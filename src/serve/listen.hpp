@@ -6,8 +6,8 @@
  *
  * The wire protocol is byte-identical on stdin/stdout and over a socket
  * (serve/wire.hpp) — a connection is just another NDJSON stream — so
- * everything the pipe fleet relies on (immediate queue_full/shedding
- * refusals with retry_after_ms, pings answered on the read loop,
+ * everything the pipe fleet relies on (immediate queue_full refusals
+ * with retry_after_ms, pings answered on the read loop,
  * write-ahead journaling) behaves the same over a socket. That is what
  * lets the fleet router treat "child on a pipe" and "daemon on a port"
  * as two transports of the same shard (fleet/transport.hpp).

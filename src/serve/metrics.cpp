@@ -58,10 +58,6 @@ ServiceMetrics::snapshot() const
     snap.completed = completed.load(std::memory_order_relaxed);
     snap.failed = failed.load(std::memory_order_relaxed);
     snap.cancelled = cancelled.load(std::memory_order_relaxed);
-    snap.retried = retried.load(std::memory_order_relaxed);
-    snap.shed = shed.load(std::memory_order_relaxed);
-    snap.worker_lost = worker_lost.load(std::memory_order_relaxed);
-    snap.respawned = respawned.load(std::memory_order_relaxed);
     snap.backend_statevector =
         backend_statevector.load(std::memory_order_relaxed);
     snap.backend_density_matrix =
@@ -96,9 +92,6 @@ MetricsSnapshot::str() const
         << "  jobs: accepted=" << accepted << " rejected=" << rejected
         << " completed=" << completed << " failed=" << failed
         << " cancelled=" << cancelled << "\n"
-        << "  resilience: retried=" << retried << " shed=" << shed
-        << " worker_lost=" << worker_lost << " respawned=" << respawned
-        << "\n"
         << "  queue: depth=" << queue_depth << " in_flight=" << in_flight
         << "\n"
         << "  cache: hits=" << cache_hits << " misses=" << cache_misses

@@ -77,11 +77,6 @@ struct MetricsSnapshot
     uint64_t failed = 0;    ///< Jobs finished with status kFailed.
     uint64_t cancelled = 0; ///< Jobs cancelled by stop().
 
-    uint64_t retried = 0;     ///< Attempts re-queued after a transient failure.
-    uint64_t shed = 0;        ///< Submissions refused by the circuit breaker.
-    uint64_t worker_lost = 0; ///< Attempts reclaimed from a wedged/dead worker.
-    uint64_t respawned = 0;   ///< Worker slots restarted by the watchdog.
-
     size_t queue_depth = 0; ///< Jobs waiting for a worker right now.
     size_t in_flight = 0;   ///< Jobs executing right now.
 
@@ -120,10 +115,6 @@ class ServiceMetrics
     std::atomic<uint64_t> completed{0};
     std::atomic<uint64_t> failed{0};
     std::atomic<uint64_t> cancelled{0};
-    std::atomic<uint64_t> retried{0};
-    std::atomic<uint64_t> shed{0};
-    std::atomic<uint64_t> worker_lost{0};
-    std::atomic<uint64_t> respawned{0};
 
     /** Executed jobs per resolved backend (cache hits not counted). */
     std::atomic<uint64_t> backend_statevector{0};

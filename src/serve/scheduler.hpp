@@ -3,42 +3,33 @@
  * Multi-tenant assertion-job scheduler: the in-process service front
  * door (qassertd is a thin NDJSON loop over it).
  *
- * Shape: submit() performs admission control — a circuit breaker sheds
- * load with ErrorCode::kShedding when the service is unhealthy, and a
- * bounded priority queue rejects with ErrorCode::kQueueFull instead of
- * blocking — and a supervised worker pool drains the queue, consulting
- * the cross-job ResultCache before dispatching cache misses onto the
- * shot-execution engine (executeJob -> runShots / runAssertedPolicy).
+ * Shape: submit() performs admission control — a bounded priority
+ * queue rejects with ErrorCode::kQueueFull instead of blocking — and a
+ * fixed worker pool drains the queue, consulting the cross-job
+ * ResultCache before dispatching cache misses onto the shot-execution
+ * engine (executeJob -> runShots / runAssertedPolicy).
  *
- * Resilience: each worker slot carries a heartbeat; a watchdog thread
- * (enabled via SupervisorOptions::stall_timeout_ms) detects wedged
- * workers, reclaims their in-flight job — retried when the retry policy
- * allows, failed with ErrorCode::kWorkerLost otherwise — and respawns
- * the slot. Transient failures (kGeneric, kWorkerLost, kWorkerFailure)
- * retry with deterministic counter-based jittered backoff, bounded by
- * attempts and by the job's own deadline budget. Every admitted job is
- * resolved exactly once: attempt resolution is an attempt-stamped CAS
- * on the job ticket, so a zombie worker finishing late can never
- * double-resolve or clobber a retry.
+ * One attempt per job: the worker that pops a job runs it once and
+ * resolves it with whatever it produced. A job's result is a pure
+ * function of its JobSpec (see serve/job.hpp), so a second attempt
+ * could only repeat the first one's failure; the scheduler never
+ * retries, and a failed job says nothing about the service's health.
+ * Recovery from a crashed process is journal replay (qassertd
+ * --replay) and, in a fleet, failover to a sibling shard.
  *
- * Determinism: a job's result is a pure function of its JobSpec (see
- * serve/job.hpp), so per-job results are bit-identical for any worker
- * count, arrival order, cache state, or recovery path — a job that
- * succeeds on attempt 3 returns the same payload it would have on
- * attempt 1. Scheduling and recovery only affect latency, never
- * payloads.
+ * Determinism: per-job results are bit-identical for any worker count,
+ * arrival order, or cache state. Scheduling only affects latency,
+ * never payloads.
  *
  * Lifecycle: workers start immediately (or parked when
  * SchedulerOptions::start_paused, until resume()). stop() — also run by
- * the destructor — halts the watchdog, rejects new work, fulfills
- * still-queued and backoff-parked jobs with JobStatus::kCancelled,
- * finishes in-flight jobs, and joins every worker including zombies
- * left behind by respawns; no detached threads, ever.
+ * the destructor — rejects new work, fulfills still-queued jobs with
+ * JobStatus::kCancelled, finishes in-flight jobs, and joins every
+ * worker; no detached threads, ever.
  */
 #ifndef QA_SERVE_SCHEDULER_HPP
 #define QA_SERVE_SCHEDULER_HPP
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -49,9 +40,6 @@
 #include <vector>
 
 #include "common/clock.hpp"
-#include "resilience/breaker.hpp"
-#include "resilience/retry.hpp"
-#include "resilience/supervisor.hpp"
 #include "serve/cache.hpp"
 #include "serve/job.hpp"
 #include "serve/metrics.hpp"
@@ -62,12 +50,11 @@ namespace serve
 {
 
 /**
- * Test/chaos hook run by a worker at the top of every execution attempt
- * (before the cache lookup). Receives the job's admission sequence
- * number and the 0-based attempt. May sleep (simulating a wedged
- * worker) or throw (a transient execution failure).
+ * Test hook run by a worker just before it executes a job (before the
+ * cache lookup). Receives the job's admission sequence number. May
+ * block (holding the job in flight) or throw (failing the job).
  */
-using ExecHook = std::function<void(uint64_t seq, int attempt)>;
+using ExecHook = std::function<void(uint64_t seq)>;
 
 /** Scheduler sizing and behaviour knobs. */
 struct SchedulerOptions
@@ -88,16 +75,7 @@ struct SchedulerOptions
      */
     bool start_paused = false;
 
-    /** Transient-failure retry policy (attempts, backoff, jitter). */
-    resilience::RetryOptions retry;
-
-    /** Admission circuit breaker; disabled by default. */
-    resilience::BreakerOptions breaker;
-
-    /** Worker supervision; stall_timeout_ms <= 0 keeps the watchdog off. */
-    resilience::SupervisorOptions supervisor;
-
-    /** Chaos/test injection point; empty = no-op. */
+    /** Test injection point; empty = no-op. */
     ExecHook exec_hook;
 
     /** Time source; nullptr = the real steady clock. */
@@ -120,10 +98,9 @@ class Scheduler
 
     /**
      * Admit a job and resolve the returned future when it completes
-     * (any JobStatus). Throws UserError immediately on shedding
-     * (ErrorCode::kShedding), backpressure (ErrorCode::kQueueFull), or
-     * after stop() (ErrorCode::kServiceStopped); rejected jobs consume
-     * no queue slot.
+     * (any JobStatus). Throws UserError immediately on backpressure
+     * (ErrorCode::kQueueFull) or after stop()
+     * (ErrorCode::kServiceStopped); rejected jobs consume no queue slot.
      */
     std::future<JobResult> submit(JobSpec spec);
 
@@ -151,10 +128,9 @@ class Scheduler
     bool drainFor(double timeout_ms);
 
     /**
-     * Reject new submissions, cancel still-queued and backoff-parked
-     * jobs (JobStatus::kCancelled, ErrorCode::kServiceStopped), finish
-     * in-flight ones, and join all workers (zombies included).
-     * Idempotent.
+     * Reject new submissions, cancel still-queued jobs
+     * (JobStatus::kCancelled, ErrorCode::kServiceStopped), finish
+     * in-flight ones, and join all workers. Idempotent.
      */
     void stop();
 
@@ -165,44 +141,30 @@ class Scheduler
         return workers_;
     }
 
-    /** Counters + queue depth + cache + breaker, one consistent snapshot. */
+    /** Counters + queue depth + cache, one consistent snapshot. */
     MetricsSnapshot metrics() const;
 
     /**
      * Backoff hint (ms) for a submission this scheduler just rejected
      * with `code`; 0 means "no estimate" and the field is omitted from
-     * the wire response. kShedding derives from the breaker's remaining
-     * cooldown; kQueueFull from the observed mean execution time — a
-     * queue slot frees when any of the `workers()` workers pulls its
-     * next job, so mean_exec / workers approximates that wait.
+     * the wire response. Only kQueueFull has one: a queue slot frees
+     * when any of the `workers()` workers pulls its next job, so the
+     * observed mean execution time / workers approximates that wait
+     * (10 ms before any job has finished; clamped to [1, 10000] ms).
      */
     double retryAfterMsHint(ErrorCode code) const;
 
     /** @name Cheap liveness numbers for the ping response. */
     ///@{
-    size_t queueDepth() const; ///< Queued + backoff-stashed jobs.
+    size_t queueDepth() const; ///< Jobs waiting for a worker.
     size_t inFlight() const;   ///< Jobs executing right now.
     ///@}
 
     /** Cache counters alone (benches assert on hit rates). */
     CacheStats cacheStats() const { return cache_.stats(); }
 
-    /** Breaker counters (tests; zeros when the breaker is disabled). */
-    resilience::CircuitBreaker::Stats breakerStats() const
-    {
-        return breaker_.stats();
-    }
-
   private:
-    /**
-     * One admitted job, shared between the queue, the executing worker,
-     * and the watchdog. `claim` holds the next unresolved attempt
-     * number: resolving attempt `a` — worker finished, or watchdog
-     * declared the worker lost — is a CAS(a -> a+1), and exactly one
-     * resolver wins. A zombie worker whose attempt was reclaimed loses
-     * the CAS and discards its result; it can never claim a later
-     * attempt because the CAS is attempt-stamped.
-     */
+    /** One admitted job, owned by the queue until a worker pops it. */
     struct Ticket
     {
         JobSpec spec;
@@ -210,10 +172,8 @@ class Scheduler
         int priority = 0;
         Clock::TimePoint enqueued;
         JobCallback done;
-        int attempt = 0;            ///< Attempt the next dispatch runs.
-        std::atomic<int> claim{0};  ///< Next unresolved attempt.
     };
-    using TicketPtr = std::shared_ptr<Ticket>;
+    using TicketPtr = std::unique_ptr<Ticket>;
 
     /** Max-heap order: highest priority first, FIFO within a level. */
     struct TicketOrder
@@ -228,56 +188,27 @@ class Scheduler
         }
     };
 
-    /** A retry waiting out its backoff. */
-    struct StashEntry
-    {
-        TicketPtr ticket;
-        Clock::TimePoint release;
-    };
-
-    /** One supervised worker position. */
-    struct Slot
-    {
-        std::thread thread;
-        std::shared_ptr<resilience::Heartbeat> heartbeat;
-        uint64_t generation = 0;
-        TicketPtr running;      ///< Ticket being executed, if any.
-        int running_attempt = 0;
-    };
-
-    void workerLoop(size_t slot_index, uint64_t generation,
-                    std::shared_ptr<resilience::Heartbeat> heartbeat);
-    JobResult runAttempt(const Ticket& ticket, int attempt);
-    void finishAttempt(size_t slot_index, uint64_t generation,
-                       const TicketPtr& ticket, int attempt,
-                       JobResult result);
-    void resolveFinal(const TicketPtr& ticket, JobResult result);
-    void watchdogScan();
-    void promoteDueRetriesLocked();
-    void pushQueueLocked(TicketPtr ticket);
-    void spawnSlotLocked(size_t slot_index);
+    void workerLoop();
+    JobResult run(const Ticket& ticket);
+    void resolve(const Ticket& ticket, JobResult result);
 
     SchedulerOptions options_;
     Clock& clock_;
     ResultCache cache_;
     ServiceMetrics metrics_;
-    resilience::CircuitBreaker breaker_;
-    resilience::Watchdog watchdog_;
     int workers_ = 0;
 
     mutable std::mutex mutex_;
-    std::condition_variable work_cv_; // queue/stash/pause/stop changes
+    std::condition_variable work_cv_; // queue/pause/stop changes
     std::condition_variable idle_cv_; // resolution changes
     std::vector<TicketPtr> queue_;    // heap ordered by TicketOrder
-    std::vector<StashEntry> stash_;   // retries waiting out backoff
     uint64_t next_seq_ = 0;
-    size_t in_flight_ = 0;   ///< Threads inside runAttempt right now.
+    size_t in_flight_ = 0;   ///< Workers inside run() right now.
     size_t unresolved_ = 0;  ///< Admitted jobs not yet resolved.
     bool paused_ = false;
     bool stopped_ = false;
 
-    std::vector<Slot> slots_;
-    std::vector<std::thread> zombies_; ///< Replaced workers; joined at stop.
+    std::vector<std::thread> threads_;
 };
 
 } // namespace serve

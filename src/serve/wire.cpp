@@ -426,10 +426,6 @@ encodeMetrics(const MetricsSnapshot& snapshot)
         << ",\"completed\":" << snapshot.completed
         << ",\"failed\":" << snapshot.failed
         << ",\"cancelled\":" << snapshot.cancelled
-        << ",\"retried\":" << snapshot.retried
-        << ",\"shed\":" << snapshot.shed
-        << ",\"worker_lost\":" << snapshot.worker_lost
-        << ",\"respawned\":" << snapshot.respawned
         << ",\"queue_depth\":" << snapshot.queue_depth
         << ",\"in_flight\":" << snapshot.in_flight
         << ",\"cache_hits\":" << snapshot.cache_hits

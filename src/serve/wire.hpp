@@ -117,10 +117,10 @@ std::string encodeReplay(const std::string& id, const JobResult& result);
 /**
  * Encode a failure as one response line (no trailing newline). A
  * positive `retry_after_ms` adds a `"retry_after_ms"` field — the
- * server's own estimate of when a resubmission could succeed, derived
- * from breaker/backoff state. qassertd attaches it to kQueueFull and
- * kShedding rejections so qa_router and well-behaved clients back off
- * instead of hammering a saturated shard.
+ * server's own estimate of when a resubmission could succeed.
+ * qassertd attaches it to kQueueFull rejections (see
+ * Scheduler::retryAfterMsHint) so qa_router and well-behaved clients
+ * back off instead of hammering a saturated shard.
  */
 std::string encodeError(const std::string& id, ErrorCode code,
                         const std::string& message,

@@ -7,53 +7,11 @@
 #include <unistd.h>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
 
 namespace qa
 {
 namespace resilience
 {
-
-const char*
-serviceFaultName(ServiceFaultKind kind)
-{
-    switch (kind) {
-      case ServiceFaultKind::kNone:        return "none";
-      case ServiceFaultKind::kWorkerStall: return "worker_stall";
-      case ServiceFaultKind::kJobThrow:    return "job_throw";
-    }
-    return "unknown";
-}
-
-ServiceFault
-ChaosPlan::at(uint64_t job_seq, int attempt) const
-{
-    ServiceFault fault;
-    if (options_.first_attempt_only && attempt > 0) return fault;
-    // Counter-based draw: the site (seq, attempt) fully determines the
-    // fault, mirroring Rng::forStream's (seed, stream) scheme.
-    const uint64_t draw = splitmix64(
-        options_.seed ^ (job_seq * 0x9E3779B97F4A7C15ULL +
-                         uint64_t(uint32_t(attempt)) * 0xBF58476D1CE4E5B9ULL));
-    const double unit = double(draw >> 11) * 0x1.0p-53;
-    if (unit < options_.p_stall) {
-        fault.kind = ServiceFaultKind::kWorkerStall;
-        fault.stall_ms = options_.stall_ms;
-    } else if (unit < options_.p_stall + options_.p_throw) {
-        fault.kind = ServiceFaultKind::kJobThrow;
-    }
-    return fault;
-}
-
-size_t
-ChaosPlan::plannedFaults(uint64_t njobs) const
-{
-    size_t count = 0;
-    for (uint64_t seq = 0; seq < njobs; ++seq) {
-        if (at(seq, 0).kind != ServiceFaultKind::kNone) ++count;
-    }
-    return count;
-}
 
 void
 chopFileTail(const std::string& path, size_t bytes)

@@ -575,7 +575,7 @@ requestHomedOn(size_t home, size_t shards, size_t vnodes,
 /**
  * In-test remote shard: a real TCP listener speaking just enough of the
  * qassertd wire protocol for router tests — pongs with a configurable
- * queue depth, scripted shedding, scripted response swallowing — so the
+ * queue depth, scripted refusals, scripted response swallowing — so the
  * TCP fleet path is testable without a daemon binary or real jobs.
  */
 class FakeTcpShard
@@ -584,7 +584,8 @@ class FakeTcpShard
     struct Behavior
     {
         size_t queue_depth = 0;   ///< Reported in every pong.
-        int shed_first = 0;       ///< Shed the first N run requests.
+        int refuse_first = 0;     ///< Refuse the first N run requests...
+        ErrorCode refusal = ErrorCode::kQueueFull; ///< ...with this code.
         double retry_after_ms = 40.0;
         bool swallow_runs = false; ///< Accept runs, never answer them.
     };
@@ -706,21 +707,21 @@ class FakeTcpShard
         } else if (op == "shutdown") {
             return; // remote daemons ignore fleet-scope shutdowns here
         } else {
-            bool shed = false;
+            bool refuse = false;
             {
                 std::lock_guard<std::mutex> lock(mutex_);
                 runs_seen_++;
-                if (sheds_issued_ < behavior_.shed_first) {
-                    sheds_issued_++;
-                    shed = true;
+                if (refusals_issued_ < behavior_.refuse_first) {
+                    refusals_issued_++;
+                    refuse = true;
                 }
                 if (behavior_.swallow_runs) return;
             }
-            reply = shed ? serve::encodeError(id, ErrorCode::kShedding,
-                                              "fake shard saturated",
-                                              behavior_.retry_after_ms)
-                         : "{\"id\":\"" + serve::jsonEscape(id) +
-                               "\",\"status\":\"ok\",\"fake\":true}";
+            reply = refuse ? serve::encodeError(id, behavior_.refusal,
+                                                "fake shard refusal",
+                                                behavior_.retry_after_ms)
+                           : "{\"id\":\"" + serve::jsonEscape(id) +
+                                 "\",\"status\":\"ok\",\"fake\":true}";
         }
         reply += "\n";
         net::writeAllBounded(fd, reply.data(), reply.size(), 5000.0);
@@ -736,7 +737,7 @@ class FakeTcpShard
     std::vector<int> live_fds_;
     size_t accepted_ = 0;
     size_t runs_seen_ = 0;
-    int sheds_issued_ = 0;
+    int refusals_issued_ = 0;
 };
 
 /** Fast probe/maintenance cadence for a remote (TCP) fake-shard fleet. */
@@ -852,15 +853,23 @@ TEST(RemoteRouterTest, RoutesOverTcpAndAnswersExactlyOnce)
     EXPECT_EQ(router.shardStatus(0).attachment, a.endpoint());
 }
 
-TEST(RemoteRouterTest, ShedThenRetryLandsOnTheSameShard)
+/** What one job saw when its home shard answered its first run with `code`. */
+struct FirstReplyOutcome
 {
-    // Satellite: a shed is saturation, not failure — after the shard's
-    // retry_after_ms hint (propagated over TCP like over pipes) the
-    // retry must land on the *same* shard, keeping cache affinity.
-    FakeTcpShard::Behavior shedding;
-    shedding.shed_first = 1;
-    shedding.retry_after_ms = 30.0;
-    FakeTcpShard home(shedding);
+    std::string line;    ///< The one response delivered to the client.
+    size_t home_runs = 0;
+    size_t sibling_runs = 0;
+    FleetCounters counters;
+};
+
+FirstReplyOutcome
+routeAgainstFirstReply(ErrorCode code)
+{
+    FakeTcpShard::Behavior refusing;
+    refusing.refuse_first = 1;
+    refusing.refusal = code;
+    refusing.retry_after_ms = 30.0;
+    FakeTcpShard home(refusing);
     FakeTcpShard sibling;
     RouterOptions options =
         remoteOptions({home.endpoint(), sibling.endpoint()});
@@ -872,15 +881,49 @@ TEST(RemoteRouterTest, ShedThenRetryLandsOnTheSameShard)
     EXPECT_TRUE(router.handleLine(
         requestHomedOn(0, 2, options.vnodes, "affine")));
     EXPECT_TRUE(router.drainFor(20000.0));
-    ASSERT_TRUE(collector.waitForCount(1, 5000.0));
+    EXPECT_TRUE(collector.waitForCount(1, 5000.0));
     router.stop();
 
-    const std::string line = collector.snapshot()[0];
+    FirstReplyOutcome outcome;
+    const std::vector<std::string> lines = collector.snapshot();
+    EXPECT_EQ(lines.size(), 1u);
+    if (!lines.empty()) outcome.line = lines[0];
+    outcome.home_runs = home.runsSeen();
+    outcome.sibling_runs = sibling.runsSeen();
+    outcome.counters = router.counters();
+    return outcome;
+}
+
+TEST(RemoteRouterTest, ShedThenRetryLandsOnTheSameShard)
+{
+    // A queue_full refusal is saturation, not failure — after the
+    // shard's retry_after_ms hint (propagated over TCP like over pipes)
+    // the retry must land on the *same* shard, keeping cache affinity.
+    const FirstReplyOutcome outcome =
+        routeAgainstFirstReply(ErrorCode::kQueueFull);
+    const std::string& line = outcome.line;
     EXPECT_NE(line.find("\"id\":\"affine\""), std::string::npos) << line;
     EXPECT_NE(line.find("\"status\":\"ok\""), std::string::npos) << line;
-    EXPECT_EQ(home.runsSeen(), 2u);    // shed once, then served
-    EXPECT_EQ(sibling.runsSeen(), 0u); // affinity never leaked away
-    EXPECT_EQ(router.counters().retried, 1u);
+    EXPECT_EQ(outcome.home_runs, 2u);    // refused once, then served
+    EXPECT_EQ(outcome.sibling_runs, 0u); // affinity never leaked away
+    EXPECT_EQ(outcome.counters.retried, 1u);
+}
+
+TEST(RemoteRouterTest, GenericErrorIsDeliveredAfterOneDispatch)
+{
+    // A generic error comes from running the job, which would fail the
+    // same way anywhere: the router delivers it instead of re-running
+    // the job on a sibling.
+    const FirstReplyOutcome outcome =
+        routeAgainstFirstReply(ErrorCode::kGeneric);
+    const std::string& line = outcome.line;
+    EXPECT_NE(line.find("\"id\":\"affine\""), std::string::npos) << line;
+    EXPECT_NE(line.find("\"code\":\"generic\""), std::string::npos)
+        << line;
+    EXPECT_EQ(outcome.home_runs, 1u);
+    EXPECT_EQ(outcome.sibling_runs, 0u);
+    EXPECT_EQ(outcome.counters.retried, 0u);
+    EXPECT_EQ(outcome.counters.resolved_error, 1u);
 }
 
 TEST(RemoteRouterTest, DroppedConnectionReconnectsAndRestoresAffinity)
@@ -1064,6 +1107,53 @@ TEST(RouterTest, RoutesJobsAndAnswersWithClientIds)
     const FleetCounters counters = router.counters();
     EXPECT_EQ(counters.admitted, 6u);
     EXPECT_EQ(counters.resolved_ok, 6u);
+}
+
+/** A run request forcing the stabilizer backend onto a non-Clifford `t`. */
+std::string
+stabilizerOnTRequest(const std::string& id, uint64_t seed)
+{
+    const std::string qasm = "OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\n"
+                             "h q[0];\nt q[0];\nmeasure q[0] -> c[0];\n";
+    return "{\"id\":\"" + id + "\",\"qasm\":\"" + serve::jsonEscape(qasm) +
+           "\",\"shots\":16,\"seed\":" + std::to_string(seed) +
+           ",\"backend\":\"stabilizer\"}";
+}
+
+TEST(RouterTest, ClientErrorsNeverQuarantineHealthyShards)
+{
+    // A job the backend cannot run is the client's mistake, not a sick
+    // shard: each one is answered bad_request after one dispatch, and
+    // a valid job sent after 40 of them still runs.
+    Collector collector;
+    FleetRouter router(fastOptions(2), collector.sink());
+    router.start();
+    constexpr size_t kBad = 40;
+    for (size_t i = 0; i < kBad; ++i) {
+        EXPECT_TRUE(router.handleLine(
+            stabilizerOnTRequest("bad-" + std::to_string(i), 1 + i)));
+        ASSERT_TRUE(collector.waitForCount(i + 1, 10000.0));
+    }
+    EXPECT_TRUE(router.handleLine(ghzRequest("valid", 3, 7)));
+    EXPECT_TRUE(router.drainFor(20000.0));
+    ASSERT_TRUE(collector.waitForCount(kBad + 1, 5000.0));
+    router.stop();
+
+    const std::vector<std::string> lines = collector.snapshot();
+    for (size_t i = 0; i < kBad; ++i) {
+        EXPECT_NE(lines[i].find("\"code\":\"bad_request\""),
+                  std::string::npos)
+            << lines[i];
+    }
+    EXPECT_NE(lines[kBad].find("\"id\":\"valid\""), std::string::npos)
+        << lines[kBad];
+    EXPECT_NE(lines[kBad].find("\"status\":\"ok\""), std::string::npos)
+        << lines[kBad];
+    const FleetCounters counters = router.counters();
+    EXPECT_EQ(counters.retried, 0u);
+    EXPECT_EQ(counters.no_shard, 0u);
+    EXPECT_EQ(router.shardStatus(0).forwarded + router.shardStatus(1).forwarded,
+              uint64_t(kBad + 1)); // one dispatch per job
 }
 
 TEST(RouterTest, AllShardsDownIsATypedErrorNotAHang)

@@ -1064,11 +1064,11 @@ TEST(WireTest, ErrorResponsesCarryRetryAfterHints)
 
     // No estimate (0) => the field is omitted, not emitted as zero.
     const std::string bare =
-        encodeError("j2", ErrorCode::kShedding, "shedding");
+        encodeError("j2", ErrorCode::kServiceStopped, "stopping");
     EXPECT_EQ(bare.find("retry_after_ms"), std::string::npos);
 }
 
-TEST(WireTest, SchedulerHintsMatchBreakerAndQueueState)
+TEST(WireTest, SchedulerHintsMatchQueueState)
 {
     SchedulerOptions options;
     options.workers = 2;
@@ -1078,9 +1078,8 @@ TEST(WireTest, SchedulerHintsMatchBreakerAndQueueState)
     const double hint = scheduler.retryAfterMsHint(ErrorCode::kQueueFull);
     EXPECT_GE(hint, 1.0);
     EXPECT_LE(hint, 10000.0);
-    // Breaker disabled => closed => resubmit immediately.
-    EXPECT_EQ(scheduler.retryAfterMsHint(ErrorCode::kShedding), 0.0);
     // Hints exist only for saturation rejections.
+    EXPECT_EQ(scheduler.retryAfterMsHint(ErrorCode::kServiceStopped), 0.0);
     EXPECT_EQ(scheduler.retryAfterMsHint(ErrorCode::kBadRequest), 0.0);
     scheduler.stop();
 }
@@ -1276,7 +1275,7 @@ TEST(ServeLoopTest, StopLetsInFlightJobsAnswerBeforeEof)
     std::future<void> running = started.get_future();
     std::promise<void> release;
     std::shared_future<void> released = release.get_future().share();
-    options.exec_hook = [&started, released](uint64_t, int) {
+    options.exec_hook = [&started, released](uint64_t) {
         started.set_value();
         released.wait();
     };

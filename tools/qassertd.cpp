@@ -3,13 +3,16 @@
  * qassertd: the assertion service front-end. Speaks newline-delimited
  * JSON over stdin/stdout (protocol: serve/wire.hpp) and drives the
  * in-process Scheduler — batching, priorities, the cross-job result
- * cache, per-job deadlines, worker supervision, and transient-failure
- * retries all come from there.
+ * cache and per-job deadlines all come from there. Each admitted job
+ * runs exactly once: its result is a pure function of the request, so
+ * a failed job is answered with its typed error and never re-run.
+ * Recovery from a crash is journal replay (--journal / --replay), and
+ * in a fleet, qa_router's failover to a sibling shard.
  *
  * Usage:
  *   qassertd [--workers N] [--queue N] [--cache N] [--max-line N]
- *            [--retries N] [--stall-ms X] [--breaker] [--auto-assert]
- *            [--journal PATH] [--sync-every N] [--drain-ms X]
+ *            [--auto-assert] [--journal PATH] [--sync-every N]
+ *            [--drain-ms X]
  *            [--listen HOST:PORT] [--port-file PATH]
  *   qassertd --replay PATH
  *
@@ -34,9 +37,9 @@
  *  - input lines are bounded (--max-line, default 1 MiB); an oversize
  *    line is consumed and rejected with {"code":"bad_request"} without
  *    ever being buffered whole;
- *  - admission rejections ({"code":"queue_full"}, {"code":"shedding"})
- *    are immediate — the reader never blocks on a full queue, callers
- *    are expected to retry with backoff;
+ *  - an admission rejection ({"code":"queue_full"}, with a
+ *    retry_after_ms hint) is immediate — the reader never blocks on a
+ *    full queue, callers are expected to retry with backoff;
  *  - with --journal, every admitted run request is appended to a
  *    crash-safe NDJSON journal *before* it enters the scheduler, and a
  *    completion record (with the result's payload hash) follows when it
@@ -186,15 +189,6 @@ main(int argc, char** argv)
         } else if (arg == "--max-line") {
             max_line = size_t(parsePositiveArg(arg, value));
             ++i;
-        } else if (arg == "--retries") {
-            options.retry.max_attempts = parsePositiveArg(arg, value);
-            ++i;
-        } else if (arg == "--stall-ms") {
-            options.supervisor.stall_timeout_ms =
-                double(parsePositiveArg(arg, value));
-            ++i;
-        } else if (arg == "--breaker") {
-            options.breaker.enabled = true;
         } else if (arg == "--auto-assert") {
             auto_assert = true;
         } else if (arg == "--journal") {
@@ -236,10 +230,8 @@ main(int argc, char** argv)
             std::cerr
                 << "usage: qassertd [--workers N] [--queue N] [--cache N]"
                    " [--max-line N]\n"
-                   "                [--retries N] [--stall-ms X]"
-                   " [--breaker] [--auto-assert]\n"
-                   "                [--journal PATH] [--sync-every N]"
-                   " [--drain-ms X]\n"
+                   "                [--auto-assert] [--journal PATH]"
+                   " [--sync-every N] [--drain-ms X]\n"
                    "                [--listen HOST:PORT] [--port-file "
                    "PATH]\n"
                    "       qassertd --replay PATH\n"
@@ -315,9 +307,6 @@ main(int argc, char** argv)
     } else {
         std::cerr << "qassertd: ready (" << scheduler.workers()
                   << " workers" << (journal ? ", journaled" : "")
-                  << (options.supervisor.stall_timeout_ms > 0.0
-                          ? ", supervised"
-                          : "")
                   << ")\n";
 
         net::LineReader reader(STDIN_FILENO, max_line, kServeTickMs);
