@@ -16,6 +16,7 @@
 #include "core/asserted_program.hpp"
 #include "linalg/states.hpp"
 #include "sim/density.hpp"
+#include "sim/exact.hpp"
 #include "sim/fusion.hpp"
 #include "sim/statevector.hpp"
 #include "stab/tableau.hpp"

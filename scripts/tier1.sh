@@ -54,7 +54,13 @@
 # a replaying shot walks a flat vector of trie nodes by child index, and
 # one case fills it past its node cap, so a bad index shows up there.
 # The TSan MPS filter runs the MPS warm/cold case next to the
-# mid-circuit thread-count test.
+# mid-circuit thread-count test. The ASan lane also runs the
+# density-matrix tests (test_sim, DensityTest.*): the exact engine's
+# branching walk copies whole states per branch, and the density
+# kernels index rho as one flat 4^n array through both the row and
+# the column axis, so an off-by-one there shows up under ASan;
+# DensityTest.ExactDistributionAgreesWithStatevector drives the walk
+# through mid-circuit measurements and resets on both states.
 #
 # Usage: scripts/tier1.sh [--skip-tsan] [--skip-asan] [--skip-release]
 #
@@ -121,7 +127,8 @@ if [[ "$skip_asan" -ne 1 ]]; then
         --target test_inject --target test_policy --target test_engine \
         --target test_serve --target test_backend --target test_resilience \
         --target test_fusion --target test_acomp --target test_mps \
-        --target test_fleet
+        --target test_fleet --target test_sim
+    ./build-asan/tests/test_sim --gtest_filter='DensityTest.*'
     ./build-asan/tests/test_fusion
     ./build-asan/tests/test_acomp
     ./build-asan/tests/test_inject

@@ -113,13 +113,14 @@ costPauli(const AssertionSite& site,
 /** Cost a unitary design on a standalone layout (nullopt: incapable). */
 std::optional<Candidate>
 costUnitary(const AssertionSite& site, const CorrectSubspace& subspace,
-            LoweringForm form, SwapPlacement placement, int raw_qubits,
-            bool raw_clifford, BackendRequest request)
+            LoweringForm form, int raw_qubits, bool raw_clifford,
+            BackendRequest request)
 {
     Candidate cand;
     cand.form = form;
     try {
-        cand.plan = planAssertion(subspace, designFor(form), placement);
+        cand.plan =
+            planAssertion(subspace, designFor(form), kSlotPlacement);
         BuildContext ctx;
         ctx.total_qubits = raw_qubits + cand.plan.num_ancillas;
         ctx.total_clbits = cand.plan.num_clbits;
@@ -136,7 +137,7 @@ costUnitary(const AssertionSite& site, const CorrectSubspace& subspace,
             }
         }
         const QuantumCircuit frag = buildAssertion(
-            subspace, designFor(form), placement, ctx);
+            subspace, designFor(form), kSlotPlacement, ctx);
         const CircuitCost cost = circuitCost(frag);
         cand.gates = cost.cx + cost.sg + cost.measure;
         cand.cx = cost.cx;
@@ -250,8 +251,8 @@ resolveSite(const AssertionSite& site, size_t index,
                 "slot is described only by stabilizer generators "
                 "(request pauli, pauli_sample, or auto)");
         const std::optional<Candidate> cand = costUnitary(
-            site, *slot.subspace, form, opts.placement, raw.numQubits(),
-            raw_clifford, opts.backend);
+            site, *slot.subspace, form, raw.numQubits(), raw_clifford,
+            opts.backend);
         QA_REQUIRE_CODE(cand.has_value(),
                         ErrorCode::kUnsupportedAssertion,
                         where + ": the " +
@@ -293,8 +294,8 @@ resolveSite(const AssertionSite& site, size_t index,
              {LoweringForm::kSwap, LoweringForm::kOr,
               LoweringForm::kNdd}) {
             const std::optional<Candidate> cand = costUnitary(
-                site, *slot.subspace, form, opts.placement,
-                raw.numQubits(), raw_clifford, opts.backend);
+                site, *slot.subspace, form, raw.numQubits(), raw_clifford,
+                opts.backend);
             if (cand.has_value()) candidates.push_back(*cand);
         }
     }
@@ -322,7 +323,7 @@ resolveSite(const AssertionSite& site, size_t index,
 /** Emit one slot's fragment into a variant; fills the summary at v=0. */
 void
 emitSlot(QuantumCircuit& variant, const ResolvedSlot& slot, size_t v,
-         int raw_qubits, SwapPlacement placement, SlotSummary* summary)
+         int raw_qubits, SlotSummary* summary)
 {
     const AssertionSite& site = *slot.site;
     variant.barrier();
@@ -361,7 +362,7 @@ emitSlot(QuantumCircuit& variant, const ResolvedSlot& slot, size_t v,
             }
         }
         const QuantumCircuit frag = buildAssertion(
-            *slot.subspace, designFor(slot.form), placement, ctx);
+            *slot.subspace, designFor(slot.form), kSlotPlacement, ctx);
         std::vector<int> qmap, cmap;
         for (int q = 0; q < variant.numQubits(); ++q) qmap.push_back(q);
         for (int c = 0; c < variant.numClbits(); ++c) cmap.push_back(c);
@@ -401,8 +402,6 @@ compileAssertions(const QuantumCircuit& raw,
                   const AcompOptions& opts)
 {
     QA_REQUIRE(!sites.empty(), "compileAssertions needs >= 1 site");
-    QA_REQUIRE(opts.max_sample_variants >= 1,
-               "max_sample_variants must be >= 1");
     for (size_t i = 0; i < sites.size(); ++i) {
         validateSite(sites[i], i, raw);
     }
@@ -436,7 +435,7 @@ compileAssertions(const QuantumCircuit& raw,
         }
         slots.push_back(std::move(slot));
     }
-    if (num_variants > size_t(opts.max_sample_variants)) {
+    if (num_variants > kMaxSampleVariants) {
         // lcm blew the cap: the largest generator count still covers
         // every generator of every sampled slot (round-robin, uneven).
         num_variants = max_gens;
@@ -458,7 +457,6 @@ compileAssertions(const QuantumCircuit& raw,
             while (cursor < slots.size() &&
                    slots[cursor].site->position == i) {
                 emitSlot(variant, slots[cursor], v, raw.numQubits(),
-                         opts.placement,
                          v == 0 ? &summaries[cursor] : nullptr);
                 ++cursor;
             }
@@ -489,7 +487,7 @@ autoAssert(const QuantumCircuit& raw, const AcompOptions& opts,
            const std::vector<QasmPos>* positions)
 {
     const std::vector<AssertionSite> sites =
-        generateAssertions(raw, opts.generator, positions);
+        generateAssertions(raw, positions);
     CompiledProgram compiled;
     if (sites.empty()) {
         compiled.variants.push_back(raw);

@@ -33,28 +33,26 @@ namespace qa
 namespace acomp
 {
 
+/** SWAP-design placement (matches AssertedProgram's default). */
+inline constexpr SwapPlacement kSlotPlacement =
+    SwapPlacement::kInvBeforePrepAfter;
+
+/**
+ * Soft cap on kPauliSample sub-circuit variants: the variant count is
+ * the lcm of the sampled slots' generator counts when that fits the
+ * cap, else the largest generator count (every generator still sampled,
+ * just unevenly).
+ */
+inline constexpr size_t kMaxSampleVariants = 16;
+
 /** Assertion-compiler knobs. */
 struct AcompOptions
 {
     /** Requested lowering (kAuto: cost model decides per slot). */
     LoweringRequest lowering = LoweringRequest::kAuto;
 
-    /** Generator knobs (autoAssert only). */
-    GeneratorOptions generator;
-
     /** Backend request the cost model weighs candidates under. */
     BackendRequest backend = BackendRequest::kAuto;
-
-    /** SWAP-design placement (matches AssertedProgram's default). */
-    SwapPlacement placement = SwapPlacement::kInvBeforePrepAfter;
-
-    /**
-     * Soft cap on kPauliSample sub-circuit variants: the variant count
-     * is the lcm of the sampled slots' generator counts when that fits
-     * the cap, else the largest generator count (every generator still
-     * sampled, just unevenly).
-     */
-    int max_sample_variants = 16;
 };
 
 /** A compiled (instrumented) program ready for the policy runner. */

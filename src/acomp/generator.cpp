@@ -299,10 +299,9 @@ anchorSite(AssertionSite& site, const QuantumCircuit& raw,
 } // namespace
 
 std::vector<AssertionSite>
-generateAssertions(const QuantumCircuit& raw, const GeneratorOptions& opts,
+generateAssertions(const QuantumCircuit& raw,
                    const std::vector<QasmPos>* positions)
 {
-    QA_REQUIRE(opts.max_slots >= 1, "generator needs max_slots >= 1");
     std::vector<AssertionSite> sites;
     if (raw.numQubits() == 0 || raw.size() == 0) return sites;
 
@@ -310,29 +309,23 @@ generateAssertions(const QuantumCircuit& raw, const GeneratorOptions& opts,
     if (scan.end == 0) return sites;
 
     std::set<int> idiom_qubits;
-    if (opts.idiom_ghz) {
-        std::optional<AssertionSite> idiom =
-            recognizeGhzIdiom(raw, scan.end);
-        if (idiom.has_value()) {
-            idiom_qubits.insert(idiom->qubits.begin(),
-                                idiom->qubits.end());
-            sites.push_back(std::move(*idiom));
-        }
+    std::optional<AssertionSite> idiom = recognizeGhzIdiom(raw, scan.end);
+    if (idiom.has_value()) {
+        idiom_qubits.insert(idiom->qubits.begin(), idiom->qubits.end());
+        sites.push_back(std::move(*idiom));
     }
 
     // End-of-prefix cut first (strongest invariants), then barrier cuts
     // from latest to earliest; qubits the idiom claimed stay its own.
     std::vector<size_t> cuts{scan.end};
-    if (opts.cut_at_barriers) {
-        for (auto it = scan.barrier_cuts.rbegin();
-             it != scan.barrier_cuts.rend(); ++it) {
-            if (*it != scan.end) cuts.push_back(*it);
-        }
+    for (auto it = scan.barrier_cuts.rbegin();
+         it != scan.barrier_cuts.rend(); ++it) {
+        if (*it != scan.end) cuts.push_back(*it);
     }
     for (const size_t cut : cuts) {
-        if (int(sites.size()) >= opts.max_slots) break;
+        if (int(sites.size()) >= kMaxGeneratedSites) break;
         for (AssertionSite& site : sitesAtCut(raw, cut)) {
-            if (int(sites.size()) >= opts.max_slots) break;
+            if (int(sites.size()) >= kMaxGeneratedSites) break;
             bool claimed = false;
             for (int q : site.qubits) {
                 claimed |= idiom_qubits.count(q) != 0;

@@ -37,29 +37,20 @@ namespace qa
 namespace acomp
 {
 
-/** Knobs for the assertion generator. */
-struct GeneratorOptions
-{
-    /** Emitted-site cap; the end-of-prefix cut is filled first. */
-    int max_slots = 3;
-
-    /** Also cut at explicit barriers inside the Clifford prefix. */
-    bool cut_at_barriers = true;
-
-    /** Enable the GHZ preparation-idiom recognizer. */
-    bool idiom_ghz = true;
-};
+/** Emitted-site cap; the end-of-prefix cut is filled first. */
+inline constexpr int kMaxGeneratedSites = 3;
 
 /**
- * Discover assertion sites in a raw circuit. Returns sites sorted by
- * insertion position (possibly empty — e.g. a circuit whose very first
- * instruction is non-Clifford). `positions` (when non-null, from
- * parseQasm) anchors each site to a source line/column for
- * diagnostics. The raw circuit is never modified.
+ * Discover assertion sites in a raw circuit: the GHZ idiom's site, then
+ * the tableau's sites at the end of the Clifford prefix and at each
+ * explicit barrier inside it (latest first), up to kMaxGeneratedSites.
+ * Returns sites sorted by insertion position (possibly empty — e.g. a
+ * circuit whose very first instruction is non-Clifford). `positions`
+ * (when non-null, from parseQasm) anchors each site to a source
+ * line/column for diagnostics. The raw circuit is never modified.
  */
 std::vector<AssertionSite>
 generateAssertions(const QuantumCircuit& raw,
-                   const GeneratorOptions& opts = {},
                    const std::vector<QasmPos>* positions = nullptr);
 
 } // namespace acomp

@@ -86,26 +86,6 @@ QpeProgram::expectedStateAtSlot(int slot) const
     return finalState(qc).amplitudes();
 }
 
-uint64_t
-QpeProgram::expectedOutcomeIndex() const
-{
-    QpeProgram clean(counting_, lambda_, QpeBug::kNone);
-    const CVector state = finalState(clean.full()).amplitudes();
-    // Marginalize the eigenstate qubit (LSB of the index).
-    const size_t count_dim = size_t(1) << counting_;
-    uint64_t best = 0;
-    double best_prob = -1.0;
-    for (uint64_t c = 0; c < count_dim; ++c) {
-        const double p =
-            std::norm(state[2 * c]) + std::norm(state[2 * c + 1]);
-        if (p > best_prob) {
-            best_prob = p;
-            best = c;
-        }
-    }
-    return best;
-}
-
 QuantumCircuit
 qpeRyProgram(int counting, double theta, bool bug)
 {

@@ -43,7 +43,6 @@ class QpeProgram
      */
     QpeProgram(int counting, double lambda, QpeBug bug = QpeBug::kNone);
 
-    int numCounting() const { return counting_; }
     int numQubits() const { return counting_ + 1; }
 
     /** Stages: 0 = superposition init, 1..n = controlled powers,
@@ -65,9 +64,6 @@ class QpeProgram
      * [1, numSlots()].
      */
     CVector expectedStateAtSlot(int slot) const;
-
-    /** Bug-free most-likely counting-register outcome (basis index). */
-    uint64_t expectedOutcomeIndex() const;
 
   private:
     int counting_;

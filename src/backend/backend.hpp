@@ -221,9 +221,6 @@ class PreparedBase : public PreparedCircuit
     };
 };
 
-/** `noise` when it is enabled, after validating it; else null. */
-const NoiseModel* activeNoise(const NoiseModel* noise);
-
 /** Backend::prepare for one kind, one per file under src/backend/. */
 using PrepareFn = std::shared_ptr<const PreparedCircuit>(
     const QuantumCircuit&, const SimOptions&, const CircuitAnalysis&);

@@ -1,10 +1,11 @@
 /**
  * @file
- * Density-matrix backend: evolve rho once through every gate with its
- * noise channels applied exactly (no trajectory sampling), then serve
- * each shot by sampling the final diagonal and applying classical
- * readout error. Capability limits: terminal measurements only, no
- * resets, and a hard qubit cap (4^n matrix entries).
+ * Density-matrix backend: evolve rho once through the exact gate step
+ * (DensityState::applyGate: each gate, then its noise channels applied
+ * exactly, with no trajectory sampling), then serve each shot by
+ * sampling the final diagonal and applying classical readout error.
+ * Capability limits: terminal measurements only, no resets, and a hard
+ * qubit cap (4^n matrix entries).
  *
  * Shots are nearly free — one O(log d) cumulative-table draw plus one
  * readout bernoulli per measured bit, through the same terminal sampler
@@ -39,7 +40,7 @@ class DensityPrepared final : public detail::PreparedBase<DensityPrepared>
                     const SimOptions& options,
                     const CircuitAnalysis& analysis)
         : num_qubits_(circuit.numQubits()),
-          noise_(detail::activeNoise(options.noise)),
+          noise_(activeNoise(options.noise)),
           clbits0_(size_t(std::max(circuit.numClbits(), 0)), '0'),
           measures_(analysis.profile.terminal_measures)
     {
@@ -51,29 +52,16 @@ class DensityPrepared final : public detail::PreparedBase<DensityPrepared>
                        std::to_string(kDensityMaxQubits) + " qubits");
 
         // Fuse only when no per-gate Kraus channel is active: fusion
-        // changes gate arity, which would redirect the channel loop
-        // below to the wrong list (noise_1q vs noise_2q).
+        // changes gate arity, which would redirect the exact gate step's
+        // channels to the wrong list (noise_1q vs noise_2q).
         const bool fuse =
             analysis.fused.has_value() && !analysis.plan.kraus_noise;
         const std::vector<Instruction>& program =
             fuse ? analysis.fused->instructions : circuit.instructions();
 
-        // Exact evolution: gate, then that gate's channels on each
-        // touched qubit — the same ordering the statevector engine uses
-        // for its per-shot trajectories, so distributions match.
         DensityState state(num_qubits_);
         for (const Instruction& instr : program) {
-            if (instr.type != OpType::kGate) continue;
-            state.applyGate(instr);
-            if (noise_ == nullptr) continue;
-            const auto& channels = instr.arity() == 1
-                                       ? noise_->noise_1q
-                                       : noise_->noise_2q;
-            for (int q : instr.qubits) {
-                for (const KrausChannel& channel : channels) {
-                    state.applyKraus(channel, q);
-                }
-            }
+            if (instr.type == OpType::kGate) state.applyGate(instr, noise_);
         }
 
         // Sample the diagonal; clamp tiny negative entries (roundoff).

@@ -179,14 +179,6 @@ Backend::runShots(const QuantumCircuit& circuit,
     return runPrepared(*prepare(circuit, options), options);
 }
 
-const NoiseModel*
-detail::activeNoise(const NoiseModel* noise)
-{
-    if (noise == nullptr || !noise->enabled()) return nullptr;
-    noise->validate();
-    return noise;
-}
-
 std::shared_ptr<const PreparedCircuit>
 prepareRouted(const QuantumCircuit& circuit, const SimOptions& options,
               const Route& route)

@@ -160,7 +160,7 @@ class MpsPrepared final : public detail::PreparedBase<MpsPrepared>
     MpsPrepared(const QuantumCircuit& circuit, const SimOptions& options,
                 const CircuitAnalysis& analysis)
         : replay_(MpsSteps(circuit.numQubits(),
-                           detail::activeNoise(options.noise)),
+                           activeNoise(options.noise)),
                   mps::MpsState(std::max(circuit.numQubits(), 1),
                                 std::max(options.mps_chi, 1)),
                   circuit.instructions(), analysis.plan.split,

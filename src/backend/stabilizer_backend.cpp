@@ -154,7 +154,7 @@ class StabilizerPrepared final
     StabilizerPrepared(const QuantumCircuit& circuit,
                        const SimOptions& options,
                        const CircuitAnalysis& analysis)
-        : replay_(StabilizerSteps(detail::activeNoise(options.noise)),
+        : replay_(StabilizerSteps(activeNoise(options.noise)),
                   StabilizerTableau(std::max(circuit.numQubits(), 1)),
                   circuit.instructions(), analysis.plan.split,
                   circuit.instructions().size(), circuit.numClbits(),

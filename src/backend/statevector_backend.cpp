@@ -114,7 +114,7 @@ class StatevectorPrepared final
     StatevectorPrepared(const QuantumCircuit& circuit,
                         const SimOptions& options,
                         const CircuitAnalysis& analysis)
-        : noise_(detail::activeNoise(options.noise)),
+        : noise_(activeNoise(options.noise)),
           plan_(analysis.plan),
           replay_(buildReplay(circuit, noise_, analysis))
     {

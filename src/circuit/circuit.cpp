@@ -329,16 +329,6 @@ QuantumCircuit::countGates(const std::string& name) const
 int QuantumCircuit::countCx() const { return countGates("cx"); }
 
 int
-QuantumCircuit::countMultiQubit() const
-{
-    int count = 0;
-    for (const Instruction& instr : instrs_) {
-        if (instr.isGate() && instr.arity() >= 2) ++count;
-    }
-    return count;
-}
-
-int
 QuantumCircuit::countSingleQubit() const
 {
     int count = 0;

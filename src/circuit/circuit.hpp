@@ -114,8 +114,6 @@ class QuantumCircuit
     int countGates(const std::string& name) const;
     /** Count CX gates specifically. */
     int countCx() const;
-    /** Count gates touching >= 2 qubits. */
-    int countMultiQubit() const;
     /** Count single-qubit gates (id/barrier excluded). */
     int countSingleQubit() const;
     /** Count measurement instructions. */

@@ -1,15 +1,10 @@
 #include "common/parallel.hpp"
 
-#include <atomic>
-
 namespace qa
 {
 
 namespace
 {
-
-/** 0 means "use the hardware default". */
-std::atomic<int> g_kernel_threads{0};
 
 thread_local int t_serial_depth = 0;
 
@@ -18,8 +13,6 @@ thread_local int t_serial_depth = 0;
 int
 kernelThreads()
 {
-    const int cap = g_kernel_threads.load(std::memory_order_relaxed);
-    if (cap > 0) return cap;
     // hardware_concurrency() is a syscall on glibc (~2 us); calling it
     // per gate kernel dominated small-state sweeps (the BENCH_PR1
     // BM_StatevectorLayers 1-CPU regression). The topology never
@@ -29,12 +22,6 @@ kernelThreads()
         return n == 0 ? 1 : int(n);
     }();
     return hw;
-}
-
-void
-setKernelThreads(int n)
-{
-    g_kernel_threads.store(n > 0 ? n : 0, std::memory_order_relaxed);
 }
 
 bool

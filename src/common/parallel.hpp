@@ -34,9 +34,6 @@ namespace qa
  */
 int kernelThreads();
 
-/** Override the kernel-thread cap; n <= 0 restores the hardware default. */
-void setKernelThreads(int n);
-
 /** True while the calling thread must keep kernels serial. */
 bool inSerialKernelScope();
 

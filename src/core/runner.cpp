@@ -4,8 +4,8 @@
 
 #include "backend/backend.hpp"
 #include "common/error.hpp"
-#include "sim/density.hpp"
 #include "sim/engine.hpp"
+#include "sim/exact.hpp"
 
 namespace qa
 {
@@ -66,9 +66,7 @@ AssertionOutcomeExact
 runAssertedExact(const AssertedProgram& program, const NoiseModel* noise)
 {
     AssertionOutcomeExact outcome;
-    outcome.raw = noise != nullptr && noise->enabled()
-                      ? exactDistributionDM(program.circuit(), noise)
-                      : exactDistribution(program.circuit());
+    outcome.raw = exactDistribution(program.circuit(), noise);
 
     for (const AssertedProgram::Slot& slot : program.slots()) {
         outcome.slot_error_prob.push_back(outcome.raw.mass(

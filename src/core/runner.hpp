@@ -51,8 +51,9 @@ struct AssertionOutcomeExact
 };
 
 /**
- * Exact distribution run: statevector branching when `noise` is null,
- * density-matrix evolution with exact channels otherwise.
+ * Exact distribution run through the exact engine (sim/exact.hpp): a
+ * pure-state walk when `noise` is null or disabled, the density-matrix
+ * walk with exact channels and readout error otherwise.
  */
 AssertionOutcomeExact runAssertedExact(const AssertedProgram& program,
                                        const NoiseModel* noise = nullptr);

@@ -72,8 +72,6 @@ class HealthTracker
     /** Total entries into kDown (flap visibility). */
     uint64_t downTransitions() const { return down_transitions_; }
 
-    int consecutiveFailures() const { return consecutive_failures_; }
-
   private:
     void enterDown();
 

@@ -10,7 +10,8 @@ namespace fleet
 PendingPtr
 PendingTable::add(std::string client_id, serve::JsonValue request,
                   const Hash128& key, double deadline_ms,
-                  std::vector<size_t> chain, Clock::TimePoint now)
+                  std::vector<size_t> chain,
+                  std::chrono::steady_clock::time_point now)
 {
     QA_REQUIRE(!chain.empty(), "pending job needs a non-empty chain");
     auto job = std::make_shared<PendingJob>();

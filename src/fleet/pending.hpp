@@ -24,6 +24,7 @@
 #ifndef QA_FLEET_PENDING_HPP
 #define QA_FLEET_PENDING_HPP
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -31,7 +32,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/clock.hpp"
 #include "common/hash.hpp"
 #include "serve/json.hpp"
 
@@ -75,8 +75,9 @@ struct PendingJob
     /** Waiting out a retry backoff instead of being in flight. */
     bool parked = false;
 
-    Clock::TimePoint admitted;
-    Clock::TimePoint release; ///< Backoff end (valid when parked).
+    std::chrono::steady_clock::time_point admitted;
+    /** Backoff end (valid when parked). */
+    std::chrono::steady_clock::time_point release;
 
     /** Every alias issued for this job (cleared on resolution). */
     std::vector<std::string> aliases;
@@ -90,7 +91,8 @@ class PendingTable
     /** Admit a job; `chain` must be non-empty. */
     PendingPtr add(std::string client_id, serve::JsonValue request,
                    const Hash128& key, double deadline_ms,
-                   std::vector<size_t> chain, Clock::TimePoint now);
+                   std::vector<size_t> chain,
+                   std::chrono::steady_clock::time_point now);
 
     /**
      * Mint and register a fresh alias id for one dispatch of `job`.

@@ -121,22 +121,13 @@ ChildProcess::closeStdin()
     closeQuiet(in_fd_);
 }
 
-void
-ChildProcess::signalChild(int sig)
-{
-    std::lock_guard<std::mutex> lock(reap_mutex_);
-    if (!reaped_ && pid_ > 0) ::kill(pid_, sig);
-}
-
 bool
 ChildProcess::reapedLocked(int wait_flags)
 {
     if (reaped_) return true;
-    int status = 0;
-    const pid_t r = ::waitpid(pid_, &status, wait_flags);
+    const pid_t r = ::waitpid(pid_, nullptr, wait_flags);
     if (r == pid_) {
         reaped_ = true;
-        status_ = status;
         // The write end of the dead child's stdin is pure leak from
         // here on (nobody will ever read it); close it now instead of
         // waiting for the destructor — an owner that reaps exec-failure
@@ -177,13 +168,6 @@ ChildProcess::reaped() const
 {
     std::lock_guard<std::mutex> lock(reap_mutex_);
     return reaped_;
-}
-
-int
-ChildProcess::rawStatus() const
-{
-    std::lock_guard<std::mutex> lock(reap_mutex_);
-    return status_;
 }
 
 } // namespace fleet

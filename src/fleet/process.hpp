@@ -75,9 +75,6 @@ class ChildProcess
     /** Read end of the child's stdout (for a LineReader). */
     int readFd() const { return out_fd_; }
 
-    /** Send `sig`; no-op once the child is reaped. */
-    void signalChild(int sig);
-
     /**
      * Non-blocking reap; true once the child has been collected. Reaping
      * also closes the (now useless) stdin pipe fd so a collected child
@@ -91,9 +88,6 @@ class ChildProcess
 
     bool reaped() const;
 
-    /** Exit status as waitpid reported it (valid once reaped). */
-    int rawStatus() const;
-
   private:
     bool reapedLocked(int wait_flags);
 
@@ -101,7 +95,6 @@ class ChildProcess
     int in_fd_ = -1;  ///< Write end of the child's stdin.
     int out_fd_ = -1; ///< Read end of the child's stdout.
     bool reaped_ = false;
-    int status_ = 0;
     std::mutex write_mutex_;
     mutable std::mutex reap_mutex_;
 };

@@ -17,11 +17,22 @@ namespace fleet
 namespace
 {
 
-std::chrono::steady_clock::duration
+using SteadyClock = std::chrono::steady_clock;
+
+SteadyClock::duration
 durationMs(double ms)
 {
-    return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+    return std::chrono::duration_cast<SteadyClock::duration>(
         std::chrono::duration<double, std::milli>(ms));
+}
+
+/** Milliseconds on the steady clock since `since`. */
+double
+msSince(SteadyClock::time_point since)
+{
+    return std::chrono::duration<double, std::milli>(SteadyClock::now() -
+                                                     since)
+        .count();
 }
 
 /**
@@ -55,7 +66,7 @@ rewriteResponseId(const std::string& line, const std::string& alias,
 } // namespace
 
 FleetRouter::FleetRouter(RouterOptions options, Emit emit)
-    : options_(std::move(options)), clock_(resolveClock(options_.clock)),
+    : options_(std::move(options)),
       emit_(std::move(emit)),
       ring_(options_.connect.empty()
                 ? (options_.shards == 0 ? 1 : options_.shards)
@@ -126,7 +137,8 @@ FleetRouter::spawnShardLocked(size_t index)
     shard.ping_outstanding = false;
     shard.attachment_ping_failures = 0;
     // Probe soon: recovery needs recover_threshold pongs.
-    shard.last_probe = clock_.now() - durationMs(options_.probe_interval_ms);
+    shard.last_probe =
+        SteadyClock::now() - durationMs(options_.probe_interval_ms);
     const uint64_t generation = shard.generation;
     const int fd = shard.transport->readFd();
     const double idle_ms = shard.transport->readIdleTimeoutMs();
@@ -201,7 +213,7 @@ FleetRouter::handlePongLocked(size_t index, const std::string& alias,
     if (shard.ping_outstanding && shard.ping_id == alias) {
         shard.ping_outstanding = false;
         shard.pings_ok++;
-        shard.last_rtt_ms = clock_.elapsedMs(shard.ping_sent);
+        shard.last_rtt_ms = msSince(shard.ping_sent);
         shard.queue_depth = queue_depth;
     }
     // Even a late pong (its probe already counted as a timeout) proves
@@ -298,7 +310,7 @@ FleetRouter::onShardLine(size_t index, uint64_t generation,
             job->next_chain--;
         }
 
-        const double spent = clock_.elapsedMs(job->admitted);
+        const double spent = msSince(job->admitted);
         if (job->dispatches < options_.retry.max_attempts) {
             double backoff = resilience::retryBackoffMs(
                 options_.retry, job->seq, job->dispatches);
@@ -307,7 +319,7 @@ FleetRouter::onShardLine(size_t index, uint64_t generation,
             if (job->deadline_ms <= 0.0 ||
                 spent + backoff < job->deadline_ms) {
                 job->parked = true;
-                job->release = clock_.now() + durationMs(backoff);
+                job->release = SteadyClock::now() + durationMs(backoff);
                 counters_.retried++;
                 return;
             }
@@ -344,7 +356,7 @@ FleetRouter::onShardExit(size_t index, uint64_t generation)
     shard.transport->finished(); // reaps a pipe child's zombie now
     shard.respawn_attempts++;
     shard.next_respawn =
-        clock_.now() +
+        SteadyClock::now() +
         durationMs(resilience::retryBackoffMs(
             options_.respawn_backoff, uint64_t(index),
             std::min(shard.respawn_attempts, 16)));
@@ -399,13 +411,13 @@ FleetRouter::parkOrFailLocked(const PendingPtr& job)
     // away — then fail typed: never hang the client.
     job->parks++;
     const int attempts = job->dispatches + job->parks;
-    const double spent = clock_.elapsedMs(job->admitted);
+    const double spent = msSince(job->admitted);
     if (attempts < options_.retry.max_attempts + 1) {
         const double backoff = resilience::retryBackoffMs(
             options_.retry, job->seq, attempts);
         if (job->deadline_ms <= 0.0 || spent + backoff < job->deadline_ms) {
             job->parked = true;
-            job->release = clock_.now() + durationMs(backoff);
+            job->release = SteadyClock::now() + durationMs(backoff);
             return;
         }
     }
@@ -471,7 +483,7 @@ FleetRouter::handleLine(const std::string& line)
     }
     const PendingPtr job =
         pending_.add(id, std::move(parsed), key, request.spec.deadline_ms,
-                     ring_.preferenceChain(key), clock_.now());
+                     ring_.preferenceChain(key), SteadyClock::now());
     counters_.admitted++;
     dispatchLocked(job);
     return true;
@@ -492,7 +504,7 @@ FleetRouter::maintenanceLoop()
 void
 FleetRouter::maintenanceTickLocked()
 {
-    const Clock::TimePoint now = clock_.now();
+    const SteadyClock::time_point now = SteadyClock::now();
 
     for (size_t i = 0; i < shards_.size(); ++i) {
         Shard& shard = *shards_[i];
@@ -527,14 +539,14 @@ FleetRouter::maintenanceTickLocked()
             shard.transport->terminate();
         }
         if (shard.ping_outstanding &&
-            clock_.elapsedMs(shard.ping_sent) > options_.ping_timeout_ms) {
+            msSince(shard.ping_sent) > options_.ping_timeout_ms) {
             shard.ping_outstanding = false;
             shard.pings_failed++;
             shard.attachment_ping_failures++;
             shard.health.onFailure();
         }
         if (!shard.ping_outstanding &&
-            clock_.elapsedMs(shard.last_probe) >=
+            msSince(shard.last_probe) >=
                 options_.probe_interval_ms) {
             shard.ping_id =
                 "!p" + std::to_string(i) + "." + std::to_string(shard.ping_seq++);
@@ -598,11 +610,12 @@ FleetRouter::stop(double shard_grace_ms)
     // Bounded graceful-exit wait, then hard teardown (SIGKILL for a
     // child, socket shutdown for TCP). No router lock here: readers
     // still need it for their final onShardExit.
-    const Clock::TimePoint deadline =
-        clock_.now() + durationMs(shard_grace_ms);
+    const SteadyClock::time_point deadline =
+        SteadyClock::now() + durationMs(shard_grace_ms);
     for (const auto& shard : shards_) {
         if (!shard->transport) continue;
-        while (!shard->transport->finished() && clock_.now() < deadline) {
+        while (!shard->transport->finished() &&
+               SteadyClock::now() < deadline) {
             std::this_thread::sleep_for(std::chrono::milliseconds(5));
         }
         shard->transport->terminate();
@@ -619,13 +632,6 @@ FleetRouter::stop(double shard_grace_ms)
                                          "resolved"),
                       false);
     }
-}
-
-size_t
-FleetRouter::pendingCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return pending_.size();
 }
 
 FleetCounters

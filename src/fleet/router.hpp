@@ -61,6 +61,7 @@
 #ifndef QA_FLEET_ROUTER_HPP
 #define QA_FLEET_ROUTER_HPP
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -70,7 +71,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/clock.hpp"
 #include "common/net.hpp"
 #include "fleet/health.hpp"
 #include "fleet/pending.hpp"
@@ -139,9 +139,6 @@ struct RouterOptions
 
     /** Bound on client and shard line lengths. */
     size_t max_line = size_t(1) << 20;
-
-    /** Time source; nullptr = the real steady clock. */
-    Clock* clock = nullptr;
 
     RouterOptions()
     {
@@ -224,7 +221,6 @@ class FleetRouter
     void stop(double shard_grace_ms = 3000.0);
 
     size_t shards() const { return options_.shards; }
-    size_t pendingCount() const;
     FleetCounters counters() const;
     ShardStatus shardStatus(size_t index) const;
 
@@ -243,12 +239,12 @@ class FleetRouter
         bool ping_outstanding = false;
         std::string ping_id;
         uint64_t ping_seq = 0;
-        Clock::TimePoint ping_sent;
-        Clock::TimePoint last_probe;
+        std::chrono::steady_clock::time_point ping_sent;
+        std::chrono::steady_clock::time_point last_probe;
         double last_rtt_ms = 0.0;
 
         int respawn_attempts = 0;
-        Clock::TimePoint next_respawn;
+        std::chrono::steady_clock::time_point next_respawn;
 
         uint64_t forwarded = 0;
         uint64_t responses = 0;
@@ -301,7 +297,6 @@ class FleetRouter
     void emitLine(const std::string& line);
 
     RouterOptions options_;
-    Clock& clock_;
     Emit emit_;
     const HashRing ring_;
     std::vector<net::Endpoint> endpoints_; ///< Non-empty: TCP fleet.

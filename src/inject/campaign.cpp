@@ -8,6 +8,7 @@
 #include "common/rng.hpp"
 #include "core/debugger.hpp"
 #include "core/runner.hpp"
+#include "sim/exact.hpp"
 #include "sim/statevector.hpp"
 
 namespace qa
@@ -71,7 +72,7 @@ bareProgramDist(const QuantumCircuit& program,
 {
     const QuantumCircuit measured = withMeasurements(program);
     if (options.shots <= 0) {
-        return exactDistribution(measured);
+        return exactDistribution(measured, options.noise);
     }
     SimOptions sim;
     sim.shots = options.shots;

@@ -122,16 +122,6 @@ struct CampaignReport
                                : double(num_detected) / double(num_faults);
     }
 
-    /** Coverage restricted to output-corrupting faults. */
-    double
-    corruptingCoverage() const
-    {
-        return num_corrupting == 0
-                   ? 1.0
-                   : 1.0 - double(num_silent_corrupting) /
-                               double(num_corrupting);
-    }
-
     /** Aligned text table (per-kind rows + totals) for bench output. */
     std::string summary() const;
 };

@@ -22,20 +22,6 @@ inline constexpr double kLooseEps = 1e-7;
 /** The imaginary unit. */
 inline constexpr Complex kI{0.0, 1.0};
 
-/** True if |a - b| <= eps. */
-inline bool
-approxEqual(double a, double b, double eps = kEps)
-{
-    return std::abs(a - b) <= eps;
-}
-
-/** True if |a - b| <= eps in the complex plane. */
-inline bool
-approxEqual(Complex a, Complex b, double eps = kEps)
-{
-    return std::abs(a - b) <= eps;
-}
-
 } // namespace qa
 
 #endif // QA_LINALG_TYPES_HPP

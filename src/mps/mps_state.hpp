@@ -71,7 +71,6 @@ class MpsState
     MpsState(int num_qubits, int chi_cap);
 
     int numQubits() const { return int(sites_.size()); }
-    int chiCap() const { return chi_cap_; }
     const TruncationStats& stats() const { return stats_; }
 
     /** Apply a 2x2 unitary to one qubit, O(chi^2). */

@@ -13,9 +13,22 @@ namespace qa
 namespace serve
 {
 
+namespace
+{
+
+/** Milliseconds on the steady clock since `since`. */
+double
+msSince(std::chrono::steady_clock::time_point since)
+{
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - since)
+        .count();
+}
+
+} // namespace
+
 Scheduler::Scheduler(SchedulerOptions options)
     : options_(std::move(options)),
-      clock_(resolveClock(options_.clock)),
       cache_(options_.cache_capacity),
       paused_(options_.start_paused)
 {
@@ -57,7 +70,7 @@ Scheduler::submit(JobSpec spec, JobCallback done)
         ticket->priority = spec.priority;
         ticket->spec = std::move(spec);
         ticket->seq = next_seq_++;
-        ticket->enqueued = clock_.now();
+        ticket->enqueued = std::chrono::steady_clock::now();
         ticket->done = std::move(done);
         queue_.push_back(std::move(ticket));
         std::push_heap(queue_.begin(), queue_.end(), TicketOrder{});
@@ -156,7 +169,7 @@ Scheduler::stop()
         result.error_code = ErrorCode::kServiceStopped;
         result.error_message = "scheduler stopped before the job ran";
         result.tag = ticket->spec.tag;
-        result.queue_ms = clock_.elapsedMs(ticket->enqueued);
+        result.queue_ms = msSince(ticket->enqueued);
         resolve(*ticket, std::move(result));
     }
 }
@@ -212,7 +225,7 @@ Scheduler::workerLoop()
 JobResult
 Scheduler::run(const Ticket& ticket)
 {
-    const double queue_ms = clock_.elapsedMs(ticket.enqueued);
+    const double queue_ms = msSince(ticket.enqueued);
     metrics_.queue_wait.record(queue_ms);
 
     const bool cacheable =
@@ -221,7 +234,7 @@ Scheduler::run(const Ticket& ticket)
 
     JobResult result;
     bool from_cache = false;
-    const Clock::TimePoint exec_start = clock_.now();
+    const auto exec_start = std::chrono::steady_clock::now();
     try {
         if (options_.exec_hook) options_.exec_hook(ticket.seq);
         if (cacheable) {
@@ -241,7 +254,7 @@ Scheduler::run(const Ticket& ticket)
     if (from_cache) {
         result.exec_ms = 0.0;
     } else {
-        result.exec_ms = clock_.elapsedMs(exec_start);
+        result.exec_ms = msSince(exec_start);
         metrics_.execute.record(result.exec_ms);
     }
     result.cache_hit = from_cache;

@@ -30,6 +30,7 @@
 #ifndef QA_SERVE_SCHEDULER_HPP
 #define QA_SERVE_SCHEDULER_HPP
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -39,7 +40,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/clock.hpp"
 #include "serve/cache.hpp"
 #include "serve/job.hpp"
 #include "serve/metrics.hpp"
@@ -77,9 +77,6 @@ struct SchedulerOptions
 
     /** Test injection point; empty = no-op. */
     ExecHook exec_hook;
-
-    /** Time source; nullptr = the real steady clock. */
-    Clock* clock = nullptr;
 };
 
 /** Completion callback; invoked exactly once per admitted job. */
@@ -170,7 +167,7 @@ class Scheduler
         JobSpec spec;
         uint64_t seq = 0;
         int priority = 0;
-        Clock::TimePoint enqueued;
+        std::chrono::steady_clock::time_point enqueued;
         JobCallback done;
     };
     using TicketPtr = std::unique_ptr<Ticket>;
@@ -193,7 +190,6 @@ class Scheduler
     void resolve(const Ticket& ticket, JobResult result);
 
     SchedulerOptions options_;
-    Clock& clock_;
     ResultCache cache_;
     ServiceMetrics metrics_;
     int workers_ = 0;

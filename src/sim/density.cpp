@@ -58,12 +58,6 @@ DensityState::DensityState(CMatrix rho) : num_qubits_(0),
 }
 
 void
-DensityState::applyLeft(const CMatrix& m, const std::vector<int>& qubits)
-{
-    applyAxis(rho_, m, qubits, num_qubits_, 0);
-}
-
-void
 DensityState::applyMatrix(const CMatrix& m, const std::vector<int>& qubits)
 {
     for (int q : qubits) {
@@ -74,10 +68,16 @@ DensityState::applyMatrix(const CMatrix& m, const std::vector<int>& qubits)
 }
 
 void
-DensityState::applyGate(const Instruction& instr)
+DensityState::applyGate(const Instruction& instr, const NoiseModel* noise)
 {
     QA_REQUIRE(instr.isGate(), "applyGate needs a gate instruction");
     applyMatrix(instr.matrix, instr.qubits);
+    if (noise == nullptr) return;
+    const auto& channels =
+        instr.arity() == 1 ? noise->noise_1q : noise->noise_2q;
+    for (int q : instr.qubits) {
+        for (const KrausChannel& channel : channels) applyKraus(channel, q);
+    }
 }
 
 void
@@ -126,124 +126,22 @@ DensityState::collapse(int q, int outcome)
     rho_ *= Complex(1.0 / kept, 0.0);
 }
 
-namespace
-{
-
 void
-applyGateNoiseExact(DensityState& state, const Instruction& instr,
-                    const NoiseModel& noise)
+DensityState::applyX(int q)
 {
-    const auto& channels =
-        instr.arity() == 1 ? noise.noise_1q : noise.noise_2q;
-    for (int q : instr.qubits) {
-        for (const KrausChannel& channel : channels) {
-            state.applyKraus(channel, q);
-        }
-    }
-}
-
-} // namespace
-
-Distribution
-exactDistributionDM(const QuantumCircuit& circuit, const NoiseModel* noise)
-{
-    if (noise != nullptr && noise->enabled()) noise->validate();
-    struct Branch
-    {
-        DensityState state;
-        std::string clbits;
-        double prob;
-        size_t pc;
-    };
-
-    const bool noisy = noise != nullptr && noise->enabled();
-    Distribution dist;
-    std::vector<Branch> stack;
-    stack.push_back(Branch{DensityState(circuit.numQubits()),
-                           std::string(size_t(std::max(
-                               circuit.numClbits(), 0)), '0'),
-                           1.0, 0});
-
-    const auto& instrs = circuit.instructions();
-    while (!stack.empty()) {
-        Branch branch = std::move(stack.back());
-        stack.pop_back();
-
-        bool alive = true;
-        while (branch.pc < instrs.size() && alive) {
-            const Instruction& instr = instrs[branch.pc];
-            ++branch.pc;
-            switch (instr.type) {
-              case OpType::kGate:
-                branch.state.applyGate(instr);
-                if (noisy) {
-                    applyGateNoiseExact(branch.state, instr, *noise);
-                }
-                break;
-              case OpType::kBarrier:
-                break;
-              case OpType::kMeasure:
-              case OpType::kReset: {
-                const int q = instr.qubits[0];
-                const double p1 = branch.state.probabilityOne(q);
-                for (int outcome : {0, 1}) {
-                    const double p = outcome ? p1 : 1.0 - p1;
-                    if (p < 1e-12) continue;
-                    Branch next = branch;
-                    next.prob *= p;
-                    next.state.collapse(q, outcome);
-                    if (instr.type == OpType::kReset) {
-                        if (outcome == 1) {
-                            next.state.applyMatrix(
-                                CMatrix{{0, 1}, {1, 0}}, {q});
-                        }
-                        stack.push_back(std::move(next));
-                        continue;
-                    }
-                    // Fold asymmetric readout error into the classical
-                    // record: the collapse is on the true outcome, only
-                    // the recorded bit may flip.
-                    double flip = 0.0;
-                    if (noisy) {
-                        flip = outcome ? noise->readout_p10
-                                       : noise->readout_p01;
-                    }
-                    if (flip > 0.0) {
-                        Branch flipped = next;
-                        flipped.prob *= flip;
-                        flipped.clbits[instr.cbit] =
-                            outcome ? '0' : '1';
-                        stack.push_back(std::move(flipped));
-                        next.prob *= 1.0 - flip;
-                    }
-                    next.clbits[instr.cbit] = outcome ? '1' : '0';
-                    stack.push_back(std::move(next));
-                }
-                alive = false;
-                break;
-              }
-            }
-        }
-        if (alive) {
-            dist.probs[branch.clbits] += branch.prob;
-        }
-    }
-    return dist;
+    applyMatrix(CMatrix{{0, 1}, {1, 0}}, {q});
 }
 
 CMatrix
 finalDensity(const QuantumCircuit& circuit, const NoiseModel* noise)
 {
-    const bool noisy = noise != nullptr && noise->enabled();
+    const NoiseModel* active = activeNoise(noise);
     DensityState state(circuit.numQubits());
     for (const Instruction& instr : circuit.instructions()) {
         QA_REQUIRE(instr.type == OpType::kGate ||
                        instr.type == OpType::kBarrier,
                    "finalDensity requires a measurement-free circuit");
-        if (instr.type == OpType::kGate) {
-            state.applyGate(instr);
-            if (noisy) applyGateNoiseExact(state, instr, *noise);
-        }
+        if (instr.type == OpType::kGate) state.applyGate(instr, active);
     }
     return state.rho();
 }

@@ -32,8 +32,14 @@ class DensityState
     /** Conjugate the state by a 2^k unitary on the listed qubits. */
     void applyMatrix(const CMatrix& m, const std::vector<int>& qubits);
 
-    /** Apply a gate instruction. */
-    void applyGate(const Instruction& instr);
+    /**
+     * The exact gate step: apply a gate instruction, then (when a noise
+     * model is given) that gate's Kraus channels on each touched qubit,
+     * exactly -- the ordering the statevector engine samples per shot.
+     * `noise` must already be validated (activeNoise).
+     */
+    void applyGate(const Instruction& instr,
+                   const NoiseModel* noise = nullptr);
 
     /** Apply a single-qubit Kraus channel exactly: rho -> sum K rho K^+. */
     void applyKraus(const KrausChannel& channel, int q);
@@ -44,25 +50,17 @@ class DensityState
     /** Project qubit q onto an outcome and renormalize. */
     void collapse(int q, int outcome);
 
-  private:
-    /** Apply m to row indices (left multiplication on the subsystem). */
-    void applyLeft(const CMatrix& m, const std::vector<int>& qubits);
+    /** Flip qubit q (conjugate by Pauli X); a reset's second half. */
+    void applyX(int q);
 
+  private:
     int num_qubits_;
     CMatrix rho_;
 };
 
 /**
- * Exact outcome distribution under the density-matrix backend, branching
- * at measurements/resets; gate noise and readout error (if a model is
- * given) are applied exactly rather than sampled.
- */
-Distribution exactDistributionDM(const QuantumCircuit& circuit,
-                                 const NoiseModel* noise = nullptr);
-
-/**
- * Final density matrix of a measurement-free circuit, with exact channel
- * noise when a model is given.
+ * Final density matrix of a measurement-free circuit, through the exact
+ * gate step (channel noise when an enabled model is given).
  */
 CMatrix finalDensity(const QuantumCircuit& circuit,
                      const NoiseModel* noise = nullptr);

@@ -37,7 +37,11 @@
 namespace qa
 {
 
-/** Knobs for the fusion pass (SimOptions::fusion mirrors these). */
+/**
+ * Knobs for the fusion pass. analyzeForRouting fuses with
+ * `{true, defaults::kFusionMaxQubits}`; finalState's overload takes
+ * them so tests can evolve an unfused reference.
+ */
 struct FusionOptions
 {
     /** Master switch; false leaves the instruction stream untouched. */

@@ -5,6 +5,14 @@
 namespace qa
 {
 
+const NoiseModel*
+activeNoise(const NoiseModel* noise)
+{
+    if (noise == nullptr || !noise->enabled()) return nullptr;
+    noise->validate();
+    return noise;
+}
+
 void
 NoiseModel::validate() const
 {

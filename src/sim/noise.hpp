@@ -74,6 +74,9 @@ struct NoiseModel
     static NoiseModel depolarizing(double p1, double p2);
 };
 
+/** `noise` when it is enabled, after validating it; else null. */
+const NoiseModel* activeNoise(const NoiseModel* noise);
+
 } // namespace qa
 
 #endif // QA_SIM_NOISE_HPP

@@ -180,81 +180,7 @@ Statevector::basisProbabilitiesMap(double eps) const
     return std::map<uint64_t, double>(sorted.begin(), sorted.end());
 }
 
-uint64_t
-Statevector::sampleBasis(Rng& rng) const
-{
-    double draw = rng.uniform();
-    double acc = 0.0;
-    for (uint64_t i = 0; i < amps_.dim(); ++i) {
-        acc += std::norm(amps_[i]);
-        if (draw < acc) return i;
-    }
-    return amps_.dim() - 1;
-}
-
 // runShots is defined in backend/dispatch.cpp (route, prepare, run).
-
-Distribution
-exactDistribution(const QuantumCircuit& circuit)
-{
-    struct Branch
-    {
-        Statevector state;
-        std::string clbits;
-        double prob;
-        size_t pc;
-    };
-
-    Distribution dist;
-    std::vector<Branch> stack;
-    stack.push_back(Branch{Statevector(circuit.numQubits()),
-                           std::string(size_t(std::max(
-                               circuit.numClbits(), 0)), '0'),
-                           1.0, 0});
-
-    const auto& instrs = circuit.instructions();
-    while (!stack.empty()) {
-        Branch branch = std::move(stack.back());
-        stack.pop_back();
-
-        bool alive = true;
-        while (branch.pc < instrs.size() && alive) {
-            const Instruction& instr = instrs[branch.pc];
-            ++branch.pc;
-            switch (instr.type) {
-              case OpType::kGate:
-                branch.state.applyGate(instr);
-                break;
-              case OpType::kBarrier:
-                break;
-              case OpType::kMeasure:
-              case OpType::kReset: {
-                const int q = instr.qubits[0];
-                const double p1 = branch.state.probabilityOne(q);
-                for (int outcome : {0, 1}) {
-                    const double p = outcome ? p1 : 1.0 - p1;
-                    if (p < 1e-12) continue;
-                    Branch next = branch;
-                    next.prob *= p;
-                    next.state.collapse(q, outcome);
-                    if (instr.type == OpType::kMeasure) {
-                        next.clbits[instr.cbit] = outcome ? '1' : '0';
-                    } else if (outcome == 1) {
-                        next.state.applyX(q);
-                    }
-                    stack.push_back(std::move(next));
-                }
-                alive = false;
-                break;
-              }
-            }
-        }
-        if (alive) {
-            dist.probs[branch.clbits] += branch.prob;
-        }
-    }
-    return dist;
-}
 
 Statevector
 finalState(const QuantumCircuit& circuit)

@@ -5,8 +5,8 @@
  *
  * Supports mid-circuit measurement with collapse (the capability real
  * devices lack and assertion circuits are engineered around), shot
- * sampling, trajectory (stochastic Kraus) noise, classical readout error,
- * and an exact branching distribution for deterministic tests.
+ * sampling, trajectory (stochastic Kraus) noise and classical readout
+ * error; sim/exact.hpp walks it exactly for noise-free distributions.
  */
 #ifndef QA_SIM_STATEVECTOR_HPP
 #define QA_SIM_STATEVECTOR_HPP
@@ -46,7 +46,6 @@ class Statevector
      * flag copies with the state, so scratch clones keep the setting.
      */
     void setSimd(bool simd) { simd_ = simd; }
-    bool simdEnabled() const { return simd_; }
 
     /**
      * Apply a 2^k x 2^k unitary (or Kraus operator) to the listed qubits;
@@ -91,9 +90,6 @@ class Statevector
     std::map<uint64_t, double>
     basisProbabilitiesMap(double eps = 1e-12) const;
 
-    /** Sample a full computational-basis outcome without collapsing. */
-    uint64_t sampleBasis(Rng& rng) const;
-
   private:
     int num_qubits_;
     CVector amps_;
@@ -112,13 +108,6 @@ class Statevector
  * backend; different backends agree distributionally, not bit-wise.
  */
 Counts runShots(const QuantumCircuit& circuit, const SimOptions& options);
-
-/**
- * Exact noiseless outcome distribution: branches on every measurement and
- * reset, so mid-circuit measurements are handled exactly. Intended for
- * circuits with a modest number of measurements.
- */
-Distribution exactDistribution(const QuantumCircuit& circuit);
 
 /**
  * Final pure state of a measurement-free, noiseless circuit.

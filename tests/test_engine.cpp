@@ -23,6 +23,7 @@
 #include "circuit/stdgates.hpp"
 #include "common/error.hpp"
 #include "sim/engine.hpp"
+#include "sim/exact.hpp"
 #include "sim/statevector.hpp"
 #include "test_util.hpp"
 

@@ -250,7 +250,7 @@ TEST(PendingTest, ResolveThroughAnyAliasIsExactlyOnce)
     serve::JsonValue request = serve::JsonValue::parse("{\"op\":\"run\"}");
     const PendingPtr job =
         table.add("client-1", std::move(request), Hash128{}, 0.0, {0, 1},
-                  Clock::TimePoint{});
+                  std::chrono::steady_clock::time_point{});
     const std::string first = table.issueAlias(job);
     const std::string failover = table.issueAlias(job);
     EXPECT_NE(first, failover);
@@ -273,7 +273,7 @@ TEST(PendingTest, EraseDropsJobsThatNeverDispatched)
     PendingTable table;
     const PendingPtr job =
         table.add("c", serve::JsonValue::parse("{}"), Hash128{}, 0.0, {0},
-                  Clock::TimePoint{});
+                  std::chrono::steady_clock::time_point{});
     EXPECT_EQ(table.size(), 1u);
     table.erase(job);
     EXPECT_EQ(table.size(), 0u);
@@ -284,10 +284,10 @@ TEST(PendingTest, OnShardFindsOutstandingDispatches)
     PendingTable table;
     const PendingPtr a =
         table.add("a", serve::JsonValue::parse("{}"), Hash128{}, 0.0,
-                  {0, 1}, Clock::TimePoint{});
+                  {0, 1}, std::chrono::steady_clock::time_point{});
     const PendingPtr b =
         table.add("b", serve::JsonValue::parse("{}"), Hash128{}, 0.0,
-                  {1, 0}, Clock::TimePoint{});
+                  {1, 0}, std::chrono::steady_clock::time_point{});
     a->awaiting = 0;
     b->awaiting = 1;
     EXPECT_EQ(table.onShard(0).size(), 1u);

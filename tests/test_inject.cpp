@@ -273,6 +273,38 @@ TEST(CampaignTest, BellAnalyticDetectionRates)
     }
 }
 
+TEST(CampaignTest, ExactCorruptionIsJudgedUnderTheNoiseModel)
+{
+    // Readout error 0.5 makes every recorded bit a fair coin, so no
+    // fault can move the bare program's output distribution. Exact mode
+    // must judge the bare program under the same noise as the asserted
+    // runs and, like sampled mode, report no fault as corrupting.
+    const CampaignRunner runner = CampaignRunner::assertingFinalState(
+        bellPrep(BellKind::kPhiPlus), AssertionDesign::kSwap);
+    CampaignOptions options;
+    options.kinds = {FaultKind::kPauliX};
+
+    // Noise-free, the two X faults after the CX flip |Phi+> to |Psi+>.
+    const CampaignReport ideal = runner.run(options);
+    ASSERT_EQ(ideal.num_faults, 3);
+    EXPECT_EQ(ideal.num_corrupting, 2);
+
+    NoiseModel readout;
+    readout.readout_p01 = 0.5;
+    readout.readout_p10 = 0.5;
+    options.noise = &readout;
+    for (const int shots : {0, 4000}) {
+        options.shots = shots;
+        const CampaignReport report = runner.run(options);
+        ASSERT_EQ(report.num_faults, 3);
+        EXPECT_EQ(report.num_corrupting, 0) << "shots " << shots;
+        for (const FaultRecord& record : report.records) {
+            EXPECT_FALSE(record.output_corrupted)
+                << record.fault.describe() << ", shots " << shots;
+        }
+    }
+}
+
 TEST(CampaignTest, SampledSweepMatchesAnalyticRates)
 {
     // With enough shots the sampled campaign agrees with the exact one.

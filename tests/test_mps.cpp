@@ -30,6 +30,7 @@
 #include "common/error.hpp"
 #include "mps/mps_state.hpp"
 #include "serve/job.hpp"
+#include "sim/exact.hpp"
 #include "sim/statevector.hpp"
 #include "serve/wire.hpp"
 #include "test_util.hpp"

@@ -14,6 +14,7 @@
 #include "core/runner.hpp"
 #include "linalg/states.hpp"
 #include "sim/density.hpp"
+#include "sim/exact.hpp"
 #include "sim/statevector.hpp"
 #include "test_util.hpp"
 

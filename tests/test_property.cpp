@@ -18,6 +18,7 @@
 #include "linalg/eigen.hpp"
 #include "linalg/gram_schmidt.hpp"
 #include "linalg/states.hpp"
+#include "sim/exact.hpp"
 #include "sim/statevector.hpp"
 #include "synth/cnot_synth.hpp"
 #include "synth/state_prep.hpp"

@@ -12,6 +12,7 @@
 #include "common/error.hpp"
 #include "linalg/states.hpp"
 #include "sim/density.hpp"
+#include "sim/exact.hpp"
 #include "sim/statevector.hpp"
 #include "test_util.hpp"
 
@@ -230,16 +231,39 @@ TEST(DensityTest, PureCircuitMatchesStatevector)
 
 TEST(DensityTest, ExactDistributionAgreesWithStatevector)
 {
-    QuantumCircuit qc(2, 2);
-    qc.h(0);
-    qc.cx(0, 1);
-    qc.measure(0, 0);
-    qc.h(1);
-    qc.measure(1, 1);
-    Distribution sv = exactDistribution(qc);
-    Distribution dm = exactDistributionDM(qc);
-    for (const auto& [bits, p] : sv.probs) {
-        EXPECT_NEAR(dm.probability(bits), p, 1e-9) << bits;
+    // One branching walk, two states: seeded random circuits with
+    // mid-circuit measurements (each into its own clbit, so the record
+    // is compared too) and resets pin each state's probabilityOne,
+    // collapse and reset against the other's.
+    Rng rng(2021);
+    for (int trial = 0; trial < 20; ++trial) {
+        const int n = 3;
+        QuantumCircuit qc(n, n + 4);
+        for (int layer = 0; layer < 4; ++layer) {
+            for (int q = 0; q < n; ++q) {
+                qc.ry(q, rng.uniform(0.0, 3.0));
+                qc.rz(q, rng.uniform(0.0, 6.0));
+            }
+            const int a = int(rng.index(n));
+            qc.cx(a, (a + 1 + int(rng.index(n - 1))) % n);
+            qc.measure(int(rng.index(n)), n + layer);
+            qc.reset(int(rng.index(n)));
+        }
+        qc.measureAll();
+
+        const Distribution sv = exactDistribution(qc);
+        const Distribution dm = exactDistributionDM(qc);
+        for (const auto& [bits, p] : sv.probs) {
+            EXPECT_NEAR(dm.probability(bits), p, 1e-9)
+                << "trial " << trial << " " << bits;
+        }
+        for (const auto& [bits, p] : dm.probs) {
+            EXPECT_NEAR(sv.probability(bits), p, 1e-9)
+                << "trial " << trial << " " << bits;
+        }
+        EXPECT_NEAR(sv.mass([](const std::string&) { return true; }), 1.0,
+                    1e-9)
+            << "trial " << trial;
     }
 }
 
