@@ -60,7 +60,14 @@
 # kernels index rho as one flat 4^n array through both the row and
 # the column axis, so an off-by-one there shows up under ASan;
 # DensityTest.ExactDistributionAgreesWithStatevector drives the walk
-# through mid-circuit measurements and resets on both states.
+# through mid-circuit measurements and resets on both states. It also
+# runs the circuit and QASM tests (test_circuit, test_qasm): the
+# builders, the importer and inverse() read every gate from the gate
+# table (circuit/stdgates.hpp), whose matrix builders and inverse rules
+# index a gate's params by position, and the importer checks a
+# statement's operand counts only against its row, so a row whose
+# counts disagree with its builder reads past the end of the params
+# vector under ASan.
 #
 # Usage: scripts/tier1.sh [--skip-tsan] [--skip-asan] [--skip-release]
 #
@@ -127,8 +134,11 @@ if [[ "$skip_asan" -ne 1 ]]; then
         --target test_inject --target test_policy --target test_engine \
         --target test_serve --target test_backend --target test_resilience \
         --target test_fusion --target test_acomp --target test_mps \
-        --target test_fleet --target test_sim
+        --target test_fleet --target test_sim --target test_circuit \
+        --target test_qasm
     ./build-asan/tests/test_sim --gtest_filter='DensityTest.*'
+    ./build-asan/tests/test_circuit
+    ./build-asan/tests/test_qasm
     ./build-asan/tests/test_fusion
     ./build-asan/tests/test_acomp
     ./build-asan/tests/test_inject

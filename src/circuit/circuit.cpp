@@ -6,7 +6,6 @@
 #include <set>
 #include <sstream>
 
-#include "circuit/stdgates.hpp"
 #include "common/error.hpp"
 
 namespace qa
@@ -32,128 +31,10 @@ QuantumCircuit::checkClbit(int c) const
 }
 
 void
-QuantumCircuit::addStd(const std::string& name, std::vector<int> qubits,
-                       CMatrix matrix, std::vector<double> params)
+QuantumCircuit::addStd(GateId id, std::vector<int> qubits,
+                       std::vector<double> params)
 {
-    Instruction instr;
-    instr.type = OpType::kGate;
-    instr.name = name;
-    instr.qubits = std::move(qubits);
-    instr.params = std::move(params);
-    instr.matrix = std::move(matrix);
-    append(std::move(instr));
-}
-
-void QuantumCircuit::id(int q) { addStd("id", {q}, gates::i()); }
-void QuantumCircuit::x(int q) { addStd("x", {q}, gates::x()); }
-void QuantumCircuit::y(int q) { addStd("y", {q}, gates::y()); }
-void QuantumCircuit::z(int q) { addStd("z", {q}, gates::z()); }
-void QuantumCircuit::h(int q) { addStd("h", {q}, gates::h()); }
-void QuantumCircuit::s(int q) { addStd("s", {q}, gates::s()); }
-void QuantumCircuit::sdg(int q) { addStd("sdg", {q}, gates::sdg()); }
-void QuantumCircuit::t(int q) { addStd("t", {q}, gates::t()); }
-void QuantumCircuit::tdg(int q) { addStd("tdg", {q}, gates::tdg()); }
-void QuantumCircuit::sx(int q) { addStd("sx", {q}, gates::sx()); }
-
-void
-QuantumCircuit::rx(int q, double theta)
-{
-    addStd("rx", {q}, gates::rx(theta), {theta});
-}
-
-void
-QuantumCircuit::ry(int q, double theta)
-{
-    addStd("ry", {q}, gates::ry(theta), {theta});
-}
-
-void
-QuantumCircuit::rz(int q, double theta)
-{
-    addStd("rz", {q}, gates::rz(theta), {theta});
-}
-
-void
-QuantumCircuit::p(int q, double lambda)
-{
-    addStd("p", {q}, gates::p(lambda), {lambda});
-}
-
-void QuantumCircuit::u1(int q, double lambda) { p(q, lambda); }
-
-void
-QuantumCircuit::u2(int q, double phi, double lambda)
-{
-    addStd("u2", {q}, gates::u2(phi, lambda), {phi, lambda});
-}
-
-void
-QuantumCircuit::u3(int q, double theta, double phi, double lambda)
-{
-    addStd("u3", {q}, gates::u3(theta, phi, lambda), {theta, phi, lambda});
-}
-
-void
-QuantumCircuit::cx(int control, int target)
-{
-    addStd("cx", {control, target}, gates::cx());
-}
-
-void
-QuantumCircuit::cy(int control, int target)
-{
-    addStd("cy", {control, target}, gates::cy());
-}
-
-void
-QuantumCircuit::cz(int control, int target)
-{
-    addStd("cz", {control, target}, gates::cz());
-}
-
-void
-QuantumCircuit::ch(int control, int target)
-{
-    addStd("ch", {control, target}, gates::ch());
-}
-
-void
-QuantumCircuit::swap(int a, int b)
-{
-    addStd("swap", {a, b}, gates::swap());
-}
-
-void
-QuantumCircuit::crz(int control, int target, double theta)
-{
-    addStd("crz", {control, target}, gates::crz(theta), {theta});
-}
-
-void
-QuantumCircuit::cp(int control, int target, double lambda)
-{
-    addStd("cp", {control, target}, gates::cp(lambda), {lambda});
-}
-
-void
-QuantumCircuit::cu3(int control, int target, double theta, double phi,
-                    double lambda)
-{
-    addStd("cu3", {control, target}, gates::cu3(theta, phi, lambda),
-           {theta, phi, lambda});
-}
-
-void
-QuantumCircuit::ccx(int c0, int c1, int target)
-{
-    addStd("ccx", {c0, c1, target}, gates::ccx());
-}
-
-void
-QuantumCircuit::ccrz(int c0, int c1, int target, double theta)
-{
-    addStd("ccrz", {c0, c1, target},
-           gates::controlled(gates::rz(theta), 2), {theta});
+    append(makeGate(gateDef(id), std::move(qubits), std::move(params)));
 }
 
 void
@@ -165,7 +46,7 @@ QuantumCircuit::unitary(const CMatrix& u, const std::vector<int>& qubits,
     QA_REQUIRE(u.rows() == (size_t(1) << qubits.size()),
                "unitary dimension does not match qubit count");
     QA_REQUIRE(u.isUnitary(1e-7), "matrix is not unitary");
-    addStd(name, qubits, u);
+    append(Instruction{OpType::kGate, name, qubits, {}, u});
 }
 
 void
@@ -257,44 +138,34 @@ QuantumCircuit::compose(const QuantumCircuit& other,
 namespace
 {
 
-/** Inverse of a named gate instruction. */
+/** Inverse of a gate instruction: the dagger, renamed by its row. */
 Instruction
 invertGate(const Instruction& g)
 {
     Instruction out = g;
     out.matrix = g.matrix.dagger();
-
-    static const std::set<std::string> self_inverse = {
-        "id", "x", "y", "z", "h", "cx", "cy", "cz", "ch", "swap", "ccx"};
-    if (self_inverse.count(g.name)) return out;
-
-    auto negate_params = [&out]() {
+    const GateDef* def = findGate(g.name);
+    if (def == nullptr || def->inverse == InverseParams::kNone) {
+        // No named inverse (sx, opaque gates): mark the daggered matrix.
+        out.name = g.name + "_dg";
+        return out;
+    }
+    out.name = gateDef(def->inverse_name).name;
+    const std::vector<double>& p = g.params;
+    switch (def->inverse) {
+      case InverseParams::kNegate:
         for (double& x : out.params) x = -x;
-    };
-
-    if (g.name == "s") { out.name = "sdg"; return out; }
-    if (g.name == "sdg") { out.name = "s"; return out; }
-    if (g.name == "t") { out.name = "tdg"; return out; }
-    if (g.name == "tdg") { out.name = "t"; return out; }
-    if (g.name == "rx" || g.name == "ry" || g.name == "rz" ||
-        g.name == "p" || g.name == "crz" || g.name == "cp" ||
-        g.name == "ccrz") {
-        negate_params();
-        return out;
+        break;
+      case InverseParams::kU3Swap:
+        out.params = {-p[0], -p[2], -p[1]};
+        break;
+      case InverseParams::kU2ToU3: // u2(phi, lambda) = u3(pi/2, phi, lambda)
+        out.params = {-M_PI / 2, -p[1], -p[0]};
+        break;
+      case InverseParams::kKeep:
+      case InverseParams::kNone:
+        break;
     }
-    if (g.name == "u3" || g.name == "cu3") {
-        // u3(theta, phi, lambda)^-1 = u3(-theta, -lambda, -phi).
-        out.params = {-g.params[0], -g.params[2], -g.params[1]};
-        return out;
-    }
-    if (g.name == "u2") {
-        // u2(phi, lambda) = u3(pi/2, phi, lambda).
-        out.name = "u3";
-        out.params = {-M_PI / 2, -g.params[1], -g.params[0]};
-        return out;
-    }
-    // Unknown/opaque gate: keep the daggered matrix with a marker name.
-    out.name = g.name + "_dg";
     return out;
 }
 
@@ -374,13 +245,6 @@ QuantumCircuit::depth() const
 std::string
 QuantumCircuit::toQasm() const
 {
-    // "ccrz" is a qassert extension (the adder programs emit it); our
-    // importer accepts it back, other toolchains need a gate definition.
-    static const std::set<std::string> known = {
-        "id", "x", "y", "z", "h", "s", "sdg", "t", "tdg", "sx",
-        "rx", "ry", "rz", "p", "u2", "u3", "cx", "cy", "cz", "ch",
-        "swap", "crz", "cp", "cu3", "ccx", "ccrz"};
-
     std::ostringstream oss;
     oss << "OPENQASM 2.0;\n"
         << "include \"qelib1.inc\";\n"
@@ -401,7 +265,7 @@ QuantumCircuit::toQasm() const
             oss << "reset q[" << instr.qubits[0] << "];\n";
             continue;
         }
-        QA_REQUIRE(known.count(instr.name),
+        QA_REQUIRE(findGate(instr.name) != nullptr,
                    "toQasm: opaque gate '" + instr.name +
                        "'; lower the circuit to basis gates first");
         oss << instr.name;

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "circuit/stdgates.hpp"
 #include "circuit/instruction.hpp"
 #include "linalg/matrix.hpp"
 
@@ -32,44 +33,54 @@ class QuantumCircuit
     const std::vector<Instruction>& instructions() const { return instrs_; }
     size_t size() const { return instrs_.size(); }
 
-    /** @name Single-qubit gates */
+    /**
+     * @name Standard gates
+     * Each appends through its gate-table row (circuit/stdgates.hpp),
+     * which pairs the name with its matrix; controls come first.
+     */
     ///@{
-    void id(int q);
-    void x(int q);
-    void y(int q);
-    void z(int q);
-    void h(int q);
-    void s(int q);
-    void sdg(int q);
-    void t(int q);
-    void tdg(int q);
-    void sx(int q);
-    void rx(int q, double theta);
-    void ry(int q, double theta);
-    void rz(int q, double theta);
-    void p(int q, double lambda);
-    void u1(int q, double lambda);
-    void u2(int q, double phi, double lambda);
-    void u3(int q, double theta, double phi, double lambda);
-    ///@}
-
-    /** @name Two-qubit gates (control first where applicable) */
-    ///@{
-    void cx(int control, int target);
-    void cy(int control, int target);
-    void cz(int control, int target);
-    void ch(int control, int target);
-    void swap(int a, int b);
-    void crz(int control, int target, double theta);
-    void cp(int control, int target, double lambda);
-    void cu3(int control, int target, double theta, double phi,
-             double lambda);
-    ///@}
-
-    /** @name Three-qubit gates */
-    ///@{
-    void ccx(int c0, int c1, int target);
-    void ccrz(int c0, int c1, int target, double theta);
+    void id(int q) { addStd(GateId::kId, {q}); }
+    void x(int q) { addStd(GateId::kX, {q}); }
+    void y(int q) { addStd(GateId::kY, {q}); }
+    void z(int q) { addStd(GateId::kZ, {q}); }
+    void h(int q) { addStd(GateId::kH, {q}); }
+    void s(int q) { addStd(GateId::kS, {q}); }
+    void sdg(int q) { addStd(GateId::kSdg, {q}); }
+    void t(int q) { addStd(GateId::kT, {q}); }
+    void tdg(int q) { addStd(GateId::kTdg, {q}); }
+    void sx(int q) { addStd(GateId::kSx, {q}); }
+    void rx(int q, double theta) { addStd(GateId::kRx, {q}, {theta}); }
+    void ry(int q, double theta) { addStd(GateId::kRy, {q}, {theta}); }
+    void rz(int q, double theta) { addStd(GateId::kRz, {q}, {theta}); }
+    void p(int q, double lambda) { addStd(GateId::kP, {q}, {lambda}); }
+    void
+    u2(int q, double phi, double lambda)
+    {
+        addStd(GateId::kU2, {q}, {phi, lambda});
+    }
+    void
+    u3(int q, double theta, double phi, double lambda)
+    {
+        addStd(GateId::kU3, {q}, {theta, phi, lambda});
+    }
+    void cx(int c, int t) { addStd(GateId::kCx, {c, t}); }
+    void cy(int c, int t) { addStd(GateId::kCy, {c, t}); }
+    void cz(int c, int t) { addStd(GateId::kCz, {c, t}); }
+    void ch(int c, int t) { addStd(GateId::kCh, {c, t}); }
+    void swap(int a, int b) { addStd(GateId::kSwap, {a, b}); }
+    void crz(int c, int t, double a) { addStd(GateId::kCrz, {c, t}, {a}); }
+    void cp(int c, int t, double a) { addStd(GateId::kCp, {c, t}, {a}); }
+    void
+    cu3(int c, int t, double theta, double phi, double lambda)
+    {
+        addStd(GateId::kCu3, {c, t}, {theta, phi, lambda});
+    }
+    void ccx(int c0, int c1, int t) { addStd(GateId::kCcx, {c0, c1, t}); }
+    void
+    ccrz(int c0, int c1, int t, double theta)
+    {
+        addStd(GateId::kCcrz, {c0, c1, t}, {theta});
+    }
     ///@}
 
     /**
@@ -122,14 +133,14 @@ class QuantumCircuit
     int depth() const;
     ///@}
 
-    /** OpenQASM 2.0 export (named standard gates only). */
+    /** OpenQASM 2.0 export (gate-table gates only). */
     std::string toQasm() const;
 
   private:
     void checkQubit(int q) const;
     void checkClbit(int c) const;
-    void addStd(const std::string& name, std::vector<int> qubits,
-                CMatrix matrix, std::vector<double> params = {});
+    void addStd(GateId id, std::vector<int> qubits,
+                std::vector<double> params = {});
 
     int num_qubits_;
     int num_clbits_;

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <vector>
 
+#include "circuit/stdgates.hpp"
 #include "common/error.hpp"
 
 namespace qa
@@ -444,94 +445,18 @@ parseQasm(const std::string& source, std::vector<QasmPos>* positions)
                         st.loc.str() + ": " + name +
                             " names the same qubit twice");
 
-        auto needQubits = [&](size_t n) {
-            QA_REQUIRE_CODE(qubits.size() == n, ErrorCode::kQasmSyntax,
+        const GateDef* def = findGateOrAlias(name);
+        QA_REQUIRE_CODE(def != nullptr, ErrorCode::kQasmSyntax,
+                        st.loc.str() + ": unsupported gate '" + name + "'");
+        auto expect = [&](size_t got, int want, const char* what) {
+            QA_REQUIRE_CODE(got == size_t(want), ErrorCode::kQasmSyntax,
                             st.loc.str() + ": " + name + " expects " +
-                                std::to_string(n) + " qubits, got " +
-                                std::to_string(qubits.size()));
+                                std::to_string(want) + " " + what +
+                                ", got " + std::to_string(got));
         };
-        auto needParams = [&](size_t n) {
-            QA_REQUIRE_CODE(params.size() == n, ErrorCode::kQasmSyntax,
-                            st.loc.str() + ": " + name + " expects " +
-                                std::to_string(n) + " parameters, got " +
-                                std::to_string(params.size()));
-        };
-
-        if (name == "id") { needQubits(1); circuit.id(qubits[0]); }
-        else if (name == "x") { needQubits(1); circuit.x(qubits[0]); }
-        else if (name == "y") { needQubits(1); circuit.y(qubits[0]); }
-        else if (name == "z") { needQubits(1); circuit.z(qubits[0]); }
-        else if (name == "h") { needQubits(1); circuit.h(qubits[0]); }
-        else if (name == "s") { needQubits(1); circuit.s(qubits[0]); }
-        else if (name == "sdg") { needQubits(1); circuit.sdg(qubits[0]); }
-        else if (name == "t") { needQubits(1); circuit.t(qubits[0]); }
-        else if (name == "tdg") { needQubits(1); circuit.tdg(qubits[0]); }
-        else if (name == "sx") { needQubits(1); circuit.sx(qubits[0]); }
-        else if (name == "rx") {
-            needQubits(1);
-            needParams(1);
-            circuit.rx(qubits[0], params[0]);
-        } else if (name == "ry") {
-            needQubits(1);
-            needParams(1);
-            circuit.ry(qubits[0], params[0]);
-        } else if (name == "rz") {
-            needQubits(1);
-            needParams(1);
-            circuit.rz(qubits[0], params[0]);
-        } else if (name == "p" || name == "u1") {
-            needQubits(1);
-            needParams(1);
-            circuit.p(qubits[0], params[0]);
-        } else if (name == "u2") {
-            needQubits(1);
-            needParams(2);
-            circuit.u2(qubits[0], params[0], params[1]);
-        } else if (name == "u3" || name == "u") {
-            needQubits(1);
-            needParams(3);
-            circuit.u3(qubits[0], params[0], params[1], params[2]);
-        } else if (name == "cx" || name == "CX") {
-            needQubits(2);
-            circuit.cx(qubits[0], qubits[1]);
-        } else if (name == "cy") {
-            needQubits(2);
-            circuit.cy(qubits[0], qubits[1]);
-        } else if (name == "cz") {
-            needQubits(2);
-            circuit.cz(qubits[0], qubits[1]);
-        } else if (name == "ch") {
-            needQubits(2);
-            circuit.ch(qubits[0], qubits[1]);
-        } else if (name == "swap") {
-            needQubits(2);
-            circuit.swap(qubits[0], qubits[1]);
-        } else if (name == "crz") {
-            needQubits(2);
-            needParams(1);
-            circuit.crz(qubits[0], qubits[1], params[0]);
-        } else if (name == "cp" || name == "cu1") {
-            needQubits(2);
-            needParams(1);
-            circuit.cp(qubits[0], qubits[1], params[0]);
-        } else if (name == "cu3") {
-            needQubits(2);
-            needParams(3);
-            circuit.cu3(qubits[0], qubits[1], params[0], params[1],
-                        params[2]);
-        } else if (name == "ccx") {
-            needQubits(3);
-            circuit.ccx(qubits[0], qubits[1], qubits[2]);
-        } else if (name == "ccrz") {
-            // qassert extension emitted by toQasm (see circuit.cpp).
-            needQubits(3);
-            needParams(1);
-            circuit.ccrz(qubits[0], qubits[1], qubits[2], params[0]);
-        } else {
-            QA_FAIL_CODE(ErrorCode::kQasmSyntax,
-                         st.loc.str() + ": unsupported gate '" + name +
-                             "'");
-        }
+        expect(qubits.size(), def->num_qubits, "qubits");
+        expect(params.size(), def->num_params, "parameters");
+        circuit.append(makeGate(*def, std::move(qubits), std::move(params)));
     }
     if (positions != nullptr) positions->resize(circuit.size(), last_pos);
     return circuit;

@@ -5,11 +5,11 @@
  * programs written for other toolchains can be asserted directly.
  *
  * Supported: OPENQASM header, include (ignored), one or more qreg/creg
- * declarations (flattened in declaration order), the standard gate set
- * (id x y z h s sdg t tdg sx rx ry rz p u1 u2 u3 cx cy cz ch swap crz
- * cp cu1 cu3 ccx) plus the qassert extension ccrz, barrier, reset, and
- * measure. Parameter expressions support numbers, pi, + - * / and
- * parentheses.
+ * declarations (flattened in declaration order), every gate of the
+ * gate table (circuit/stdgates.hpp) under its name or a parse alias
+ * (u1, u, U, CX, cu1), barrier, reset, and measure. A gate's qubit and
+ * parameter counts are checked against its row. Parameter expressions
+ * support numbers, pi, + - * / and parentheses.
  */
 #ifndef QA_CIRCUIT_QASM_HPP
 #define QA_CIRCUIT_QASM_HPP

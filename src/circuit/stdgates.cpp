@@ -1,6 +1,8 @@
 #include "circuit/stdgates.hpp"
 
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "common/error.hpp"
 #include "linalg/states.hpp"
@@ -131,6 +133,7 @@ swap()
 
 CMatrix ccx() { return controlled(x(), 2); }
 CMatrix crz(double theta) { return controlled(rz(theta)); }
+CMatrix ccrz(double theta) { return controlled(rz(theta), 2); }
 CMatrix cp(double lambda) { return controlled(p(lambda)); }
 
 CMatrix
@@ -173,4 +176,137 @@ controlledOpen(const CMatrix& u, int num_controls, unsigned open_mask)
 }
 
 } // namespace gates
+
+namespace
+{
+
+template <CMatrix (*F)()>
+CMatrix
+fix(const double*)
+{
+    return F();
+}
+
+template <CMatrix (*F)(double)>
+CMatrix
+rot(const double* p)
+{
+    return F(p[0]);
+}
+
+CMatrix u2Matrix(const double* p) { return gates::u2(p[0], p[1]); }
+CMatrix u3Matrix(const double* p) { return gates::u3(p[0], p[1], p[2]); }
+CMatrix cu3Matrix(const double* p) { return gates::cu3(p[0], p[1], p[2]); }
+
+using enum GateId;
+using enum InverseParams;
+
+// "ccrz" is a qassert extension (the adder programs emit it); the
+// importer accepts it back, other toolchains need a gate definition.
+// Columns: id, name, aliases, qubits, params, matrix, inverse,
+// inverse_name, tableau_native.
+constexpr GateDef kGates[] = {
+    {kId,   "id",   {},         1, 0, fix<gates::i>,    kKeep,   kId,   true},
+    {kX,    "x",    {},         1, 0, fix<gates::x>,    kKeep,   kX,    true},
+    {kY,    "y",    {},         1, 0, fix<gates::y>,    kKeep,   kY,    true},
+    {kZ,    "z",    {},         1, 0, fix<gates::z>,    kKeep,   kZ,    true},
+    {kH,    "h",    {},         1, 0, fix<gates::h>,    kKeep,   kH,    true},
+    {kS,    "s",    {},         1, 0, fix<gates::s>,    kKeep,   kSdg,  true},
+    {kSdg,  "sdg",  {},         1, 0, fix<gates::sdg>,  kKeep,   kS,    true},
+    {kT,    "t",    {},         1, 0, fix<gates::t>,    kKeep,   kTdg,  false},
+    {kTdg,  "tdg",  {},         1, 0, fix<gates::tdg>,  kKeep,   kT,    false},
+    {kSx,   "sx",   {},         1, 0, fix<gates::sx>,   kNone,   kSx,   false},
+    {kRx,   "rx",   {},         1, 1, rot<gates::rx>,   kNegate, kRx,   false},
+    {kRy,   "ry",   {},         1, 1, rot<gates::ry>,   kNegate, kRy,   false},
+    {kRz,   "rz",   {},         1, 1, rot<gates::rz>,   kNegate, kRz,   false},
+    {kP,    "p",    {"u1"},     1, 1, rot<gates::p>,    kNegate, kP,    false},
+    {kU2,   "u2",   {},         1, 2, u2Matrix,         kU2ToU3, kU3,   false},
+    {kU3,   "u3",   {"u", "U"}, 1, 3, u3Matrix,         kU3Swap, kU3,   false},
+    {kCx,   "cx",   {"CX"},     2, 0, fix<gates::cx>,   kKeep,   kCx,   true},
+    {kCy,   "cy",   {},         2, 0, fix<gates::cy>,   kKeep,   kCy,   false},
+    {kCz,   "cz",   {},         2, 0, fix<gates::cz>,   kKeep,   kCz,   true},
+    {kCh,   "ch",   {},         2, 0, fix<gates::ch>,   kKeep,   kCh,   false},
+    {kSwap, "swap", {},         2, 0, fix<gates::swap>, kKeep,   kSwap, true},
+    {kCrz,  "crz",  {},         2, 1, rot<gates::crz>,  kNegate, kCrz,  false},
+    {kCp,   "cp",   {"cu1"},    2, 1, rot<gates::cp>,   kNegate, kCp,   false},
+    {kCu3,  "cu3",  {},         2, 3, cu3Matrix,        kU3Swap, kCu3,  false},
+    {kCcx,  "ccx",  {},         3, 0, fix<gates::ccx>,  kKeep,   kCcx,  false},
+    {kCcrz, "ccrz", {},         3, 1, rot<gates::ccrz>, kNegate, kCcrz, false},
+};
+
+static_assert([] {
+    for (size_t i = 0; i < std::size(kGates); ++i) {
+        if (size_t(kGates[i].id) != i) return false;
+    }
+    return true;
+}(), "kGates rows must follow GateId order");
+
+/** A name of up to 7 bytes packed with its length (0: any other). */
+constexpr uint64_t
+nameKey(std::string_view name)
+{
+    if (name.size() > 7) return 0;
+    uint64_t key = name.size();
+    for (char c : name) key = key << 8 | uint8_t(c);
+    return key;
+}
+
+/** kGates' name keys: a lookup compares integers, not strings. */
+constexpr auto kNameKeys = [] {
+    std::array<uint64_t, std::size(kGates)> keys{};
+    for (size_t i = 0; i < keys.size(); ++i) {
+        keys[i] = nameKey(kGates[i].name);
+    }
+    return keys;
+}();
+
+} // namespace
+
+std::span<const GateDef>
+gateTable()
+{
+    return kGates;
+}
+
+const GateDef&
+gateDef(GateId id)
+{
+    return kGates[size_t(id)];
+}
+
+const GateDef*
+findGate(std::string_view name)
+{
+    const uint64_t key = nameKey(name);
+    for (size_t i = 0; i < kNameKeys.size(); ++i) {
+        if (kNameKeys[i] == key) return &kGates[i];
+    }
+    return nullptr;
+}
+
+const GateDef*
+findGateOrAlias(std::string_view name)
+{
+    if (const GateDef* def = findGate(name)) return def;
+    for (const GateDef& row : kGates) {
+        for (std::string_view alias : row.aliases) {
+            if (!alias.empty() && alias == name) return &row;
+        }
+    }
+    return nullptr;
+}
+
+Instruction
+makeGate(const GateDef& def, std::vector<int> qubits,
+         std::vector<double> params)
+{
+    QA_REQUIRE(params.size() == size_t(def.num_params),
+               std::string(def.name) + " takes " +
+                   std::to_string(def.num_params) + " parameters");
+    CMatrix matrix = def.matrix(params.data());
+    return Instruction{OpType::kGate, std::string(def.name),
+                       std::move(qubits), std::move(params),
+                       std::move(matrix)};
+}
+
 } // namespace qa

@@ -6,7 +6,9 @@
  *   {"op": "run",                     // default; also "explain",
  *                                     // "metrics","shutdown"
  *    "id": "job-1",                   // echoed back; optional
- *    "qasm": "OPENQASM 2.0; ...",     // circuit, toQasm-compatible subset
+ *    "qasm": "OPENQASM 2.0; ...",     // circuit: gate-table gates (and
+ *                                     // their aliases), measure, reset,
+ *                                     // barrier
  *    "shots": 1024, "seed": 7,        // optional, defaults as JobSpec
  *    "deadline_ms": 0, "priority": 0,
  *    "threads": 1, "cache": true,

@@ -1,9 +1,8 @@
 #include "stab/clifford.hpp"
 
 #include <cmath>
-#include <set>
-#include <string>
 
+#include "circuit/stdgates.hpp"
 #include "common/error.hpp"
 
 namespace qa
@@ -104,9 +103,9 @@ recognizeCliffordMatrix(const CMatrix& u, double tol)
 bool
 isNamedCliffordGate(const Instruction& instr)
 {
-    static const std::set<std::string> named = {
-        "id", "x", "y", "z", "h", "s", "sdg", "cx", "cz", "swap"};
-    return instr.isGate() && named.count(instr.name) > 0;
+    if (!instr.isGate()) return false;
+    const GateDef* def = findGate(instr.name);
+    return def != nullptr && def->tableau_native;
 }
 
 std::optional<CliffordAction>

@@ -48,16 +48,15 @@ std::optional<CliffordAction>
 recognizeCliffordMatrix(const CMatrix& u, double tol = 1e-9);
 
 /**
- * Recognize a gate instruction as Clifford. Named tableau gates (h, s,
- * sdg, x, y, z, cx, cz, swap, id) short-circuit without touching the
- * matrix; anything else goes through recognizeCliffordMatrix. Returns
- * nullopt for non-Clifford gates. Non-gate instructions are rejected.
+ * Recognize a gate instruction as Clifford through
+ * recognizeCliffordMatrix on its matrix. Returns nullopt for
+ * non-Clifford gates and for non-gate instructions.
  */
 std::optional<CliffordAction> recognizeClifford(const Instruction& instr);
 
 /**
- * True when the instruction is one of the named gates the tableau
- * applies directly (StabilizerTableau::applyGate's fast path).
+ * True when the instruction is a gate-table gate flagged
+ * `tableau_native`, which StabilizerTableau::applyGate applies by name.
  */
 bool isNamedCliffordGate(const Instruction& instr);
 

@@ -1,7 +1,6 @@
 #include "stab/tableau.hpp"
 
-#include <set>
-
+#include "circuit/stdgates.hpp"
 #include "common/error.hpp"
 
 namespace qa
@@ -93,17 +92,23 @@ void
 StabilizerTableau::applyGate(const Instruction& instr)
 {
     QA_REQUIRE(instr.isGate(), "applyGate needs a gate instruction");
+    const GateDef* def = findGate(instr.name);
     const auto& q = instr.qubits;
-    if (instr.name == "h") { applyH(q[0]); return; }
-    if (instr.name == "s") { applyS(q[0]); return; }
-    if (instr.name == "sdg") { applySdg(q[0]); return; }
-    if (instr.name == "x") { applyX(q[0]); return; }
-    if (instr.name == "y") { applyY(q[0]); return; }
-    if (instr.name == "z") { applyZ(q[0]); return; }
-    if (instr.name == "id" || instr.name == "barrier") return;
-    if (instr.name == "cx") { applyCx(q[0], q[1]); return; }
-    if (instr.name == "cz") { applyCz(q[0], q[1]); return; }
-    if (instr.name == "swap") { applySwap(q[0], q[1]); return; }
+    if (def != nullptr) {
+        switch (def->id) {
+          case GateId::kId: return;
+          case GateId::kX: applyX(q[0]); return;
+          case GateId::kY: applyY(q[0]); return;
+          case GateId::kZ: applyZ(q[0]); return;
+          case GateId::kH: applyH(q[0]); return;
+          case GateId::kS: applyS(q[0]); return;
+          case GateId::kSdg: applySdg(q[0]); return;
+          case GateId::kCx: applyCx(q[0], q[1]); return;
+          case GateId::kCz: applyCz(q[0], q[1]); return;
+          case GateId::kSwap: applySwap(q[0], q[1]); return;
+          default: break;
+        }
+    }
     QA_FAIL("non-Clifford gate '" + instr.name +
             "' in stabilizer simulation");
 }
@@ -288,11 +293,8 @@ StabilizerTableau::toStatevector() const
 bool
 isCliffordCircuit(const QuantumCircuit& circuit)
 {
-    static const std::set<std::string> clifford = {
-        "id", "x", "y", "z", "h", "s", "sdg", "cx", "cz", "swap"};
     for (const Instruction& instr : circuit.instructions()) {
-        if (!instr.isGate()) continue;
-        if (!clifford.count(instr.name)) return false;
+        if (instr.isGate() && !isNamedCliffordGate(instr)) return false;
     }
     return true;
 }

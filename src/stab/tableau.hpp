@@ -42,8 +42,8 @@ class StabilizerTableau
     ///@}
 
     /**
-     * Apply a named Clifford instruction; throws UserError for
-     * non-Clifford gates.
+     * Apply a gate-table gate flagged `tableau_native` by name; throws
+     * UserError for any other gate.
      */
     void applyGate(const Instruction& instr);
 
@@ -87,7 +87,7 @@ class StabilizerTableau
     std::vector<uint8_t> r_; // sign bit per row (i^2r: 0 => +, 1 => -)
 };
 
-/** True when every gate in the circuit is a named Clifford gate. */
+/** True when every gate in the circuit is tableau-native. */
 bool isCliffordCircuit(const QuantumCircuit& circuit);
 
 /** Run a measurement-free Clifford circuit on |0...0>. */

@@ -134,12 +134,7 @@ rewriteCzH(std::vector<Instruction>& instrs)
             const int other = instrs[idx].qubits[0] == x
                                   ? instrs[idx].qubits[1]
                                   : instrs[idx].qubits[0];
-            Instruction cx_instr;
-            cx_instr.type = OpType::kGate;
-            cx_instr.name = "cx";
-            cx_instr.qubits = {other, x};
-            cx_instr.matrix = gates::cx();
-            instrs[idx] = std::move(cx_instr);
+            instrs[idx] = makeGate(gateDef(GateId::kCx), {other, x});
         }
         // Erase the later h first.
         instrs.erase(instrs.begin() + j);

@@ -149,6 +149,29 @@ TEST(CircuitTest, InverseRoundTrip)
     both.compose(inv, ident);
     EXPECT_TRUE(circuitUnitary(both).equalsUpToPhase(
         CMatrix::identity(8), 1e-9));
+
+    // Every gate-table row: the gate times its inverse is the identity,
+    // and a renamed inverse's name and params rebuild its matrix.
+    for (const GateDef& def : gateTable()) {
+        SCOPED_TRACE(std::string(def.name));
+        QuantumCircuit one(3);
+        one.append(test::sampleGate(def));
+        const QuantumCircuit one_inv = one.inverse();
+        const Instruction& g = one_inv.instructions()[0];
+        QuantumCircuit pair(3);
+        pair.compose(one, ident);
+        pair.compose(one_inv, ident);
+        EXPECT_TRUE(circuitUnitary(pair).equalsUpToPhase(
+            CMatrix::identity(8), 1e-9));
+        if (def.inverse == InverseParams::kNone) {
+            EXPECT_EQ(g.name, std::string(def.name) + "_dg");
+            continue;
+        }
+        const GateDef* named = findGate(g.name);
+        ASSERT_NE(named, nullptr);
+        expectMatrixNear(makeGate(*named, g.qubits, g.params).matrix,
+                         g.matrix, 1e-12);
+    }
 }
 
 TEST(CircuitTest, InverseNameMapping)

@@ -4,6 +4,7 @@
  * expression evaluation, multi-register flattening, and error paths.
  */
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -15,7 +16,9 @@
 #include "algos/qpe.hpp"
 #include "algos/states.hpp"
 #include "algos/teleport.hpp"
+#include "circuit/hash.hpp"
 #include "circuit/qasm.hpp"
+#include "circuit/stdgates.hpp"
 #include "common/error.hpp"
 #include "linalg/states.hpp"
 #include "sim/statevector.hpp"
@@ -63,6 +66,29 @@ TEST(QasmTest, RoundTripThroughExporter)
     }
     EXPECT_TRUE(circuitUnitary(a).equalsUpToPhase(circuitUnitary(b),
                                                   1e-9));
+
+    // Every gate-table row survives the text round trip bit for bit.
+    for (const GateDef& def : gateTable()) {
+        SCOPED_TRACE(std::string(def.name));
+        QuantumCircuit one(3);
+        one.append(test::sampleGate(def));
+        const QuantumCircuit back = parseQasm(one.toQasm());
+        ASSERT_EQ(back.size(), 1u);
+        const Instruction& want = one.instructions()[0];
+        const Instruction& got = back.instructions()[0];
+        EXPECT_EQ(got.name, want.name);
+        EXPECT_EQ(got.qubits, want.qubits);
+        EXPECT_EQ(got.params, want.params);
+        ASSERT_EQ(got.matrix.rows(), want.matrix.rows());
+        for (size_t r = 0; r < want.matrix.rows(); ++r) {
+            for (size_t c = 0; c < want.matrix.cols(); ++c) {
+                EXPECT_EQ(std::memcmp(&got.matrix(r, c), &want.matrix(r, c),
+                                      sizeof(Complex)),
+                          0)
+                    << "entry (" << r << ", " << c << ")";
+            }
+        }
+    }
 }
 
 TEST(QasmTest, ParameterExpressions)
@@ -129,12 +155,17 @@ TEST(QasmTest, GateAliases)
         u(0.1, 0.2, 0.3) q[0];
         cu1(0.4) q[0], q[1];
         CX q[0], q[1];
+        U(0.1, 0.2, 0.3) q[1];
     )";
     QuantumCircuit qc = parseQasm(src);
     EXPECT_EQ(qc.instructions()[0].name, "p");
     EXPECT_EQ(qc.instructions()[1].name, "u3");
     EXPECT_EQ(qc.instructions()[2].name, "cp");
     EXPECT_EQ(qc.instructions()[3].name, "cx");
+    EXPECT_EQ(qc.instructions()[4].name, "u3");
+    // Stored under the canonical name, so U and u3 hash (and key) alike.
+    EXPECT_TRUE(circuitHash(parseQasm("qreg q[1]; U(0.1,0.2,0.3) q[0];")) ==
+                circuitHash(parseQasm("qreg q[1]; u3(0.1,0.2,0.3) q[0];")));
 }
 
 TEST(QasmTest, ErrorPaths)
@@ -218,6 +249,13 @@ TEST(QasmTest, MalformedGateArgumentsAreDiagnosed)
     EXPECT_THROW(parseQasm("qreg q[1]; rx(1/0) q[0];"), UserError);
     EXPECT_THROW(parseQasm("qreg q[1]; rx(0.1, 0.2) q[0];"), UserError);
     EXPECT_THROW(parseQasm("qreg q[1]; u3(0.1) q[0];"), UserError);
+    // A fixed gate takes no parameter list.
+    EXPECT_NE(parseDiagnostic("qreg q[1];\nx(0.3) q[0];\n")
+                  .find("x expects 0 parameters, got 1"),
+              std::string::npos);
+    EXPECT_NE(parseDiagnostic("qreg q[2];\ncx(1,2) q[0],q[1];\n")
+                  .find("cx expects 0 parameters, got 2"),
+              std::string::npos);
 }
 
 TEST(QasmTest, ColumnPointsAtStatementStart)

@@ -179,6 +179,39 @@ TEST(TableauTest, RejectsNonClifford)
     EXPECT_FALSE(isCliffordCircuit(qc));
 }
 
+TEST(TableauTest, NamedGatesMatchTheGateTable)
+{
+    // applyGate takes exactly the rows flagged tableau_native, and on
+    // each of them agrees with the update recognized from its matrix.
+    StabilizerTableau start(3);
+    start.applyH(0);
+    start.applyS(1);
+    start.applyCx(0, 1);
+    start.applyH(2);
+    start.applyCx(1, 2);
+    for (const GateDef& def : gateTable()) {
+        SCOPED_TRACE(std::string(def.name));
+        const Instruction gate = test::sampleGate(def);
+        EXPECT_EQ(isNamedCliffordGate(gate), def.tableau_native);
+        StabilizerTableau named = start;
+        if (!def.tableau_native) {
+            EXPECT_THROW(named.applyGate(gate), UserError);
+            continue;
+        }
+        named.applyGate(gate);
+        const auto action = recognizeClifford(gate);
+        ASSERT_TRUE(action.has_value());
+        StabilizerTableau recognized = start;
+        recognized.applyClifford(*action, gate.qubits);
+        for (int i = 0; i < 3; ++i) {
+            EXPECT_EQ(named.stabilizer(i).toString(),
+                      recognized.stabilizer(i).toString());
+            EXPECT_EQ(named.destabilizer(i).toString(),
+                      recognized.destabilizer(i).toString());
+        }
+    }
+}
+
 TEST(StabilizerPrepTest, RecognizesCanonicalStates)
 {
     // Bell, GHZ, cluster, |+>^n, i-phased superpositions.

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "backend/backend.hpp"
+#include "circuit/stdgates.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
 
@@ -25,6 +26,19 @@ expectComplexNear(Complex a, Complex b, double eps = 1e-9)
 {
     EXPECT_NEAR(a.real(), b.real(), eps);
     EXPECT_NEAR(a.imag(), b.imag(), eps);
+}
+
+/**
+ * One instance of a gate-table row on a 3-qubit register: qubits
+ * {2, 0, 1} and params {0.3, -0.7, 1.1}, each cut to the row's counts.
+ */
+inline Instruction
+sampleGate(const GateDef& def)
+{
+    const std::vector<int> qubits{2, 0, 1};
+    const std::vector<double> params{0.3, -0.7, 1.1};
+    return makeGate(def, {qubits.begin(), qubits.begin() + def.num_qubits},
+                    {params.begin(), params.begin() + def.num_params});
 }
 
 /** EXPECT element-wise vector agreement. */
