@@ -18,7 +18,8 @@
  *    instrumentation (the SWAP form does too — its basis change is
  *    Clifford here — so the interesting delta is gates and ancillas).
  *
- * Writes the record to BENCH_PR8.json (or argv[1]).
+ * Writes the record to BENCH_PR8.json, or to argv[1] when that is not an
+ * option (so `--benchmark_filter=none` writes the default file).
  */
 #include <chrono>
 #include <cmath>
@@ -175,7 +176,8 @@ agreementPValue(const Counts& a, const Counts& b)
 int
 main(int argc, char** argv)
 {
-    const std::string out_path = argc > 1 ? argv[1] : "BENCH_PR8.json";
+    const std::string out_path =
+        argc > 1 && argv[1][0] != '-' ? argv[1] : "BENCH_PR8.json";
     const int kShots = 4096;
     const uint64_t kSeed = 20260808;
     bool ok = true;

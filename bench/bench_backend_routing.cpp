@@ -17,7 +17,8 @@
  * explicitly. A 12-qubit variant runs BOTH backends at the full 4096
  * shots as the honest end-to-end comparison with no extrapolation.
  *
- * Writes the record to BENCH_PR5.json (or argv[1]).
+ * Writes the record to BENCH_PR5.json, or to argv[1] when that is not an
+ * option (so `--benchmark_filter=none` writes the default file).
  */
 #include <chrono>
 #include <cstdio>
@@ -121,7 +122,8 @@ distributionPValue(const Counts& observed, const Counts& reference)
 int
 main(int argc, char** argv)
 {
-    const std::string out_path = argc > 1 ? argv[1] : "BENCH_PR5.json";
+    const std::string out_path =
+        argc > 1 && argv[1][0] != '-' ? argv[1] : "BENCH_PR5.json";
     const int kShots = 4096;
     const uint64_t kSeed = 20260806;
     bool ok = true;

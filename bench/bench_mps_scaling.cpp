@@ -26,7 +26,8 @@
  * two-sample chi-square test (rare cells pooled), with no
  * extrapolation and no reference-is-exact approximation.
  *
- * Writes the record to BENCH_PR10.json (or argv[1]).
+ * Writes the record to BENCH_PR10.json, or to argv[1] when that is not an
+ * option (so `--benchmark_filter=none` writes the default file).
  */
 #include <chrono>
 #include <cmath>
@@ -173,7 +174,8 @@ twoSamplePValue(const Counts& a, const Counts& b, long pool_below = 10)
 int
 main(int argc, char** argv)
 {
-    const std::string out_path = argc > 1 ? argv[1] : "BENCH_PR10.json";
+    const std::string out_path =
+        argc > 1 && argv[1][0] != '-' ? argv[1] : "BENCH_PR10.json";
     const int kShots = 4096;
     const int kLayers = 2;
     const uint64_t kSeed = 20260808;

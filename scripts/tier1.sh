@@ -67,7 +67,11 @@
 # index a gate's params by position, and the importer checks a
 # statement's operand counts only against its row, so a row whose
 # counts disagree with its builder reads past the end of the params
-# vector under ASan.
+# vector under ASan. It also runs the assertion-builder tests
+# (test_core_basis, test_core_assertions, test_equivalence): the one
+# rank-regime split (core/builders.cpp) hands each power-rank part a
+# slice of the slot's ancilla and clbit vectors, so a mis-sized slice
+# reads past the end under ASan.
 #
 # Usage: scripts/tier1.sh [--skip-tsan] [--skip-asan] [--skip-release]
 #
@@ -135,10 +139,14 @@ if [[ "$skip_asan" -ne 1 ]]; then
         --target test_serve --target test_backend --target test_resilience \
         --target test_fusion --target test_acomp --target test_mps \
         --target test_fleet --target test_sim --target test_circuit \
-        --target test_qasm
+        --target test_qasm --target test_core_basis \
+        --target test_core_assertions --target test_equivalence
     ./build-asan/tests/test_sim --gtest_filter='DensityTest.*'
     ./build-asan/tests/test_circuit
     ./build-asan/tests/test_qasm
+    ./build-asan/tests/test_core_basis
+    ./build-asan/tests/test_core_assertions
+    ./build-asan/tests/test_equivalence
     ./build-asan/tests/test_fusion
     ./build-asan/tests/test_acomp
     ./build-asan/tests/test_inject

@@ -110,7 +110,24 @@ costPauli(const AssertionSite& site,
     return cand;
 }
 
-/** Cost a unitary design on a standalone layout (nullopt: incapable). */
+/**
+ * The layout a unitary-form slot is costed and emitted on: its ancillas
+ * are the wires right after the raw circuit (slots reuse them in turn),
+ * its clbits start at `first_clbit`.
+ */
+BuildContext
+slotLayout(const AssertionSite& site, const AssertionPlan& plan,
+           int raw_qubits, int first_clbit, int total_qubits,
+           int total_clbits)
+{
+    std::vector<int> ancillas(plan.num_ancillas), clbits(plan.num_clbits);
+    std::iota(ancillas.begin(), ancillas.end(), raw_qubits);
+    std::iota(clbits.begin(), clbits.end(), first_clbit);
+    return slotContext(total_qubits, total_clbits, raw_qubits, site.qubits,
+                       std::move(ancillas), std::move(clbits));
+}
+
+/** Cost a unitary design on its slot layout (nullopt: incapable). */
 std::optional<Candidate>
 costUnitary(const AssertionSite& site, const CorrectSubspace& subspace,
             LoweringForm form, int raw_qubits, bool raw_clifford,
@@ -119,25 +136,12 @@ costUnitary(const AssertionSite& site, const CorrectSubspace& subspace,
     Candidate cand;
     cand.form = form;
     try {
-        cand.plan =
-            planAssertion(subspace, designFor(form), kSlotPlacement);
-        BuildContext ctx;
-        ctx.total_qubits = raw_qubits + cand.plan.num_ancillas;
-        ctx.total_clbits = cand.plan.num_clbits;
-        ctx.qubits = site.qubits;
-        for (int a = 0; a < cand.plan.num_ancillas; ++a) {
-            ctx.ancillas.push_back(raw_qubits + a);
-        }
-        for (int c = 0; c < cand.plan.num_clbits; ++c) {
-            ctx.clbits.push_back(c);
-        }
-        for (int q = 0; q < raw_qubits; ++q) {
-            if (!std::count(site.qubits.begin(), site.qubits.end(), q)) {
-                ctx.free_qubits.push_back(q);
-            }
-        }
+        cand.plan = planAssertion(subspace, designFor(form));
         const QuantumCircuit frag = buildAssertion(
-            subspace, designFor(form), kSlotPlacement, ctx);
+            subspace, designFor(form), kSlotPlacement,
+            slotLayout(site, cand.plan, raw_qubits, 0,
+                       raw_qubits + cand.plan.num_ancillas,
+                       cand.plan.num_clbits));
         const CircuitCost cost = circuitCost(frag);
         cand.gates = cost.cx + cost.sg + cost.measure;
         cand.cx = cost.cx;
@@ -345,22 +349,9 @@ emitSlot(QuantumCircuit& variant, const ResolvedSlot& slot, size_t v,
       case LoweringForm::kSwap:
       case LoweringForm::kOr:
       case LoweringForm::kNdd: {
-        BuildContext ctx;
-        ctx.total_qubits = variant.numQubits();
-        ctx.total_clbits = variant.numClbits();
-        ctx.qubits = site.qubits;
-        for (int a = 0; a < slot.plan.num_ancillas; ++a) {
-            ctx.ancillas.push_back(raw_qubits + a);
-        }
-        for (int c = 0; c < slot.plan.num_clbits; ++c) {
-            ctx.clbits.push_back(slot.clbit_base + c);
-        }
-        for (int q = 0; q < raw_qubits; ++q) {
-            if (!std::count(site.qubits.begin(), site.qubits.end(),
-                            q)) {
-                ctx.free_qubits.push_back(q);
-            }
-        }
+        const BuildContext ctx =
+            slotLayout(site, slot.plan, raw_qubits, slot.clbit_base,
+                       variant.numQubits(), variant.numClbits());
         const QuantumCircuit frag = buildAssertion(
             *slot.subspace, designFor(slot.form), kSlotPlacement, ctx);
         std::vector<int> qmap, cmap;

@@ -38,15 +38,14 @@ QuantumCircuit::addStd(GateId id, std::vector<int> qubits,
 }
 
 void
-QuantumCircuit::unitary(const CMatrix& u, const std::vector<int>& qubits,
-                        const std::string& name)
+QuantumCircuit::unitary(const CMatrix& u, const std::vector<int>& qubits)
 {
     QA_REQUIRE(!qubits.empty(), "unitary needs target qubits");
     QA_REQUIRE(u.rows() == u.cols(), "unitary must be square");
     QA_REQUIRE(u.rows() == (size_t(1) << qubits.size()),
                "unitary dimension does not match qubit count");
     QA_REQUIRE(u.isUnitary(1e-7), "matrix is not unitary");
-    append(Instruction{OpType::kGate, name, qubits, {}, u});
+    append(Instruction{OpType::kGate, "unitary", qubits, {}, u});
 }
 
 void

@@ -85,10 +85,10 @@ class QuantumCircuit
 
     /**
      * Apply an arbitrary unitary over the listed qubits (qubits[0] is the
-     * most significant bit of the local index).
+     * most significant bit of the local index). The instruction is named
+     * "unitary", so every consumer reads it by its matrix.
      */
-    void unitary(const CMatrix& u, const std::vector<int>& qubits,
-                 const std::string& name = "unitary");
+    void unitary(const CMatrix& u, const std::vector<int>& qubits);
 
     /** Measure qubit q into classical bit c. */
     void measure(int q, int c);

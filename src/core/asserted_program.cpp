@@ -1,38 +1,13 @@
 #include "core/asserted_program.hpp"
 
+#include <algorithm>
+#include <numeric>
+#include <optional>
+
 #include "common/error.hpp"
 
 namespace qa
 {
-
-namespace
-{
-
-/** Cost a design against a hypothetical standalone layout. */
-CircuitCost
-costDesign(const CorrectSubspace& subspace, AssertionDesign design,
-           SwapPlacement placement, const std::vector<int>& free_qubits,
-           int base_qubits)
-{
-    const AssertionPlan plan = planAssertion(subspace, design, placement);
-    BuildContext ctx;
-    ctx.total_qubits = base_qubits + plan.num_ancillas;
-    ctx.total_clbits = plan.num_clbits;
-    for (int q = 0; q < subspace.n; ++q) ctx.qubits.push_back(q);
-    for (int a = 0; a < plan.num_ancillas; ++a) {
-        ctx.ancillas.push_back(base_qubits + a);
-    }
-    for (int c = 0; c < plan.num_clbits; ++c) ctx.clbits.push_back(c);
-    ctx.free_qubits = free_qubits;
-
-    const QuantumCircuit frag =
-        buildAssertion(subspace, design, placement, ctx);
-    CircuitCost cost = circuitCost(frag);
-    cost.ancilla = plan.num_ancillas;
-    return cost;
-}
-
-} // namespace
 
 AssertedProgram::AssertedProgram(const QuantumCircuit& program)
     : program_qubits_(program.numQubits()), circ_(program)
@@ -64,6 +39,60 @@ AssertedProgram::widen(int extra_qubits, int extra_clbits)
     circ_ = std::move(wider);
 }
 
+BuildContext
+AssertedProgram::slotLayout(const std::vector<int>& qubits,
+                            const AssertionPlan& plan) const
+{
+    const size_t recycled =
+        std::min(size_t(plan.num_ancillas), ancilla_pool_.size());
+    std::vector<int> ancillas(ancilla_pool_.rbegin(),
+                              ancilla_pool_.rbegin() + recycled);
+    for (int q = circ_.numQubits(); int(ancillas.size()) < plan.num_ancillas;
+         ++q) {
+        ancillas.push_back(q);
+    }
+    std::vector<int> clbits(plan.num_clbits);
+    std::iota(clbits.begin(), clbits.end(), circ_.numClbits());
+    return slotContext(
+        circ_.numQubits() + plan.num_ancillas - int(recycled),
+        circ_.numClbits() + plan.num_clbits, program_qubits_, qubits,
+        std::move(ancillas), std::move(clbits));
+}
+
+int
+AssertedProgram::insert(AssertionDesign design, const BuildContext& ctx,
+                        const QuantumCircuit& frag)
+{
+    const size_t recycled =
+        std::min(ctx.ancillas.size(), ancilla_pool_.size());
+    ancilla_pool_.resize(ancilla_pool_.size() - recycled);
+    widen(int(ctx.ancillas.size() - recycled), int(ctx.clbits.size()));
+    QA_REQUIRE(frag.numQubits() == circ_.numQubits() &&
+                   frag.numClbits() == circ_.numClbits(),
+               "assertion fragment width mismatch");
+
+    std::vector<int> qmap, cmap;
+    for (int q = 0; q < circ_.numQubits(); ++q) qmap.push_back(q);
+    for (int c = 0; c < circ_.numClbits(); ++c) cmap.push_back(c);
+    circ_.compose(frag, qmap, cmap);
+    // Reset before recycling: measured ancillas hold classical junk and
+    // the kLarge embedding ancilla may hold residue on error branches.
+    for (int a : ctx.ancillas) {
+        circ_.reset(a);
+        ancilla_pool_.push_back(a);
+    }
+
+    Slot slot;
+    slot.design = design;
+    slot.qubits = ctx.qubits;
+    slot.ancillas = ctx.ancillas;
+    slot.clbits = ctx.clbits;
+    slot.cost = circuitCost(frag);
+    slot.cost.ancilla = int(ctx.ancillas.size());
+    slots_.push_back(std::move(slot));
+    return int(slots_.size()) - 1;
+}
+
 int
 AssertedProgram::assertState(const std::vector<int>& qubits,
                              const StateSet& set, AssertionDesign design,
@@ -76,96 +105,37 @@ AssertedProgram::assertState(const std::vector<int>& qubits,
                    "assertions apply to program qubits");
     }
     const CorrectSubspace subspace = analyzeStateSet(set);
+    auto build = [&](AssertionDesign d, BuildContext* ctx) {
+        *ctx = slotLayout(qubits, planAssertion(subspace, d));
+        return buildAssertion(subspace, d, placement, *ctx);
+    };
 
-    // Program qubits not under test may serve as dirty ancillas.
-    std::vector<int> free_qubits;
-    for (int q = 0; q < program_qubits_; ++q) {
-        bool tested = false;
-        for (int t : qubits) tested |= (t == q);
-        if (!tested) free_qubits.push_back(q);
+    if (design != AssertionDesign::kAuto) {
+        BuildContext ctx;
+        const QuantumCircuit frag = build(design, &ctx);
+        return insert(design, ctx, frag);
     }
-
-    AssertionDesign resolved = design;
-    if (design == AssertionDesign::kAuto) {
-        // The paper's design = NONE: pick the least CX count.
-        const AssertionDesign candidates[] = {AssertionDesign::kSwap,
-                                              AssertionDesign::kOr,
-                                              AssertionDesign::kNdd};
-        int best_cx = -1, best_sg = -1;
-        for (AssertionDesign cand : candidates) {
-            const CircuitCost cost = costDesign(
-                subspace, cand, placement, free_qubits, program_qubits_);
-            const bool better =
-                best_cx < 0 || cost.cx < best_cx ||
-                (cost.cx == best_cx && cost.sg < best_sg);
-            if (better) {
-                best_cx = cost.cx;
-                best_sg = cost.sg;
-                resolved = cand;
-            }
+    // The paper's design = NONE: insert the least CX count (then the
+    // fewest single-qubit gates), each candidate costed on the layout it
+    // would be inserted on.
+    AssertionDesign best = AssertionDesign::kAuto;
+    std::optional<QuantumCircuit> best_frag;
+    BuildContext best_ctx;
+    CircuitCost best_cost;
+    for (AssertionDesign cand : {AssertionDesign::kSwap, AssertionDesign::kOr,
+                                 AssertionDesign::kNdd}) {
+        BuildContext ctx;
+        QuantumCircuit frag = build(cand, &ctx);
+        const CircuitCost cost = circuitCost(frag);
+        if (!best_frag || cost.cx < best_cost.cx ||
+            (cost.cx == best_cost.cx && cost.sg < best_cost.sg)) {
+            best = cand;
+            best_frag = std::move(frag);
+            best_ctx = std::move(ctx);
+            best_cost = cost;
         }
     }
-
-    const AssertionPlan plan = planAssertion(subspace, resolved, placement);
-    const int first_clbit = circ_.numClbits();
-    widen(0, plan.num_clbits);
-
-    BuildContext ctx;
-    ctx.qubits = qubits;
-    ctx.ancillas = acquireAncillas(plan.num_ancillas);
-    ctx.total_qubits = circ_.numQubits();
-    ctx.total_clbits = circ_.numClbits();
-    for (int c = 0; c < plan.num_clbits; ++c) {
-        ctx.clbits.push_back(first_clbit + c);
-    }
-    ctx.free_qubits = free_qubits;
-
-    const QuantumCircuit frag =
-        buildAssertion(subspace, resolved, placement, ctx);
-
-    std::vector<int> qmap, cmap;
-    for (int q = 0; q < circ_.numQubits(); ++q) qmap.push_back(q);
-    for (int c = 0; c < circ_.numClbits(); ++c) cmap.push_back(c);
-    circ_.compose(frag, qmap, cmap);
-    releaseAncillas(ctx.ancillas);
-
-    Slot slot;
-    slot.design = resolved;
-    slot.qubits = qubits;
-    slot.ancillas = ctx.ancillas;
-    slot.clbits = ctx.clbits;
-    slot.cost = circuitCost(frag);
-    slot.cost.ancilla = plan.num_ancillas;
-    slots_.push_back(std::move(slot));
-    return int(slots_.size()) - 1;
-}
-
-std::vector<int>
-AssertedProgram::acquireAncillas(int count)
-{
-    std::vector<int> out;
-    while (int(out.size()) < count && !ancilla_pool_.empty()) {
-        out.push_back(ancilla_pool_.back());
-        ancilla_pool_.pop_back();
-    }
-    const int missing = count - int(out.size());
-    if (missing > 0) {
-        const int first = circ_.numQubits();
-        widen(missing, 0);
-        for (int a = 0; a < missing; ++a) out.push_back(first + a);
-    }
-    return out;
-}
-
-void
-AssertedProgram::releaseAncillas(const std::vector<int>& ancillas)
-{
-    // Reset before recycling: measured ancillas hold classical junk and
-    // the kLarge embedding ancilla may hold residue on error branches.
-    for (int a : ancillas) {
-        circ_.reset(a);
-        ancilla_pool_.push_back(a);
-    }
+    return insert(best, best_ctx, *best_frag);
 }
 
 void
@@ -185,35 +155,10 @@ AssertedProgram::addCustomAssertion(
     int num_ancillas, int num_clbits,
     const std::function<QuantumCircuit(const BuildContext&)>& builder)
 {
-    const int first_clbit = circ_.numClbits();
-    widen(0, num_clbits);
-
-    BuildContext ctx;
-    ctx.ancillas = acquireAncillas(num_ancillas);
-    ctx.total_qubits = circ_.numQubits();
-    ctx.total_clbits = circ_.numClbits();
-    for (int c = 0; c < num_clbits; ++c) {
-        ctx.clbits.push_back(first_clbit + c);
-    }
-
-    const QuantumCircuit frag = builder(ctx);
-    QA_REQUIRE(frag.numQubits() == circ_.numQubits() &&
-                   frag.numClbits() == circ_.numClbits(),
-               "custom fragment width mismatch");
-    std::vector<int> qmap, cmap;
-    for (int q = 0; q < circ_.numQubits(); ++q) qmap.push_back(q);
-    for (int c = 0; c < circ_.numClbits(); ++c) cmap.push_back(c);
-    circ_.compose(frag, qmap, cmap);
-    releaseAncillas(ctx.ancillas);
-
-    Slot slot;
-    slot.design = AssertionDesign::kCustom;
-    slot.ancillas = ctx.ancillas;
-    slot.clbits = ctx.clbits;
-    slot.cost = circuitCost(frag);
-    slot.cost.ancilla = num_ancillas;
-    slots_.push_back(std::move(slot));
-    return int(slots_.size()) - 1;
+    // A custom fragment names no qubits under test, so it borrows none.
+    BuildContext ctx = slotLayout({}, {num_ancillas, num_clbits});
+    ctx.free_qubits.clear();
+    return insert(AssertionDesign::kCustom, ctx, builder(ctx));
 }
 
 std::vector<int>
@@ -232,8 +177,13 @@ estimateAssertionCost(const StateSet& set, AssertionDesign design,
 {
     QA_REQUIRE(design != AssertionDesign::kAuto,
                "estimate a concrete design");
-    const CorrectSubspace subspace = analyzeStateSet(set);
-    return costDesign(subspace, design, placement, {}, subspace.n);
+    // The cost of inserting the assertion into a bare program of the
+    // set's width, on every one of its qubits.
+    AssertedProgram bare{QuantumCircuit(set.numQubits())};
+    std::vector<int> qubits(set.numQubits());
+    std::iota(qubits.begin(), qubits.end(), 0);
+    return bare.slots()[bare.assertState(qubits, set, design, placement)]
+        .cost;
 }
 
 } // namespace qa

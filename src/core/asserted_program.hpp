@@ -6,8 +6,9 @@
  * assertState() call widens the register with the ancillas its design
  * needs, appends the assertion circuit, and records the slot metadata
  * (design used, measured classical bits, circuit cost). `design = kAuto`
- * reproduces the paper's design = NONE behaviour: estimate all three
- * designs and insert the one with the fewest CX gates.
+ * reproduces the paper's design = NONE behaviour: build all three
+ * designs on the slot's own layout and insert the one with the fewest
+ * CX gates (then single-qubit gates).
  */
 #ifndef QA_CORE_ASSERTED_PROGRAM_HPP
 #define QA_CORE_ASSERTED_PROGRAM_HPP
@@ -80,11 +81,18 @@ class AssertedProgram
   private:
     void widen(int extra_qubits, int extra_clbits);
 
-    /** Take `count` ancillas from the free pool, widening as needed. */
-    std::vector<int> acquireAncillas(int count);
+    /**
+     * The layout the next slot is built on: `qubits` under test, the
+     * ancillas the pool hands out next (recycled ones first, then fresh
+     * wires), the next classical bits, and the untested program qubits
+     * as borrowable. Costing and inserting both use it.
+     */
+    BuildContext slotLayout(const std::vector<int>& qubits,
+                            const AssertionPlan& plan) const;
 
-    /** Reset the ancillas to |0> and return them to the pool. */
-    void releaseAncillas(const std::vector<int>& ancillas);
+    /** Insert `frag`, built on slotLayout()'s `ctx`, and record it. */
+    int insert(AssertionDesign design, const BuildContext& ctx,
+               const QuantumCircuit& frag);
 
     int program_qubits_;
     QuantumCircuit circ_;
@@ -94,8 +102,8 @@ class AssertedProgram
 };
 
 /**
- * Estimate the cost of asserting `set` with the given design without
- * inserting anything (used by kAuto and by the cost tables).
+ * The cost of asserting `set` with the given design on a bare program
+ * of the set's width, every qubit under test (used by the cost tables).
  */
 CircuitCost estimateAssertionCost(
     const StateSet& set, AssertionDesign design,

@@ -1,5 +1,6 @@
 #include "core/builders.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 
@@ -195,6 +196,89 @@ buildBasisChange(const std::vector<CVector>& basis, int n)
 namespace
 {
 
+/** One power-rank part of the Sec. IV-C split, laid out on its wires. */
+struct Part
+{
+    BasisChange bc;             ///< Basis change of the part's basis.
+    int m = 0;                  ///< log2 of the part's rank.
+    std::vector<int> qubits;    ///< Part wires (kLarge: embedding first).
+    std::vector<int> ancillas;  ///< The part's ancilla slice.
+    std::vector<int> clbits;    ///< The part's clbit slice.
+};
+
+/** A correct subspace split into power-rank parts of one shape. */
+struct Split
+{
+    int parts = 1;      ///< Number of parts (two supersets for kBetween).
+    int m = 0;          ///< log2 of each part's rank.
+    int k = 0;          ///< Flag qubits per part: part width minus m.
+    bool embed = false; ///< kLarge: an embedding ancilla leads the slot.
+    std::vector<std::vector<CVector>> bases; ///< Part bases, on request.
+};
+
+/**
+ * The Sec. IV-C split SWAP, OR and Proq share: rank t = 2^m is one part;
+ * 2^m < t < 2^(m+1) is two rank-2^(m+1) supersets; 2^(n-1) < t < 2^n is
+ * one rank-2^n part over an extra embedding qubit. Rank 2^n is refused.
+ */
+Split
+splitRank(const CorrectSubspace& subspace, bool with_bases)
+{
+    const int n = subspace.n;
+    int m = 0;
+    Split split;
+    switch (classifyRank(subspace.rank(), n, &m)) {
+      case RankRegime::kFull:
+        QA_FAIL("rank-2^n state sets are unassertable: every state is "
+                "'correct'");
+      case RankRegime::kPower:
+        split = {1, m, n - m, false, {}};
+        if (with_bases) split.bases = {subspace.basis};
+        break;
+      case RankRegime::kBetween:
+        split = {2, m + 1, n - (m + 1), false, {}};
+        if (with_bases) {
+            auto supersets = buildSupersets(subspace, m);
+            split.bases = {std::move(supersets.first),
+                           std::move(supersets.second)};
+        }
+        break;
+      case RankRegime::kLarge:
+        split = {1, n, 1, true, {}};
+        if (with_bases) split.bases = {buildExtendedBasis(subspace)};
+        break;
+    }
+    return split;
+}
+
+/** Ancillas and clbits one power-rank part takes under `design`. */
+AssertionPlan
+partNeed(AssertionDesign design, int m, int k)
+{
+    switch (design) {
+      case AssertionDesign::kSwap:
+        return {k, k}; // one swap ancilla per flag qubit
+      case AssertionDesign::kOr:
+        // One flag. The k-controlled OR decomposes linearly given one
+        // borrowed qubit [5][24]; allocate a helper when the flag MCX is
+        // wide and no tested qubit is left over to borrow.
+        return {(k >= 3 && m == 0) ? 2 : 1, 1};
+      case AssertionDesign::kProq:
+        return {0, k}; // measures the flag qubits themselves
+      default:
+        break;
+    }
+    QA_FAIL("no power-rank part rule for this design");
+}
+
+std::vector<int>
+slice(const std::vector<int>& v, size_t begin, size_t count)
+{
+    QA_REQUIRE(begin + count <= v.size(),
+               "not enough ancillas/clbits for the assertion");
+    return std::vector<int>(v.begin() + begin, v.begin() + begin + count);
+}
+
 /** Optimized 2-CX swap, valid when `anc` is known to be |0>. */
 void
 emitZeroSwap(QuantumCircuit& frag, int src, int anc)
@@ -203,43 +287,27 @@ emitZeroSwap(QuantumCircuit& frag, int src, int anc)
     frag.cx(anc, src);
 }
 
-/**
- * Emit one power-rank SWAP assertion: `basis` has 2^m orthonormal states
- * over ctx.qubits (k = n - m leading qubits are measured via ancillas).
- */
+/** SWAP design: swap the k flag qubits out to fresh ancillas, measure. */
 void
-emitSwapPower(QuantumCircuit& frag, const std::vector<CVector>& basis,
-              const std::vector<int>& qubits,
-              const std::vector<int>& ancillas,
-              const std::vector<int>& clbits, SwapPlacement placement)
+emitSwapPart(QuantumCircuit& frag, const Part& part, SwapPlacement placement)
 {
-    const int n = int(qubits.size());
-    int m = 0;
-    while ((size_t(1) << m) < basis.size()) ++m;
-    const int k = n - m;
-    QA_REQUIRE(int(ancillas.size()) >= k && int(clbits.size()) >= k,
-               "not enough ancillas/clbits for the SWAP assertion");
+    const BasisChange& bc = part.bc;
+    const std::vector<int>& qubits = part.qubits;
+    const std::vector<int>& anc = part.ancillas;
+    const int k = int(anc.size());
 
-    const BasisChange bc = buildBasisChange(basis, n);
-    QA_ASSERT(int(bc.flag_qubits.size()) == k,
-              "basis change flag count mismatch");
-    const bool pure = m == 0;
-
-    if (!pure || placement == SwapPlacement::kInvBeforePrepAfter) {
+    if (part.m > 0 || placement == SwapPlacement::kInvBeforePrepAfter) {
         // Fig. 3 / Fig. 8 shape: U^-1, optimized swaps of the flag
         // qubits, measure, restore with U.
         frag.compose(bc.uinv, qubits);
         for (int i = 0; i < k; ++i) {
-            emitZeroSwap(frag, qubits[bc.flag_qubits[i]], ancillas[i]);
+            emitZeroSwap(frag, qubits[bc.flag_qubits[i]], anc[i]);
         }
-        for (int i = 0; i < k; ++i) {
-            frag.measure(ancillas[i], clbits[i]);
-        }
+        for (int i = 0; i < k; ++i) frag.measure(anc[i], part.clbits[i]);
         frag.compose(bc.u, qubits);
         return;
     }
 
-    std::vector<int> anc(ancillas.begin(), ancillas.begin() + k);
     switch (placement) {
       case SwapPlacement::kInvBeforePrepBefore:
         // Fig. 6: prepare |psi0> on the ancillas, U^-1 on the tested
@@ -254,328 +322,77 @@ emitSwapPower(QuantumCircuit& frag, const std::vector<CVector>& basis,
         frag.compose(bc.uinv, anc);
         break;
       case SwapPlacement::kInvAfterPrepAfter:
-        for (int i = 0; i < k; ++i) {
-            emitZeroSwap(frag, qubits[i], anc[i]);
-        }
+        for (int i = 0; i < k; ++i) emitZeroSwap(frag, qubits[i], anc[i]);
         frag.compose(bc.uinv, anc);
         break;
       case SwapPlacement::kInvBeforePrepAfter:
         QA_ASSERT(false, "handled above");
     }
-    for (int i = 0; i < k; ++i) {
-        frag.measure(anc[i], clbits[i]);
-    }
+    for (int i = 0; i < k; ++i) frag.measure(anc[i], part.clbits[i]);
     if (placement == SwapPlacement::kInvAfterPrepAfter) {
         frag.compose(bc.u, qubits);
     }
 }
 
-std::vector<int>
-subRange(const std::vector<int>& v, size_t begin, size_t count)
-{
-    QA_ASSERT(begin + count <= v.size(), "subRange out of bounds");
-    return std::vector<int>(v.begin() + begin, v.begin() + begin + count);
-}
-
-} // namespace
-
-AssertionPlan
-planSwapAssertion(const CorrectSubspace& subspace, SwapPlacement)
-{
-    int m = 0;
-    const RankRegime regime = classifyRank(subspace.rank(), subspace.n, &m);
-    AssertionPlan plan;
-    switch (regime) {
-      case RankRegime::kFull:
-        QA_FAIL("rank-2^n state sets are unassertable: every state is "
-                "'correct'");
-      case RankRegime::kPower:
-        plan.num_ancillas = subspace.n - m;
-        plan.num_clbits = subspace.n - m;
-        break;
-      case RankRegime::kBetween:
-        plan.num_ancillas = 2 * (subspace.n - (m + 1));
-        plan.num_clbits = plan.num_ancillas;
-        break;
-      case RankRegime::kLarge:
-        plan.num_ancillas = 2; // embedding qubit + measured swap ancilla
-        plan.num_clbits = 1;
-        break;
-    }
-    return plan;
-}
-
-QuantumCircuit
-buildSwapAssertion(const CorrectSubspace& subspace, const BuildContext& ctx,
-                   SwapPlacement placement)
-{
-    QA_REQUIRE(int(ctx.qubits.size()) == subspace.n,
-               "qubit list does not match the state size");
-    int m = 0;
-    const RankRegime regime = classifyRank(subspace.rank(), subspace.n, &m);
-    QuantumCircuit frag(ctx.total_qubits, ctx.total_clbits);
-
-    switch (regime) {
-      case RankRegime::kFull:
-        QA_FAIL("rank-2^n state sets are unassertable");
-      case RankRegime::kPower:
-        emitSwapPower(frag, subspace.basis, ctx.qubits, ctx.ancillas,
-                      ctx.clbits, placement);
-        break;
-      case RankRegime::kBetween: {
-        const auto supersets = buildSupersets(subspace, m);
-        const size_t k = subspace.n - (m + 1);
-        emitSwapPower(frag, supersets.first, ctx.qubits,
-                      subRange(ctx.ancillas, 0, k),
-                      subRange(ctx.clbits, 0, k), placement);
-        emitSwapPower(frag, supersets.second, ctx.qubits,
-                      subRange(ctx.ancillas, k, k),
-                      subRange(ctx.clbits, k, k), placement);
-        break;
-      }
-      case RankRegime::kLarge: {
-        const std::vector<CVector> extended = buildExtendedBasis(subspace);
-        std::vector<int> ext_qubits{ctx.ancillas[0]};
-        ext_qubits.insert(ext_qubits.end(), ctx.qubits.begin(),
-                          ctx.qubits.end());
-        emitSwapPower(frag, extended, ext_qubits, {ctx.ancillas[1]},
-                      {ctx.clbits[0]},
-                      SwapPlacement::kInvBeforePrepAfter);
-        break;
-      }
-    }
-    return frag;
-}
-
-namespace
-{
-
-/** Emit one power-rank logical-OR assertion. */
+/** Logical-OR design: OR the k flag qubits into one flag ancilla. */
 void
-emitOrPower(QuantumCircuit& frag, const std::vector<CVector>& basis,
-            const std::vector<int>& qubits, int flag, int clbit,
-            const std::vector<int>& free_qubits)
+emitOrPart(QuantumCircuit& frag, const Part& part,
+           const std::vector<int>& free_qubits)
 {
-    const int n = int(qubits.size());
-    int m = 0;
-    while ((size_t(1) << m) < basis.size()) ++m;
-    const int k = n - m;
-
-    const BasisChange bc = buildBasisChange(basis, n);
-    QA_ASSERT(int(bc.flag_qubits.size()) == k,
-              "basis change flag count mismatch");
+    const BasisChange& bc = part.bc;
+    const std::vector<int>& qubits = part.qubits;
+    const int flag = part.ancillas[0];
     std::vector<int> controls;
-    std::vector<bool> is_flag(n, false);
+    std::vector<bool> is_flag(qubits.size(), false);
     for (int f : bc.flag_qubits) {
         controls.push_back(qubits[f]);
         is_flag[f] = true;
     }
 
     frag.compose(bc.uinv, qubits);
-    if (k == 1) {
+    if (controls.size() == 1) {
         // A single flag qubit is its own error indicator.
         frag.cx(controls[0], flag);
     } else {
         // Open-controlled MCX fires when all flag qubits are |0> (no
-        // error); the X then inverts to the |1> = error convention.
+        // error); the X then inverts to the |1> = error convention. The
+        // MCX borrows the slot's free qubits, the helper ancilla, and the
+        // part's non-flag qubits.
         std::vector<int> free = free_qubits;
-        for (int i = 0; i < n; ++i) {
+        free.insert(free.end(), part.ancillas.begin() + 1,
+                    part.ancillas.end());
+        for (size_t i = 0; i < qubits.size(); ++i) {
             if (!is_flag[i]) free.push_back(qubits[i]);
         }
         mcxPattern(frag, controls, 0, flag, free);
         frag.x(flag);
     }
-    frag.measure(flag, clbit);
+    frag.measure(flag, part.clbits[0]);
     frag.compose(bc.u, qubits);
 }
 
-} // namespace
-
-AssertionPlan
-planOrAssertion(const CorrectSubspace& subspace)
-{
-    int m = 0;
-    const RankRegime regime = classifyRank(subspace.rank(), subspace.n, &m);
-    AssertionPlan plan;
-    switch (regime) {
-      case RankRegime::kFull:
-        QA_FAIL("rank-2^n state sets are unassertable");
-      case RankRegime::kPower:
-        // The n-controlled OR gate decomposes linearly given one
-        // borrowed qubit [5][24]; allocate a helper when the flag MCX
-        // is wide and no tested qubit is left over to borrow.
-        plan.num_ancillas = (subspace.n - m >= 3 && m == 0) ? 2 : 1;
-        plan.num_clbits = 1;
-        break;
-      case RankRegime::kBetween:
-        plan.num_ancillas = 2;
-        plan.num_clbits = 2;
-        break;
-      case RankRegime::kLarge:
-        plan.num_ancillas = 2; // embedding qubit + flag
-        plan.num_clbits = 1;
-        break;
-    }
-    return plan;
-}
-
-QuantumCircuit
-buildOrAssertion(const CorrectSubspace& subspace, const BuildContext& ctx)
-{
-    QA_REQUIRE(int(ctx.qubits.size()) == subspace.n,
-               "qubit list does not match the state size");
-    int m = 0;
-    const RankRegime regime = classifyRank(subspace.rank(), subspace.n, &m);
-    QuantumCircuit frag(ctx.total_qubits, ctx.total_clbits);
-
-    switch (regime) {
-      case RankRegime::kFull:
-        QA_FAIL("rank-2^n state sets are unassertable");
-      case RankRegime::kPower: {
-        std::vector<int> free = ctx.free_qubits;
-        for (size_t a = 1; a < ctx.ancillas.size(); ++a) {
-            free.push_back(ctx.ancillas[a]); // helper ancilla
-        }
-        emitOrPower(frag, subspace.basis, ctx.qubits, ctx.ancillas[0],
-                    ctx.clbits[0], free);
-        break;
-      }
-      case RankRegime::kBetween: {
-        const auto supersets = buildSupersets(subspace, m);
-        emitOrPower(frag, supersets.first, ctx.qubits, ctx.ancillas[0],
-                    ctx.clbits[0], ctx.free_qubits);
-        emitOrPower(frag, supersets.second, ctx.qubits, ctx.ancillas[1],
-                    ctx.clbits[1], ctx.free_qubits);
-        break;
-      }
-      case RankRegime::kLarge: {
-        const std::vector<CVector> extended = buildExtendedBasis(subspace);
-        std::vector<int> ext_qubits{ctx.ancillas[0]};
-        ext_qubits.insert(ext_qubits.end(), ctx.qubits.begin(),
-                          ctx.qubits.end());
-        emitOrPower(frag, extended, ext_qubits, ctx.ancillas[1],
-                    ctx.clbits[0], ctx.free_qubits);
-        break;
-      }
-    }
-    return frag;
-}
-
-namespace
-{
-
-/** Emit one power-rank projective (Proq) assertion. */
+/** Proq baseline: measure the k flag qubits directly. */
 void
-emitProqPower(QuantumCircuit& frag, const std::vector<CVector>& basis,
-              const std::vector<int>& qubits,
-              const std::vector<int>& clbits)
+emitProqPart(QuantumCircuit& frag, const Part& part)
 {
-    const int n = int(qubits.size());
-    int m = 0;
-    while ((size_t(1) << m) < basis.size()) ++m;
-    const int k = n - m;
-    QA_REQUIRE(int(clbits.size()) >= k, "not enough clbits for Proq");
-
-    const BasisChange bc = buildBasisChange(basis, n);
-    QA_ASSERT(int(bc.flag_qubits.size()) == k,
-              "basis change flag count mismatch");
     // Direct mid-circuit projective measurement of the flag qubits,
     // then gates after measurement to restore the basis: exactly the
     // architectural support the paper argues real devices lack.
-    frag.compose(bc.uinv, qubits);
-    for (int i = 0; i < k; ++i) {
-        frag.measure(qubits[bc.flag_qubits[i]], clbits[i]);
+    const BasisChange& bc = part.bc;
+    frag.compose(bc.uinv, part.qubits);
+    for (size_t i = 0; i < part.clbits.size(); ++i) {
+        frag.measure(part.qubits[bc.flag_qubits[i]], part.clbits[i]);
     }
-    frag.compose(bc.u, qubits);
+    frag.compose(bc.u, part.qubits);
 }
 
-} // namespace
-
-AssertionPlan
-planProqAssertion(const CorrectSubspace& subspace)
-{
-    int m = 0;
-    const RankRegime regime = classifyRank(subspace.rank(), subspace.n, &m);
-    AssertionPlan plan;
-    switch (regime) {
-      case RankRegime::kFull:
-        QA_FAIL("rank-2^n state sets are unassertable");
-      case RankRegime::kPower:
-        plan.num_clbits = subspace.n - m;
-        break;
-      case RankRegime::kBetween:
-        plan.num_clbits = 2 * (subspace.n - (m + 1));
-        break;
-      case RankRegime::kLarge:
-        plan.num_ancillas = 1; // embedding qubit only
-        plan.num_clbits = 1;
-        break;
-    }
-    return plan;
-}
-
+/** NDD design: one phase-kickback circuit covers every rank regime. */
 QuantumCircuit
-buildProqAssertion(const CorrectSubspace& subspace, const BuildContext& ctx)
+buildNdd(const CorrectSubspace& subspace, const BuildContext& ctx)
 {
-    QA_REQUIRE(int(ctx.qubits.size()) == subspace.n,
-               "qubit list does not match the state size");
-    int m = 0;
-    const RankRegime regime = classifyRank(subspace.rank(), subspace.n, &m);
-    QuantumCircuit frag(ctx.total_qubits, ctx.total_clbits);
-
-    switch (regime) {
-      case RankRegime::kFull:
-        QA_FAIL("rank-2^n state sets are unassertable");
-      case RankRegime::kPower:
-        emitProqPower(frag, subspace.basis, ctx.qubits, ctx.clbits);
-        break;
-      case RankRegime::kBetween: {
-        const auto supersets = buildSupersets(subspace, m);
-        const size_t k = subspace.n - (m + 1);
-        emitProqPower(frag, supersets.first, ctx.qubits,
-                      subRange(ctx.clbits, 0, k));
-        emitProqPower(frag, supersets.second, ctx.qubits,
-                      subRange(ctx.clbits, k, k));
-        break;
-      }
-      case RankRegime::kLarge: {
-        const std::vector<CVector> extended = buildExtendedBasis(subspace);
-        std::vector<int> ext_qubits{ctx.ancillas[0]};
-        ext_qubits.insert(ext_qubits.end(), ctx.qubits.begin(),
-                          ctx.qubits.end());
-        emitProqPower(frag, extended, ext_qubits, {ctx.clbits[0]});
-        break;
-      }
-    }
-    return frag;
-}
-
-AssertionPlan
-planNddAssertion(const CorrectSubspace& subspace)
-{
-    const RankRegime regime =
-        classifyRank(subspace.rank(), subspace.n, nullptr);
-    QA_REQUIRE(regime != RankRegime::kFull,
-               "rank-2^n state sets are unassertable");
-    AssertionPlan plan;
-    plan.num_ancillas = 1;
-    plan.num_clbits = 1;
-    return plan;
-}
-
-QuantumCircuit
-buildNddAssertion(const CorrectSubspace& subspace, const BuildContext& ctx)
-{
-    QA_REQUIRE(int(ctx.qubits.size()) == subspace.n,
-               "qubit list does not match the state size");
-    const RankRegime regime =
-        classifyRank(subspace.rank(), subspace.n, nullptr);
-    QA_REQUIRE(regime != RankRegime::kFull,
-               "rank-2^n state sets are unassertable");
-
     // U = 2P - I has eigenvalue +1 on correct states and -1 on incorrect
     // ones; the phase-kickback circuit H . CU . H reads the eigenvalue
-    // into the ancilla. A single circuit covers every rank regime.
+    // into the ancilla.
     const size_t dim = size_t(1) << subspace.n;
     CMatrix u = subspace.projector() * Complex(2.0, 0.0) -
                 CMatrix::identity(dim);
@@ -609,44 +426,78 @@ buildNddAssertion(const CorrectSubspace& subspace, const BuildContext& ctx)
     return frag;
 }
 
+} // namespace
+
 AssertionPlan
-planAssertion(const CorrectSubspace& subspace, AssertionDesign design,
-              SwapPlacement placement)
+planAssertion(const CorrectSubspace& subspace, AssertionDesign design)
 {
-    switch (design) {
-      case AssertionDesign::kSwap:
-        return planSwapAssertion(subspace, placement);
-      case AssertionDesign::kOr:
-        return planOrAssertion(subspace);
-      case AssertionDesign::kNdd:
-        return planNddAssertion(subspace);
-      case AssertionDesign::kProq:
-        return planProqAssertion(subspace);
-      case AssertionDesign::kCustom:
-      case AssertionDesign::kAuto:
-        break;
-    }
-    QA_FAIL("planAssertion needs a concrete design");
+    const Split split = splitRank(subspace, false);
+    if (design == AssertionDesign::kNdd) return {1, 1};
+    const AssertionPlan part = partNeed(design, split.m, split.k);
+    return {int(split.embed) + split.parts * part.num_ancillas,
+            split.parts * part.num_clbits};
 }
 
 QuantumCircuit
 buildAssertion(const CorrectSubspace& subspace, AssertionDesign design,
                SwapPlacement placement, const BuildContext& ctx)
 {
-    switch (design) {
-      case AssertionDesign::kSwap:
-        return buildSwapAssertion(subspace, ctx, placement);
-      case AssertionDesign::kOr:
-        return buildOrAssertion(subspace, ctx);
-      case AssertionDesign::kNdd:
-        return buildNddAssertion(subspace, ctx);
-      case AssertionDesign::kProq:
-        return buildProqAssertion(subspace, ctx);
-      case AssertionDesign::kCustom:
-      case AssertionDesign::kAuto:
-        break;
+    QA_REQUIRE(int(ctx.qubits.size()) == subspace.n,
+               "qubit list does not match the state size");
+    const bool ndd = design == AssertionDesign::kNdd;
+    const Split split = splitRank(subspace, !ndd);
+    if (ndd) return buildNdd(subspace, ctx);
+    const AssertionPlan need = partNeed(design, split.m, split.k);
+
+    // The embedding ancilla first, then each part's slices in order.
+    std::vector<int> qubits = ctx.qubits;
+    size_t ancilla = 0, clbit = 0;
+    if (split.embed) {
+        qubits.insert(qubits.begin(), slice(ctx.ancillas, 0, 1)[0]);
+        ancilla = 1;
     }
-    QA_FAIL("buildAssertion needs a concrete design");
+    QuantumCircuit frag(ctx.total_qubits, ctx.total_clbits);
+    for (const std::vector<CVector>& basis : split.bases) {
+        const Part part{buildBasisChange(basis, int(qubits.size())),
+                        split.m, qubits,
+                        slice(ctx.ancillas, ancilla, need.num_ancillas),
+                        slice(ctx.clbits, clbit, need.num_clbits)};
+        QA_ASSERT(int(part.bc.flag_qubits.size()) == split.k,
+                  "basis change flag count mismatch");
+        ancilla += need.num_ancillas;
+        clbit += need.num_clbits;
+        switch (design) {
+          case AssertionDesign::kSwap:
+            emitSwapPart(frag, part, placement);
+            break;
+          case AssertionDesign::kOr:
+            emitOrPart(frag, part, ctx.free_qubits);
+            break;
+          default:
+            emitProqPart(frag, part);
+            break;
+        }
+    }
+    return frag;
+}
+
+BuildContext
+slotContext(int total_qubits, int total_clbits, int program_qubits,
+            const std::vector<int>& qubits, std::vector<int> ancillas,
+            std::vector<int> clbits)
+{
+    BuildContext ctx;
+    ctx.total_qubits = total_qubits;
+    ctx.total_clbits = total_clbits;
+    ctx.qubits = qubits;
+    ctx.ancillas = std::move(ancillas);
+    ctx.clbits = std::move(clbits);
+    for (int q = 0; q < program_qubits; ++q) {
+        if (std::find(qubits.begin(), qubits.end(), q) == qubits.end()) {
+            ctx.free_qubits.push_back(q);
+        }
+    }
+    return ctx;
 }
 
 } // namespace qa

@@ -1,8 +1,17 @@
 /**
  * @file
- * The three systematic assertion-circuit builders of the paper:
- * SWAP-based (Sec. IV), logical-OR-based (Sec. IV-E), and NDD-based
- * (Sec. V), over the shared correct-subspace analysis.
+ * The assertion-circuit builders of the paper: SWAP-based (Sec. IV),
+ * logical-OR-based (Sec. IV-E), NDD-based (Sec. V), and the Proq
+ * projection baseline, behind one entry pair, planAssertion and
+ * buildAssertion, over the shared correct-subspace analysis.
+ *
+ * SWAP, OR and Proq share one rank-regime split (Sec. IV-C): a rank-t
+ * correct subspace is checked as one power-rank basis (t = 2^m), two
+ * supersets (2^m < t < 2^(m+1)), or one extended basis over an extra
+ * embedding ancilla (2^(n-1) < t < 2^n). Each design supplies only how
+ * many ancillas and clbits one power-rank part takes and how to check
+ * it; the split hands the parts their slices in order, after the
+ * embedding ancilla. NDD checks every regime with one circuit.
  *
  * All designs use the convention: ancilla measured |0> = pass,
  * |1> = assertion error (Sec. III: |1> is noisier and decays to |0>).
@@ -69,55 +78,31 @@ struct BuildContext
     std::vector<int> free_qubits; ///< Borrowable dirty ancillas.
 };
 
-/** @name SWAP-based design */
-///@{
-AssertionPlan planSwapAssertion(
-    const CorrectSubspace& subspace,
-    SwapPlacement placement = SwapPlacement::kInvBeforePrepAfter);
-
-QuantumCircuit buildSwapAssertion(
-    const CorrectSubspace& subspace, const BuildContext& ctx,
-    SwapPlacement placement = SwapPlacement::kInvBeforePrepAfter);
-///@}
-
-/** @name Logical-OR-based design */
-///@{
-AssertionPlan planOrAssertion(const CorrectSubspace& subspace);
-QuantumCircuit buildOrAssertion(const CorrectSubspace& subspace,
-                                const BuildContext& ctx);
-///@}
-
-/** @name NDD-based design */
-///@{
-AssertionPlan planNddAssertion(const CorrectSubspace& subspace);
-QuantumCircuit buildNddAssertion(const CorrectSubspace& subspace,
-                                 const BuildContext& ctx);
-///@}
-
-/** @name Projection-based baseline (Proq [30]) */
-///@{
-AssertionPlan planProqAssertion(const CorrectSubspace& subspace);
-QuantumCircuit buildProqAssertion(const CorrectSubspace& subspace,
-                                  const BuildContext& ctx);
-///@}
-
 /**
- * @name Design dispatch
  * The plan and the fragment of one concrete design (kSwap, kOr, kNdd or
- * kProq; `placement` shapes kSwap only). Throws on kCustom and kAuto.
- * AssertedProgram and the assertion compiler both build through these.
+ * kProq; `placement` shapes kSwap only). Throws on kCustom and kAuto,
+ * and on a rank-2^n subspace. AssertedProgram and the assertion compiler
+ * both build through these.
  */
-///@{
 AssertionPlan planAssertion(const CorrectSubspace& subspace,
-                            AssertionDesign design, SwapPlacement placement);
+                            AssertionDesign design);
 QuantumCircuit buildAssertion(const CorrectSubspace& subspace,
                               AssertionDesign design,
                               SwapPlacement placement,
                               const BuildContext& ctx);
-///@}
 
 /**
- * Basis-change pair shared by the SWAP and OR designs: uinv maps the
+ * The one layout rule for an assertion slot, shared by costing and
+ * inserting: a `total_qubits` x `total_clbits` fragment testing `qubits`
+ * with the slot's `ancillas` and `clbits`, which may borrow every other
+ * program qubit (each index below `program_qubits` not under test).
+ */
+BuildContext slotContext(int total_qubits, int total_clbits,
+                         int program_qubits, const std::vector<int>& qubits,
+                         std::vector<int> ancillas, std::vector<int> clbits);
+
+/**
+ * Basis-change pair of a correct basis: uinv maps the
  * correct subspace onto the computational states whose leading qubits
  * are |0>, u is its exact inverse. Both act on local qubits [0, n).
  */

@@ -137,16 +137,6 @@ CMatrix::dagger() const
 }
 
 CMatrix
-CMatrix::transpose() const
-{
-    CMatrix out(cols_, rows_);
-    for (size_t r = 0; r < rows_; ++r) {
-        for (size_t c = 0; c < cols_; ++c) out(c, r) = (*this)(r, c);
-    }
-    return out;
-}
-
-CMatrix
 CMatrix::conjugate() const
 {
     CMatrix out(rows_, cols_);
@@ -260,15 +250,6 @@ CMatrix::column(size_t c) const
     QA_REQUIRE(c < cols_, "column index out of range");
     CVector v(rows_);
     for (size_t r = 0; r < rows_; ++r) v[r] = (*this)(r, c);
-    return v;
-}
-
-CVector
-CMatrix::row(size_t r) const
-{
-    QA_REQUIRE(r < rows_, "row index out of range");
-    CVector v(cols_);
-    for (size_t c = 0; c < cols_; ++c) v[c] = (*this)(r, c);
     return v;
 }
 

@@ -67,9 +67,6 @@ class CMatrix
     /** Conjugate transpose. */
     CMatrix dagger() const;
 
-    /** Transpose without conjugation. */
-    CMatrix transpose() const;
-
     /** Entry-wise complex conjugate. */
     CMatrix conjugate() const;
 
@@ -102,9 +99,6 @@ class CMatrix
 
     /** Extract column c as a vector. */
     CVector column(size_t c) const;
-
-    /** Extract row r as a vector (not conjugated). */
-    CVector row(size_t r) const;
 
     /** Set column c from a vector. */
     void setColumn(size_t c, const CVector& v);

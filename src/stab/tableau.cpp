@@ -307,7 +307,15 @@ runClifford(const QuantumCircuit& circuit)
         QA_REQUIRE(instr.type == OpType::kGate ||
                        instr.type == OpType::kBarrier,
                    "runClifford requires a measurement-free circuit");
-        if (instr.type == OpType::kGate) tableau.applyGate(instr);
+        if (instr.type != OpType::kGate) continue;
+        // Opaque gates run by their matrix, as on the stabilizer backend.
+        std::optional<CliffordAction> action;
+        if (!isNamedCliffordGate(instr)) action = recognizeClifford(instr);
+        if (action.has_value()) {
+            tableau.applyClifford(*action, instr.qubits);
+        } else {
+            tableau.applyGate(instr);
+        }
     }
     return tableau;
 }

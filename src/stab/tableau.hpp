@@ -90,7 +90,11 @@ class StabilizerTableau
 /** True when every gate in the circuit is tableau-native. */
 bool isCliffordCircuit(const QuantumCircuit& circuit);
 
-/** Run a measurement-free Clifford circuit on |0...0>. */
+/**
+ * Run a measurement-free Clifford circuit on |0...0>. Named gates go
+ * through applyGate; any other gate runs by the Clifford action
+ * recognized in its matrix (as on the stabilizer backend).
+ */
 StabilizerTableau runClifford(const QuantumCircuit& circuit);
 
 } // namespace qa

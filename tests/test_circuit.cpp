@@ -12,6 +12,7 @@
 #include "common/error.hpp"
 #include "linalg/states.hpp"
 #include "sim/statevector.hpp"
+#include "stab/tableau.hpp"
 #include "synth/unitary_synth.hpp"
 #include "test_util.hpp"
 
@@ -244,6 +245,16 @@ TEST(CircuitTest, QasmRejectsOpaqueGates)
     QuantumCircuit qc(2);
     qc.unitary(randomUnitary(4, rng), {0, 1});
     EXPECT_THROW(qc.toQasm(), UserError);
+
+    // An opaque gate is named "unitary" whatever its matrix, so nothing
+    // reads a table gate's name off it: H's matrix runs as H on the
+    // tableau and still exports as opaque.
+    QuantumCircuit h_matrix(1);
+    h_matrix.unitary(gates::h(), {0});
+    EXPECT_EQ(h_matrix.instructions()[0].name, "unitary");
+    EXPECT_TRUE(runClifford(h_matrix).toStatevector().equalsUpToPhase(
+        CVector{1.0 / std::sqrt(2.0), 1.0 / std::sqrt(2.0)}, 1e-12));
+    EXPECT_THROW(h_matrix.toQasm(), UserError);
 }
 
 TEST(CircuitTest, GateMatricesMatchNames)

@@ -3,14 +3,19 @@
  * Functional tests of the assertion designs: pass/fail semantics for
  * pure, mixed, and approximate assertions across every design and rank
  * regime, non-destructiveness, entanglement preservation, the SWAP
- * state-correction property, auto design selection, and the paper's
- * headline gate counts.
+ * state-correction property, auto design selection (also on
+ * non-leading qubits), the paper's headline gate counts, and pinned
+ * hashes of the fragments every design emits.
  */
+#include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "algos/states.hpp"
+#include "circuit/hash.hpp"
 #include "common/error.hpp"
 #include "core/asserted_program.hpp"
 #include "core/runner.hpp"
@@ -401,6 +406,260 @@ TEST(AssertedProgramTest, SampledRunAgreesWithExact)
     EXPECT_NEAR(sampled.slot_error_rate[0], exact.slot_error_prob[0],
                 0.02);
     EXPECT_NEAR(sampled.pass_rate, exact.pass_prob, 0.02);
+}
+
+/** A random u3 + cx program on `width` qubits. */
+QuantumCircuit
+randomProgram(int width, Rng& rng)
+{
+    QuantumCircuit program(width);
+    for (int layer = 0; layer < 3; ++layer) {
+        for (int q = 0; q < width; ++q) {
+            program.u3(q, rng.uniform(0, M_PI), rng.uniform(0, 2 * M_PI),
+                       rng.uniform(0, 2 * M_PI));
+        }
+        const int c = int(rng.index(width));
+        program.cx(c, (c + 1 + int(rng.index(width - 1))) % width);
+    }
+    return program;
+}
+
+/** Sets of every assertable rank over `n` qubits, in three kinds. */
+std::vector<std::pair<std::string, StateSet>>
+setsOfEveryRank(int n, Rng& rng)
+{
+    const size_t dim = size_t(1) << n;
+    std::vector<std::pair<std::string, StateSet>> sets;
+    sets.emplace_back("pure", StateSet::pure(randomState(n, rng)));
+    for (size_t t = 2; t < dim; ++t) {
+        const std::string rank = " rank " + std::to_string(t);
+        std::vector<CVector> members;
+        CMatrix rho(dim, dim);
+        for (size_t i = 0; i < t; ++i) {
+            members.push_back(randomState(n, rng));
+            rho = rho + densityFromPure(members.back()) *
+                            Complex(rng.uniform(0.5, 1.5), 0.0);
+        }
+        sets.emplace_back("approximate" + rank,
+                          StateSet::approximate(members));
+        sets.emplace_back(
+            "mixed" + rank,
+            StateSet::mixed(rho * Complex(1.0 / rho.trace().real(), 0.0)));
+        // Computational basis states take the affine basis changes.
+        std::vector<size_t> order(dim);
+        std::iota(order.begin(), order.end(), 0);
+        for (size_t i = dim - 1; i > 0; --i) {
+            std::swap(order[i], order[rng.index(i + 1)]);
+        }
+        std::vector<CVector> basis_states;
+        for (size_t i = 0; i < t; ++i) {
+            basis_states.push_back(CVector::basisState(dim, order[i]));
+        }
+        sets.emplace_back("basis-state" + rank,
+                          StateSet::approximate(basis_states));
+    }
+    return sets;
+}
+
+TEST(AutoSelectionTest, NonLeadingQubitsCostOnTheirOwnLayout)
+{
+    // kAuto must cost each design on the qubits it will assert, with the
+    // program's untested qubits borrowable, and insert the cheapest:
+    // the (cx, then sg) minimum over explicit SWAP, OR and NDD
+    // insertions on the same program and qubits.
+    Rng rng(2323);
+    for (int trial = 0; trial < 8; ++trial) {
+        const int width = 3 + int(rng.index(3));
+        const QuantumCircuit program = randomProgram(width, rng);
+        std::vector<int> qubits;
+        while (qubits.empty()) {
+            for (int q = 0; q < width; ++q) {
+                if (rng.uniform() < 0.6 && qubits.size() < 3) {
+                    qubits.push_back(q);
+                }
+            }
+        }
+        for (const auto& [label, set] :
+             setsOfEveryRank(int(qubits.size()), rng)) {
+            std::ostringstream where;
+            where << label << " on qubits";
+            for (int q : qubits) where << " " << q;
+            where << " of " << width;
+
+            AssertionDesign expected = AssertionDesign::kAuto;
+            CircuitCost expected_cost;
+            for (AssertionDesign design :
+                 {AssertionDesign::kSwap, AssertionDesign::kOr,
+                  AssertionDesign::kNdd}) {
+                AssertedProgram prog(program);
+                prog.assertState(qubits, set, design);
+                const CircuitCost cost = prog.slots()[0].cost;
+                if (expected == AssertionDesign::kAuto ||
+                    cost.cx < expected_cost.cx ||
+                    (cost.cx == expected_cost.cx &&
+                     cost.sg < expected_cost.sg)) {
+                    expected = design;
+                    expected_cost = cost;
+                }
+            }
+
+            AssertedProgram prog(program);
+            ASSERT_NO_THROW(
+                prog.assertState(qubits, set, AssertionDesign::kAuto))
+                << where.str();
+            const AssertedProgram::Slot& slot = prog.slots()[0];
+            EXPECT_EQ(slot.design, expected) << where.str();
+            EXPECT_EQ(slot.cost.cx, expected_cost.cx) << where.str();
+            EXPECT_EQ(slot.cost.sg, expected_cost.sg) << where.str();
+            EXPECT_EQ(slot.cost.ancilla, expected_cost.ancilla)
+                << where.str();
+            EXPECT_EQ(slot.cost.measure, expected_cost.measure)
+                << where.str();
+        }
+    }
+}
+
+/** A superposition of computational basis states with equal weights. */
+CVector
+evenSuperposition(int n, std::initializer_list<size_t> indices)
+{
+    CVector v(size_t(1) << n);
+    for (size_t i : indices) v[i] = 1.0;
+    return v.normalized();
+}
+
+/** One subspace per rank regime the builders split differently. */
+std::vector<std::pair<const char*, CorrectSubspace>>
+pinnedSubspaces()
+{
+    const CMatrix mixed = densityFromPure(algos::ghzVector(3)) *
+                              Complex(0.6, 0.0) +
+                          densityFromPure(algos::wVector(3)) *
+                              Complex(0.4, 0.0);
+    return {
+        {"pure m=0", analyzeStateSet(StateSet::pure(algos::ghzVector(3)))},
+        {"affine m>0", analyzeStateSet(StateSet::approximate(
+                           {CVector::basisState(8, 0),
+                            CVector::basisState(8, 7)}))},
+        {"between", analyzeStateSet(StateSet::approximate(
+                        {CVector::basisState(8, 0),
+                         CVector::basisState(8, 3),
+                         evenSuperposition(3, {5, 6})}))},
+        {"large", analyzeStateSet(StateSet::approximate(
+                      {CVector::basisState(4, 0),
+                       evenSuperposition(2, {1, 2}),
+                       evenSuperposition(2, {0, 3})}))},
+        {"non-affine", analyzeStateSet(StateSet::mixed(mixed))},
+    };
+}
+
+TEST(BuilderTest, FragmentsMatchPinnedHashes)
+{
+    // circuitHash of buildAssertion's fragment for every design on every
+    // regime, laid out bare (tested qubits 0..n-1, no borrowable qubit)
+    // and interleaved (tested qubits 1, 3, ... of a 2n-qubit program,
+    // so the even ones are borrowable, clbits from 1). The values come
+    // from the per-design builders the shared rank-regime split replaced
+    // and are the same with and without the SIMD kernels. A change to
+    // the order in which a regime's parts take their ancillas or clbits
+    // moves these pins.
+    struct Column
+    {
+        AssertionDesign design;
+        SwapPlacement placement;
+    };
+    const Column columns[] = {
+        {AssertionDesign::kSwap, SwapPlacement::kInvBeforePrepAfter},
+        {AssertionDesign::kSwap, SwapPlacement::kInvBeforePrepBefore},
+        {AssertionDesign::kSwap, SwapPlacement::kInvAfterPrepBefore},
+        {AssertionDesign::kSwap, SwapPlacement::kInvAfterPrepAfter},
+        {AssertionDesign::kOr, SwapPlacement::kInvBeforePrepAfter},
+        {AssertionDesign::kNdd, SwapPlacement::kInvBeforePrepAfter},
+        {AssertionDesign::kProq, SwapPlacement::kInvBeforePrepAfter},
+    };
+    const char* const kPins[10][7] = {
+        // pure m=0 bare
+        {"474bd414142fa4eabd6f32d291cdd205", "276852291c796a9ec4c27c80da769ec1",
+         "3cd0e789f3fe97f518e59c72a2669d43", "d626ae99c6c4a21cc9af4138e7796b67",
+         "af321306dec865ad8b977ca695ff59b3", "ca5e4dd295f169674dc7dd12bee167dc",
+         "3075f065f91b822b2890fef89aced72f"},
+        // pure m=0 interleaved
+        {"dfab5f42ea27de5d64ca19b0e3df94b4", "6fe979655d88bf8d69526ae6461c74b2",
+         "19baec4939b417699c61156311e1ff79", "8b7071ab43ea9a061753711fe13be6b2",
+         "bed8afe20db82b0b97d6c0bf245e2b8e", "76d6048ddb849b0ef3f501e3dc164abc",
+         "f77c7f8b87e483e57aba1c88ac9ab149"},
+        // affine m>0 bare
+        {"7d939b431e79e0986113142c19ac9b9b", "7d939b431e79e0986113142c19ac9b9b",
+         "7d939b431e79e0986113142c19ac9b9b", "7d939b431e79e0986113142c19ac9b9b",
+         "25016d781fb87f4d9b988a02689a7d6c", "aea5df339503d44607912fd1ee3e9180",
+         "59ef59d2fbfe5d011a24568eab8fba64"},
+        // affine m>0 interleaved
+        {"991969349e21f9e1672d8788e0440f00", "991969349e21f9e1672d8788e0440f00",
+         "991969349e21f9e1672d8788e0440f00", "991969349e21f9e1672d8788e0440f00",
+         "1f12eaf5407f3f5cc64af30964919c28", "f6c9100c50111aeb197316251fe46d61",
+         "4283ea4bfa854f311729b2fab768fa08"},
+        // between bare
+        {"0aa630ad1aef31a10bebcf10b96a11c0", "0aa630ad1aef31a10bebcf10b96a11c0",
+         "0aa630ad1aef31a10bebcf10b96a11c0", "0aa630ad1aef31a10bebcf10b96a11c0",
+         "ba4356e752a64dd885497b2123216992", "fa7cc77c0a2bad9a34809f3657540e02",
+         "9950d8867a644bb1108c47f585295ae7"},
+        // between interleaved
+        {"5096d890c6fc633ac7a9d19d7abc2ebb", "5096d890c6fc633ac7a9d19d7abc2ebb",
+         "5096d890c6fc633ac7a9d19d7abc2ebb", "5096d890c6fc633ac7a9d19d7abc2ebb",
+         "2b29f2bdc2a3ad2f2c7ba804f609984c", "86ee5029e199b09b6503775265fb771c",
+         "8c604b2a67076e4d6c825f01e90ce6dc"},
+        // large bare
+        {"5cffdc34d2fe2f965a5f84380338aff0", "5cffdc34d2fe2f965a5f84380338aff0",
+         "5cffdc34d2fe2f965a5f84380338aff0", "5cffdc34d2fe2f965a5f84380338aff0",
+         "94a92d6e16d7cf0b1d4c3e4846a2fc2f", "fda085cfa88079df2ca45125e16b8338",
+         "18359894025b025de86e93d4f5965278"},
+        // large interleaved
+        {"2ca88258b4b519deba2898eff3aa494c", "2ca88258b4b519deba2898eff3aa494c",
+         "2ca88258b4b519deba2898eff3aa494c", "2ca88258b4b519deba2898eff3aa494c",
+         "5b6bb46f00d0f3d3a35393d6ceb1fcfa", "7611112991a3ddde6a8dd6524830e176",
+         "c3eef205864258fb88b35d13545e575b"},
+        // non-affine bare
+        {"c919671304a3f1a9709d469e3b4351eb", "c919671304a3f1a9709d469e3b4351eb",
+         "c919671304a3f1a9709d469e3b4351eb", "c919671304a3f1a9709d469e3b4351eb",
+         "b828da00cd111ccca8cb5d8b54925a6c", "0333984799500790a9a019bdfaa0c9c9",
+         "09319079b901c8edc5ab5668dfd59078"},
+        // non-affine interleaved
+        {"9c3d429d7dc62110908be0520651a48c", "9c3d429d7dc62110908be0520651a48c",
+         "9c3d429d7dc62110908be0520651a48c", "9c3d429d7dc62110908be0520651a48c",
+         "253afccfcd644a60b031640ebb311a7e", "755bda0aa8cefac417af9b12e45dfc88",
+         "40266f12294caf944b0678164cb7db3b"},
+    };
+
+    const auto subspaces = pinnedSubspaces();
+    for (size_t s = 0; s < subspaces.size(); ++s) {
+        const auto& [label, subspace] = subspaces[s];
+        const int n = subspace.n;
+        for (int borrow = 0; borrow < 2; ++borrow) {
+            const int width = borrow ? 2 * n : n;
+            const int first_clbit = borrow;
+            std::vector<int> qubits;
+            for (int i = 0; i < n; ++i) {
+                qubits.push_back(borrow ? 2 * i + 1 : i);
+            }
+            for (size_t c = 0; c < std::size(columns); ++c) {
+                const AssertionPlan plan =
+                    planAssertion(subspace, columns[c].design);
+                std::vector<int> ancillas(plan.num_ancillas);
+                std::vector<int> clbits(plan.num_clbits);
+                std::iota(ancillas.begin(), ancillas.end(), width);
+                std::iota(clbits.begin(), clbits.end(), first_clbit);
+                const BuildContext ctx = slotContext(
+                    width + plan.num_ancillas, first_clbit + plan.num_clbits,
+                    width, qubits, ancillas, clbits);
+                const QuantumCircuit frag =
+                    buildAssertion(subspace, columns[c].design,
+                                   columns[c].placement, ctx);
+                EXPECT_EQ(circuitHash(frag).str(), kPins[2 * s + borrow][c])
+                    << label << (borrow ? " interleaved " : " bare ")
+                    << designName(columns[c].design) << " column " << c;
+            }
+        }
+    }
 }
 
 } // namespace

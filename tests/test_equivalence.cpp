@@ -69,8 +69,9 @@ TEST(EquivalenceTest, Fig4PlusStateSwapAssertion)
     ctx.qubits = {0};
     ctx.ancillas = {1};
     ctx.clbits = {0};
-    QuantumCircuit ours = buildSwapAssertion(
-        ss, ctx, SwapPlacement::kInvBeforePrepAfter);
+    QuantumCircuit ours =
+        buildAssertion(ss, AssertionDesign::kSwap,
+                       SwapPlacement::kInvBeforePrepAfter, ctx);
 
     QuantumCircuit prior(2, 1);
     prior.h(0);
@@ -113,7 +114,8 @@ TEST(EquivalenceTest, Fig13ZeroStateNddAssertion)
     ctx.qubits = {0};
     ctx.ancillas = {1};
     ctx.clbits = {0};
-    QuantumCircuit ours = buildNddAssertion(ss, ctx);
+    QuantumCircuit ours = buildAssertion(
+        ss, AssertionDesign::kNdd, SwapPlacement::kInvBeforePrepAfter, ctx);
 
     QuantumCircuit prior(2, 1);
     prior.cx(0, 1);
@@ -134,7 +136,8 @@ TEST(EquivalenceTest, Fig14ParityNddAssertion)
     ctx.qubits = {0, 1};
     ctx.ancillas = {2};
     ctx.clbits = {0};
-    QuantumCircuit ours = buildNddAssertion(ss, ctx);
+    QuantumCircuit ours = buildAssertion(
+        ss, AssertionDesign::kNdd, SwapPlacement::kInvBeforePrepAfter, ctx);
 
     QuantumCircuit prior(3, 1);
     prior.cx(0, 2);
@@ -178,7 +181,8 @@ TEST(EquivalenceTest, NddPlusStateIsControlledX)
     ctx.qubits = {0};
     ctx.ancillas = {1};
     ctx.clbits = {0};
-    QuantumCircuit ours = buildNddAssertion(ss, ctx);
+    QuantumCircuit ours = buildAssertion(
+        ss, AssertionDesign::kNdd, SwapPlacement::kInvBeforePrepAfter, ctx);
     CircuitCost cost = circuitCost(ours);
     EXPECT_EQ(cost.cx, 1);
 }
