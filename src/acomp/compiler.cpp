@@ -62,7 +62,7 @@ struct ResolvedSlot
     const AssertionSite* site = nullptr;
     size_t index = 0;
     LoweringForm form = LoweringForm::kPauliMeasure;
-    std::vector<PauliString> gens;           // Pauli forms.
+    std::vector<PauliString> gens;           // Pauli form.
     std::optional<CorrectSubspace> subspace; // Unitary forms.
     AssertionPlan plan;                      // Unitary forms.
     int clbit_base = 0;
@@ -236,16 +236,14 @@ resolveSite(const AssertionSite& site, size_t index,
     const bool pauli_ok = !slot.gens.empty();
     const bool unitary_ok = slot.subspace.has_value();
 
-    const auto resolvePauli = [&](LoweringForm form) {
+    const auto resolvePauli = [&] {
         QA_REQUIRE_CODE(
             pauli_ok, ErrorCode::kUnsupportedAssertion,
-            where + ": " + std::string(formName(form)) +
-                " lowering needs a stabilizer subspace, but the "
-                "projector has no Pauli generator set (request a "
-                "unitary form, or auto)");
-        slot.form = form;
-        slot.num_clbits =
-            form == LoweringForm::kPauliSample ? 1 : int(slot.gens.size());
+            where + ": pauli lowering needs a stabilizer subspace, but "
+                    "the projector has no Pauli generator set (request "
+                    "a unitary form, or auto)");
+        slot.form = LoweringForm::kPauliMeasure;
+        slot.num_clbits = int(slot.gens.size());
     };
     const auto resolveUnitary = [&](LoweringForm form) {
         QA_REQUIRE_CODE(
@@ -253,7 +251,7 @@ resolveSite(const AssertionSite& site, size_t index,
             where + ": " + std::string(formName(form)) +
                 " lowering needs a dense StateSet target, but this "
                 "slot is described only by stabilizer generators "
-                "(request pauli, pauli_sample, or auto)");
+                "(request pauli or auto)");
         const std::optional<Candidate> cand = costUnitary(
             site, *slot.subspace, form, raw.numQubits(), raw_clifford,
             opts.backend);
@@ -269,10 +267,7 @@ resolveSite(const AssertionSite& site, size_t index,
 
     switch (opts.lowering) {
       case LoweringRequest::kPauliMeasure:
-        resolvePauli(LoweringForm::kPauliMeasure);
-        return slot;
-      case LoweringRequest::kPauliSample:
-        resolvePauli(LoweringForm::kPauliSample);
+        resolvePauli();
         return slot;
       case LoweringRequest::kSwap:
         resolveUnitary(LoweringForm::kSwap);
@@ -324,65 +319,58 @@ resolveSite(const AssertionSite& site, size_t index,
     return slot;
 }
 
-/** Emit one slot's fragment into a variant; fills the summary at v=0. */
-void
-emitSlot(QuantumCircuit& variant, const ResolvedSlot& slot, size_t v,
-         int raw_qubits, SlotSummary* summary)
+/** Emit one slot's fragment into the circuit and summarise it. */
+SlotSummary
+emitSlot(QuantumCircuit& circuit, const ResolvedSlot& slot, int raw_qubits)
 {
     const AssertionSite& site = *slot.site;
-    variant.barrier();
-    const size_t start = variant.size();
+    circuit.barrier();
+    const size_t start = circuit.size();
 
     switch (slot.form) {
       case LoweringForm::kPauliMeasure:
         for (size_t j = 0; j < slot.gens.size(); ++j) {
-            appendPauliMeasureGadget(variant, slot.gens[j], site.qubits,
+            appendPauliMeasureGadget(circuit, slot.gens[j], site.qubits,
                                      slot.clbit_base + int(j));
         }
         break;
-      case LoweringForm::kPauliSample: {
-        const size_t j = v % slot.gens.size();
-        appendPauliMeasureGadget(variant, slot.gens[j], site.qubits,
-                                 slot.clbit_base);
-        break;
-      }
       case LoweringForm::kSwap:
       case LoweringForm::kOr:
       case LoweringForm::kNdd: {
         const BuildContext ctx =
             slotLayout(site, slot.plan, raw_qubits, slot.clbit_base,
-                       variant.numQubits(), variant.numClbits());
+                       circuit.numQubits(), circuit.numClbits());
         const QuantumCircuit frag = buildAssertion(
             *slot.subspace, designFor(slot.form), kSlotPlacement, ctx);
         std::vector<int> qmap, cmap;
-        for (int q = 0; q < variant.numQubits(); ++q) qmap.push_back(q);
-        for (int c = 0; c < variant.numClbits(); ++c) cmap.push_back(c);
-        variant.compose(frag, qmap, cmap);
+        for (int q = 0; q < circuit.numQubits(); ++q) qmap.push_back(q);
+        for (int c = 0; c < circuit.numClbits(); ++c) cmap.push_back(c);
+        circuit.compose(frag, qmap, cmap);
         // Reset before the next slot reuses the pool (measured
         // ancillas hold classical junk).
-        for (int a : ctx.ancillas) variant.reset(a);
+        for (int a : ctx.ancillas) circuit.reset(a);
         break;
       }
     }
 
-    if (summary != nullptr) {
-        summary->form = slot.form;
-        summary->invariant = site.invariant;
-        summary->position = site.position;
-        summary->qubits = site.qubits;
-        for (int c = 0; c < slot.num_clbits; ++c) {
-            summary->clbits.push_back(slot.clbit_base + c);
-        }
-        for (int a = 0; a < slot.plan.num_ancillas; ++a) {
-            summary->ancillas.push_back(raw_qubits + a);
-        }
-        summary->gates = int(variant.size() - start);
-        summary->cx = countCxRange(variant, start, variant.size());
-        summary->generators = int(slot.gens.size());
-        summary->source_line = site.source_line;
-        summary->source_col = site.source_col;
+    SlotSummary summary;
+    summary.form = slot.form;
+    summary.invariant = site.invariant;
+    summary.position = site.position;
+    summary.qubits = site.qubits;
+    for (int c = 0; c < slot.num_clbits; ++c) {
+        summary.clbits.push_back(slot.clbit_base + c);
     }
-    variant.barrier();
+    for (int a = 0; a < slot.plan.num_ancillas; ++a) {
+        summary.ancillas.push_back(raw_qubits + a);
+    }
+    summary.gates = int(circuit.size() - start);
+    summary.cx = countCxRange(circuit, start, circuit.size());
+    summary.generators = int(slot.gens.size());
+    summary.source_line = site.source_line;
+    summary.source_col = site.source_col;
+    circuit.barrier();
+    return summary;
 }
 
 } // namespace
@@ -400,7 +388,7 @@ compileAssertions(const QuantumCircuit& raw,
     const bool raw_clifford =
         backend::analyzeCircuit(raw).non_clifford_gates == 0;
 
-    // Resolve every slot, then lay out clbits / ancillas / variants.
+    // Resolve every slot, then lay out clbits and ancillas.
     std::vector<const AssertionSite*> ordered;
     for (const AssertionSite& site : sites) ordered.push_back(&site);
     std::stable_sort(ordered.begin(), ordered.end(),
@@ -411,8 +399,6 @@ compileAssertions(const QuantumCircuit& raw,
     std::vector<ResolvedSlot> slots;
     int clbit_base = raw.numClbits();
     int ancilla_pool = 0;
-    size_t num_variants = 1;
-    size_t max_gens = 1;
     for (const AssertionSite* site : ordered) {
         ResolvedSlot slot = resolveSite(
             *site, size_t(site - sites.data()), raw, raw_clifford, opts);
@@ -420,16 +406,7 @@ compileAssertions(const QuantumCircuit& raw,
         clbit_base += slot.num_clbits;
         ancilla_pool =
             std::max(ancilla_pool, slot.plan.num_ancillas);
-        if (slot.form == LoweringForm::kPauliSample) {
-            num_variants = std::lcm(num_variants, slot.gens.size());
-            max_gens = std::max(max_gens, slot.gens.size());
-        }
         slots.push_back(std::move(slot));
-    }
-    if (num_variants > kMaxSampleVariants) {
-        // lcm blew the cap: the largest generator count still covers
-        // every generator of every sampled slot (round-robin, uneven).
-        num_variants = max_gens;
     }
 
     CompiledProgram compiled;
@@ -439,36 +416,21 @@ compileAssertions(const QuantumCircuit& raw,
         compiled.program_clbits.push_back(c);
     }
 
-    const int total_qubits = raw.numQubits() + ancilla_pool;
-    for (size_t v = 0; v < num_variants; ++v) {
-        QuantumCircuit variant(total_qubits, clbit_base);
-        size_t cursor = 0;
-        std::vector<SlotSummary> summaries(slots.size());
-        for (size_t i = 0; i <= raw.size(); ++i) {
-            while (cursor < slots.size() &&
-                   slots[cursor].site->position == i) {
-                emitSlot(variant, slots[cursor], v, raw.numQubits(),
-                         v == 0 ? &summaries[cursor] : nullptr);
-                ++cursor;
-            }
-            if (i < raw.size()) {
-                variant.append(raw.instructions()[i]);
-            }
+    QuantumCircuit circuit(raw.numQubits() + ancilla_pool, clbit_base);
+    size_t cursor = 0;
+    for (size_t i = 0; i <= raw.size(); ++i) {
+        while (cursor < slots.size() && slots[cursor].site->position == i) {
+            compiled.slots.push_back(
+                emitSlot(circuit, slots[cursor], raw.numQubits()));
+            ++cursor;
         }
-        if (v == 0) compiled.slots = std::move(summaries);
-        compiled.variants.push_back(std::move(variant));
+        if (i < raw.size()) circuit.append(raw.instructions()[i]);
     }
-    for (SlotSummary& summary : compiled.slots) {
-        summary.sub_circuits =
-            summary.form == LoweringForm::kPauliSample
-                ? int(num_variants)
-                : 1;
-    }
+    compiled.variants.push_back(std::move(circuit));
 
-    compiled.repair_supported = num_variants == 1;
+    compiled.repair_supported = true;
     for (const SlotSummary& summary : compiled.slots) {
-        compiled.repair_supported &=
-            summary.form == LoweringForm::kSwap;
+        compiled.repair_supported &= summary.form == LoweringForm::kSwap;
     }
     return compiled;
 }
@@ -500,9 +462,7 @@ formatLoweringTable(const CompiledProgram& compiled)
 {
     std::ostringstream out;
     out << "assertion lowering: " << compiled.slots.size()
-        << (compiled.slots.size() == 1 ? " slot" : " slots") << ", "
-        << compiled.variants.size()
-        << (compiled.variants.size() == 1 ? " variant" : " variants")
+        << (compiled.slots.size() == 1 ? " slot" : " slots")
         << (compiled.generated ? " (auto-generated)" : "") << "\n";
     for (size_t i = 0; i < compiled.slots.size(); ++i) {
         const SlotSummary& s = compiled.slots[i];
@@ -522,8 +482,7 @@ formatLoweringTable(const CompiledProgram& compiled)
         }
         out << "] ancillas=" << s.ancillas.size()
             << " gates=" << s.gates << " cx=" << s.cx
-            << " generators=" << s.generators
-            << " sub_circuits=" << s.sub_circuits << "\n";
+            << " generators=" << s.generators << "\n";
     }
     return out.str();
 }

@@ -2,8 +2,8 @@
  * @file
  * The assertion compiler (DESIGN.md Sec. 14): lower assertion sites —
  * caller-supplied or generator-discovered — into the cheapest capable
- * executable form per slot, producing the instrumented sub-circuit
- * variants the policy runner executes.
+ * executable form per slot, producing the one instrumented circuit the
+ * policy runner executes.
  *
  * Form selection extends the backend router's cost model: each
  * candidate form's gate count is weighted by
@@ -37,14 +37,6 @@ namespace acomp
 inline constexpr SwapPlacement kSlotPlacement =
     SwapPlacement::kInvBeforePrepAfter;
 
-/**
- * Soft cap on kPauliSample sub-circuit variants: the variant count is
- * the lcm of the sampled slots' generator counts when that fits the
- * cap, else the largest generator count (every generator still sampled,
- * just unevenly).
- */
-inline constexpr size_t kMaxSampleVariants = 16;
-
 /** Assertion-compiler knobs. */
 struct AcompOptions
 {
@@ -59,9 +51,8 @@ struct AcompOptions
 struct CompiledProgram
 {
     /**
-     * Instrumented sub-circuit variants; shot s executes variant
-     * s % variants.size(). One entry unless a slot lowered to
-     * kPauliSample. All variants share qubit/clbit layout.
+     * The instrumented circuit, always exactly one entry. It stays a
+     * vector only because perfbench reads it as one (ROADMAP item 10).
      */
     std::vector<QuantumCircuit> variants;
 
@@ -71,12 +62,12 @@ struct CompiledProgram
     /** Clbits carrying the raw program's own measurements. */
     std::vector<int> program_clbits;
 
-    /** Raw circuit dimensions (variants may be wider). */
+    /** Raw circuit dimensions (the instrumented circuit may be wider). */
     int raw_qubits = 0;
     int raw_clbits = 0;
 
     /** True when kRepair is sound: every slot is SWAP-based (state
-     *  re-prepared on failure) and there is a single variant. */
+     *  re-prepared on failure). */
     bool repair_supported = false;
 
     /** True when the sites came from the assertion generator. */
@@ -97,8 +88,8 @@ CompiledProgram compileAssertions(const QuantumCircuit& raw,
 
 /**
  * Generate-then-compile: discover sites with generateAssertions and
- * lower them. A circuit yielding no sites compiles to a single
- * uninstrumented variant (the raw circuit) with zero slots.
+ * lower them. A circuit yielding no sites compiles to the raw circuit
+ * itself with zero slots.
  */
 CompiledProgram autoAssert(const QuantumCircuit& raw,
                            const AcompOptions& opts = {},
@@ -106,7 +97,7 @@ CompiledProgram autoAssert(const QuantumCircuit& raw,
 
 /**
  * Human-readable per-slot lowering table (form, invariant, position,
- * qubits, clbits, ancillas, gate/CX budget, sub-circuit count) for
+ * qubits, clbits, ancillas, gate/CX budget, generator count) for
  * qa_explain and `qassertd` explain responses.
  */
 std::string formatLoweringTable(const CompiledProgram& compiled);

@@ -20,7 +20,6 @@ formName(LoweringForm form)
       case LoweringForm::kOr:           return "or";
       case LoweringForm::kNdd:          return "ndd";
       case LoweringForm::kPauliMeasure: return "pauli";
-      case LoweringForm::kPauliSample:  return "pauli_sample";
     }
     return "unknown";
 }
@@ -34,7 +33,6 @@ loweringRequestName(LoweringRequest request)
       case LoweringRequest::kOr:           return "or";
       case LoweringRequest::kNdd:          return "ndd";
       case LoweringRequest::kPauliMeasure: return "pauli";
-      case LoweringRequest::kPauliSample:  return "pauli_sample";
     }
     return "unknown";
 }
@@ -48,10 +46,6 @@ parseLoweringRequest(const std::string& name, LoweringRequest* out)
     if (name == "ndd")  { *out = LoweringRequest::kNdd; return true; }
     if (name == "pauli" || name == "pauli_measure") {
         *out = LoweringRequest::kPauliMeasure;
-        return true;
-    }
-    if (name == "pauli_sample") {
-        *out = LoweringRequest::kPauliSample;
         return true;
     }
     return false;

@@ -40,10 +40,8 @@ enum class LoweringForm
     kSwap,         ///< SWAP-based unitary design (paper Sec. IV).
     kOr,           ///< Logical-OR unitary design (paper Sec. IV-E).
     kNdd,          ///< NDD unitary design (paper Sec. V).
-    kPauliMeasure, ///< All stabilizer generators measured inline
+    kPauliMeasure  ///< All stabilizer generators measured inline
                    ///< (ancilla-free, one clbit per generator).
-    kPauliSample   ///< One generator per sub-circuit variant, sampled
-                   ///< round-robin across shots (one shared clbit).
 };
 
 /** Stable wire/log name of a lowering form. */
@@ -56,8 +54,7 @@ enum class LoweringRequest
     kSwap,
     kOr,
     kNdd,
-    kPauliMeasure,
-    kPauliSample
+    kPauliMeasure
 };
 
 /** Stable wire/log name of a lowering request. */
@@ -143,16 +140,12 @@ struct SlotSummary
     /** Classical bits recording the slot verdict (all-zero = pass). */
     std::vector<int> clbits;
 
-    /** Ancilla qubits the form consumed (empty for Pauli forms). */
+    /** Ancilla qubits the form consumed (empty for the Pauli form). */
     std::vector<int> ancillas;
 
-    /** Instruction / CX count of the inserted fragment (variant 0). */
+    /** Instruction / CX count of the inserted fragment. */
     int gates = 0;
     int cx = 0;
-
-    /** Sub-circuit variants the slot spreads across (1 unless
-     *  kPauliSample). */
-    int sub_circuits = 1;
 
     /** Stabilizer generator count (0 for unitary forms). */
     int generators = 0;

@@ -10,12 +10,10 @@ namespace acomp
 PolicyJob
 policyJob(const CompiledProgram& compiled)
 {
-    QA_REQUIRE(!compiled.variants.empty(),
-               "a compiled program needs at least one variant");
+    QA_REQUIRE(compiled.variants.size() == 1,
+               "a compiled program holds exactly one circuit");
     PolicyJob job;
-    for (const QuantumCircuit& variant : compiled.variants) {
-        job.variants.push_back(&variant);
-    }
+    job.circuit = &compiled.variants[0];
     for (const SlotSummary& slot : compiled.slots) {
         job.slot_clbits.push_back(slot.clbits);
     }

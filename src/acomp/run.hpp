@@ -1,9 +1,9 @@
 /**
  * @file
  * Execution of compiled (lowered) assertion programs: a thin adapter
- * from acomp::CompiledProgram to the core policy runner's
- * variant-aware shot loop, and the plan step every job entry point
- * shares — compile when auto-asserting, then route what runs first.
+ * from acomp::CompiledProgram to the core policy runner, and the plan
+ * step every job entry point shares — compile when auto-asserting, then
+ * route what runs.
  */
 #ifndef QA_ACOMP_RUN_HPP
 #define QA_ACOMP_RUN_HPP
@@ -20,16 +20,15 @@ namespace qa
 namespace acomp
 {
 
-/** The policy job of a compiled program (borrows its variants). */
+/** The policy job of a compiled program (borrows its circuit). */
 PolicyJob policyJob(const CompiledProgram& compiled);
 
 /**
- * Run a compiled program under an assertion policy: shot s executes
- * variant s % variants.size(), slot verdicts come from the compiled
- * slot clbits (all-zero = pass), and the accepted program histogram is
- * the marginal over the raw circuit's own clbits. Deterministic across
- * thread counts like runAssertedPolicy. kRepair requires
- * compiled.repair_supported (all-SWAP slots, single variant).
+ * Run a compiled program under an assertion policy: slot verdicts come
+ * from the compiled slot clbits (all-zero = pass), and the accepted
+ * program histogram is the marginal over the raw circuit's own clbits.
+ * Deterministic across thread counts like runAssertedPolicy. kRepair
+ * requires compiled.repair_supported (all-SWAP slots).
  */
 PolicyOutcome runLowered(const CompiledProgram& compiled,
                          const SimOptions& options,
@@ -41,13 +40,13 @@ struct PlannedRun
     /** The compiled program (auto-asserted runs only). */
     std::optional<CompiledProgram> compiled;
 
-    /** Route of the circuit shot 0 executes: variant 0, or the input. */
+    /** Route of the circuit the run executes: compiled, or the input. */
     backend::Route route;
 };
 
 /**
  * Compile `circuit` with autoAssert when `auto_assert` is non-null,
- * then route the circuit the run executes first. executeJob, the wire
+ * then route the circuit the run executes. executeJob, the wire
  * explain op and qa_explain share this step, so an explain describes
  * exactly what a run would execute. Throws what autoAssert throws;
  * routing itself never throws.

@@ -160,14 +160,13 @@ struct ShotTally
 };
 
 /**
- * The one shot loop every run goes through. Shot s executes
- * variants[s % variants.size()] (all prepared on one backend) with one
- * sampler per variant per worker, created on first use. Shots are
- * independent bodies keyed by their index, so the tally is bit-identical
- * for any options.num_threads; options.deadline_ms truncates
- * cooperatively (partial tally flagged `truncated`).
+ * The one shot loop every run goes through. Every shot executes
+ * `prepared` with one sampler per worker, created on first use. Shots
+ * are independent bodies keyed by their index, so the tally is
+ * bit-identical for any options.num_threads; options.deadline_ms
+ * truncates cooperatively (partial tally flagged `truncated`).
  */
-ShotTally runShotLoop(const std::vector<const PreparedCircuit*>& variants,
+ShotTally runShotLoop(const PreparedCircuit& prepared,
                       const ShotRules& rules, const SimOptions& options);
 
 /**

@@ -24,27 +24,22 @@ namespace
 /**
  * One worker's shot body: draws a shot's attempts from its own RNG
  * streams and tallies the outcome per the rules. Holds the worker's
- * samplers, one per variant, created on first use (a worker that never
- * draws a variant never pays for its scratch).
+ * sampler, created on first use (a worker that never draws a shot never
+ * pays for its scratch).
  */
 class ShotBody
 {
   public:
-    ShotBody(const std::vector<const PreparedCircuit*>& variants,
-             const ShotRules& rules, uint64_t seed)
-        : variants_(variants), rules_(rules), seed_(seed),
-          samplers_(variants.size())
+    ShotBody(const PreparedCircuit& prepared, const ShotRules& rules,
+             uint64_t seed)
+        : prepared_(prepared), rules_(rules), seed_(seed)
     {}
 
     /** Run shot `shot` into `tally`; true when its last attempt flagged. */
     bool
     run(int shot, ShotTally& tally)
     {
-        const size_t v =
-            variants_.size() == 1 ? 0 : size_t(shot) % variants_.size();
-        if (samplers_[v] == nullptr) {
-            samplers_[v] = variants_[v]->makeSampler();
-        }
+        if (sampler_ == nullptr) sampler_ = prepared_.makeSampler();
         const std::vector<std::vector<int>>& slots = rules_.slot_clbits;
         if (tally.slot_errors.size() != slots.size()) {
             tally.slot_errors.assign(slots.size(), 0);
@@ -53,7 +48,7 @@ class ShotBody
         for (int a = 0;; ++a) {
             Rng rng = Rng::forStream(
                 seed_, uint64_t(shot) * uint64_t(attempts) + uint64_t(a));
-            std::string bits = samplers_[v]->runOne(rng);
+            std::string bits = sampler_->runOne(rng);
             bool any = false;
             for (size_t i = 0; i < slots.size(); ++i) {
                 bool flagged = false;
@@ -75,10 +70,10 @@ class ShotBody
     }
 
   private:
-    const std::vector<const PreparedCircuit*>& variants_;
+    const PreparedCircuit& prepared_;
     const ShotRules& rules_;
     uint64_t seed_;
-    std::vector<std::unique_ptr<ShotSampler>> samplers_;
+    std::unique_ptr<ShotSampler> sampler_;
 };
 
 } // namespace
@@ -112,10 +107,9 @@ Backend::prepare(const QuantumCircuit& circuit, const SimOptions& options,
 }
 
 ShotTally
-runShotLoop(const std::vector<const PreparedCircuit*>& variants,
-            const ShotRules& rules, const SimOptions& options)
+runShotLoop(const PreparedCircuit& prepared, const ShotRules& rules,
+            const SimOptions& options)
 {
-    QA_REQUIRE(!variants.empty(), "need at least one circuit variant");
     QA_REQUIRE(options.shots > 0, "need a positive shot count");
     QA_REQUIRE(rules.attempts >= 1, "need at least one attempt per shot");
 
@@ -126,7 +120,7 @@ runShotLoop(const std::vector<const PreparedCircuit*>& variants,
         // order and stop at the first flagged one, so the stopping
         // point is deterministic.
         const ShotDeadline deadline(options.deadline_ms);
-        ShotBody body(variants, rules, options.seed);
+        ShotBody body(prepared, rules, options.seed);
         for (int s = 0; s < options.shots; ++s) {
             if (deadline.active() && (s & 63) == 0 && deadline.expired()) {
                 out.kept.truncated = true;
@@ -140,7 +134,7 @@ runShotLoop(const std::vector<const PreparedCircuit*>& variants,
         const ShotLoopStatus status = runShotPool(
             options.shots, options.num_threads, options.deadline_ms,
             locals, [&]() {
-                return [body = ShotBody(variants, rules, options.seed)](
+                return [body = ShotBody(prepared, rules, options.seed)](
                            int shot, ShotTally& local) mutable {
                     body.run(shot, local);
                 };
@@ -162,7 +156,7 @@ runShotLoop(const std::vector<const PreparedCircuit*>& variants,
 Counts
 runPrepared(const PreparedCircuit& prepared, const SimOptions& options)
 {
-    return runShotLoop({&prepared}, ShotRules{}, options).kept;
+    return runShotLoop(prepared, ShotRules{}, options).kept;
 }
 
 std::shared_ptr<const PreparedCircuit>

@@ -168,6 +168,29 @@ describeNoise(const NoiseProfile& noise)
     return desc;
 }
 
+/**
+ * Why backend `kind` cannot run the analyzed job under `options` ("" when
+ * it can): the capability check behind explicit requests and explains.
+ */
+std::string
+capabilityGap(BackendKind kind, const CircuitAnalysis& analysis,
+              const SimOptions& options)
+{
+    switch (kind) {
+      case BackendKind::kStatevector:
+        return "";
+      case BackendKind::kDensityMatrix:
+        return densityObjection(analysis.profile);
+      case BackendKind::kStabilizer:
+        return stabilizerObjection(analysis.profile,
+                                   analyzeNoise(options.noise));
+      case BackendKind::kMps:
+        return mpsObjection(analysis.entanglement,
+                            analyzeNoise(options.noise), options);
+    }
+    return "unknown backend kind";
+}
+
 } // namespace
 
 CircuitAnalysis
@@ -189,25 +212,6 @@ analyzeForRouting(const QuantumCircuit& circuit, const SimOptions& options)
         }
     }
     return analysis;
-}
-
-std::string
-capabilityGap(BackendKind kind, const CircuitAnalysis& analysis,
-              const SimOptions& options)
-{
-    switch (kind) {
-      case BackendKind::kStatevector:
-        return "";
-      case BackendKind::kDensityMatrix:
-        return densityObjection(analysis.profile);
-      case BackendKind::kStabilizer:
-        return stabilizerObjection(analysis.profile,
-                                   analyzeNoise(options.noise));
-      case BackendKind::kMps:
-        return mpsObjection(analysis.entanglement,
-                            analyzeNoise(options.noise), options);
-    }
-    return "unknown backend kind";
 }
 
 Route

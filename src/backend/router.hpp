@@ -130,14 +130,6 @@ struct CircuitAnalysis
 CircuitAnalysis analyzeForRouting(const QuantumCircuit& circuit,
                                   const SimOptions& options);
 
-/**
- * Why backend `kind` cannot run the analyzed job under `options` ("" when
- * it can): the capability check behind explicit requests, also applied
- * to circuit variants prepared on an already-resolved backend.
- */
-std::string capabilityGap(BackendKind kind, const CircuitAnalysis& analysis,
-                          const SimOptions& options);
-
 /** A routing decision plus the analysis it was made from. */
 struct Route
 {

@@ -1,7 +1,5 @@
 #include "core/runner.hpp"
 
-#include <algorithm>
-
 #include "backend/backend.hpp"
 #include "common/error.hpp"
 #include "sim/engine.hpp"
@@ -105,7 +103,7 @@ PolicyJob
 policyJob(const AssertedProgram& program)
 {
     PolicyJob job;
-    job.variants = {&program.circuit()};
+    job.circuit = &program.circuit();
     job.program_clbits = program.programClbits();
     job.repair_supported = true;
     for (const AssertedProgram::Slot& slot : program.slots()) {
@@ -116,44 +114,19 @@ policyJob(const AssertedProgram& program)
 }
 
 PolicyOutcome
-runPolicy(const PolicyJob& job, const backend::Route& first,
+runPolicy(const PolicyJob& job, const backend::Route& route,
           const SimOptions& options, const PolicyOptions& popts)
 {
-    QA_REQUIRE(!job.variants.empty(), "need at least one circuit variant");
+    QA_REQUIRE(job.circuit != nullptr, "policy job needs a circuit");
     QA_REQUIRE(options.shots > 0, "need a positive shot count");
     QA_REQUIRE(popts.max_attempts >= 1, "max_attempts must be >= 1");
     QA_REQUIRE_CODE(popts.policy != AssertionPolicy::kRepair ||
                         job.repair_supported,
                     ErrorCode::kPolicyUnsupported,
                     "repair policy requires slots that restore the "
-                    "asserted state (SWAP-based designs) on every "
-                    "variant");
-    const QuantumCircuit& base = *job.variants[0];
-    for (const QuantumCircuit* variant : job.variants) {
-        QA_REQUIRE(variant->numQubits() == base.numQubits() &&
-                       variant->numClbits() == base.numClbits(),
-                   "circuit variants must share the register layout");
-    }
-
-    // Variant 0 runs where it was routed; the others are prepared on
-    // the same backend, each analyzed once for its capability check and
-    // its prepare.
-    const BackendKind kind = first.choice.backend;
-    std::vector<std::shared_ptr<const backend::PreparedCircuit>> prepared;
-    prepared.push_back(backend::prepareRouted(base, options, first));
-    for (size_t v = 1; v < job.variants.size(); ++v) {
-        const QuantumCircuit& variant = *job.variants[v];
-        const backend::CircuitAnalysis analysis =
-            backend::analyzeForRouting(variant, options);
-        const std::string gap =
-            backend::capabilityGap(kind, analysis, options);
-        QA_REQUIRE_CODE(gap.empty(), ErrorCode::kBadRequest,
-                        std::string(backendName(kind)) +
-                            " backend cannot run circuit variant " +
-                            std::to_string(v) + ": " + gap);
-        prepared.push_back(
-            backend::backendFor(kind).prepare(variant, options, analysis));
-    }
+                    "asserted state (SWAP-based designs)");
+    const std::shared_ptr<const backend::PreparedCircuit> prepared =
+        backend::prepareRouted(*job.circuit, options, route);
 
     backend::ShotRules rules;
     rules.slot_clbits = job.slot_clbits;
@@ -162,17 +135,13 @@ runPolicy(const PolicyJob& job, const backend::Route& first,
                          : 1;
     rules.keep_flagged = popts.policy == AssertionPolicy::kRepair;
     rules.stop_on_flag = popts.policy == AssertionPolicy::kAbort;
-    std::vector<const backend::PreparedCircuit*> variants;
-    for (const auto& p : prepared) variants.push_back(p.get());
-    backend::ShotTally tally = backend::runShotLoop(variants, rules, options);
+    backend::ShotTally tally =
+        backend::runShotLoop(*prepared, rules, options);
 
     PolicyOutcome out;
     out.policy = popts.policy;
-    out.backend = first.choice;
-    for (const auto& p : prepared) {
-        out.mps_truncation_error =
-            std::max(out.mps_truncation_error, p->truncationError());
-    }
+    out.backend = route.choice;
+    out.mps_truncation_error = prepared->truncationError();
     out.shots_requested = options.shots;
     out.shots_completed = tally.completed;
     out.shots_accepted = tally.kept.shots;
@@ -206,7 +175,8 @@ runPolicy(const PolicyJob& job, const backend::Route& first,
 
     // A program-clbit list naming every clbit in order (plain circuits)
     // marginalizes to the raw histogram itself.
-    bool identity = int(job.program_clbits.size()) == base.numClbits();
+    bool identity =
+        int(job.program_clbits.size()) == job.circuit->numClbits();
     for (size_t i = 0; identity && i < job.program_clbits.size(); ++i) {
         identity = job.program_clbits[i] == int(i);
     }

@@ -147,25 +147,24 @@ struct PolicyOutcome
     backend::BackendChoice backend;
 
     /**
-     * Cumulative prepare-time truncation error (max across circuit
-     * variants) when the run resolved to the MPS backend; 0.0 on the
-     * exact backends. Deterministic for any thread count.
+     * Cumulative prepare-time truncation error when the run resolved to
+     * the MPS backend; 0.0 on the exact backends. Deterministic for any
+     * thread count.
      */
     double mps_truncation_error = 0.0;
 };
 
 /**
- * What one policy run executes: shot s runs variants[s % V] (all sharing
- * one qubit/clbit layout), slot verdicts are read from `slot_clbits`
- * (all-zero = pass), and the accepted program histogram is the marginal
- * over `program_clbits`. Every job shape reduces to this — an
- * AssertedProgram, a compiled acomp program, or a plain circuit — so
- * every job runs through the same policy loop. The variants are
- * borrowed and must outlive the run.
+ * What one policy run executes: every shot runs `circuit`, slot verdicts
+ * are read from `slot_clbits` (all-zero = pass), and the accepted
+ * program histogram is the marginal over `program_clbits`. Every job
+ * shape reduces to this — an AssertedProgram, a compiled acomp program,
+ * or a plain circuit — so every job runs through the same policy loop.
+ * The circuit is borrowed and must outlive the run.
  */
 struct PolicyJob
 {
-    std::vector<const QuantumCircuit*> variants;
+    const QuantumCircuit* circuit = nullptr;
     std::vector<std::vector<int>> slot_clbits;
     std::vector<int> program_clbits;
 
@@ -177,14 +176,13 @@ struct PolicyJob
 PolicyJob policyJob(const AssertedProgram& program);
 
 /**
- * Run a policy job. `first` is the route of variants[0] under `options`
- * (backend::route); the job runs on its backend, reusing its analysis,
- * and the other variants are prepared on the same backend so counts
- * merge under one determinism domain. Throws UserError(kBadRequest)
- * when that backend cannot run a variant, and
- * UserError(kPolicyUnsupported) for kRepair without repair_supported.
+ * Run a policy job. `route` is the route of job.circuit under `options`
+ * (backend::route); the circuit is prepared on its backend, reusing its
+ * analysis. Throws UserError(kBadRequest) when an explicitly requested
+ * backend cannot run it, and UserError(kPolicyUnsupported) for kRepair
+ * without repair_supported.
  */
-PolicyOutcome runPolicy(const PolicyJob& job, const backend::Route& first,
+PolicyOutcome runPolicy(const PolicyJob& job, const backend::Route& route,
                         const SimOptions& options,
                         const PolicyOptions& policy);
 

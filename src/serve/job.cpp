@@ -61,7 +61,7 @@ postSelect(JobResult& result, const std::vector<std::vector<int>>& slots,
 }
 
 /**
- * The policy job of a plain circuit: one variant, no slots, every clbit
+ * The policy job of a plain circuit: no slots, every clbit
  * a program bit. Validates the assert_clbits slots read afterwards.
  */
 PolicyJob
@@ -88,7 +88,7 @@ plainJob(const JobSpec& spec)
         }
     }
     PolicyJob job;
-    job.variants = {&spec.circuit};
+    job.circuit = &spec.circuit;
     for (int c = 0; c < num_clbits; ++c) job.program_clbits.push_back(c);
     return job;
 }
@@ -240,10 +240,7 @@ executeJob(const JobSpec& spec)
     result.truncated = outcome.truncated;
     result.backend = std::move(outcome.backend);
     result.mps_truncation_error = outcome.mps_truncation_error;
-    if (plan.compiled) {
-        result.assertions = plan.compiled->slots;
-        result.assert_variants = int(plan.compiled->variants.size());
-    }
+    if (plan.compiled) result.assertions = plan.compiled->slots;
     if (plain && !spec.assert_clbits.empty()) {
         postSelect(result, spec.assert_clbits, spec.circuit.numClbits());
     }

@@ -117,7 +117,7 @@ struct JobSpec
     /**
      * Assertion-compiler path: treat `circuit` as a raw, assertion-free
      * program, discover invariants with acomp::generateAssertions, and
-     * execute the lowered instrumented variants under `policy`.
+     * execute the lowered instrumented circuit under `policy`.
      * Conflicts with `program` and with explicit `assert_clbits` slots
      * (kBadRequest). Absorbed into the cache key.
      */
@@ -209,8 +209,8 @@ struct JobResult
      */
     std::vector<acomp::SlotSummary> assertions;
 
-    /** Sub-circuit variants executed round-robin (1 unless a slot
-     *  lowered to kPauliSample). */
+    /** Always 1: every job runs one circuit. Kept (and hashed into the
+     *  payload) only because perfbench sets it (ROADMAP item 10). */
     int assert_variants = 1;
 
     /** Echo of JobSpec::tag. */
@@ -236,7 +236,7 @@ Hash128 jobKey(const JobSpec& spec);
 
 /**
  * The plan step of a job: compile when auto_assert is set, then route
- * the circuit the job executes first (compiled variant 0, the program
+ * the circuit the job executes (the compiled circuit, the program
  * circuit, or the plain circuit). executeJob runs it; the wire explain
  * op reports it. Throws UserError(kBadRequest) when auto_assert
  * conflicts with a program or with assert_clbits, and what the

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <initializer_list>
+#include <limits>
 #include <sstream>
 #include <string_view>
 
 #include "circuit/qasm.hpp"
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 
 namespace qa
 {
@@ -29,6 +31,18 @@ rejectUnknownFields(const JsonValue& object,
                         "unknown " + where + " field '" + entry.first +
                             "'");
     }
+}
+
+/** A wire integer narrowed to int; bad_request naming `field` if it
+ *  does not fit. */
+int
+narrowInt(int64_t value, const char* field)
+{
+    QA_REQUIRE_CODE(value >= std::numeric_limits<int>::min() &&
+                        value <= std::numeric_limits<int>::max(),
+                    ErrorCode::kBadRequest,
+                    std::string(field) + " is out of range");
+    return int(value);
 }
 
 NoiseModel
@@ -68,7 +82,7 @@ decodeSlots(const JsonValue& slots)
     for (const JsonValue& slot : slots.asArray()) {
         std::vector<int> clbits;
         for (const JsonValue& bit : slot.asArray()) {
-            clbits.push_back(int(bit.asInt()));
+            clbits.push_back(narrowInt(bit.asInt(), "assert_clbits"));
         }
         out.push_back(std::move(clbits));
     }
@@ -105,11 +119,10 @@ encodeIntArray(std::ostringstream& oss, const std::vector<int>& values)
  */
 void
 encodeAutoAssert(std::ostringstream& oss,
-                 const std::vector<acomp::SlotSummary>& slots,
-                 int variants)
+                 const std::vector<acomp::SlotSummary>& slots)
 {
     oss << ",\"auto_assert\":{\"generated\":" << slots.size()
-        << ",\"variants\":" << variants << ",\"slots\":[";
+        << ",\"slots\":[";
     for (size_t i = 0; i < slots.size(); ++i) {
         const acomp::SlotSummary& slot = slots[i];
         if (i) oss << ",";
@@ -122,7 +135,6 @@ encodeAutoAssert(std::ostringstream& oss,
         encodeIntArray(oss, slot.clbits);
         oss << ",\"ancillas\":" << slot.ancillas.size()
             << ",\"gates\":" << slot.gates << ",\"cx\":" << slot.cx
-            << ",\"sub_circuits\":" << slot.sub_circuits
             << ",\"generators\":" << slot.generators;
         if (slot.source_line > 0) {
             oss << ",\"source\":{\"line\":" << slot.source_line
@@ -213,16 +225,19 @@ buildRequest(const JsonValue& request)
                     "run request needs a string 'qasm' field");
     out.spec.circuit =
         parseQasm(qasm->asString(), &out.spec.qasm_positions);
-    out.spec.shots = int(request.intOr("shots", out.spec.shots));
+    out.spec.shots =
+        narrowInt(request.intOr("shots", out.spec.shots), "shots");
     QA_REQUIRE_CODE(out.spec.shots > 0, ErrorCode::kBadRequest,
                     "shots must be positive");
     out.spec.seed = uint64_t(request.intOr("seed", int64_t(out.spec.seed)));
     out.spec.deadline_ms = request.numberOr("deadline_ms", 0.0);
-    out.spec.priority = int(request.intOr("priority", 0));
+    out.spec.priority = narrowInt(request.intOr("priority", 0), "priority");
     // Defaults live on JobSpec (sim/options.hpp defaults namespace);
-    // the wire layer only overrides what the request names.
-    out.spec.num_threads =
-        int(request.intOr("threads", out.spec.num_threads));
+    // the wire layer only overrides what the request names. A job's shot
+    // loop never gets more threads than the machine has cores.
+    out.spec.num_threads = std::min(
+        narrowInt(request.intOr("threads", out.spec.num_threads), "threads"),
+        kernelThreads());
     out.spec.use_cache = request.boolOr("cache", true);
     const std::string backend =
         request.stringOr("backend", backendRequestName(out.spec.backend));
@@ -231,7 +246,8 @@ buildRequest(const JsonValue& request)
                     "unknown backend '" + backend +
                         "' (expected auto|statevector|density_matrix|"
                         "stabilizer|mps)");
-    out.spec.mps_chi = int(request.intOr("mps_chi", out.spec.mps_chi));
+    out.spec.mps_chi =
+        narrowInt(request.intOr("mps_chi", out.spec.mps_chi), "mps_chi");
     QA_REQUIRE_CODE(out.spec.mps_chi >= 1 && out.spec.mps_chi <= 1024,
                     ErrorCode::kBadRequest,
                     "mps_chi must be in [1, 1024]");
@@ -248,7 +264,7 @@ buildRequest(const JsonValue& request)
         acomp::parseLoweringRequest(lowering, &out.spec.assert_lowering),
         ErrorCode::kBadRequest,
         "unknown assert_lowering '" + lowering +
-            "' (expected auto|swap|or|ndd|pauli|pauli_sample)");
+            "' (expected auto|swap|or|ndd|pauli)");
     if (const JsonValue* slots = request.find("assert_clbits")) {
         out.spec.assert_clbits = decodeSlots(*slots);
     }
@@ -303,7 +319,7 @@ encodeJob(const std::string& id, const JobResult& result, bool timing)
         oss << ",\"accepted_shots\":" << result.program_counts.shots;
     }
     if (!result.assertions.empty()) {
-        encodeAutoAssert(oss, result.assertions, result.assert_variants);
+        encodeAutoAssert(oss, result.assertions);
     }
     if (result.backend.backend == BackendKind::kMps) {
         encodeMpsBlock(oss, result);
@@ -409,8 +425,7 @@ encodeExplain(const std::string& id, const backend::BackendChoice& choice,
         << "}"
         << ",\"reason\":\"" << jsonEscape(choice.reason) << "\"";
     if (compiled != nullptr) {
-        encodeAutoAssert(oss, compiled->slots,
-                         int(compiled->variants.size()));
+        encodeAutoAssert(oss, compiled->slots);
     }
     oss << "}";
     return oss.str();

@@ -11,22 +11,24 @@
  *                                     // barrier
  *    "shots": 1024, "seed": 7,        // optional, defaults as JobSpec
  *    "deadline_ms": 0, "priority": 0,
- *    "threads": 1, "cache": true,
+ *    "threads": 1, "cache": true,     // threads capped at the core count
  *    "backend": "auto",               // or statevector|density_matrix|
  *                                     // stabilizer|mps (explicit)
  *    "mps_chi": 64, "mps_tol": 1e-6,  // MPS bond cap and tolerance
  *    "assert_clbits": [[0],[1,2]],    // assertion slots (|0..0> = pass)
  *    "auto_assert": true,             // raw circuit: generate + lower
  *                                     // assertions (assertion compiler)
- *    "assert_lowering": "auto",       // or swap|or|ndd|pauli|
- *                                     // pauli_sample (auto_assert only)
+ *    "assert_lowering": "auto",       // or swap|or|ndd|pauli
+ *                                     // (auto_assert only)
  *    "noise": {"kind": "melbourne"}}  // or "none" (default) or
  *                                     // {"kind":"depolarizing",
  *                                     //  "p1":1e-3,"p2":1e-2}
  *
  * A field outside this list (or a noise field its kind does not read)
- * is rejected with "bad_request" naming it; "metrics", "ping" and
- * "shutdown" take only "op" and "id".
+ * is rejected with "bad_request" naming it, and so is an integer field
+ * (shots, priority, threads, mps_chi, an assert_clbits entry) outside
+ * the int range; "metrics", "ping" and "shutdown" take only "op" and
+ * "id".
  *
  * Response (one line per request, tagged with the request id):
  *   {"id":"job-1","status":"ok","cache_hit":false,"backend":"stabilizer",
@@ -37,10 +39,10 @@
  *   {"id":"job-2","status":"error","code":"queue_full","message":"..."}
  *
  * auto_assert results additionally carry the compiled lowering report:
- *   "auto_assert":{"generated":2,"variants":1,"slots":[
+ *   "auto_assert":{"generated":2,"slots":[
  *     {"form":"pauli","invariant":"entangled","position":5,
  *      "qubits":[0,1,2],"clbits":[0,1,2],"ancillas":0,"gates":14,
- *      "cx":4,"sub_circuits":1,"generators":3,
+ *      "cx":4,"generators":3,
  *      "source":{"line":7,"col":1}},...]}
  *
  * An "explain" request takes the same fields as "run" but classifies
@@ -48,7 +50,7 @@
  *   {"id":"e1","status":"ok","class":"clifford","backend":"stabilizer",
  *    "capable":true,"non_clifford_gates":0,"reason":"..."}
  * Under auto_assert the explain response routes the instrumented
- * variant-0 circuit and appends the same "auto_assert" block.
+ * circuit and appends the same "auto_assert" block.
  *
  * Responses are emitted in completion order (the id is the correlation
  * key), which is what lets a single connection keep the whole worker

@@ -696,7 +696,6 @@ TEST(AcompMpsTest, PinnedPauliFormOnDenseTargetIsTypedRejection)
     ASSERT_EQ(compiled.slots.size(), 1u);
     for (const acomp::SlotSummary& slot : compiled.slots) {
         EXPECT_NE(slot.form, acomp::LoweringForm::kPauliMeasure);
-        EXPECT_NE(slot.form, acomp::LoweringForm::kPauliSample);
     }
 }
 

@@ -5,6 +5,7 @@
  * counts, backpressure/priority/deadline behaviour, the JSON parser,
  * the qassertd wire protocol, and the serve loop over a real socket.
  */
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdio>
@@ -24,6 +25,7 @@
 #include "circuit/hash.hpp"
 #include "common/error.hpp"
 #include "common/net.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/runner.hpp"
 #include "linalg/states.hpp"
@@ -338,18 +340,18 @@ digestSpecs()
         add(std::string("program_") + policyName(policy), program, 15);
     }
 
-    JobSpec sampled;
+    // A noisy auto-asserted GHZ-3 under retry: flagged shots are redrawn.
+    JobSpec retry;
     QuantumCircuit ghz(3, 3);
     ghz.h(0);
     ghz.cx(0, 1);
     ghz.cx(1, 2);
     ghz.measureAll();
-    sampled.circuit = ghz;
-    sampled.auto_assert = true;
-    sampled.assert_lowering = acomp::LoweringRequest::kPauliSample;
-    sampled.noise = NoiseModel::depolarizing(0.01, 0.02);
-    sampled.policy = AssertionPolicy::kRetry;
-    add("auto_assert_pauli_sample", sampled, 16);
+    retry.circuit = ghz;
+    retry.auto_assert = true;
+    retry.noise = NoiseModel::depolarizing(0.01, 0.02);
+    retry.policy = AssertionPolicy::kRetry;
+    add("auto_assert_retry", retry, 16);
 
     JobSpec density;
     density.circuit = layeredMeasured(4, 2, 9);
@@ -450,7 +452,7 @@ TEST(JobTest, PayloadDigestsMatchPinnedValues)
         {"program_discard", "c7cf7b3c95bfbd177df2c86fe94b08dd"},
         {"program_retry", "a6fadfd8be5f18148c7ca16df440350b"},
         {"program_repair", "6484fec940779a72c193bcdf7ff20e7c"},
-        {"auto_assert_pauli_sample", "f8282e1c96a63acbc4b65ac6dc02e362"},
+        {"auto_assert_retry", "c57e0bc3b6f709f3f6de849749a55330"},
         {"density_melbourne", "66b6672b7dd106eaf5dab41742d88177"},
         {"stabilizer", "26051371c39bb4bdfd4ff4c7b1d565d8"},
         {"mps_chain", "d47a8ba543bec0de6d5aa77b8a3bf21e"},
@@ -472,17 +474,17 @@ TEST(JobTest, PayloadDigestsMatchPinnedValues)
 
 TEST(JobTest, ShotLoopIsThreadCountDeterministic)
 {
-    // One plain job and one multi-variant retry-policy job through the
+    // One plain job and one auto-asserted retry-policy job through the
     // one shot loop at 1, 2 and 8 threads (tier1 runs this under TSan).
     for (const auto& [name, spec] : digestSpecs()) {
-        if (name != "plain" && name != "auto_assert_pauli_sample") {
+        if (name != "plain" && name != "auto_assert_retry") {
             continue;
         }
         SCOPED_TRACE(name);
         JobSpec one = spec;
         one.num_threads = 1;
         const JobResult reference = executeJob(one);
-        EXPECT_EQ(name == "plain" ? 1 : 3, reference.assert_variants);
+        EXPECT_EQ(reference.assert_variants, 1);
         for (int threads : {2, 8}) {
             JobSpec many = spec;
             many.num_threads = threads;
@@ -870,21 +872,38 @@ TEST(WireTest, DecodesRunRequests)
 
 TEST(WireTest, RejectsBadRequests)
 {
-    const char* bad[] = {
-        R"({"op":"frobnicate"})",
-        R"({"id":"x"})",                            // run without qasm
-        R"({"qasm":"OPENQASM 2.0; qreg q[1];","shots":0})",
-        R"({"qasm":"OPENQASM 2.0; qreg q[1];","assert_clbits":3})",
-        R"({"qasm":"OPENQASM 2.0; qreg q[1];","noise":"saturn"})",
-        R"({"qasm":12})",
+    // Each document, and a fragment its message must carry ("" = any).
+    const std::pair<const char*, const char*> bad[] = {
+        {R"({"op":"frobnicate"})", ""},
+        {R"({"id":"x"})", ""}, // run without qasm
+        {R"({"qasm":"OPENQASM 2.0; qreg q[1];","shots":0})", ""},
+        {R"({"qasm":"OPENQASM 2.0; qreg q[1];","assert_clbits":3})", ""},
+        {R"({"qasm":"OPENQASM 2.0; qreg q[1];","noise":"saturn"})", ""},
+        {R"({"qasm":12})", ""},
+        // Integers past the int range are refused, not wrapped.
+        {R"({"qasm":"OPENQASM 2.0; qreg q[1]; creg c[1];","shots":8,)"
+         R"("mps_chi":4294967301})",
+         "mps_chi"},
+        {R"({"qasm":"OPENQASM 2.0; qreg q[1]; creg c[1];","shots":8,)"
+         R"("assert_clbits":[[4294967296]]})",
+         "assert_clbits"},
+        {R"({"qasm":"OPENQASM 2.0; qreg q[1]; creg c[1];",)"
+         R"("shots":4294967304})",
+         "shots"},
+        {R"({"qasm":"OPENQASM 2.0; qreg q[1];","auto_assert":true,)"
+         R"("assert_lowering":"pauli_sample"})",
+         "(expected auto|swap|or|ndd|pauli)"},
     };
-    for (const char* doc : bad) {
+    for (const auto& [doc, needle] : bad) {
         SCOPED_TRACE(doc);
         try {
             parseRequest(doc);
             FAIL() << "expected a bad-request rejection";
         } catch (const UserError& err) {
             EXPECT_EQ(err.code(), ErrorCode::kBadRequest);
+            EXPECT_NE(std::string(err.what()).find(needle),
+                      std::string::npos)
+                << err.what();
         }
     }
 
@@ -895,6 +914,17 @@ TEST(WireTest, RejectsBadRequests)
     } catch (const UserError& err) {
         EXPECT_EQ(err.code(), ErrorCode::kQasmSyntax);
     }
+}
+
+TEST(WireTest, CapsThreadsAtTheCoreCount)
+{
+    // Parsed only: a job asking for a million threads is never run.
+    const WireRequest many = parseRequest(
+        R"({"qasm":"OPENQASM 2.0; qreg q[1];","threads":1000000})");
+    EXPECT_EQ(many.spec.num_threads, kernelThreads());
+    const WireRequest two = parseRequest(
+        R"({"qasm":"OPENQASM 2.0; qreg q[1];","threads":2})");
+    EXPECT_EQ(two.spec.num_threads, std::min(2, kernelThreads()));
 }
 
 TEST(WireTest, RejectsUnknownFieldsByName)

@@ -16,8 +16,8 @@
  * printed is the one every routed dense run executes; it has no
  * switches. --auto-assert
  * runs the assertion compiler over the raw circuit first and prints
- * the per-slot lowering table (form, ancillas, gates, sub-circuits)
- * before routing the instrumented variant; --lowering pins the form.
+ * the per-slot lowering table (form, ancillas, gates, generators)
+ * before routing the instrumented circuit; --lowering pins the form.
  */
 #include <cstdlib>
 #include <fstream>
@@ -45,7 +45,7 @@ usage(int code)
                  "statevector|density_matrix|stabilizer|mps]\n"
                  "                  [--chi N] [--mps-tol X]\n"
                  "                  [--auto-assert] [--lowering auto|swap|"
-                 "or|ndd|pauli|pauli_sample]\n"
+                 "or|ndd|pauli]\n"
                  "FILE is a QASM circuit, or - for stdin; prints the "
                  "backend routing decision\n"
                  "and the fusion plan every dense run uses, without "
