@@ -12,7 +12,7 @@
 # run and resolved by the one worker that popped it; stop() cancels what
 # is still queued and joins every worker), and the one shot loop every
 # backend and policy shares (JobTest.ShotLoopIsThreadCountDeterministic
-# drives a plain job and the auto-assert retry job through it at 1, 2
+# drives a plain job and the auto-assert discard job through it at 1, 2
 # and 8 threads) — under TSAN, and an ASan+UBSan build
 # (QA_ENABLE_ASAN=ON) that runs the fault-injection, recovery-policy,
 # service, backend, MPS, assertion-compiler, resilience, and fleet

@@ -5,7 +5,7 @@
  * A Backend turns (circuit, options, the router's analysis) into a
  * PreparedCircuit — the shot-invariant work done once — and a
  * PreparedCircuit hands out ShotSamplers — the per-worker mutable
- * scratch — so one pooled shot loop (runShotLoop) can drive any backend
+ * scratch — so one pooled shot loop (runPrepared) can drive any backend
  * with the engine's counter-based RNG streams. There is one Backend
  * class; its kind selects one of four prepare functions, each in its
  * own translation unit under src/backend/, and every prepared circuit
@@ -134,44 +134,14 @@ class Backend
 const Backend& backendFor(BackendKind kind);
 
 /**
- * How the shot loop treats assertion slots (a shot flags slot i when a
- * bit of slot_clbits[i] reads '1'); core/runner.hpp maps each policy
- * onto these. Attempt a of shot s draws Rng::forStream(seed,
- * s * attempts + a); a flagged attempt is redrawn while attempts last.
- */
-struct ShotRules
-{
-    std::vector<std::vector<int>> slot_clbits;
-    int attempts = 1;
-    bool keep_flagged = false; ///< Keep a shot whose last attempt flags.
-    bool stop_on_flag = false; ///< Serial, stop at the first flag.
-};
-
-/** What one shot loop produced. */
-struct ShotTally
-{
-    /** Kept shots over every classical bit (truncated by a deadline). */
-    Counts kept;
-
-    std::vector<long> slot_errors; ///< First-attempt flags per slot.
-    long passed = 0;   ///< Shots whose first attempt flagged nothing.
-    long retries = 0;  ///< Attempts redrawn after a flagged one.
-    int completed = 0; ///< Shots whose first attempt ran.
-};
-
-/**
- * The one shot loop every run goes through. Every shot executes
- * `prepared` with one sampler per worker, created on first use. Shots
- * are independent bodies keyed by their index, so the tally is
- * bit-identical for any options.num_threads; options.deadline_ms
- * truncates cooperatively (partial tally flagged `truncated`).
- */
-ShotTally runShotLoop(const PreparedCircuit& prepared,
-                      const ShotRules& rules, const SimOptions& options);
-
-/**
- * runShotLoop over one prepared circuit with default rules: the counts
- * of every completed shot, Rng::forStream(seed, shot) per shot.
+ * The one shot loop every run goes through: shot s executes `prepared`
+ * on its own stream, Rng::forStream(options.seed, s), with one sampler
+ * per worker created on first use, and every completed shot lands in
+ * the returned histogram. Shots are independent bodies keyed by their
+ * index, so the counts are bit-identical for any options.num_threads;
+ * options.deadline_ms truncates cooperatively (the partial histogram is
+ * flagged `truncated`). Assertion slots are read afterwards, from the
+ * histogram (core/runner.hpp postSelect).
  */
 Counts runPrepared(const PreparedCircuit& prepared,
                    const SimOptions& options);

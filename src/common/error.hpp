@@ -34,7 +34,8 @@ enum class ErrorCode
     kUnsupportedFault,  ///< Fault kind not applicable to the site.
     kInvalidNoiseModel, ///< Noise model failed validate-on-use.
     kPolicyUnsupported, ///< Recovery policy incompatible with the slots.
-    kPolicyExhausted,   ///< Bounded retries used up without a pass.
+    kPolicyExhausted,   ///< Raised by nothing since the retry policy
+                        ///< went; kept so later codes keep their values.
     kQasmSyntax,        ///< Malformed QASM input.
     kDeadlineExpired,   ///< Deadline elapsed before any work completed.
     kQueueFull,         ///< Service admission queue at capacity.

@@ -2,7 +2,6 @@
 
 #include "backend/backend.hpp"
 #include "common/error.hpp"
-#include "sim/engine.hpp"
 #include "sim/exact.hpp"
 
 namespace qa
@@ -11,79 +10,117 @@ namespace qa
 namespace
 {
 
-/** True if every listed clbit reads '0' in the bitstring. */
+/** True when some bit of `slot` reads '1' in `bits`: the slot flagged. */
 bool
-allZero(const std::string& bits, const std::vector<int>& clbits)
+flags(const std::string& bits, const std::vector<int>& slot)
 {
-    for (int c : clbits) {
-        if (bits[c] != '0') return false;
+    for (int c : slot) {
+        if (bits[size_t(c)] != '0') return true;
+    }
+    return false;
+}
+
+/** True when no slot flags in `bits`. */
+bool
+passes(const std::string& bits, const std::vector<std::vector<int>>& slots)
+{
+    for (const std::vector<int>& slot : slots) {
+        if (flags(bits, slot)) return false;
     }
     return true;
 }
 
-/** Restrict a raw bitstring to the program clbits, in order. */
-std::string
-programBits(const std::string& bits, const std::vector<int>& prog_bits)
+/**
+ * `counts` restricted to `clbits`: a list naming every clbit in order
+ * (plain circuits) marginalizes to the histogram itself.
+ */
+Counts
+programMarginal(const Counts& counts, const std::vector<int>& clbits)
 {
-    std::string reduced;
-    reduced.reserve(prog_bits.size());
-    for (int c : prog_bits) reduced.push_back(bits[c]);
-    return reduced;
+    bool identity = counts.map.empty() ||
+                    clbits.size() == counts.map.begin()->first.size();
+    for (size_t i = 0; identity && i < clbits.size(); ++i) {
+        identity = clbits[i] == int(i);
+    }
+    return identity ? counts : marginalCounts(counts, clbits);
 }
 
 } // namespace
 
+PostSelection
+postSelect(Counts all, const std::vector<std::vector<int>>& slot_clbits,
+           const std::vector<int>& program_clbits)
+{
+    const int shots = all.shots;
+    std::vector<long> flagged(slot_clbits.size(), 0);
+    for (auto it = all.map.begin(); it != all.map.end();) {
+        bool any = false;
+        for (size_t i = 0; i < slot_clbits.size(); ++i) {
+            if (flags(it->first, slot_clbits[i])) {
+                flagged[i] += it->second;
+                any = true;
+            }
+        }
+        if (any) {
+            all.shots -= it->second;
+            it = all.map.erase(it);
+        } else {
+            ++it;
+        }
+    }
+
+    PostSelection out;
+    out.slot_error_rate.assign(slot_clbits.size(), 0.0);
+    if (shots > 0) {
+        for (size_t i = 0; i < slot_clbits.size(); ++i) {
+            out.slot_error_rate[i] = double(flagged[i]) / double(shots);
+        }
+        out.pass_rate = double(all.shots) / double(shots);
+    }
+    out.program_passed = programMarginal(all, program_clbits);
+    out.passed = std::move(all);
+    return out;
+}
+
 AssertionOutcome
 runAsserted(const AssertedProgram& program, const SimOptions& options)
 {
+    const PolicyJob job = policyJob(program);
     AssertionOutcome outcome;
     outcome.raw = runShots(program.circuit(), options);
-
-    for (const AssertedProgram::Slot& slot : program.slots()) {
-        outcome.slot_error_rate.push_back(outcome.raw.fraction(
-            [&](const std::string& bits) {
-                return !allZero(bits, slot.clbits);
-            }));
-    }
-    const std::vector<int> assertion_bits = program.assertionClbits();
-    outcome.pass_rate = outcome.raw.fractionAllZero(assertion_bits);
-
-    const std::vector<int>& prog_bits = program.programClbits();
-    outcome.program_counts = marginalCounts(outcome.raw, prog_bits);
-
-    outcome.program_counts_passed = marginalCounts(
-        filterCounts(outcome.raw,
-                     [&](const std::string& bits) {
-                         return allZero(bits, assertion_bits);
-                     }),
-        prog_bits);
+    outcome.program_counts = marginalCounts(outcome.raw, job.program_clbits);
+    PostSelection selected =
+        postSelect(outcome.raw, job.slot_clbits, job.program_clbits);
+    outcome.slot_error_rate = std::move(selected.slot_error_rate);
+    outcome.pass_rate = selected.pass_rate;
+    outcome.program_counts_passed = std::move(selected.program_passed);
     return outcome;
 }
 
 AssertionOutcomeExact
 runAssertedExact(const AssertedProgram& program, const NoiseModel* noise)
 {
+    const PolicyJob job = policyJob(program);
     AssertionOutcomeExact outcome;
     outcome.raw = exactDistribution(program.circuit(), noise);
 
-    for (const AssertedProgram::Slot& slot : program.slots()) {
+    for (const std::vector<int>& slot : job.slot_clbits) {
         outcome.slot_error_prob.push_back(outcome.raw.mass(
-            [&](const std::string& bits) {
-                return !allZero(bits, slot.clbits);
-            }));
+            [&](const std::string& bits) { return flags(bits, slot); }));
     }
-    const std::vector<int> assertion_bits = program.assertionClbits();
-    outcome.pass_prob = outcome.raw.allZero(assertion_bits);
-
-    const std::vector<int>& prog_bits = program.programClbits();
-    outcome.program_dist = marginalDistribution(outcome.raw, prog_bits);
+    const auto pass = [&](const std::string& bits) {
+        return passes(bits, job.slot_clbits);
+    };
+    outcome.pass_prob = outcome.raw.mass(pass);
+    outcome.program_dist =
+        marginalDistribution(outcome.raw, job.program_clbits);
 
     Distribution passed;
     for (const auto& [bits, p] : outcome.raw.probs) {
-        if (!allZero(bits, assertion_bits)) continue;
-        passed.probs[programBits(bits, prog_bits)] += p;
+        if (pass(bits)) passed.probs.emplace(bits, p);
     }
-    outcome.program_dist_passed = std::move(passed);
+    outcome.program_dist_passed =
+        marginalDistribution(passed, job.program_clbits);
     return outcome;
 }
 
@@ -91,9 +128,7 @@ const char*
 policyName(AssertionPolicy policy)
 {
     switch (policy) {
-      case AssertionPolicy::kAbort:   return "abort";
       case AssertionPolicy::kDiscard: return "discard";
-      case AssertionPolicy::kRetry:   return "retry";
       case AssertionPolicy::kRepair:  return "repair";
     }
     return "unknown";
@@ -119,71 +154,38 @@ runPolicy(const PolicyJob& job, const backend::Route& route,
 {
     QA_REQUIRE(job.circuit != nullptr, "policy job needs a circuit");
     QA_REQUIRE(options.shots > 0, "need a positive shot count");
-    QA_REQUIRE(popts.max_attempts >= 1, "max_attempts must be >= 1");
-    QA_REQUIRE_CODE(popts.policy != AssertionPolicy::kRepair ||
-                        job.repair_supported,
+    const bool repair = popts.policy == AssertionPolicy::kRepair;
+    QA_REQUIRE_CODE(!repair || job.repair_supported,
                     ErrorCode::kPolicyUnsupported,
                     "repair policy requires slots that restore the "
                     "asserted state (SWAP-based designs)");
     const std::shared_ptr<const backend::PreparedCircuit> prepared =
         backend::prepareRouted(*job.circuit, options, route);
-
-    backend::ShotRules rules;
-    rules.slot_clbits = job.slot_clbits;
-    rules.attempts = popts.policy == AssertionPolicy::kRetry
-                         ? popts.max_attempts
-                         : 1;
-    rules.keep_flagged = popts.policy == AssertionPolicy::kRepair;
-    rules.stop_on_flag = popts.policy == AssertionPolicy::kAbort;
-    backend::ShotTally tally =
-        backend::runShotLoop(*prepared, rules, options);
+    Counts all = backend::runPrepared(*prepared, options);
 
     PolicyOutcome out;
     out.policy = popts.policy;
     out.backend = route.choice;
     out.mps_truncation_error = prepared->truncationError();
     out.shots_requested = options.shots;
-    out.shots_completed = tally.completed;
-    out.shots_accepted = tally.kept.shots;
-    out.truncated = tally.kept.truncated;
-    out.retries = int(tally.retries);
-    // Each policy drops (or keeps) flagged shots in one way only, so the
-    // counts below follow from completed, accepted and passed shots.
-    const int flagged_out = out.shots_completed - out.shots_accepted;
-    switch (popts.policy) {
-      case AssertionPolicy::kAbort:
-        out.aborted = flagged_out > 0;
-        if (out.aborted) out.abort_shot = out.shots_completed - 1;
-        break;
-      case AssertionPolicy::kRetry:
-        out.exhausted = flagged_out;
-        break;
-      case AssertionPolicy::kRepair:
-        out.repaired = out.shots_completed - int(tally.passed);
-        break;
-      case AssertionPolicy::kDiscard:
-        break;
+    out.shots_completed = all.shots;
+    out.truncated = all.truncated;
+    PostSelection selected;
+    if (repair) {
+        // Every shot is accepted: the slots re-prepared the state.
+        selected = postSelect(all, job.slot_clbits, job.program_clbits);
+        out.repaired = all.shots - selected.passed.shots;
+        out.program_counts = marginalCounts(all, job.program_clbits);
+        out.raw = std::move(all);
+    } else {
+        selected =
+            postSelect(std::move(all), job.slot_clbits, job.program_clbits);
+        out.program_counts = std::move(selected.program_passed);
+        out.raw = std::move(selected.passed);
     }
-    out.slot_error_rate.assign(job.slot_clbits.size(), 0.0);
-    if (tally.completed > 0) {
-        for (size_t i = 0; i < job.slot_clbits.size(); ++i) {
-            out.slot_error_rate[i] = double(tally.slot_errors[i]) /
-                                     double(tally.completed);
-        }
-        out.pass_rate = double(tally.passed) / double(tally.completed);
-    }
-
-    // A program-clbit list naming every clbit in order (plain circuits)
-    // marginalizes to the raw histogram itself.
-    bool identity =
-        int(job.program_clbits.size()) == job.circuit->numClbits();
-    for (size_t i = 0; identity && i < job.program_clbits.size(); ++i) {
-        identity = job.program_clbits[i] == int(i);
-    }
-    out.program_counts = identity
-                             ? tally.kept
-                             : marginalCounts(tally.kept, job.program_clbits);
-    out.raw = std::move(tally.kept);
+    out.shots_accepted = out.raw.shots;
+    out.slot_error_rate = std::move(selected.slot_error_rate);
+    out.pass_rate = selected.pass_rate;
     return out;
 }
 

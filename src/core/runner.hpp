@@ -4,6 +4,12 @@
  * exact, with or without noise), compute per-slot assertion-error rates,
  * and post-select the program's outcomes on assertion success — the
  * error-filtering use of assertions the paper measures in Sec. IX-B.
+ *
+ * Every sampled run executes each shot once, on its own stream
+ * (backend::runPrepared), and reads its slots afterwards from the
+ * all-shot histogram through one function, postSelect. runAsserted,
+ * runPolicy and the service's plain assert_clbits path all call it; the
+ * two policies are two views of the histogram it returns.
  */
 #ifndef QA_CORE_RUNNER_HPP
 #define QA_CORE_RUNNER_HPP
@@ -16,6 +22,35 @@
 
 namespace qa
 {
+
+/**
+ * One all-shot histogram read through its assertion slots. A shot flags
+ * slot i when a bit of slot i reads '1', and passes when it flags no
+ * slot.
+ */
+struct PostSelection
+{
+    /** Fraction of shots flagging each slot (0 when no shot ran). */
+    std::vector<double> slot_error_rate;
+
+    /** Fraction of shots flagging no slot (1 when no shot ran). */
+    double pass_rate = 1.0;
+
+    /** The passing shots over every classical bit. */
+    Counts passed;
+
+    /** `passed` restricted to the program clbits, in order. */
+    Counts program_passed;
+};
+
+/**
+ * Post-select `all` on `slot_clbits`: the flagged entries are erased
+ * from `all` in place, which becomes `passed`. Rates are shares of
+ * `all.shots`.
+ */
+PostSelection postSelect(Counts all,
+                         const std::vector<std::vector<int>>& slot_clbits,
+                         const std::vector<int>& program_clbits);
 
 /** Sampled (shot-based) assertion run report. */
 struct AssertionOutcome
@@ -59,22 +94,14 @@ AssertionOutcomeExact runAssertedExact(const AssertedProgram& program,
                                        const NoiseModel* noise = nullptr);
 
 /**
- * Reaction to a failing assertion slot during a shot run. The paper's
- * evaluation only post-selects (Sec. IX-B error filtering); a hardened
- * runner needs the full range from fail-fast to self-repair.
+ * Which shots of a run a policy accepts. Both policies run the same
+ * shots; they differ only in the view of the one histogram they report.
  */
 enum class AssertionPolicy
 {
-    /** Stop the run at the first shot with a flagged slot. */
-    kAbort,
-
     /** Post-select: drop flagged shots from the program output (the
      *  paper's Sec. IX-B filtering; the default). */
     kDiscard,
-
-    /** Re-execute a flagged shot with fresh per-attempt randomness up
-     *  to a bounded attempt count; discard if every attempt flags. */
-    kRetry,
 
     /** Keep flagged shots: valid when every slot uses the SWAP-based
      *  design, which re-prepares the asserted state on the tested
@@ -91,15 +118,18 @@ struct PolicyOptions
 {
     AssertionPolicy policy = AssertionPolicy::kDiscard;
 
-    /** Total attempts per shot under kRetry (>= 1). */
+    /**
+     * Read by nothing: kept so perfbench/cpp/trace.cpp, which assigns
+     * it, still compiles (ROADMAP item 10).
+     */
     int max_attempts = 3;
 };
 
 /**
  * Shot-level report of a policy run. Detector statistics
- * (slot_error_rate, pass_rate) are always measured on the first attempt
- * of each completed shot; the policy only decides which shots reach the
- * accepted program output.
+ * (slot_error_rate, pass_rate) are measured over every completed shot;
+ * the policy only decides which shots reach the accepted program
+ * output.
  */
 struct PolicyOutcome
 {
@@ -111,34 +141,22 @@ struct PolicyOutcome
     /** Accepted shots' full raw histogram (every classical bit). */
     Counts raw;
 
-    /** First-attempt fraction of completed shots flagging each slot. */
+    /** Fraction of completed shots flagging each slot. */
     std::vector<double> slot_error_rate;
 
-    /** First-attempt fraction of completed shots with no flagged slot. */
+    /** Fraction of completed shots with no flagged slot. */
     double pass_rate = 1.0;
 
     int shots_requested = 0;
 
-    /** Shots whose first attempt executed (deadline may truncate). */
+    /** Shots that executed (a deadline may truncate). */
     int shots_completed = 0;
 
     /** Shots contributing to program_counts / raw. */
     int shots_accepted = 0;
 
-    /** Extra attempts consumed under kRetry. */
-    int retries = 0;
-
-    /** kRetry shots discarded after max_attempts flagged attempts. */
-    int exhausted = 0;
-
     /** kRepair shots kept despite at least one flagged slot. */
     int repaired = 0;
-
-    /** True when kAbort stopped the run early. */
-    bool aborted = false;
-
-    /** First failing shot index under kAbort (-1 otherwise). */
-    int abort_shot = -1;
 
     /** True when the deadline cancelled the run before all shots ran. */
     bool truncated = false;
@@ -178,7 +196,9 @@ PolicyJob policyJob(const AssertedProgram& program);
 /**
  * Run a policy job. `route` is the route of job.circuit under `options`
  * (backend::route); the circuit is prepared on its backend, reusing its
- * analysis. Throws UserError(kBadRequest) when an explicitly requested
+ * analysis, every shot runs once (backend::runPrepared), and the
+ * histogram is post-selected (postSelect). kDiscard accepts the passed
+ * shots, kRepair every shot. Throws UserError(kBadRequest) when an explicitly requested
  * backend cannot run it, and UserError(kPolicyUnsupported) for kRepair
  * without repair_supported.
  */
@@ -187,12 +207,11 @@ PolicyOutcome runPolicy(const PolicyJob& job, const backend::Route& route,
                         const PolicyOptions& policy);
 
 /**
- * Run the program's circuit shot by shot, reacting to flagged assertion
- * slots per `policy`. Seeded runs are bit-identical for any thread
- * count (per-shot/per-attempt counter-based RNG streams) unless
- * truncated by options.deadline_ms. kRepair requires every slot to use
- * the SWAP-based design and throws UserError
- * (ErrorCode::kPolicyUnsupported) otherwise.
+ * Run the program's circuit shot by shot and report the shots `policy`
+ * accepts. Seeded runs are bit-identical for any thread count (per-shot
+ * counter-based RNG streams) unless truncated by options.deadline_ms.
+ * kRepair requires every slot to use the SWAP-based design and throws
+ * UserError (ErrorCode::kPolicyUnsupported) otherwise.
  */
 PolicyOutcome runAssertedPolicy(const AssertedProgram& program,
                                 const SimOptions& options,

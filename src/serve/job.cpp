@@ -15,51 +15,6 @@ namespace serve
 namespace
 {
 
-/** True when every classical bit of every slot reads '0' in `bits`. */
-bool
-allSlotsPass(const std::string& bits,
-             const std::vector<std::vector<int>>& slots)
-{
-    for (const std::vector<int>& slot : slots) {
-        for (int c : slot) {
-            if (bits[size_t(c)] != '0') return false;
-        }
-    }
-    return true;
-}
-
-/**
- * Plain-circuit assertion slots read after the run: per-slot error
- * rates and the pass rate over every completed shot in result.counts,
- * and program_counts post-selected on every slot passing, restricted to
- * the clbits no slot owns.
- */
-void
-postSelect(JobResult& result, const std::vector<std::vector<int>>& slots,
-           int num_clbits)
-{
-    const Counts& raw = result.counts;
-    result.slot_error_rate.clear();
-    for (const std::vector<int>& slot : slots) {
-        result.slot_error_rate.push_back(1.0 - raw.fractionAllZero(slot));
-    }
-    const auto pass = [&](const std::string& bits) {
-        return allSlotsPass(bits, slots);
-    };
-    result.pass_rate = raw.fraction(pass);
-
-    std::vector<bool> is_assert(size_t(num_clbits), false);
-    for (const std::vector<int>& slot : slots) {
-        for (int c : slot) is_assert[size_t(c)] = true;
-    }
-    std::vector<int> program_bits;
-    for (int c = 0; c < num_clbits; ++c) {
-        if (!is_assert[size_t(c)]) program_bits.push_back(c);
-    }
-    result.program_counts =
-        marginalCounts(filterCounts(raw, pass), program_bits);
-}
-
 /**
  * The policy job of a plain circuit: no slots, every clbit
  * a program bit. Validates the assert_clbits slots read afterwards.
@@ -91,6 +46,21 @@ plainJob(const JobSpec& spec)
     job.circuit = &spec.circuit;
     for (int c = 0; c < num_clbits; ++c) job.program_clbits.push_back(c);
     return job;
+}
+
+/** The clbits of a plain circuit that no assert_clbits slot owns. */
+std::vector<int>
+unslottedClbits(const JobSpec& spec)
+{
+    std::vector<bool> owned(size_t(spec.circuit.numClbits()), false);
+    for (const std::vector<int>& slot : spec.assert_clbits) {
+        for (int c : slot) owned[size_t(c)] = true;
+    }
+    std::vector<int> clbits;
+    for (int c = 0; c < spec.circuit.numClbits(); ++c) {
+        if (!owned[size_t(c)]) clbits.push_back(c);
+    }
+    return clbits;
 }
 
 /** The SimOptions a spec executes (and routes) under. */
@@ -142,7 +112,6 @@ jobKey(const JobSpec& spec)
         stream.u64(prog_clbits.size());
         for (int c : prog_clbits) stream.i64(c);
         stream.i64(int64_t(spec.policy));
-        stream.i64(spec.max_attempts);
     } else {
         stream.u64(0);
         absorbCircuit(stream, spec.circuit);
@@ -160,7 +129,6 @@ jobKey(const JobSpec& spec)
         if (spec.auto_assert) {
             stream.i64(int64_t(spec.assert_lowering));
             stream.i64(int64_t(spec.policy));
-            stream.i64(spec.max_attempts);
         }
     }
     const Hash128 noise = spec.noise.fingerprint();
@@ -215,8 +183,8 @@ executeJob(const JobSpec& spec)
 
     // Reduce the spec to one policy job. Plain circuits run under
     // discard with no slots, so every shot is kept: their assert_clbits
-    // slots are read afterwards, and `counts` covers every completed
-    // shot.
+    // slots are read afterwards from that histogram, by the same
+    // postSelect the policy run uses.
     const bool plain = spec.program == nullptr && !plan.compiled;
     PolicyJob job;
     PolicyOptions popts;
@@ -226,7 +194,6 @@ executeJob(const JobSpec& spec)
         job = plan.compiled ? acomp::policyJob(*plan.compiled)
                             : policyJob(*spec.program);
         popts.policy = spec.policy;
-        popts.max_attempts = spec.max_attempts;
     }
     PolicyOutcome outcome =
         runPolicy(job, plan.route, specOptions(spec), popts);
@@ -242,7 +209,13 @@ executeJob(const JobSpec& spec)
     result.mps_truncation_error = outcome.mps_truncation_error;
     if (plan.compiled) result.assertions = plan.compiled->slots;
     if (plain && !spec.assert_clbits.empty()) {
-        postSelect(result, spec.assert_clbits, spec.circuit.numClbits());
+        // `counts` keeps every completed shot; program_counts is the
+        // passing shots over the clbits no slot owns.
+        PostSelection selected = postSelect(
+            result.counts, spec.assert_clbits, unslottedClbits(spec));
+        result.slot_error_rate = std::move(selected.slot_error_rate);
+        result.pass_rate = selected.pass_rate;
+        result.program_counts = std::move(selected.program_passed);
     }
     return result;
 }

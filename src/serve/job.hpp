@@ -4,10 +4,14 @@
  * comes back (JobResult), the canonical cache key over a spec, and the
  * pure execution function the scheduler workers dispatch.
  *
+ * Every job shape (plain circuit, AssertedProgram, auto_assert) runs
+ * each shot once through the one shot loop and reads its assertion
+ * slots from that histogram with core/runner.hpp's postSelect.
+ *
  * Determinism contract: executeJob is a pure function of the spec —
- * every stochastic draw comes from counter-based per-shot RNG streams
- * seeded by `spec.seed` (sim/engine.hpp) — so a job's result is
- * bit-identical regardless of which worker runs it, how many workers
+ * shot s draws only from the counter-based stream
+ * Rng::forStream(spec.seed, s) (backend::runPrepared) — so a job's
+ * result is bit-identical regardless of which worker runs it, how many workers
  * the scheduler has, or the order jobs arrive in. The only exception is
  * a deadline truncation (which shots finish depends on wall-clock
  * timing); truncated results are therefore never cached.
@@ -54,9 +58,8 @@ struct JobSpec
 
     /**
      * Policy-aware path for in-process callers: when set, the job runs
-     * runAssertedPolicy over the program (full abort/discard/retry/
-     * repair support) instead of plain shot sampling. Shared so queued
-     * copies of a job stay cheap.
+     * runAssertedPolicy over the program (discard or repair) instead of
+     * plain shot sampling. Shared so queued copies of a job stay cheap.
      */
     std::shared_ptr<const AssertedProgram> program;
 
@@ -64,15 +67,20 @@ struct JobSpec
      * Assertion slots for the plain-circuit path: each inner vector
      * lists the classical bits of one slot (|0...0> = pass). The result
      * reports per-slot error rates and a histogram post-selected on
-     * every slot passing. Only AssertionPolicy::kDiscard semantics are
-     * available on this path; use `program` for the rest.
+     * every slot passing (core/runner.hpp postSelect), with `counts`
+     * over every shot. Only AssertionPolicy::kDiscard is accepted on
+     * this path; repair needs a `program` whose slots are all SWAP.
      */
     std::vector<std::vector<int>> assert_clbits;
 
     /** Recovery policy (program path; plain path must use kDiscard). */
     AssertionPolicy policy = AssertionPolicy::kDiscard;
 
-    /** Attempt budget per shot under AssertionPolicy::kRetry. */
+    /**
+     * Read by nothing and absent from jobKey: kept so
+     * perfbench/cpp/trace.cpp, which assigns it, still compiles
+     * (ROADMAP item 10).
+     */
     int max_attempts = 3;
 
     /** Gate/readout noise; applied when enabled(). */

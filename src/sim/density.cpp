@@ -83,14 +83,15 @@ DensityState::applyGate(const Instruction& instr, const NoiseModel* noise)
 void
 DensityState::applyKraus(const KrausChannel& channel, int q)
 {
-    CMatrix result(rho_.rows(), rho_.cols());
-    for (const CMatrix& k : channel.ops()) {
-        CMatrix term = rho_;
-        applyAxis(term, k, {q}, num_qubits_, 0);
-        applyAxis(term, k.conjugate(), {q}, num_qubits_, 1);
-        result += term;
-    }
-    rho_ = std::move(result);
+    // rho'(r, c) = sum_k sum_{r', c'} K_k(r, r') conj(K_k(c, c'))
+    // rho(r', c') on qubit q's row and column bits: one 4x4
+    // superoperator S = sum_k K_k (x) conj(K_k) over (row bit, column
+    // bit), applied in place in one sweep of the flat rho.
+    CMatrix super(4, 4);
+    for (const CMatrix& k : channel.ops()) super += kron(k, k.conjugate());
+    const int pos[2] = {2 * num_qubits_ - 1 - q, num_qubits_ - 1 - q};
+    const uint64_t dim = uint64_t(rho_.rows()) * rho_.cols();
+    applyDenseKernel(&rho_(0, 0), dim, super, pos, 2, true);
 }
 
 double

@@ -1,8 +1,8 @@
 /**
  * @file
  * Shot-execution engine primitives shared by every simulation backend
- * (backend/backend.hpp) and the shot-level code built on them (the
- * assertion-policy runner, the fault-injection campaign).
+ * (backend/backend.hpp) and the one shot loop built on them
+ * (backend::runPrepared).
  *
  * Three cooperating pieces (see DESIGN.md, "Execution engine"):
  *  1. shot planning (analyzeShotPlan): the instructions before the first
@@ -12,11 +12,12 @@
  *     remaining instruction is a terminal measurement and no Kraus
  *     channel is active, per-shot evolution is skipped entirely and the
  *     final distribution is sampled directly.
- *  2. runShotPool: the multi-threaded shot loop with counter-based
- *     per-shot RNG streams (Rng::forStream), first-worker-exception
- *     propagation, and deadline-based cancellation that returns partial
- *     results flagged `truncated` instead of running unbounded. Every
- *     run goes through it once, via backend::runShotLoop.
+ *  2. runShotPool: the multi-threaded shot loop with first-worker-
+ *     exception propagation and deadline-based cancellation that
+ *     returns partial results flagged `truncated` instead of running
+ *     unbounded. Every run goes through it once, via
+ *     backend::runPrepared, which draws shot s from the counter-based
+ *     stream Rng::forStream(seed, s) and nothing else.
  *  3. O(log d) sampling from a cumulative-weight table built once per
  *     cached state (SampleTable).
  */

@@ -63,6 +63,21 @@ class PauliString
     int phase_ = 0;
 };
 
+/**
+ * Phase exponent contribution (power of i) from multiplying the
+ * single-qubit Paulis (x1, z1) * (x2, z2) (Aaronson-Gottesman g). Inline
+ * so the tableau's row products (StabilizerTableau::rowMult) keep it in
+ * their loop.
+ */
+inline int
+phaseExponent(bool x1, bool z1, bool x2, bool z2)
+{
+    if (!x1 && !z1) return 0;
+    if (x1 && z1) return (z2 ? 1 : 0) - (x2 ? 1 : 0);          // Y
+    if (x1 && !z1) return z2 ? (x2 ? 1 : -1) : 0;              // X
+    return x2 ? (z2 ? -1 : 1) : 0;                             // Z
+}
+
 } // namespace qa
 
 #endif // QA_STAB_PAULI_HPP

@@ -158,21 +158,6 @@ StabilizerTableau::applyClifford(const CliffordAction& action,
     }
 }
 
-namespace
-{
-
-/** Phase exponent of multiplying single-qubit Paulis (see pauli.cpp). */
-int
-phaseExponent(bool x1, bool z1, bool x2, bool z2)
-{
-    if (!x1 && !z1) return 0;
-    if (x1 && z1) return (z2 ? 1 : 0) - (x2 ? 1 : 0);
-    if (x1 && !z1) return z2 ? (x2 ? 1 : -1) : 0;
-    return x2 ? (z2 ? -1 : 1) : 0;
-}
-
-} // namespace
-
 void
 StabilizerTableau::rowMult(int h, int i)
 {

@@ -1,10 +1,12 @@
 /**
  * @file
- * Tests for the assertion recovery policies (abort / discard / retry /
- * repair), their determinism across thread counts, and deadline-based
- * truncation of policy runs.
+ * Tests for the assertion recovery policies (discard / repair), their
+ * agreement with the post-selected runAsserted histogram, their
+ * determinism across thread counts, and deadline-based truncation of
+ * policy runs.
  */
 #include <cmath>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -33,75 +35,68 @@ alwaysFailingSwapProgram()
     return prog;
 }
 
-/** |+> program asserting |0> with NDD: each attempt flags w.p. 1/2. */
+/** |+> program asserting |0> with `design`: each shot flags w.p. 1/2. */
 AssertedProgram
-coinFlipNddProgram()
+coinFlipProgram(AssertionDesign design)
 {
     QuantumCircuit qc(1);
     qc.h(0);
     AssertedProgram prog(qc);
     prog.assertState({0}, StateSet::pure(CVector::basisState(2, 0)),
-                     AssertionDesign::kNdd);
+                     design);
     prog.measureProgram();
     return prog;
 }
 
 TEST(PolicyTest, PolicyNamesAreStable)
 {
-    EXPECT_STREQ(policyName(AssertionPolicy::kAbort), "abort");
     EXPECT_STREQ(policyName(AssertionPolicy::kDiscard), "discard");
-    EXPECT_STREQ(policyName(AssertionPolicy::kRetry), "retry");
     EXPECT_STREQ(policyName(AssertionPolicy::kRepair), "repair");
 }
 
 TEST(PolicyTest, DiscardMatchesPostSelection)
 {
-    // kDiscard uses the same per-shot RNG streams as the plain runner,
-    // so its accepted histogram equals the post-selected histogram.
-    const AssertedProgram prog = coinFlipNddProgram();
+    // Both policies draw the same per-shot RNG streams as the plain
+    // runner: kDiscard's accepted histogram is the post-selected one,
+    // and kRepair's is the whole unfiltered one.
+    const AssertedProgram prog = coinFlipProgram(AssertionDesign::kNdd);
+    const AssertedProgram swap = coinFlipProgram(AssertionDesign::kSwap);
     SimOptions options;
     options.shots = 400;
     options.seed = 99;
 
-    const AssertionOutcome plain = runAsserted(prog, options);
-    PolicyOptions popts;
-    popts.policy = AssertionPolicy::kDiscard;
-    const PolicyOutcome out = runAssertedPolicy(prog, options, popts);
+    for (int threads : {1, 2, 8}) {
+        SCOPED_TRACE(threads);
+        options.num_threads = threads;
+        const AssertionOutcome plain = runAsserted(prog, options);
+        PolicyOptions popts;
+        popts.policy = AssertionPolicy::kDiscard;
+        const PolicyOutcome out = runAssertedPolicy(prog, options, popts);
 
-    EXPECT_EQ(out.program_counts.map, plain.program_counts_passed.map);
-    EXPECT_EQ(out.shots_completed, options.shots);
-    EXPECT_EQ(out.shots_accepted, plain.program_counts_passed.shots);
-    EXPECT_EQ(out.retries, 0);
-    EXPECT_EQ(out.repaired, 0);
-    EXPECT_FALSE(out.truncated);
-    ASSERT_EQ(out.slot_error_rate.size(), 1u);
-    EXPECT_NEAR(out.slot_error_rate[0], plain.slot_error_rate[0], 1e-12);
-}
+        EXPECT_EQ(out.program_counts.map, plain.program_counts_passed.map);
+        EXPECT_EQ(out.shots_completed, options.shots);
+        EXPECT_EQ(out.shots_accepted, plain.program_counts_passed.shots);
+        EXPECT_EQ(out.repaired, 0);
+        EXPECT_FALSE(out.truncated);
+        ASSERT_EQ(out.slot_error_rate.size(), 1u);
+        EXPECT_NEAR(out.slot_error_rate[0], plain.slot_error_rate[0],
+                    1e-12);
 
-TEST(PolicyTest, RetryIsBoundedAndAcceptsEventualPasses)
-{
-    const AssertedProgram prog = coinFlipNddProgram();
-    SimOptions options;
-    options.shots = 2000;
-    options.seed = 4242;
-    PolicyOptions popts;
-    popts.policy = AssertionPolicy::kRetry;
-    popts.max_attempts = 3;
-    const PolicyOutcome out = runAssertedPolicy(prog, options, popts);
-
-    EXPECT_EQ(out.shots_completed, options.shots);
-    EXPECT_EQ(out.shots_accepted + out.exhausted, options.shots);
-    // First attempts flag w.p. 1/2; exhaustion needs three flags in a
-    // row: mean 1/8 of shots, generous 5-sigma band.
-    EXPECT_NEAR(out.slot_error_rate[0], 0.5, 0.06);
-    EXPECT_NEAR(double(out.exhausted) / options.shots, 0.125, 0.04);
-    EXPECT_GT(out.retries, 0);
-    // Every retry follows a flagged attempt that wasn't the last.
-    EXPECT_LE(out.retries, 2 * options.shots);
-    // Accepted shots passed the |0> assertion, so the program qubit
-    // (collapsed by the NDD slot) always reads 0.
-    EXPECT_EQ(int(out.program_counts.map.at("0")), out.shots_accepted);
-    EXPECT_EQ(out.program_counts.shots, out.shots_accepted);
+        const AssertionOutcome swap_plain = runAsserted(swap, options);
+        popts.policy = AssertionPolicy::kRepair;
+        const PolicyOutcome repair = runAssertedPolicy(swap, options, popts);
+        EXPECT_EQ(repair.raw.map, swap_plain.raw.map);
+        EXPECT_EQ(repair.raw.shots, swap_plain.raw.shots);
+        EXPECT_EQ(repair.program_counts.map,
+                  swap_plain.program_counts.map);
+        EXPECT_EQ(repair.program_counts.shots, options.shots);
+        EXPECT_EQ(repair.shots_accepted, options.shots);
+        EXPECT_EQ(repair.slot_error_rate, swap_plain.slot_error_rate);
+        EXPECT_EQ(repair.pass_rate, swap_plain.pass_rate);
+        EXPECT_EQ(repair.repaired,
+                  options.shots - swap_plain.program_counts_passed.shots);
+        EXPECT_GT(repair.repaired, 0);
+    }
 }
 
 TEST(PolicyTest, RepairKeepsFlaggedShotsWithRestoredState)
@@ -146,57 +141,19 @@ TEST(PolicyTest, RepairRequiresSwapDesign)
     }
 }
 
-TEST(PolicyTest, AbortStopsAtFirstFlaggedShot)
-{
-    const AssertedProgram prog = alwaysFailingSwapProgram();
-    SimOptions options;
-    options.shots = 500;
-    options.seed = 5;
-    PolicyOptions popts;
-    popts.policy = AssertionPolicy::kAbort;
-    const PolicyOutcome out = runAssertedPolicy(prog, options, popts);
-
-    EXPECT_TRUE(out.aborted);
-    EXPECT_EQ(out.abort_shot, 0);
-    EXPECT_EQ(out.shots_completed, 1);
-    EXPECT_EQ(out.shots_accepted, 0);
-    EXPECT_EQ(out.program_counts.shots, 0);
-}
-
-TEST(PolicyTest, AbortCompletesCleanRuns)
-{
-    // GHZ asserting its own state with SWAP never flags: the abort
-    // policy runs to completion and keeps every shot.
-    AssertedProgram prog(ghzPrep(3));
-    prog.assertState({0, 1, 2}, StateSet::pure(ghzVector(3)),
-                     AssertionDesign::kSwap);
-    prog.measureProgram();
-    SimOptions options;
-    options.shots = 100;
-    options.seed = 11;
-    PolicyOptions popts;
-    popts.policy = AssertionPolicy::kAbort;
-    const PolicyOutcome out = runAssertedPolicy(prog, options, popts);
-
-    EXPECT_FALSE(out.aborted);
-    EXPECT_EQ(out.abort_shot, -1);
-    EXPECT_EQ(out.shots_completed, options.shots);
-    EXPECT_EQ(out.shots_accepted, options.shots);
-    EXPECT_NEAR(out.pass_rate, 1.0, 1e-12);
-}
-
 TEST(PolicyTest, PolicyRunsAreThreadCountInvariant)
 {
-    const AssertedProgram prog = coinFlipNddProgram();
     SimOptions options;
     options.shots = 1000;
     options.seed = 1234;
 
-    for (AssertionPolicy policy :
-         {AssertionPolicy::kDiscard, AssertionPolicy::kRetry}) {
+    const std::pair<AssertionDesign, AssertionPolicy> runs[] = {
+        {AssertionDesign::kNdd, AssertionPolicy::kDiscard},
+        {AssertionDesign::kSwap, AssertionPolicy::kRepair}};
+    for (const auto& [design, policy] : runs) {
+        const AssertedProgram prog = coinFlipProgram(design);
         PolicyOptions popts;
         popts.policy = policy;
-        popts.max_attempts = 3;
 
         options.num_threads = 1;
         const PolicyOutcome serial =
@@ -212,8 +169,7 @@ TEST(PolicyTest, PolicyRunsAreThreadCountInvariant)
                       other->program_counts.map);
             EXPECT_EQ(serial.slot_error_rate, other->slot_error_rate);
             EXPECT_EQ(serial.shots_accepted, other->shots_accepted);
-            EXPECT_EQ(serial.retries, other->retries);
-            EXPECT_EQ(serial.exhausted, other->exhausted);
+            EXPECT_EQ(serial.repaired, other->repaired);
             EXPECT_EQ(serial.pass_rate, other->pass_rate);
         }
     }
@@ -240,7 +196,6 @@ TEST(PolicyTest, ExpiredDeadlineTruncatesWithoutAborting)
 
     EXPECT_TRUE(out.truncated);
     EXPECT_LT(out.shots_completed, options.shots);
-    EXPECT_FALSE(out.aborted);
     EXPECT_EQ(out.program_counts.shots, out.shots_accepted);
     EXPECT_TRUE(out.program_counts.truncated);
     // The histogram is a valid sample of whatever completed.
@@ -251,15 +206,11 @@ TEST(PolicyTest, ExpiredDeadlineTruncatesWithoutAborting)
 
 TEST(PolicyTest, InvalidPolicyOptionsAreRejected)
 {
-    const AssertedProgram prog = coinFlipNddProgram();
+    const AssertedProgram prog = coinFlipProgram(AssertionDesign::kNdd);
     SimOptions options;
     options.shots = 0;
     EXPECT_THROW(runAssertedPolicy(prog, options, PolicyOptions{}),
                  UserError);
-    options.shots = 10;
-    PolicyOptions popts;
-    popts.max_attempts = 0;
-    EXPECT_THROW(runAssertedPolicy(prog, options, popts), UserError);
 }
 
 } // namespace

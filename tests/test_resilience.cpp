@@ -214,7 +214,7 @@ TEST(SchedulerChaosTest, PermanentErrorsDoNotBurnRetries)
     Scheduler scheduler(options);
 
     JobSpec bad = coinSpec(1);
-    bad.policy = AssertionPolicy::kRetry; // plain path: unsupported
+    bad.policy = AssertionPolicy::kRepair; // plain path: unsupported
     const JobResult unsupported = scheduler.submit(std::move(bad)).get();
     EXPECT_EQ(int(unsupported.status), int(JobStatus::kFailed));
     EXPECT_EQ(unsupported.error_code, ErrorCode::kPolicyUnsupported);

@@ -193,15 +193,22 @@ TEST(JobTest, PlainPathPostSelectsOnSlots)
         EXPECT_EQ(bits.size(), 1u); // clbit 1 only
         (void)n;
     }
+
+    // At any shot count a slot's rate is its flagged share of the shots,
+    // the same division runAsserted and the policy run make.
+    const JobResult odd = executeJob(coinSpec(11, 100));
+    const int flagged = odd.counts.shots - odd.program_counts.shots;
+    ASSERT_EQ(odd.slot_error_rate.size(), 1u);
+    EXPECT_EQ(odd.slot_error_rate[0], double(flagged) / 100.0);
 }
 
 TEST(JobTest, PlainPathRejectsBadSpecs)
 {
-    JobSpec retry = coinSpec(1);
-    retry.policy = AssertionPolicy::kRetry;
+    JobSpec repair = coinSpec(1);
+    repair.policy = AssertionPolicy::kRepair;
     try {
-        executeJob(retry);
-        FAIL() << "kRetry must be rejected on the plain path";
+        executeJob(repair);
+        FAIL() << "kRepair must be rejected on the plain path";
     } catch (const UserError& err) {
         EXPECT_EQ(err.code(), ErrorCode::kPolicyUnsupported);
     }
@@ -330,9 +337,8 @@ digestSpecs()
     trajectory.backend = BackendRequest::kStatevector;
     add("statevector_trajectory", trajectory, 14);
 
-    const AssertionPolicy policies[] = {
-        AssertionPolicy::kAbort, AssertionPolicy::kDiscard,
-        AssertionPolicy::kRetry, AssertionPolicy::kRepair};
+    const AssertionPolicy policies[] = {AssertionPolicy::kDiscard,
+                                        AssertionPolicy::kRepair};
     for (AssertionPolicy policy : policies) {
         JobSpec program;
         program.program = noisyBellProgram();
@@ -340,18 +346,18 @@ digestSpecs()
         add(std::string("program_") + policyName(policy), program, 15);
     }
 
-    // A noisy auto-asserted GHZ-3 under retry: flagged shots are redrawn.
-    JobSpec retry;
+    // A noisy auto-asserted GHZ-3 under the default (discard) policy:
+    // flagged shots are dropped.
+    JobSpec discard;
     QuantumCircuit ghz(3, 3);
     ghz.h(0);
     ghz.cx(0, 1);
     ghz.cx(1, 2);
     ghz.measureAll();
-    retry.circuit = ghz;
-    retry.auto_assert = true;
-    retry.noise = NoiseModel::depolarizing(0.01, 0.02);
-    retry.policy = AssertionPolicy::kRetry;
-    add("auto_assert_retry", retry, 16);
+    discard.circuit = ghz;
+    discard.auto_assert = true;
+    discard.noise = NoiseModel::depolarizing(0.01, 0.02);
+    add("auto_assert_discard", discard, 16);
 
     JobSpec density;
     density.circuit = layeredMeasured(4, 2, 9);
@@ -448,11 +454,9 @@ TEST(JobTest, PayloadDigestsMatchPinnedValues)
         {"plain_assert_clbits", "c73447e044e2f136af3efebffa0d3c31"},
         {"plain_mid_circuit", "e044aa891bb3d9c3d1f4e534910f72c9"},
         {"statevector_trajectory", "72256382a157f65fb2879e2da78822fa"},
-        {"program_abort", "0700647a71fe07b755654f30f919fcb5"},
         {"program_discard", "c7cf7b3c95bfbd177df2c86fe94b08dd"},
-        {"program_retry", "a6fadfd8be5f18148c7ca16df440350b"},
         {"program_repair", "6484fec940779a72c193bcdf7ff20e7c"},
-        {"auto_assert_retry", "c57e0bc3b6f709f3f6de849749a55330"},
+        {"auto_assert_discard", "cf336b6b7500c97cd28b0b1d0106d726"},
         {"density_melbourne", "66b6672b7dd106eaf5dab41742d88177"},
         {"stabilizer", "26051371c39bb4bdfd4ff4c7b1d565d8"},
         {"mps_chain", "d47a8ba543bec0de6d5aa77b8a3bf21e"},
@@ -474,10 +478,10 @@ TEST(JobTest, PayloadDigestsMatchPinnedValues)
 
 TEST(JobTest, ShotLoopIsThreadCountDeterministic)
 {
-    // One plain job and one auto-asserted retry-policy job through the
+    // One plain job and one auto-asserted discard-policy job through the
     // one shot loop at 1, 2 and 8 threads (tier1 runs this under TSan).
     for (const auto& [name, spec] : digestSpecs()) {
-        if (name != "plain" && name != "auto_assert_retry") {
+        if (name != "plain" && name != "auto_assert_discard") {
             continue;
         }
         SCOPED_TRACE(name);

@@ -217,6 +217,34 @@ TEST(KrausTest, DepolarizingShrinksBloch)
     EXPECT_NEAR(plus.rho()(0, 0).real(), 0.5, 1e-12);
 }
 
+TEST(KrausTest, ChannelsMatchTheOperatorSum)
+{
+    // Every named channel on every qubit of a random mixed 3-qubit rho
+    // equals sum_k E_k rho E_k^dagger, E_k = K_k embedded on the qubit.
+    Rng rng(2024);
+    const CMatrix rho = randomDensity(3, 4, rng);
+    const KrausChannel channels[] = {
+        KrausChannel::depolarizing(0.2), KrausChannel::amplitudeDamping(0.3),
+        KrausChannel::phaseDamping(0.4), KrausChannel::bitFlip(0.15),
+        KrausChannel::phaseFlip(0.25)};
+    for (const KrausChannel& channel : channels) {
+        for (int q = 0; q < 3; ++q) {
+            SCOPED_TRACE(channel.name() + " on qubit " + std::to_string(q));
+            CMatrix expected(8, 8);
+            for (const CMatrix& k : channel.ops()) {
+                CMatrix e = q == 0 ? k : CMatrix::identity(2);
+                for (int j = 1; j < 3; ++j) {
+                    e = kron(e, j == q ? k : CMatrix::identity(2));
+                }
+                expected += e * rho * e.dagger();
+            }
+            DensityState state(rho);
+            state.applyKraus(channel, q);
+            expectMatrixNear(state.rho(), expected, 1e-12);
+        }
+    }
+}
+
 TEST(DensityTest, PureCircuitMatchesStatevector)
 {
     QuantumCircuit qc(3);
