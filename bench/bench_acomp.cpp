@@ -18,13 +18,12 @@
  *    instrumentation (the SWAP form does too — its basis change is
  *    Clifford here — so the interesting delta is gates and ancillas).
  *
- * Writes the record to BENCH_PR8.json, or to argv[1] when that is not an
- * option (so `--benchmark_filter=none` writes the default file).
+ * Writes the record to argv[1] when that is not an option, and prints
+ * it to stdout otherwise (bench::emitRecord).
  */
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -36,6 +35,7 @@
 #include "algos/qft.hpp"
 #include "algos/states.hpp"
 #include "baselines/chi_square.hpp"
+#include "bench_util.hpp"
 #include "core/state_set.hpp"
 #include "linalg/states.hpp"
 
@@ -176,8 +176,6 @@ agreementPValue(const Counts& a, const Counts& b)
 int
 main(int argc, char** argv)
 {
-    const std::string out_path =
-        argc > 1 && argv[1][0] != '-' ? argv[1] : "BENCH_PR8.json";
     const int kShots = 4096;
     const uint64_t kSeed = 20260808;
     bool ok = true;
@@ -265,8 +263,7 @@ main(int argc, char** argv)
          << " \"workloads\": [\n"
          << rows.str() << "\n ]\n}\n";
 
-    std::ofstream out(out_path);
-    out << json.str();
-    std::printf("%s: %s\n", out_path.c_str(), ok ? "pass" : "FAIL");
+    bench::emitRecord(argc, argv, json.str());
+    std::printf("bench_acomp: %s\n", ok ? "pass" : "FAIL");
     return ok ? 0 : 1;
 }

@@ -17,12 +17,11 @@
  * explicitly. A 12-qubit variant runs BOTH backends at the full 4096
  * shots as the honest end-to-end comparison with no extrapolation.
  *
- * Writes the record to BENCH_PR5.json, or to argv[1] when that is not an
- * option (so `--benchmark_filter=none` writes the default file).
+ * Writes the record to argv[1] when that is not an option, and prints
+ * it to stdout otherwise (bench::emitRecord).
  */
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -31,6 +30,7 @@
 #include "algos/states.hpp"
 #include "backend/backend.hpp"
 #include "baselines/chi_square.hpp"
+#include "bench_util.hpp"
 #include "core/asserted_program.hpp"
 #include "core/state_set.hpp"
 #include "linalg/states.hpp"
@@ -122,8 +122,6 @@ distributionPValue(const Counts& observed, const Counts& reference)
 int
 main(int argc, char** argv)
 {
-    const std::string out_path =
-        argc > 1 && argv[1][0] != '-' ? argv[1] : "BENCH_PR5.json";
     const int kShots = 4096;
     const uint64_t kSeed = 20260806;
     bool ok = true;
@@ -225,9 +223,6 @@ main(int argc, char** argv)
          << " }\n"
          << "}\n";
 
-    std::ofstream out(out_path);
-    out << json.str();
-    out.close();
-    std::printf("wrote %s\n", out_path.c_str());
+    bench::emitRecord(argc, argv, json.str());
     return ok ? 0 : 1;
 }

@@ -26,13 +26,12 @@
  * two-sample chi-square test (rare cells pooled), with no
  * extrapolation and no reference-is-exact approximation.
  *
- * Writes the record to BENCH_PR10.json, or to argv[1] when that is not an
- * option (so `--benchmark_filter=none` writes the default file).
+ * Writes the record to argv[1] when that is not an option, and prints
+ * it to stdout otherwise (bench::emitRecord).
  */
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -41,6 +40,7 @@
 #include "backend/backend.hpp"
 #include "backend/router.hpp"
 #include "baselines/chi_square.hpp"
+#include "bench_util.hpp"
 #include "core/asserted_program.hpp"
 #include "core/state_set.hpp"
 #include "linalg/states.hpp"
@@ -174,8 +174,6 @@ twoSamplePValue(const Counts& a, const Counts& b, long pool_below = 10)
 int
 main(int argc, char** argv)
 {
-    const std::string out_path =
-        argc > 1 && argv[1][0] != '-' ? argv[1] : "BENCH_PR10.json";
     const int kShots = 4096;
     const int kLayers = 2;
     const uint64_t kSeed = 20260808;
@@ -339,9 +337,6 @@ main(int argc, char** argv)
          << " }\n"
          << "}\n";
 
-    std::ofstream out(out_path);
-    out << json.str();
-    out.close();
-    std::printf("wrote %s\n", out_path.c_str());
+    bench::emitRecord(argc, argv, json.str());
     return ok ? 0 : 1;
 }

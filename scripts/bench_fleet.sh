@@ -4,8 +4,9 @@
 # 2, and 4 shards (closed loop, Zipf-popular Clifford circuits), plus a
 # kill-one-shard-under-load chaos run (open loop, shard 1 SIGKILLed
 # mid-run). Each run's p50/p90/p99/p999 latencies and jobs/sec land as
-# one JSON object in the "runs" array of the output file
-# (BENCH_PR7.json by default).
+# one JSON object in the "runs" array of the record, which goes to
+# out.json when given and to stdout otherwise (BENCH_PR7.json holds a
+# past record in this format).
 #
 # Interpreting the numbers: on a single-CPU container all shards share
 # one core, so the multi-shard configs measure the overhead of routing,
@@ -17,7 +18,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD="${1:-build}"
-OUT="${2:-BENCH_PR7.json}"
+OUT="${2:-/dev/stdout}"
 ROUTER="$BUILD/tools/qa_router"
 LOADGEN="$BUILD/tools/qa_loadgen"
 QASSERTD="$BUILD/tools/qassertd"

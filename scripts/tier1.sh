@@ -71,7 +71,12 @@
 # (test_core_basis, test_core_assertions, test_equivalence): the one
 # rank-regime split (core/builders.cpp) hands each power-rank part a
 # slice of the slot's ancilla and clbit vectors, so a mis-sized slice
-# reads past the end under ASan.
+# reads past the end under ASan. It also runs the stabilizer tests
+# (test_stab): the one tableau update (StabilizerTableau::applyClifford)
+# indexes a 4^k action table by each row's bits, and the Clifford
+# classifier (stab/clifford.cpp) recognizes matrices in fixed-size
+# 2x2/4x4 arrays, so an off-by-one in either reads out of bounds
+# under ASan; the classifier property test drives both.
 #
 # Usage: scripts/tier1.sh [--skip-tsan] [--skip-asan] [--skip-release]
 #
@@ -140,8 +145,10 @@ if [[ "$skip_asan" -ne 1 ]]; then
         --target test_fusion --target test_acomp --target test_mps \
         --target test_fleet --target test_sim --target test_circuit \
         --target test_qasm --target test_core_basis \
-        --target test_core_assertions --target test_equivalence
+        --target test_core_assertions --target test_equivalence \
+        --target test_stab
     ./build-asan/tests/test_sim --gtest_filter='DensityTest.*'
+    ./build-asan/tests/test_stab
     ./build-asan/tests/test_circuit
     ./build-asan/tests/test_qasm
     ./build-asan/tests/test_core_basis

@@ -1,6 +1,7 @@
 #include "acomp/generator.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
 
@@ -38,8 +39,12 @@ struct UnionFind
     void unite(int a, int b) { parent[size_t(find(a))] = find(b); }
 };
 
-/** Scan result over the raw circuit's analyzable Clifford prefix. */
-struct PrefixScan
+/**
+ * The raw circuit's analyzable Clifford prefix, walked once: the
+ * tableau after it, the barrier cuts inside it, and where each qubit is
+ * first touched.
+ */
+struct PrefixWalk
 {
     /** First index past the prefix (first measure/reset/non-Clifford). */
     size_t end = 0;
@@ -47,47 +52,52 @@ struct PrefixScan
     /** Barrier indices inside the prefix (candidate cuts). */
     std::vector<size_t> barrier_cuts;
 
-    /** Qubits touched by at least one prefix gate, per cut position. */
-    std::vector<bool> touched_at_end;
+    /** Per qubit: index of the first prefix gate touching it, or SIZE_MAX. */
+    std::vector<size_t> first_touch;
+
+    /** The tableau after the instructions in [0, end). */
+    StabilizerTableau tableau;
 };
 
-PrefixScan
-scanPrefix(const QuantumCircuit& raw)
+PrefixWalk
+walkPrefix(const QuantumCircuit& raw)
 {
-    PrefixScan scan;
-    scan.touched_at_end.assign(size_t(raw.numQubits()), false);
+    PrefixWalk walk{0, {}, std::vector<size_t>(size_t(raw.numQubits()),
+                                               SIZE_MAX),
+                    StabilizerTableau(raw.numQubits())};
     const std::vector<Instruction>& instrs = raw.instructions();
     size_t i = 0;
     for (; i < instrs.size(); ++i) {
         const Instruction& instr = instrs[i];
         if (instr.type == OpType::kBarrier) {
-            if (i > 0) scan.barrier_cuts.push_back(i);
+            if (i > 0) walk.barrier_cuts.push_back(i);
             continue;
         }
         if (instr.type != OpType::kGate) break;
-        if (!recognizeClifford(instr).has_value()) break;
-        for (int q : instr.qubits) scan.touched_at_end[size_t(q)] = true;
+        const std::optional<CliffordAction> action = cliffordAction(instr);
+        if (!action.has_value()) break;
+        walk.tableau.applyClifford(*action, instr.qubits);
+        for (int q : instr.qubits) {
+            walk.first_touch[size_t(q)] =
+                std::min(walk.first_touch[size_t(q)], i);
+        }
     }
-    scan.end = i;
-    return scan;
+    walk.end = i;
+    return walk;
 }
 
-/** Tableau after the prefix instructions in [0, cut). */
-StabilizerTableau
-tableauAt(const QuantumCircuit& raw, size_t cut)
+/** The action of U^dag: U P U^dag = s P' gives U^dag P' U = s P. */
+CliffordAction
+inverseAction(const CliffordAction& action)
 {
-    StabilizerTableau tab(raw.numQubits());
-    const std::vector<Instruction>& instrs = raw.instructions();
-    for (size_t i = 0; i < cut; ++i) {
-        const Instruction& instr = instrs[i];
-        if (instr.type == OpType::kBarrier) continue;
-        const std::optional<CliffordAction> action =
-            recognizeClifford(instr);
-        QA_ASSERT(action.has_value(), "prefix scan admitted a gate the "
-                                      "tableau cannot apply");
-        tab.applyClifford(*action, instr.qubits);
+    constexpr uint8_t kMinus = CliffordAction::kMinus;
+    CliffordAction inverse;
+    inverse.arity = action.arity;
+    for (size_t p = 0; p < (size_t(1) << (2 * action.arity)); ++p) {
+        const uint8_t code = action.image[p];
+        inverse.image[code & ~kMinus] = uint8_t(p | (code & kMinus));
     }
-    return tab;
+    return inverse;
 }
 
 /** Restrict a global Pauli to the listed qubits (support must fit). */
@@ -103,19 +113,15 @@ localizePauli(const PauliString& global, const std::vector<int>& qubits)
     return local;
 }
 
-/** Build the tableau-derived sites for one cut position. */
+/**
+ * Build the tableau-derived sites for one cut position from the tableau
+ * after the instructions in [0, cut).
+ */
 std::vector<AssertionSite>
-sitesAtCut(const QuantumCircuit& raw, size_t cut)
+sitesAtCut(const StabilizerTableau& tab,
+           const std::vector<size_t>& first_touch, size_t cut)
 {
-    const int n = raw.numQubits();
-    const StabilizerTableau tab = tableauAt(raw, cut);
-
-    std::vector<bool> touched(size_t(n), false);
-    for (size_t i = 0; i < cut; ++i) {
-        const Instruction& instr = raw.instructions()[i];
-        if (instr.type != OpType::kGate) continue;
-        for (int q : instr.qubits) touched[size_t(q)] = true;
-    }
+    const int n = tab.numQubits();
 
     // Stabilizer row q is the image of the initial Z_q; untouched rows
     // are still exactly Z_q and carry no information worth asserting.
@@ -123,7 +129,7 @@ sitesAtCut(const QuantumCircuit& raw, size_t cut)
     std::vector<PauliString> rows;
     std::vector<int> row_qubit;
     for (int q = 0; q < n; ++q) {
-        if (!touched[size_t(q)]) continue;
+        if (first_touch[size_t(q)] >= cut) continue;
         PauliString row = tab.stabilizer(q);
         for (int p = 0; p < n; ++p) {
             if ((row.x(p) || row.z(p)) && p != q) uf.unite(q, p);
@@ -194,11 +200,9 @@ sitesAtCut(const QuantumCircuit& raw, size_t cut)
 bool
 isHadamardLike(const CliffordAction& action)
 {
-    if (action.arity != 1) return false;
-    const PauliString& zi = action.z_images[0];
-    const PauliString& xi = action.x_images[0];
-    return zi.phase() == 0 && zi.x(0) && !zi.z(0) && //
-           xi.phase() == 0 && !xi.x(0) && xi.z(0);
+    // 1-qubit table indices: X is 1, Z is 2 (see CliffordAction).
+    return action.arity == 1 && action.image[1] == 2 &&
+           action.image[2] == 1;
 }
 
 /**
@@ -223,7 +227,7 @@ recognizeGhzIdiom(const QuantumCircuit& raw, size_t prefix_end)
         if (instr.type != OpType::kGate) continue;
         if (instr.arity() == 1 && !touched[size_t(instr.qubits[0])]) {
             const std::optional<CliffordAction> action =
-                recognizeClifford(instr);
+                cliffordAction(instr);
             if (action.has_value() && isHadamardLike(*action)) {
                 root = instr.qubits[0];
                 start = i;
@@ -305,11 +309,11 @@ generateAssertions(const QuantumCircuit& raw,
     std::vector<AssertionSite> sites;
     if (raw.numQubits() == 0 || raw.size() == 0) return sites;
 
-    const PrefixScan scan = scanPrefix(raw);
-    if (scan.end == 0) return sites;
+    PrefixWalk walk = walkPrefix(raw);
+    if (walk.end == 0) return sites;
 
     std::set<int> idiom_qubits;
-    std::optional<AssertionSite> idiom = recognizeGhzIdiom(raw, scan.end);
+    std::optional<AssertionSite> idiom = recognizeGhzIdiom(raw, walk.end);
     if (idiom.has_value()) {
         idiom_qubits.insert(idiom->qubits.begin(), idiom->qubits.end());
         sites.push_back(std::move(*idiom));
@@ -317,14 +321,24 @@ generateAssertions(const QuantumCircuit& raw,
 
     // End-of-prefix cut first (strongest invariants), then barrier cuts
     // from latest to earliest; qubits the idiom claimed stay its own.
-    std::vector<size_t> cuts{scan.end};
-    for (auto it = scan.barrier_cuts.rbegin();
-         it != scan.barrier_cuts.rend(); ++it) {
-        if (*it != scan.end) cuts.push_back(*it);
+    // The walk's tableau steps back to each cut by undoing the gates
+    // after it, so the prefix is never replayed from gate 0.
+    std::vector<size_t> cuts{walk.end};
+    for (auto it = walk.barrier_cuts.rbegin();
+         it != walk.barrier_cuts.rend(); ++it) {
+        if (*it != walk.end) cuts.push_back(*it);
     }
+    size_t at = walk.end;
     for (const size_t cut : cuts) {
         if (int(sites.size()) >= kMaxGeneratedSites) break;
-        for (AssertionSite& site : sitesAtCut(raw, cut)) {
+        for (; at > cut; --at) {
+            const Instruction& instr = raw.instructions()[at - 1];
+            if (instr.type != OpType::kGate) continue;
+            walk.tableau.applyClifford(
+                inverseAction(*cliffordAction(instr)), instr.qubits);
+        }
+        for (AssertionSite& site :
+             sitesAtCut(walk.tableau, walk.first_touch, cut)) {
             if (int(sites.size()) >= kMaxGeneratedSites) break;
             bool claimed = false;
             for (int q : site.qubits) {

@@ -193,7 +193,7 @@ conjugationGenerators(const CorrectSubspace& subspace)
         for (const Instruction& instr : bc->u.instructions()) {
             if (instr.type == OpType::kBarrier) continue;
             const std::optional<CliffordAction> action =
-                recognizeClifford(instr);
+                cliffordAction(instr);
             if (!action.has_value()) return std::nullopt;
             p = conjugatePauli(p, *action, instr.qubits);
         }

@@ -54,8 +54,7 @@ analyzeCircuit(const QuantumCircuit& circuit)
           case OpType::kGate: {
             ++profile.gates;
             if (first_measure < i) terminal_only = false;
-            if (isNamedCliffordGate(instr)) break;
-            if (recognizeClifford(instr)) break;
+            if (cliffordAction(instr)) break;
             ++profile.non_clifford_gates;
             auto& names = profile.non_clifford_names;
             if (names.size() < kMaxNonCliffordNames &&

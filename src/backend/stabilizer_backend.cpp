@@ -8,10 +8,11 @@
  * router's shot plan names; each shot runs the shared suffix replay
  * (backend/suffix_replay.hpp), whose trie hit needs no tableau copy at
  * all. A replayed measurement is the tableau's fair coin when its
- * outcome is random and a fixed outcome when it is deterministic. Gates
- * are applied by name when the tableau knows them and via Clifford
- * recognition (stab/clifford.hpp) otherwise, so rz(pi/2) or a Clifford
- * `unitary` instruction routes here too.
+ * outcome is random and a fixed outcome when it is deterministic. Every
+ * gate is resolved once to its action from the one Clifford classifier
+ * (stab/clifford.hpp) and applied through the tableau's one update, so
+ * rz(pi/2) or a Clifford `unitary` instruction runs here exactly like
+ * h or cx.
  *
  * Noise: Pauli-mixture Kraus channels are sampled per trajectory as
  * sign-only tableau updates (probabilities are state-independent, which
@@ -37,11 +38,11 @@ namespace backend
 namespace
 {
 
-/** A Clifford gate, applied by name or through its recognized action. */
+/** A Clifford gate: its qubits and its action. */
 struct StabilizerGate
 {
-    Instruction instr;
-    std::optional<CliffordAction> action; ///< unset: a named gate
+    std::vector<int> qubits;
+    CliffordAction action;
 };
 
 /** The tableau's replay steps (see backend/suffix_replay.hpp). */
@@ -63,25 +64,18 @@ class StabilizerSteps
     void
     resolve(const Instruction& instr, Emit&& emit) const
     {
-        Gate gate{instr, std::nullopt};
-        if (!isNamedCliffordGate(instr)) {
-            gate.action = recognizeClifford(instr);
-            QA_REQUIRE_CODE(gate.action.has_value(), ErrorCode::kBadRequest,
-                            "stabilizer backend cannot run non-Clifford "
-                            "gate '" +
-                                instr.name + "'");
-        }
-        emit(std::move(gate));
+        const std::optional<CliffordAction> action = cliffordAction(instr);
+        QA_REQUIRE_CODE(action.has_value(), ErrorCode::kBadRequest,
+                        "stabilizer backend cannot run non-Clifford "
+                        "gate '" +
+                            instr.name + "'");
+        emit(Gate{instr.qubits, *action});
     }
 
     void
     apply(State& tableau, const Gate& gate) const
     {
-        if (gate.action.has_value()) {
-            tableau.applyClifford(*gate.action, gate.instr.qubits);
-        } else {
-            tableau.applyGate(gate.instr);
-        }
+        tableau.applyClifford(gate.action, gate.qubits);
     }
 
     bool noisy(const Gate& gate) const { return !channels(gate).empty(); }
@@ -90,7 +84,7 @@ class StabilizerSteps
     void
     applyNoise(State& tableau, const Gate& gate, Rng& rng) const
     {
-        for (int q : gate.instr.qubits) {
+        for (int q : gate.qubits) {
             for (const PauliChannel& channel : channels(gate)) {
                 const size_t pick = rng.discrete(channel.weights);
                 const auto [x, z] = channel.paulis[pick];
@@ -123,7 +117,7 @@ class StabilizerSteps
     const std::vector<PauliChannel>&
     channels(const Gate& gate) const
     {
-        return gate.instr.arity() == 1 ? chan1_ : chan2_;
+        return gate.qubits.size() == 1 ? chan1_ : chan2_;
     }
 
     static void

@@ -204,34 +204,35 @@ using enum InverseParams;
 // "ccrz" is a qassert extension (the adder programs emit it); the
 // importer accepts it back, other toolchains need a gate definition.
 // Columns: id, name, aliases, qubits, params, matrix, inverse,
-// inverse_name, tableau_native.
+// inverse_name. A parameterless row's Clifford action is recognized
+// from its matrix once (stab/clifford.cpp), so no column records it.
 constexpr GateDef kGates[] = {
-    {kId,   "id",   {},         1, 0, fix<gates::i>,    kKeep,   kId,   true},
-    {kX,    "x",    {},         1, 0, fix<gates::x>,    kKeep,   kX,    true},
-    {kY,    "y",    {},         1, 0, fix<gates::y>,    kKeep,   kY,    true},
-    {kZ,    "z",    {},         1, 0, fix<gates::z>,    kKeep,   kZ,    true},
-    {kH,    "h",    {},         1, 0, fix<gates::h>,    kKeep,   kH,    true},
-    {kS,    "s",    {},         1, 0, fix<gates::s>,    kKeep,   kSdg,  true},
-    {kSdg,  "sdg",  {},         1, 0, fix<gates::sdg>,  kKeep,   kS,    true},
-    {kT,    "t",    {},         1, 0, fix<gates::t>,    kKeep,   kTdg,  false},
-    {kTdg,  "tdg",  {},         1, 0, fix<gates::tdg>,  kKeep,   kT,    false},
-    {kSx,   "sx",   {},         1, 0, fix<gates::sx>,   kNone,   kSx,   false},
-    {kRx,   "rx",   {},         1, 1, rot<gates::rx>,   kNegate, kRx,   false},
-    {kRy,   "ry",   {},         1, 1, rot<gates::ry>,   kNegate, kRy,   false},
-    {kRz,   "rz",   {},         1, 1, rot<gates::rz>,   kNegate, kRz,   false},
-    {kP,    "p",    {"u1"},     1, 1, rot<gates::p>,    kNegate, kP,    false},
-    {kU2,   "u2",   {},         1, 2, u2Matrix,         kU2ToU3, kU3,   false},
-    {kU3,   "u3",   {"u", "U"}, 1, 3, u3Matrix,         kU3Swap, kU3,   false},
-    {kCx,   "cx",   {"CX"},     2, 0, fix<gates::cx>,   kKeep,   kCx,   true},
-    {kCy,   "cy",   {},         2, 0, fix<gates::cy>,   kKeep,   kCy,   false},
-    {kCz,   "cz",   {},         2, 0, fix<gates::cz>,   kKeep,   kCz,   true},
-    {kCh,   "ch",   {},         2, 0, fix<gates::ch>,   kKeep,   kCh,   false},
-    {kSwap, "swap", {},         2, 0, fix<gates::swap>, kKeep,   kSwap, true},
-    {kCrz,  "crz",  {},         2, 1, rot<gates::crz>,  kNegate, kCrz,  false},
-    {kCp,   "cp",   {"cu1"},    2, 1, rot<gates::cp>,   kNegate, kCp,   false},
-    {kCu3,  "cu3",  {},         2, 3, cu3Matrix,        kU3Swap, kCu3,  false},
-    {kCcx,  "ccx",  {},         3, 0, fix<gates::ccx>,  kKeep,   kCcx,  false},
-    {kCcrz, "ccrz", {},         3, 1, rot<gates::ccrz>, kNegate, kCcrz, false},
+    {kId,   "id",   {},         1, 0, fix<gates::i>,    kKeep,   kId},
+    {kX,    "x",    {},         1, 0, fix<gates::x>,    kKeep,   kX},
+    {kY,    "y",    {},         1, 0, fix<gates::y>,    kKeep,   kY},
+    {kZ,    "z",    {},         1, 0, fix<gates::z>,    kKeep,   kZ},
+    {kH,    "h",    {},         1, 0, fix<gates::h>,    kKeep,   kH},
+    {kS,    "s",    {},         1, 0, fix<gates::s>,    kKeep,   kSdg},
+    {kSdg,  "sdg",  {},         1, 0, fix<gates::sdg>,  kKeep,   kS},
+    {kT,    "t",    {},         1, 0, fix<gates::t>,    kKeep,   kTdg},
+    {kTdg,  "tdg",  {},         1, 0, fix<gates::tdg>,  kKeep,   kT},
+    {kSx,   "sx",   {},         1, 0, fix<gates::sx>,   kNone,   kSx},
+    {kRx,   "rx",   {},         1, 1, rot<gates::rx>,   kNegate, kRx},
+    {kRy,   "ry",   {},         1, 1, rot<gates::ry>,   kNegate, kRy},
+    {kRz,   "rz",   {},         1, 1, rot<gates::rz>,   kNegate, kRz},
+    {kP,    "p",    {"u1"},     1, 1, rot<gates::p>,    kNegate, kP},
+    {kU2,   "u2",   {},         1, 2, u2Matrix,         kU2ToU3, kU3},
+    {kU3,   "u3",   {"u", "U"}, 1, 3, u3Matrix,         kU3Swap, kU3},
+    {kCx,   "cx",   {"CX"},     2, 0, fix<gates::cx>,   kKeep,   kCx},
+    {kCy,   "cy",   {},         2, 0, fix<gates::cy>,   kKeep,   kCy},
+    {kCz,   "cz",   {},         2, 0, fix<gates::cz>,   kKeep,   kCz},
+    {kCh,   "ch",   {},         2, 0, fix<gates::ch>,   kKeep,   kCh},
+    {kSwap, "swap", {},         2, 0, fix<gates::swap>, kKeep,   kSwap},
+    {kCrz,  "crz",  {},         2, 1, rot<gates::crz>,  kNegate, kCrz},
+    {kCp,   "cp",   {"cu1"},    2, 1, rot<gates::cp>,   kNegate, kCp},
+    {kCu3,  "cu3",  {},         2, 3, cu3Matrix,        kU3Swap, kCu3},
+    {kCcx,  "ccx",  {},         3, 0, fix<gates::ccx>,  kKeep,   kCcx},
+    {kCcrz, "ccrz", {},         3, 1, rot<gates::ccrz>, kNegate, kCcrz},
 };
 
 static_assert([] {

@@ -3,7 +3,7 @@
  * The standard gates: their matrices (Qiskit u1/u2/u3 conventions),
  * helpers for building controlled variants, and the gate table, the one
  * definition of the gate vocabulary that the circuit builders,
- * parseQasm, toQasm, QuantumCircuit::inverse and the Clifford checks
+ * parseQasm, toQasm, QuantumCircuit::inverse and the Clifford classifier
  * read.
  */
 #ifndef QA_CIRCUIT_STDGATES_HPP
@@ -105,7 +105,6 @@ struct GateDef
     CMatrix (*matrix)(const double* params);
     InverseParams inverse;
     GateId inverse_name; ///< the inverse's row (itself unless renamed)
-    bool tableau_native; ///< StabilizerTableau::applyGate takes it
 };
 
 /** Every row, in GateId order. */

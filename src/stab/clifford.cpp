@@ -1,5 +1,6 @@
 #include "stab/clifford.hpp"
 
+#include <bit>
 #include <cmath>
 
 #include "circuit/stdgates.hpp"
@@ -11,164 +12,214 @@ namespace qa
 namespace
 {
 
-/** Local Pauli with the given symplectic bits (phase 0). */
-PauliString
-localPauli(int k, const std::vector<uint8_t>& xs,
-           const std::vector<uint8_t>& zs)
-{
-    PauliString p(k);
-    for (int j = 0; j < k; ++j) {
-        p.setX(j, xs[size_t(j)] != 0);
-        p.setZ(j, zs[size_t(j)] != 0);
-    }
-    return p;
-}
+/** Entry-wise tolerance of the signed-Pauli match. */
+constexpr double kTol = 1e-9;
 
-/** Entry-wise comparison of two equally-shaped matrices. */
-bool
-matricesClose(const CMatrix& a, const CMatrix& b, double tol)
+/** A gate matrix of up to 2 qubits, on the stack. */
+using Local = std::array<std::array<Complex, 4>, 4>;
+
+Complex
+iPow(int e)
 {
-    for (size_t r = 0; r < a.rows(); ++r) {
-        for (size_t c = 0; c < a.cols(); ++c) {
-            if (std::abs(a(r, c) - b(r, c)) > tol) return false;
-        }
-    }
-    return true;
+    static const Complex powers[4] = {1.0, kI, -1.0, -kI};
+    return powers[e & 3];
 }
 
 /**
- * Match a dense 2^k x 2^k matrix against the signed Pauli group:
- * iterate the 4^k symplectic candidates with phase + and -, comparing
- * entry-wise. Returns nullopt when nothing matches.
+ * Local qubit j is bit k-1-j of a matrix index; this maps a mask over
+ * one numbering to the same qubits in the other (it is its own inverse).
  */
-std::optional<PauliString>
-matchSignedPauli(const CMatrix& m, int k, double tol)
+uint32_t
+reverseBits(uint32_t mask, int k)
 {
-    std::vector<uint8_t> xs(size_t(k), 0), zs(size_t(k), 0);
-    const uint32_t combos = uint32_t(1) << (2 * k);
-    for (uint32_t bits = 0; bits < combos; ++bits) {
-        for (int j = 0; j < k; ++j) {
-            xs[size_t(j)] = uint8_t((bits >> (2 * j)) & 1);
-            zs[size_t(j)] = uint8_t((bits >> (2 * j + 1)) & 1);
-        }
-        PauliString candidate = localPauli(k, xs, zs);
-        for (int sign = 0; sign < 2; ++sign) {
-            candidate.setPhase(sign == 0 ? 0 : 2);
-            if (matricesClose(m, candidate.toMatrix(), tol)) {
-                return candidate;
-            }
-        }
-    }
-    return std::nullopt;
-}
-
-} // namespace
-
-std::optional<CliffordAction>
-recognizeCliffordMatrix(const CMatrix& u, double tol)
-{
-    if (u.rows() != u.cols()) return std::nullopt;
-    int k = 0;
-    if (u.rows() == 2) {
-        k = 1;
-    } else if (u.rows() == 4) {
-        k = 2;
-    } else {
-        // Conservative: 3+-qubit gates are treated as non-Clifford
-        // (none of the circuit builders emit Clifford gates that wide).
-        return std::nullopt;
-    }
-
-    const CMatrix udag = u.dagger();
-    CliffordAction action;
-    action.arity = k;
-    std::vector<uint8_t> xs(size_t(k), 0), zs(size_t(k), 0);
+    uint32_t out = 0;
     for (int j = 0; j < k; ++j) {
-        for (int which = 0; which < 2; ++which) {
-            std::fill(xs.begin(), xs.end(), uint8_t(0));
-            std::fill(zs.begin(), zs.end(), uint8_t(0));
-            (which == 0 ? xs : zs)[size_t(j)] = 1;
-            const CMatrix generator = localPauli(k, xs, zs).toMatrix();
-            const CMatrix image = u * generator * udag;
-            std::optional<PauliString> pauli =
-                matchSignedPauli(image, k, tol);
-            if (!pauli) return std::nullopt;
-            (which == 0 ? action.x_images : action.z_images)
-                .push_back(std::move(*pauli));
-        }
-    }
-    return action;
-}
-
-bool
-isNamedCliffordGate(const Instruction& instr)
-{
-    if (!instr.isGate()) return false;
-    const GateDef* def = findGate(instr.name);
-    return def != nullptr && def->tableau_native;
-}
-
-std::optional<CliffordAction>
-recognizeClifford(const Instruction& instr)
-{
-    if (!instr.isGate()) return std::nullopt;
-    return recognizeCliffordMatrix(instr.matrix);
-}
-
-namespace
-{
-
-/** Embed a k-qubit local Pauli onto n qubits via the placement map. */
-PauliString
-embedPauli(const PauliString& local, int n, const std::vector<int>& qubits)
-{
-    PauliString out(n);
-    out.setPhase(local.phase());
-    for (int j = 0; j < local.numQubits(); ++j) {
-        out.setX(qubits[size_t(j)], local.x(j));
-        out.setZ(qubits[size_t(j)], local.z(j));
+        if ((mask >> j) & 1) out |= 1u << (k - 1 - j);
     }
     return out;
 }
 
+/**
+ * U P U^dag for P = i^{|x&z|} X^x Z^z (x, z matrix-index masks). P
+ * sends |c> to i^{|x&z|} (-1)^{z.c} |c ^ x>, so U P is U with its
+ * columns permuted and phased; only the product with U^dag is general.
+ */
+Local
+conjugateByPauli(const Local& u, uint32_t d, uint32_t x, uint32_t z)
+{
+    const Complex lead = iPow(std::popcount(x & z));
+    Local up{}, out{};
+    for (uint32_t r = 0; r < d; ++r) {
+        for (uint32_t c = 0; c < d; ++c) {
+            up[r][c] = u[r][c ^ x] *
+                       ((std::popcount(z & c) & 1) != 0 ? -lead : lead);
+        }
+    }
+    for (uint32_t r = 0; r < d; ++r) {
+        for (uint32_t c = 0; c < d; ++c) {
+            Complex sum = 0.0;
+            for (uint32_t m = 0; m < d; ++m) {
+                sum += up[r][m] * std::conj(u[c][m]);
+            }
+            out[r][c] = sum;
+        }
+    }
+    return out;
+}
+
+/** i^phase * P over the local qubits (x, z: local-qubit masks). */
+struct LocalPauli
+{
+    uint32_t x = 0;
+    uint32_t z = 0;
+    int phase = 0;
+};
+
+LocalPauli
+times(const LocalPauli& a, const LocalPauli& b, int k)
+{
+    int phase = a.phase + b.phase;
+    for (int j = 0; j < k; ++j) {
+        phase += phaseExponent((a.x >> j) & 1, (a.z >> j) & 1,
+                               (b.x >> j) & 1, (b.z >> j) & 1);
+    }
+    return {a.x ^ b.x, a.z ^ b.z, phase & 3};
+}
+
+/**
+ * The signed Pauli that m equals entry-wise within kTol, or nullopt. A
+ * Pauli's column 0 is nonzero only in row x, and its column 2^b differs
+ * from column 0 in sign exactly when z has bit b, so the one candidate
+ * is read off those entries and then checked against every entry.
+ */
+std::optional<LocalPauli>
+readSignedPauli(const Local& m, int k)
+{
+    const uint32_t d = 1u << k;
+    uint32_t x = 0;
+    while (x < d && std::abs(m[x][0]) < 0.5) ++x;
+    if (x == d) return std::nullopt;
+    uint32_t z = 0;
+    for (int b = 0; b < k; ++b) {
+        const uint32_t c = 1u << b;
+        if (std::real(m[x ^ c][c] * std::conj(m[x][0])) < 0.0) z |= c;
+    }
+    const Complex lead = iPow(std::popcount(x & z));
+    const bool minus = std::real(m[x][0] * std::conj(lead)) < 0.0;
+    for (uint32_t r = 0; r < d; ++r) {
+        for (uint32_t c = 0; c < d; ++c) {
+            Complex expected = 0.0;
+            if (r == (c ^ x)) {
+                const bool flip = minus != ((std::popcount(z & c) & 1) != 0);
+                expected = flip ? -lead : lead;
+            }
+            if (std::abs(m[r][c] - expected) > kTol) return std::nullopt;
+        }
+    }
+    return LocalPauli{reverseBits(x, k), reverseBits(z, k), minus ? 2 : 0};
+}
+
+/**
+ * Recognize a 2x2 or 4x4 unitary: conjugate each of the 2k local
+ * generators, match each image to a signed Pauli, and fill the rest of
+ * the table by multiplying generator images (P_p = i^{|x&z|} X^x Z^z).
+ */
+std::optional<CliffordAction>
+recognize(const CMatrix& u)
+{
+    if (u.rows() != u.cols() || (u.rows() != 2 && u.rows() != 4)) {
+        // Conservative: 3+-qubit gates are treated as non-Clifford
+        // (none of the circuit builders emit Clifford gates that wide).
+        return std::nullopt;
+    }
+    const int k = u.rows() == 2 ? 1 : 2;
+    const uint32_t d = 1u << k;
+    Local local{};
+    for (uint32_t r = 0; r < d; ++r) {
+        for (uint32_t c = 0; c < d; ++c) local[r][c] = u(r, c);
+    }
+
+    // generators[b]: the image of the local Pauli with only bit b set.
+    std::array<LocalPauli, 4> generators{};
+    for (int b = 0; b < 2 * k; ++b) {
+        const uint32_t bit = reverseBits(1u << (b % k), k);
+        const Local image = conjugateByPauli(local, d, b < k ? bit : 0,
+                                             b < k ? 0 : bit);
+        const std::optional<LocalPauli> pauli = readSignedPauli(image, k);
+        if (!pauli) return std::nullopt;
+        generators[size_t(b)] = *pauli;
+    }
+
+    CliffordAction action;
+    action.arity = k;
+    const uint32_t low = d - 1;
+    for (uint32_t p = 1; p < d * d; ++p) {
+        LocalPauli acc{0, 0, std::popcount((p & low) & (p >> k))};
+        for (int b = 0; b < 2 * k; ++b) {
+            if ((p >> b) & 1) acc = times(acc, generators[size_t(b)], k);
+        }
+        QA_ASSERT(acc.phase % 2 == 0,
+                  "Clifford conjugation left the signed Pauli group");
+        action.image[p] = uint8_t(acc.x | acc.z << k) |
+                          (acc.phase != 0 ? CliffordAction::kMinus : 0);
+    }
+    return action;
+}
+
+/** The actions of the parameterless gate-table rows, by GateId. */
+const std::vector<std::optional<CliffordAction>>&
+rowActions()
+{
+    static const std::vector<std::optional<CliffordAction>> actions = [] {
+        std::vector<std::optional<CliffordAction>> out;
+        for (const GateDef& def : gateTable()) {
+            out.push_back(def.num_params == 0
+                              ? recognize(def.matrix(nullptr))
+                              : std::nullopt);
+        }
+        return out;
+    }();
+    return actions;
+}
+
 } // namespace
+
+std::optional<CliffordAction>
+cliffordAction(const Instruction& instr)
+{
+    if (!instr.isGate()) return std::nullopt;
+    const GateDef* def = findGate(instr.name);
+    if (def != nullptr && def->num_params == 0 &&
+        size_t(def->num_qubits) == instr.arity()) {
+        return rowActions()[size_t(def->id)];
+    }
+    return recognize(instr.matrix);
+}
 
 PauliString
 conjugatePauli(const PauliString& pauli, const CliffordAction& action,
                const std::vector<int>& qubits)
 {
-    QA_REQUIRE(int(qubits.size()) == action.arity,
+    const int k = action.arity;
+    QA_REQUIRE(int(qubits.size()) == k,
                "conjugatePauli: qubit list does not match the action");
     const int n = pauli.numQubits();
+    uint32_t p = 0;
+    for (int j = 0; j < k; ++j) {
+        const int q = qubits[size_t(j)];
+        QA_REQUIRE(q >= 0 && q < n, "conjugatePauli: qubit out of range");
+        p |= uint32_t(pauli.x(q)) << j | uint32_t(pauli.z(q)) << (k + j);
+    }
 
     // Factors outside the gate's support commute with U and survive
-    // unchanged; the original phase rides along.
-    PauliString out(n);
-    out.setPhase(pauli.phase());
-    std::vector<bool> local(size_t(n), false);
-    for (int q : qubits) {
-        QA_REQUIRE(q >= 0 && q < n, "conjugatePauli: qubit out of range");
-        local[size_t(q)] = true;
+    // unchanged, and so does the original phase.
+    const uint8_t code = action.image[p];
+    PauliString out = pauli;
+    for (int j = 0; j < k; ++j) {
+        out.setX(qubits[size_t(j)], (code >> j) & 1);
+        out.setZ(qubits[size_t(j)], (code >> (k + j)) & 1);
     }
-    for (int q = 0; q < n; ++q) {
-        if (local[size_t(q)]) continue;
-        out.setX(q, pauli.x(q));
-        out.setZ(q, pauli.z(q));
-    }
-
-    // Each local factor maps to a product of the generator images:
-    // X -> x_image, Z -> z_image, Y = i X Z -> i * x_image * z_image.
-    // Distinct local qubits' factors act on disjoint wires and commute,
-    // so multiplying the images in qubit order is phase-exact.
-    for (size_t j = 0; j < qubits.size(); ++j) {
-        const int q = qubits[j];
-        const bool fx = pauli.x(q);
-        const bool fz = pauli.z(q);
-        if (!fx && !fz) continue;
-        if (fx && fz) out.setPhase(out.phase() + 1); // Y = i X Z
-        if (fx) out = out * embedPauli(action.x_images[j], n, qubits);
-        if (fz) out = out * embedPauli(action.z_images[j], n, qubits);
-    }
+    if (code & CliffordAction::kMinus) out.setPhase(out.phase() + 2);
     return out;
 }
 

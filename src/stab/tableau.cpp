@@ -1,6 +1,5 @@
 #include "stab/tableau.hpp"
 
-#include "circuit/stdgates.hpp"
 #include "common/error.hpp"
 
 namespace qa
@@ -15,32 +14,6 @@ StabilizerTableau::StabilizerTableau(int n)
         x_[q][q] = 1;      // destabilizer X_q
         z_[n + q][q] = 1;  // stabilizer Z_q
     }
-}
-
-void
-StabilizerTableau::applyH(int q)
-{
-    for (int i = 0; i < 2 * n_; ++i) {
-        r_[i] ^= x_[i][q] & z_[i][q];
-        std::swap(x_[i][q], z_[i][q]);
-    }
-}
-
-void
-StabilizerTableau::applyS(int q)
-{
-    for (int i = 0; i < 2 * n_; ++i) {
-        r_[i] ^= x_[i][q] & z_[i][q];
-        z_[i][q] ^= x_[i][q];
-    }
-}
-
-void
-StabilizerTableau::applySdg(int q)
-{
-    // Sdg = Z S: conjugation by Z flips the sign when x = 1.
-    applyS(q);
-    applyZ(q);
 }
 
 void
@@ -62,99 +35,42 @@ StabilizerTableau::applyZ(int q)
 }
 
 void
-StabilizerTableau::applyCx(int control, int target)
-{
-    for (int i = 0; i < 2 * n_; ++i) {
-        r_[i] ^= x_[i][control] & z_[i][target] &
-                 (x_[i][target] ^ z_[i][control] ^ 1);
-        x_[i][target] ^= x_[i][control];
-        z_[i][control] ^= z_[i][target];
-    }
-}
-
-void
-StabilizerTableau::applyCz(int a, int b)
-{
-    applyH(b);
-    applyCx(a, b);
-    applyH(b);
-}
-
-void
-StabilizerTableau::applySwap(int a, int b)
-{
-    applyCx(a, b);
-    applyCx(b, a);
-    applyCx(a, b);
-}
-
-void
-StabilizerTableau::applyGate(const Instruction& instr)
-{
-    QA_REQUIRE(instr.isGate(), "applyGate needs a gate instruction");
-    const GateDef* def = findGate(instr.name);
-    const auto& q = instr.qubits;
-    if (def != nullptr) {
-        switch (def->id) {
-          case GateId::kId: return;
-          case GateId::kX: applyX(q[0]); return;
-          case GateId::kY: applyY(q[0]); return;
-          case GateId::kZ: applyZ(q[0]); return;
-          case GateId::kH: applyH(q[0]); return;
-          case GateId::kS: applyS(q[0]); return;
-          case GateId::kSdg: applySdg(q[0]); return;
-          case GateId::kCx: applyCx(q[0], q[1]); return;
-          case GateId::kCz: applyCz(q[0], q[1]); return;
-          case GateId::kSwap: applySwap(q[0], q[1]); return;
-          default: break;
-        }
-    }
-    QA_FAIL("non-Clifford gate '" + instr.name +
-            "' in stabilizer simulation");
-}
-
-void
 StabilizerTableau::applyClifford(const CliffordAction& action,
                                  const std::vector<int>& qubits)
 {
     const int k = action.arity;
-    QA_REQUIRE(int(qubits.size()) == k,
+    QA_REQUIRE(int(qubits.size()) == k && (k == 1 || k == 2),
                "Clifford action arity does not match the qubit list");
-    QA_REQUIRE(int(action.x_images.size()) == k &&
-                   int(action.z_images.size()) == k,
-               "malformed Clifford action");
     for (int q : qubits) {
         QA_REQUIRE(q >= 0 && q < n_, "qubit index out of range");
     }
 
+    // Each row's local factor is one index into the action's table (see
+    // CliffordAction); the image's bits replace it and its sign flips r.
+    constexpr uint8_t kMinus = CliffordAction::kMinus;
+    const int a = qubits[0];
+    if (k == 1) {
+        for (int i = 0; i < 2 * n_; ++i) {
+            uint8_t& xa = x_[i][a];
+            uint8_t& za = z_[i][a];
+            const uint8_t code = action.image[xa | za << 1];
+            xa = code & 1;
+            za = (code >> 1) & 1;
+            r_[i] ^= uint8_t((code & kMinus) != 0);
+        }
+        return;
+    }
+    const int b = qubits[1];
     for (int i = 0; i < 2 * n_; ++i) {
-        // Local factor of row i over the touched qubits, written as
-        // i^s * prod_j X_j^x Z_j^z with s = sum x_j z_j (Y = iXZ).
-        int s = 0;
-        bool any = false;
-        PauliString acc(k);
-        for (int j = 0; j < k; ++j) {
-            const uint8_t lx = x_[i][qubits[size_t(j)]];
-            const uint8_t lz = z_[i][qubits[size_t(j)]];
-            if (lx && lz) ++s;
-            if (lx) {
-                acc = acc * action.x_images[size_t(j)];
-                any = true;
-            }
-            if (lz) {
-                acc = acc * action.z_images[size_t(j)];
-                any = true;
-            }
-        }
-        if (!any) continue;
-        acc.setPhase(acc.phase() + s);
-        QA_ASSERT(acc.phase() % 2 == 0,
-                  "Clifford conjugation left the signed Pauli group");
-        for (int j = 0; j < k; ++j) {
-            x_[i][qubits[size_t(j)]] = acc.x(j) ? 1 : 0;
-            z_[i][qubits[size_t(j)]] = acc.z(j) ? 1 : 0;
-        }
-        r_[i] ^= uint8_t(acc.phase() / 2);
+        uint8_t* x = x_[i].data();
+        uint8_t* z = z_[i].data();
+        const uint8_t code =
+            action.image[x[a] | x[b] << 1 | z[a] << 2 | z[b] << 3];
+        x[a] = code & 1;
+        x[b] = (code >> 1) & 1;
+        z[a] = (code >> 2) & 1;
+        z[b] = (code >> 3) & 1;
+        r_[i] ^= uint8_t((code & kMinus) != 0);
     }
 }
 
@@ -275,15 +191,6 @@ StabilizerTableau::toStatevector() const
     return CVector(dim);
 }
 
-bool
-isCliffordCircuit(const QuantumCircuit& circuit)
-{
-    for (const Instruction& instr : circuit.instructions()) {
-        if (instr.isGate() && !isNamedCliffordGate(instr)) return false;
-    }
-    return true;
-}
-
 StabilizerTableau
 runClifford(const QuantumCircuit& circuit)
 {
@@ -293,14 +200,10 @@ runClifford(const QuantumCircuit& circuit)
                        instr.type == OpType::kBarrier,
                    "runClifford requires a measurement-free circuit");
         if (instr.type != OpType::kGate) continue;
-        // Opaque gates run by their matrix, as on the stabilizer backend.
-        std::optional<CliffordAction> action;
-        if (!isNamedCliffordGate(instr)) action = recognizeClifford(instr);
-        if (action.has_value()) {
-            tableau.applyClifford(*action, instr.qubits);
-        } else {
-            tableau.applyGate(instr);
-        }
+        const std::optional<CliffordAction> action = cliffordAction(instr);
+        QA_REQUIRE(action.has_value(), "non-Clifford gate '" + instr.name +
+                                           "' in stabilizer simulation");
+        tableau.applyClifford(*action, instr.qubits);
     }
     return tableau;
 }

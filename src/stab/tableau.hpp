@@ -3,7 +3,9 @@
  * Aaronson-Gottesman stabilizer tableau: polynomial-time simulation of
  * Clifford circuits. Serves as an independent cross-validation backend
  * for the dense simulators and as the natural representation for the
- * paper's Bell/GHZ/cluster assertion targets.
+ * paper's Bell/GHZ/cluster assertion targets. Every gate, named or
+ * not, is applied one way: by its Clifford action's table
+ * (stab/clifford.hpp).
  */
 #ifndef QA_STAB_TABLEAU_HPP
 #define QA_STAB_TABLEAU_HPP
@@ -28,32 +30,21 @@ class StabilizerTableau
 
     int numQubits() const { return n_; }
 
-    /** @name Clifford gate application */
+    /**
+     * Pauli gates as sign-only updates, for noise and reset; every
+     * other gate goes through applyClifford.
+     */
     ///@{
-    void applyH(int q);
-    void applyS(int q);
-    void applySdg(int q);
     void applyX(int q);
     void applyY(int q);
     void applyZ(int q);
-    void applyCx(int control, int target);
-    void applyCz(int a, int b);
-    void applySwap(int a, int b);
     ///@}
 
     /**
-     * Apply a gate-table gate flagged `tableau_native` by name; throws
-     * UserError for any other gate.
-     */
-    void applyGate(const Instruction& instr);
-
-    /**
-     * Apply an arbitrary recognized Clifford gate (stab/clifford.hpp)
-     * to the listed qubits by rewriting every row's local Pauli factor
-     * as a product of the gate's generator images. O(n) rows, O(1)
-     * local work per row for the 1-2 qubit gates recognition admits —
-     * O(n) per gate overall, O(n^2) per gate across a full tableau
-     * rebuild. qubits[j] corresponds to the action's local qubit j.
+     * Apply a Clifford gate (its action from cliffordAction) to the
+     * listed qubits: the only gate update. Each row's local factor is
+     * one lookup in the action's table, so a gate costs one pass over
+     * the 2n rows. qubits[j] corresponds to the action's local qubit j.
      */
     void applyClifford(const CliffordAction& action,
                        const std::vector<int>& qubits);
@@ -87,13 +78,10 @@ class StabilizerTableau
     std::vector<uint8_t> r_; // sign bit per row (i^2r: 0 => +, 1 => -)
 };
 
-/** True when every gate in the circuit is tableau-native. */
-bool isCliffordCircuit(const QuantumCircuit& circuit);
-
 /**
- * Run a measurement-free Clifford circuit on |0...0>. Named gates go
- * through applyGate; any other gate runs by the Clifford action
- * recognized in its matrix (as on the stabilizer backend).
+ * Run a measurement-free Clifford circuit on |0...0>, each gate by its
+ * cliffordAction (as on the stabilizer backend); throws UserError on a
+ * non-Clifford gate.
  */
 StabilizerTableau runClifford(const QuantumCircuit& circuit);
 

@@ -7,6 +7,7 @@
  * idiom's fault-detection power), kUnsupportedAssertion diagnostics,
  * and the serve-layer auto_assert integration.
  */
+#include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -23,9 +24,11 @@
 #include "baselines/chi_square.hpp"
 #include "circuit/qasm.hpp"
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "serve/job.hpp"
 #include "serve/wire.hpp"
 #include "stab/observables.hpp"
+#include "stab/tableau.hpp"
 #include "synth/pauli_gadget.hpp"
 
 namespace qa
@@ -353,6 +356,127 @@ TEST(AcompGeneratorTest, CleanGhzPassesAndIdiomCatchesInjectedFault)
     ASSERT_FALSE(compiled.slots.empty());
     const PolicyOutcome out = runLowered(compiled, options);
     EXPECT_LT(out.pass_rate, 0.1);
+}
+
+/**
+ * A random Clifford circuit with barriers, mixing gates the classifier
+ * reads from the gate table (sx, cy, ...) with one it recognizes from
+ * the matrix (rz(pi/2)). With `ghz_prelude` it opens with h q[0] and a
+ * CX fan-out, which the GHZ idiom claims when nothing else touches it;
+ * otherwise an s on every qubit leaves the idiom no fresh root. A t
+ * sometimes ends the Clifford prefix before the measurements.
+ */
+QuantumCircuit
+randomBarrierCircuit(Rng& rng, bool ghz_prelude)
+{
+    const int n = 4 + int(rng.index(3));
+    QuantumCircuit qc(n, n);
+    int first = 0;
+    if (ghz_prelude) {
+        qc.h(0);
+        qc.cx(0, 1);
+        qc.cx(0, 2);
+        qc.barrier();
+        first = 3;
+    } else {
+        for (int q = 0; q < n; ++q) qc.s(q);
+    }
+    for (int g = 0; g < 20; ++g) {
+        const int a = first + int(rng.index(size_t(n - first)));
+        int b = first + int(rng.index(size_t(n - first)));
+        if (b == a) b = a + 1 < n ? a + 1 : first;
+        switch (rng.index(14)) {
+          case 0: qc.h(a); break;
+          case 1: qc.s(a); break;
+          case 2: qc.sdg(a); break;
+          case 3: qc.sx(a); break;
+          case 4: qc.rz(a, M_PI / 2.0); break;
+          case 5: qc.x(a); break;
+          case 6: qc.y(ghz_prelude ? int(rng.index(3)) : a); break;
+          case 7: if (b != a) qc.cx(a, b); break;
+          case 8: if (b != a) qc.cy(a, b); break;
+          case 9: if (b != a) qc.cz(a, b); break;
+          case 10: if (b != a) qc.swap(a, b); break;
+          default: qc.barrier(); break;
+        }
+    }
+    if (rng.bernoulli(0.3)) qc.t(n - 1);
+    qc.h(first);
+    qc.measureAll();
+    return qc;
+}
+
+TEST(AcompGeneratorTest, SitesMatchTheTableauOfTheirPrefix)
+{
+    // Every tableau-derived site asserts, for each of its qubits, that
+    // qubit's stabilizer row of the prefix before the site, restricted
+    // to the site's qubits.
+    Rng rng(41);
+    int checked = 0;
+    for (int trial = 0; trial < 60; ++trial) {
+        const QuantumCircuit raw = randomBarrierCircuit(rng, false);
+        for (const AssertionSite& site : generateAssertions(raw)) {
+            SCOPED_TRACE("trial " + std::to_string(trial) + " position " +
+                         std::to_string(site.position));
+            QuantumCircuit prefix(raw.numQubits());
+            for (size_t i = 0; i < site.position; ++i) {
+                prefix.append(raw.instructions()[i]);
+            }
+            const StabilizerTableau tab = runClifford(prefix);
+            ASSERT_EQ(site.generators.size(), site.qubits.size());
+            for (size_t j = 0; j < site.qubits.size(); ++j) {
+                const PauliString row = tab.stabilizer(site.qubits[j]);
+                PauliString expected(int(site.qubits.size()));
+                expected.setPhase(row.phase());
+                for (size_t l = 0; l < site.qubits.size(); ++l) {
+                    expected.setX(int(l), row.x(site.qubits[l]));
+                    expected.setZ(int(l), row.z(site.qubits[l]));
+                }
+                EXPECT_EQ(site.generators[j].toString(), expected.toString());
+                ++checked;
+            }
+        }
+    }
+    EXPECT_GT(checked, 100);
+}
+
+TEST(AcompGeneratorTest, OutputMatchesPinnedDigests)
+{
+    // Digest of generateAssertions' sites (position, invariant, qubits,
+    // generators, source anchors) over random barrier circuits, with
+    // and without the GHZ idiom, parsed back from QASM so the anchors
+    // are real. The pins were recorded with the generator that rebuilt
+    // the prefix tableau from gate 0 for every cut.
+    const char* const kPins[] = {
+        "77c4040fc6e150eff564a08b2ef650f7",
+        "744f904e070ed57285fa694f16246df4",
+        "98cdae94bf5f6eb808d7f971e2b263b8",
+        "dd1c4f30feb905fab9001a1c59dcf1a6",
+    };
+    Rng rng(43);
+    for (size_t round = 0; round < std::size(kPins); ++round) {
+        HashStream hash;
+        for (int trial = 0; trial < 10; ++trial) {
+            const QuantumCircuit built =
+                randomBarrierCircuit(rng, round % 2 == 1);
+            std::vector<QasmPos> positions;
+            const QuantumCircuit raw = parseQasm(built.toQasm(), &positions);
+            const std::vector<AssertionSite> sites =
+                generateAssertions(raw, &positions);
+            hash.u64(sites.size());
+            for (const AssertionSite& site : sites) {
+                hash.u64(site.position)
+                    .str(invariantClassName(site.invariant))
+                    .i64(site.source_line)
+                    .i64(site.source_col);
+                for (int q : site.qubits) hash.i64(q);
+                for (const PauliString& g : site.generators) {
+                    hash.str(g.toString());
+                }
+            }
+        }
+        EXPECT_EQ(hash.digest().str(), kPins[round]) << "round " << round;
+    }
 }
 
 TEST(AcompCompilerTest, UnsupportedAssertionCarriesSourceAnchor)

@@ -194,9 +194,9 @@ TEST(AnalyzerTest, NoiseProfiles)
 
 TEST(CliffordActionTest, RecognizedGatesMatchDenseEvolution)
 {
-    // A Clifford-angle circuit the name check cannot classify: evolve
-    // it both on the tableau (via recognized actions) and on the dense
-    // statevector, then compare the states.
+    // A Clifford-angle circuit whose rotations are classified from
+    // their matrices: evolve it both on the tableau (via cliffordAction)
+    // and on the dense statevector, then compare the states.
     QuantumCircuit qc(3);
     qc.h(0);
     qc.rz(0, M_PI / 2.0);  // S up to phase
@@ -209,7 +209,7 @@ TEST(CliffordActionTest, RecognizedGatesMatchDenseEvolution)
     StabilizerTableau tableau(3);
     Statevector dense(3);
     for (const Instruction& instr : qc.instructions()) {
-        const auto action = recognizeClifford(instr);
+        const auto action = cliffordAction(instr);
         ASSERT_TRUE(action.has_value()) << instr.name;
         tableau.applyClifford(*action, instr.qubits);
         dense.applyGate(instr);
