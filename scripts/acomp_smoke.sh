@@ -3,7 +3,7 @@
 # Assertion-compiler smoke test: raw (assertion-free) GHZ circuits
 # through `qassertd --auto-assert` and through a qa_router fleet.
 #
-# Four checks:
+# Five checks:
 #   1. a clean GHZ-5 prep gets an auto-generated stabilizer assertion,
 #      lowered to the ancilla-free Pauli parity form, and passes every
 #      shot (pass_rate 1, slot_error_rate 0);
@@ -16,7 +16,10 @@
 #   4. the same auto-assert jobs via request-level "auto_assert":true
 #      through a 2-shard qa_router are answered exactly once each,
 #      with the same verdicts — the compiler composes with the fleet
-#      path unchanged.
+#      path unchanged;
+#   5. a noisy GHZ-3 auto-assert job reports every shot it ran:
+#      "shots" and the sum of "counts" equal the 256 requested, while
+#      "accepted_shots" (the passing shots) is fewer.
 #
 # Usage: scripts/acomp_smoke.sh [build-dir]
 set -euo pipefail
@@ -41,11 +44,17 @@ clean='OPENQASM 2.0;\nqreg q[5];\ncreg c[5];\nh q[0];\ncx q[0],q[1];\ncx q[1],q[
 # Same prep with an X fault injected after the first entangling layer.
 fault='OPENQASM 2.0;\nqreg q[5];\ncreg c[5];\nh q[0];\ncx q[0],q[1];\nx q[1];\ncx q[1],q[2];\ncx q[2],q[3];\ncx q[3],q[4];\nmeasure q[0] -> c[0];\nmeasure q[1] -> c[1];\nmeasure q[2] -> c[2];\nmeasure q[3] -> c[3];\nmeasure q[4] -> c[4];\n'
 
-# --- 1+2+3. qassertd --auto-assert: clean pass, fault caught, explain
+# GHZ-3 under depolarizing noise: some shots flag the generated slot.
+ghz3='OPENQASM 2.0;\nqreg q[3];\ncreg c[3];\nh q[0];\ncx q[0],q[1];\ncx q[1],q[2];\nmeasure q[0] -> c[0];\nmeasure q[1] -> c[1];\nmeasure q[2] -> c[2];\n'
+depolarizing='{"kind":"depolarizing","p1":0.01,"p2":0.05}'
+
+# --- 1+2+3+5. qassertd --auto-assert: clean pass, fault caught,
+# explain, and the noisy job's reply shape
 printf '%s\n' \
     "{\"id\":\"clean\",\"qasm\":\"$clean\",\"shots\":512,\"seed\":21}" \
     "{\"id\":\"fault\",\"qasm\":\"$fault\",\"shots\":512,\"seed\":22}" \
     "{\"op\":\"explain\",\"id\":\"why\",\"qasm\":\"$clean\",\"shots\":512}" \
+    "{\"id\":\"noisy\",\"qasm\":\"$ghz3\",\"shots\":256,\"seed\":3,\"auto_assert\":true,\"noise\":$depolarizing}" \
     '{"op":"shutdown"}' \
     | "$QASSERTD" --auto-assert --workers 2 \
     > "$workdir/daemon.out" 2> "$workdir/daemon.err" \
@@ -77,6 +86,25 @@ grep -q '"auto_assert":{.*"form":"pauli"' <<< "$explain_line" \
 grep -q '"source":{"line":' <<< "$explain_line" \
     || { echo "acomp_smoke: explain slot lacks a source anchor" >&2;
          echo "$explain_line" >&2; exit 1; }
+
+# Every shot ran and is reported; only the passing ones are accepted.
+noisy_line=$(grep '"id":"noisy"' "$workdir/daemon.out")
+grep -q '"status":"ok".*"shots":256,' <<< "$noisy_line" \
+    || { echo "acomp_smoke: noisy job does not report its 256 shots" >&2;
+         echo "$noisy_line" >&2; exit 1; }
+counted=$(grep -o '"counts":{[^}]*}' <<< "$noisy_line" \
+          | grep -o ':[0-9]*' | tr -d : | awk '{s += $1} END {print s + 0}')
+if [[ "$counted" -ne 256 ]]; then
+    echo "acomp_smoke: noisy job's counts sum to $counted, not 256" >&2
+    echo "$noisy_line" >&2
+    exit 1
+fi
+accepted=$(grep -o '"accepted_shots":[0-9]*' <<< "$noisy_line" | cut -d: -f2)
+if [[ -z "$accepted" || "$accepted" -ge 256 ]]; then
+    echo "acomp_smoke: noisy job accepted '$accepted' shots (want < 256)" >&2
+    echo "$noisy_line" >&2
+    exit 1
+fi
 
 # --- 4. exactly-once through a 2-shard router -----------------------
 # auto_assert rides in the request JSON here, so plain qassertd shards
@@ -117,4 +145,5 @@ done
 
 echo "acomp_smoke OK: auto-generated Pauli assertion passed clean GHZ," \
      "caught the injected fault every shot, explained its lowering," \
-     "and ran exactly-once through a 2-shard router"
+     "ran exactly-once through a 2-shard router, and reported every" \
+     "shot of a noisy run"

@@ -25,7 +25,9 @@
 # assertion-compiler smoke (scripts/acomp_smoke.sh): a raw GHZ circuit
 # auto-asserted by qassertd --auto-assert must pass clean and flag an
 # injected X fault on every shot, including through a 2-shard
-# qa_router, and the remote-fleet network chaos smoke
+# qa_router, and a noisy GHZ-3 job must report all 256 shots it ran in
+# "shots" and "counts" while accepting fewer, and the remote-fleet
+# network chaos smoke
 # (scripts/netfleet_smoke.sh): qa_router --connect fronting three
 # qassertd --listen TCP shards, one behind the qa_netchaos fault proxy
 # (resets, a 5s partition, slow-loris, partial writes), with every job

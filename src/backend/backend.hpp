@@ -141,7 +141,7 @@ const Backend& backendFor(BackendKind kind);
  * index, so the counts are bit-identical for any options.num_threads;
  * options.deadline_ms truncates cooperatively (the partial histogram is
  * flagged `truncated`). Assertion slots are read afterwards, from the
- * histogram (core/runner.hpp postSelect).
+ * histogram (postSelect in core/runner.cpp).
  */
 Counts runPrepared(const PreparedCircuit& prepared,
                    const SimOptions& options);

@@ -45,55 +45,81 @@ programMarginal(const Counts& counts, const std::vector<int>& clbits)
     return identity ? counts : marginalCounts(counts, clbits);
 }
 
-} // namespace
-
-PostSelection
-postSelect(Counts all, const std::vector<std::vector<int>>& slot_clbits,
-           const std::vector<int>& program_clbits)
+/**
+ * One all-shot histogram read through its assertion slots. A shot flags
+ * slot i when a bit of slot i reads '1', and passes when it flags no
+ * slot.
+ */
+struct PostSelection
 {
-    const int shots = all.shots;
-    std::vector<long> flagged(slot_clbits.size(), 0);
-    for (auto it = all.map.begin(); it != all.map.end();) {
-        bool any = false;
-        for (size_t i = 0; i < slot_clbits.size(); ++i) {
-            if (flags(it->first, slot_clbits[i])) {
-                flagged[i] += it->second;
-                any = true;
-            }
-        }
-        if (any) {
-            all.shots -= it->second;
-            it = all.map.erase(it);
-        } else {
-            ++it;
-        }
-    }
+    /** Fraction of shots flagging each slot (0 when no shot ran). */
+    std::vector<double> slot_error_rate;
 
+    /** Fraction of shots flagging no slot (1 when no shot ran). */
+    double pass_rate = 1.0;
+
+    /** The accepted shots restricted to the program clbits, in order. */
+    Counts program_accepted;
+};
+
+/**
+ * Read `all` through `slot_clbits`. Rates are shares of `all.shots`;
+ * the accepted shots are the passing ones under kDiscard and every
+ * shot under kRepair.
+ */
+PostSelection
+postSelect(const Counts& all, const std::vector<std::vector<int>>& slot_clbits,
+           const std::vector<int>& program_clbits, AssertionPolicy policy)
+{
     PostSelection out;
     out.slot_error_rate.assign(slot_clbits.size(), 0.0);
-    if (shots > 0) {
-        for (size_t i = 0; i < slot_clbits.size(); ++i) {
-            out.slot_error_rate[i] = double(flagged[i]) / double(shots);
-        }
-        out.pass_rate = double(all.shots) / double(shots);
+    const bool keep_flagged = policy == AssertionPolicy::kRepair;
+    if (keep_flagged || slot_clbits.empty()) {
+        out.program_accepted = programMarginal(all, program_clbits);
+    } else {
+        out.program_accepted.truncated = all.truncated;
     }
-    out.program_passed = programMarginal(all, program_clbits);
-    out.passed = std::move(all);
+    if (slot_clbits.empty() || all.shots == 0) return out;
+
+    std::vector<long> flagged(slot_clbits.size(), 0);
+    long passed = 0;
+    for (const auto& [bits, n] : all.map) {
+        bool pass = true;
+        for (size_t i = 0; i < slot_clbits.size(); ++i) {
+            if (flags(bits, slot_clbits[i])) {
+                flagged[i] += n;
+                pass = false;
+            }
+        }
+        if (!pass) continue;
+        passed += n;
+        if (keep_flagged) continue;
+        std::string reduced;
+        reduced.reserve(program_clbits.size());
+        for (int c : program_clbits) reduced.push_back(bits[size_t(c)]);
+        out.program_accepted.map[reduced] += n;
+        out.program_accepted.shots += n;
+    }
+    for (size_t i = 0; i < slot_clbits.size(); ++i) {
+        out.slot_error_rate[i] = double(flagged[i]) / double(all.shots);
+    }
+    out.pass_rate = double(passed) / double(all.shots);
     return out;
 }
+
+} // namespace
 
 AssertionOutcome
 runAsserted(const AssertedProgram& program, const SimOptions& options)
 {
-    const PolicyJob job = policyJob(program);
+    PolicyOutcome run = runAssertedPolicy(program, options, PolicyOptions{});
     AssertionOutcome outcome;
-    outcome.raw = runShots(program.circuit(), options);
-    outcome.program_counts = marginalCounts(outcome.raw, job.program_clbits);
-    PostSelection selected =
-        postSelect(outcome.raw, job.slot_clbits, job.program_clbits);
-    outcome.slot_error_rate = std::move(selected.slot_error_rate);
-    outcome.pass_rate = selected.pass_rate;
-    outcome.program_counts_passed = std::move(selected.program_passed);
+    outcome.program_counts =
+        marginalCounts(run.raw, program.programClbits());
+    outcome.raw = std::move(run.raw);
+    outcome.program_counts_passed = std::move(run.program_counts);
+    outcome.slot_error_rate = std::move(run.slot_error_rate);
+    outcome.pass_rate = run.pass_rate;
     return outcome;
 }
 
@@ -154,38 +180,25 @@ runPolicy(const PolicyJob& job, const backend::Route& route,
 {
     QA_REQUIRE(job.circuit != nullptr, "policy job needs a circuit");
     QA_REQUIRE(options.shots > 0, "need a positive shot count");
-    const bool repair = popts.policy == AssertionPolicy::kRepair;
-    QA_REQUIRE_CODE(!repair || job.repair_supported,
+    QA_REQUIRE_CODE(popts.policy != AssertionPolicy::kRepair ||
+                        job.repair_supported,
                     ErrorCode::kPolicyUnsupported,
                     "repair policy requires slots that restore the "
                     "asserted state (SWAP-based designs)");
     const std::shared_ptr<const backend::PreparedCircuit> prepared =
         backend::prepareRouted(*job.circuit, options, route);
     Counts all = backend::runPrepared(*prepared, options);
+    PostSelection selected =
+        postSelect(all, job.slot_clbits, job.program_clbits, popts.policy);
 
     PolicyOutcome out;
-    out.policy = popts.policy;
-    out.backend = route.choice;
-    out.mps_truncation_error = prepared->truncationError();
-    out.shots_requested = options.shots;
-    out.shots_completed = all.shots;
-    out.truncated = all.truncated;
-    PostSelection selected;
-    if (repair) {
-        // Every shot is accepted: the slots re-prepared the state.
-        selected = postSelect(all, job.slot_clbits, job.program_clbits);
-        out.repaired = all.shots - selected.passed.shots;
-        out.program_counts = marginalCounts(all, job.program_clbits);
-        out.raw = std::move(all);
-    } else {
-        selected =
-            postSelect(std::move(all), job.slot_clbits, job.program_clbits);
-        out.program_counts = std::move(selected.program_passed);
-        out.raw = std::move(selected.passed);
-    }
-    out.shots_accepted = out.raw.shots;
+    out.program_counts = std::move(selected.program_accepted);
     out.slot_error_rate = std::move(selected.slot_error_rate);
     out.pass_rate = selected.pass_rate;
+    out.truncated = all.truncated;
+    out.backend = route.choice;
+    out.mps_truncation_error = prepared->truncationError();
+    out.raw = std::move(all);
     return out;
 }
 

@@ -7,9 +7,11 @@
  *
  * Every sampled run executes each shot once, on its own stream
  * (backend::runPrepared), and reads its slots afterwards from the
- * all-shot histogram through one function, postSelect. runAsserted,
- * runPolicy and the service's plain assert_clbits path all call it; the
- * two policies are two views of the histogram it returns.
+ * all-shot histogram through one function, postSelect, which only
+ * runPolicy calls. Every run reports the same shape: `raw` holds every
+ * completed shot, slot_error_rate and pass_rate are shares of those
+ * shots, and `program_counts` is the accepted view — the passing
+ * shots' program marginal under discard, every shot's under repair.
  */
 #ifndef QA_CORE_RUNNER_HPP
 #define QA_CORE_RUNNER_HPP
@@ -22,35 +24,6 @@
 
 namespace qa
 {
-
-/**
- * One all-shot histogram read through its assertion slots. A shot flags
- * slot i when a bit of slot i reads '1', and passes when it flags no
- * slot.
- */
-struct PostSelection
-{
-    /** Fraction of shots flagging each slot (0 when no shot ran). */
-    std::vector<double> slot_error_rate;
-
-    /** Fraction of shots flagging no slot (1 when no shot ran). */
-    double pass_rate = 1.0;
-
-    /** The passing shots over every classical bit. */
-    Counts passed;
-
-    /** `passed` restricted to the program clbits, in order. */
-    Counts program_passed;
-};
-
-/**
- * Post-select `all` on `slot_clbits`: the flagged entries are erased
- * from `all` in place, which becomes `passed`. Rates are shares of
- * `all.shots`.
- */
-PostSelection postSelect(Counts all,
-                         const std::vector<std::vector<int>>& slot_clbits,
-                         const std::vector<int>& program_clbits);
 
 /** Sampled (shot-based) assertion run report. */
 struct AssertionOutcome
@@ -71,7 +44,10 @@ struct AssertionOutcome
     Counts raw;
 };
 
-/** Run with the statevector backend (trajectory noise if configured). */
+/**
+ * Run the program's circuit on its routed backend under kDiscard
+ * (runAssertedPolicy), adding the all-shot program marginal.
+ */
 AssertionOutcome runAsserted(const AssertedProgram& program,
                              const SimOptions& options);
 
@@ -126,19 +102,17 @@ struct PolicyOptions
 };
 
 /**
- * Shot-level report of a policy run. Detector statistics
- * (slot_error_rate, pass_rate) are measured over every completed shot;
- * the policy only decides which shots reach the accepted program
- * output.
+ * Shot-level report of a policy run. `raw` and the detector statistics
+ * (slot_error_rate, pass_rate) cover every completed shot; the policy
+ * only decides which shots reach `program_counts`.
  */
 struct PolicyOutcome
 {
-    AssertionPolicy policy = AssertionPolicy::kDiscard;
-
-    /** Accepted shots' program-clbit histogram. */
+    /** Accepted shots' program-clbit histogram: the passing shots under
+     *  kDiscard, every completed shot under kRepair. */
     Counts program_counts;
 
-    /** Accepted shots' full raw histogram (every classical bit). */
+    /** Every completed shot's histogram over every classical bit. */
     Counts raw;
 
     /** Fraction of completed shots flagging each slot. */
@@ -146,17 +120,6 @@ struct PolicyOutcome
 
     /** Fraction of completed shots with no flagged slot. */
     double pass_rate = 1.0;
-
-    int shots_requested = 0;
-
-    /** Shots that executed (a deadline may truncate). */
-    int shots_completed = 0;
-
-    /** Shots contributing to program_counts / raw. */
-    int shots_accepted = 0;
-
-    /** kRepair shots kept despite at least one flagged slot. */
-    int repaired = 0;
 
     /** True when the deadline cancelled the run before all shots ran. */
     bool truncated = false;
@@ -197,18 +160,18 @@ PolicyJob policyJob(const AssertedProgram& program);
  * Run a policy job. `route` is the route of job.circuit under `options`
  * (backend::route); the circuit is prepared on its backend, reusing its
  * analysis, every shot runs once (backend::runPrepared), and the
- * histogram is post-selected (postSelect). kDiscard accepts the passed
- * shots, kRepair every shot. Throws UserError(kBadRequest) when an explicitly requested
- * backend cannot run it, and UserError(kPolicyUnsupported) for kRepair
- * without repair_supported.
+ * histogram is read through the slots (postSelect). kDiscard accepts
+ * the passed shots, kRepair every shot. Throws UserError(kBadRequest)
+ * when an explicitly requested backend cannot run it, and
+ * UserError(kPolicyUnsupported) for kRepair without repair_supported.
  */
 PolicyOutcome runPolicy(const PolicyJob& job, const backend::Route& route,
                         const SimOptions& options,
                         const PolicyOptions& policy);
 
 /**
- * Run the program's circuit shot by shot and report the shots `policy`
- * accepts. Seeded runs are bit-identical for any thread count (per-shot
+ * Run the program's circuit shot by shot under `policy` (runPolicy).
+ * Seeded runs are bit-identical for any thread count (per-shot
  * counter-based RNG streams) unless truncated by options.deadline_ms.
  * kRepair requires every slot to use the SWAP-based design and throws
  * UserError (ErrorCode::kPolicyUnsupported) otherwise.

@@ -16,21 +16,13 @@ namespace
 {
 
 /**
- * The policy job of a plain circuit: no slots, every clbit
- * a program bit. Validates the assert_clbits slots read afterwards.
+ * The assert_clbits slots of a plain circuit, each non-empty and in
+ * range: the run and the explain op both check them (planJob).
  */
-PolicyJob
-plainJob(const JobSpec& spec)
+void
+validateSlots(const JobSpec& spec)
 {
     const int num_clbits = spec.circuit.numClbits();
-    if (!spec.assert_clbits.empty()) {
-        QA_REQUIRE_CODE(spec.policy == AssertionPolicy::kDiscard,
-                        ErrorCode::kPolicyUnsupported,
-                        std::string("plain-circuit jobs only support the "
-                                    "discard policy, got ") +
-                            policyName(spec.policy) +
-                            " (submit an AssertedProgram for the rest)");
-    }
     for (const std::vector<int>& slot : spec.assert_clbits) {
         QA_REQUIRE_CODE(!slot.empty(), ErrorCode::kBadRequest,
                         "assertion slot lists no classical bits");
@@ -42,25 +34,29 @@ plainJob(const JobSpec& spec)
                                 " classical bits");
         }
     }
-    PolicyJob job;
-    job.circuit = &spec.circuit;
-    for (int c = 0; c < num_clbits; ++c) job.program_clbits.push_back(c);
-    return job;
 }
 
-/** The clbits of a plain circuit that no assert_clbits slot owns. */
-std::vector<int>
-unslottedClbits(const JobSpec& spec)
+/**
+ * The policy job of a plain circuit: its assert_clbits are the slots,
+ * and the clbits no slot owns are the program bits. Repair needs slots
+ * that restore the asserted state, which a bare clbit list cannot
+ * promise, so only a slot-less plain job supports it.
+ */
+PolicyJob
+plainJob(const JobSpec& spec)
 {
+    PolicyJob job;
+    job.circuit = &spec.circuit;
+    job.slot_clbits = spec.assert_clbits;
     std::vector<bool> owned(size_t(spec.circuit.numClbits()), false);
     for (const std::vector<int>& slot : spec.assert_clbits) {
         for (int c : slot) owned[size_t(c)] = true;
     }
-    std::vector<int> clbits;
     for (int c = 0; c < spec.circuit.numClbits(); ++c) {
-        if (!owned[size_t(c)]) clbits.push_back(c);
+        if (!owned[size_t(c)]) job.program_clbits.push_back(c);
     }
-    return clbits;
+    job.repair_supported = spec.assert_clbits.empty();
+    return job;
 }
 
 /** The SimOptions a spec executes (and routes) under. */
@@ -120,9 +116,10 @@ jobKey(const JobSpec& spec)
             stream.u64(slot.size());
             for (int c : slot) stream.i64(c);
         }
-        // The plain path only executes under kDiscard (anything else
-        // fails, and failures are never cached), so the policy carries
-        // no information here — except under auto_assert, where the
+        // A plain job with slots fails under kRepair (and failures are
+        // never cached), and a slot-less one passes every shot, so its
+        // repair payload is its discard payload: the policy carries no
+        // information here — except under auto_assert, where the
         // compiler path honors the full policy range and the lowering
         // request changes the instrumented circuit.
         stream.u64(spec.auto_assert ? 1 : 0);
@@ -162,6 +159,7 @@ planJob(const JobSpec& spec)
         return acomp::planRun(spec.program->circuit(), specOptions(spec));
     }
     if (!spec.auto_assert) {
+        validateSlots(spec);
         return acomp::planRun(spec.circuit, specOptions(spec));
     }
     QA_REQUIRE_CODE(spec.assert_clbits.empty(), ErrorCode::kBadRequest,
@@ -180,21 +178,11 @@ JobResult
 executeJob(const JobSpec& spec)
 {
     const acomp::PlannedRun plan = planJob(spec);
-
-    // Reduce the spec to one policy job. Plain circuits run under
-    // discard with no slots, so every shot is kept: their assert_clbits
-    // slots are read afterwards from that histogram, by the same
-    // postSelect the policy run uses.
-    const bool plain = spec.program == nullptr && !plan.compiled;
-    PolicyJob job;
+    const PolicyJob job = plan.compiled ? acomp::policyJob(*plan.compiled)
+                          : spec.program ? policyJob(*spec.program)
+                                         : plainJob(spec);
     PolicyOptions popts;
-    if (plain) {
-        job = plainJob(spec);
-    } else {
-        job = plan.compiled ? acomp::policyJob(*plan.compiled)
-                            : policyJob(*spec.program);
-        popts.policy = spec.policy;
-    }
+    popts.policy = spec.policy;
     PolicyOutcome outcome =
         runPolicy(job, plan.route, specOptions(spec), popts);
 
@@ -208,15 +196,6 @@ executeJob(const JobSpec& spec)
     result.backend = std::move(outcome.backend);
     result.mps_truncation_error = outcome.mps_truncation_error;
     if (plan.compiled) result.assertions = plan.compiled->slots;
-    if (plain && !spec.assert_clbits.empty()) {
-        // `counts` keeps every completed shot; program_counts is the
-        // passing shots over the clbits no slot owns.
-        PostSelection selected = postSelect(
-            result.counts, spec.assert_clbits, unslottedClbits(spec));
-        result.slot_error_rate = std::move(selected.slot_error_rate);
-        result.pass_rate = selected.pass_rate;
-        result.program_counts = std::move(selected.program_passed);
-    }
     return result;
 }
 

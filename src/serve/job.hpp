@@ -4,9 +4,10 @@
  * comes back (JobResult), the canonical cache key over a spec, and the
  * pure execution function the scheduler workers dispatch.
  *
- * Every job shape (plain circuit, AssertedProgram, auto_assert) runs
- * each shot once through the one shot loop and reads its assertion
- * slots from that histogram with core/runner.hpp's postSelect.
+ * Every job shape (plain circuit, AssertedProgram, auto_assert) reduces
+ * to one PolicyJob and one runPolicy call (core/runner.hpp), so every
+ * result has one shape: `counts` is every completed shot and
+ * `program_counts` the policy's accepted view.
  *
  * Determinism contract: executeJob is a pure function of the spec —
  * shot s draws only from the counter-based stream
@@ -57,23 +58,24 @@ struct JobSpec
     QuantumCircuit circuit{1};
 
     /**
-     * Policy-aware path for in-process callers: when set, the job runs
-     * runAssertedPolicy over the program (discard or repair) instead of
-     * plain shot sampling. Shared so queued copies of a job stay cheap.
+     * Program path for in-process callers: when set, the job runs the
+     * program's circuit and slots (policyJob) instead of `circuit`.
+     * Shared so queued copies of a job stay cheap.
      */
     std::shared_ptr<const AssertedProgram> program;
 
     /**
      * Assertion slots for the plain-circuit path: each inner vector
-     * lists the classical bits of one slot (|0...0> = pass). The result
-     * reports per-slot error rates and a histogram post-selected on
-     * every slot passing (core/runner.hpp postSelect), with `counts`
-     * over every shot. Only AssertionPolicy::kDiscard is accepted on
-     * this path; repair needs a `program` whose slots are all SWAP.
+     * lists the classical bits of one slot (|0...0> = pass), and the
+     * clbits no slot owns are the program bits. The job runs as a
+     * policy job over these slots, so its result has the shape every
+     * path has (JobResult::counts, program_counts). Repair is rejected
+     * when slots are given (kPolicyUnsupported): it needs a `program`
+     * whose slots are all SWAP.
      */
     std::vector<std::vector<int>> assert_clbits;
 
-    /** Recovery policy (program path; plain path must use kDiscard). */
+    /** Recovery policy (a plain job with slots must use kDiscard). */
     AssertionPolicy policy = AssertionPolicy::kDiscard;
 
     /**
@@ -163,18 +165,16 @@ struct JobResult
     JobStatus status = JobStatus::kOk;
 
     /**
-     * Raw histogram over every classical bit: the policy's accepted
-     * shots for AssertedProgram and auto_assert jobs, every completed
-     * shot for plain circuits (assert_clbits slots only post-select
-     * program_counts).
+     * Every completed shot over every classical bit, on every path and
+     * under either policy; `counts.shots` is the wire's "shots".
      */
     Counts counts;
 
     /**
-     * Program-output histogram: post-selected on all slots passing and
-     * restricted to the non-assertion classical bits (plain path), or
-     * the policy runner's accepted program counts (program path).
-     * Equals `counts` when the job has no assertion slots.
+     * The accepted shots over the program bits (the clbits no slot
+     * owns): the passing shots under discard, every shot under repair.
+     * `program_counts.shots` is the wire's "accepted_shots". Equals
+     * `counts` when the job has no assertion slots.
      */
     Counts program_counts;
 
@@ -247,7 +247,8 @@ Hash128 jobKey(const JobSpec& spec);
  * the circuit the job executes (the compiled circuit, the program
  * circuit, or the plain circuit). executeJob runs it; the wire explain
  * op reports it. Throws UserError(kBadRequest) when auto_assert
- * conflicts with a program or with assert_clbits, and what the
+ * conflicts with a program or with assert_clbits, or when a plain
+ * job's assert_clbits slot is empty or out of range, and what the
  * assertion compiler throws.
  */
 acomp::PlannedRun planJob(const JobSpec& spec);

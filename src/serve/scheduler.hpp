@@ -7,7 +7,7 @@
  * queue rejects with ErrorCode::kQueueFull instead of blocking — and a
  * fixed worker pool drains the queue, consulting the cross-job
  * ResultCache before dispatching cache misses onto the shot-execution
- * engine (executeJob -> runShots / runAssertedPolicy).
+ * engine (executeJob -> runPolicy).
  *
  * One attempt per job: the worker that pops a job runs it once and
  * resolves it with whatever it produced. A job's result is a pure

@@ -34,9 +34,16 @@
  *   {"id":"job-1","status":"ok","cache_hit":false,"backend":"stabilizer",
  *    "shots":1024,"truncated":false,"pass_rate":0.98,
  *    "slot_error_rate":[0.02],
- *    "counts":{"00":519,...},"program_counts":{"0":519,...},
- *    "queue_ms":0.1,"exec_ms":3.2}
+ *    "counts":{"00":519,...},"program_counts":{"0":504,...},
+ *    "accepted_shots":1004,"queue_ms":0.1,"exec_ms":3.2}
  *   {"id":"job-2","status":"error","code":"queue_full","message":"..."}
+ *
+ * On every path (assert_clbits, auto_assert, in-process programs) and
+ * under either policy, "shots" is the number of completed shots and
+ * "counts" their histogram over every clbit; the rates are shares of
+ * those shots. "program_counts" (the program clbits only) and
+ * "accepted_shots" are the accepted view: the passing shots under
+ * discard, every shot under repair. Jobs without slots carry neither.
  *
  * auto_assert results additionally carry the compiled lowering report:
  *   "auto_assert":{"generated":2,"slots":[

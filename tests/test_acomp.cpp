@@ -329,7 +329,7 @@ TEST(AcompGeneratorTest, NonCliffordPrefixYieldsNoSites)
     options.seed = 1;
     const PolicyOutcome out = runLowered(compiled, options);
     EXPECT_DOUBLE_EQ(out.pass_rate, 1.0);
-    EXPECT_EQ(out.shots_completed, 64);
+    EXPECT_EQ(out.raw.shots, 64);
 }
 
 TEST(AcompGeneratorTest, CleanGhzPassesAndIdiomCatchesInjectedFault)

@@ -538,7 +538,7 @@ TEST(BackendResultTest, PolicyOutcomeRecordsBackend)
     popts.policy = AssertionPolicy::kDiscard;
     const PolicyOutcome outcome = runAssertedPolicy(prog, options, popts);
     EXPECT_EQ(outcome.backend.backend, BackendKind::kStabilizer);
-    EXPECT_GT(outcome.shots_accepted, 0);
+    EXPECT_GT(outcome.program_counts.shots, 0);
 }
 
 // ---------------------------------------------------------------------

@@ -48,6 +48,15 @@ coinFlipProgram(AssertionDesign design)
     return prog;
 }
 
+/** Accepted shots that flagged a slot: 0 under discard, the flagged
+ *  shots under repair. */
+long
+acceptedFlagged(const PolicyOutcome& out)
+{
+    return out.program_counts.shots -
+           std::lround(out.pass_rate * double(out.raw.shots));
+}
+
 TEST(PolicyTest, PolicyNamesAreStable)
 {
     EXPECT_STREQ(policyName(AssertionPolicy::kDiscard), "discard");
@@ -57,8 +66,9 @@ TEST(PolicyTest, PolicyNamesAreStable)
 TEST(PolicyTest, DiscardMatchesPostSelection)
 {
     // Both policies draw the same per-shot RNG streams as the plain
-    // runner: kDiscard's accepted histogram is the post-selected one,
-    // and kRepair's is the whole unfiltered one.
+    // runner and report every shot in `raw`: kDiscard's accepted
+    // histogram is the post-selected one, and kRepair's is the whole
+    // unfiltered one.
     const AssertedProgram prog = coinFlipProgram(AssertionDesign::kNdd);
     const AssertedProgram swap = coinFlipProgram(AssertionDesign::kSwap);
     SimOptions options;
@@ -74,9 +84,11 @@ TEST(PolicyTest, DiscardMatchesPostSelection)
         const PolicyOutcome out = runAssertedPolicy(prog, options, popts);
 
         EXPECT_EQ(out.program_counts.map, plain.program_counts_passed.map);
-        EXPECT_EQ(out.shots_completed, options.shots);
-        EXPECT_EQ(out.shots_accepted, plain.program_counts_passed.shots);
-        EXPECT_EQ(out.repaired, 0);
+        EXPECT_EQ(out.raw.map, plain.raw.map);
+        EXPECT_EQ(out.raw.shots, options.shots);
+        EXPECT_EQ(out.program_counts.shots,
+                  plain.program_counts_passed.shots);
+        EXPECT_EQ(acceptedFlagged(out), 0);
         EXPECT_FALSE(out.truncated);
         ASSERT_EQ(out.slot_error_rate.size(), 1u);
         EXPECT_NEAR(out.slot_error_rate[0], plain.slot_error_rate[0],
@@ -90,12 +102,12 @@ TEST(PolicyTest, DiscardMatchesPostSelection)
         EXPECT_EQ(repair.program_counts.map,
                   swap_plain.program_counts.map);
         EXPECT_EQ(repair.program_counts.shots, options.shots);
-        EXPECT_EQ(repair.shots_accepted, options.shots);
+        EXPECT_EQ(repair.raw.shots, options.shots);
         EXPECT_EQ(repair.slot_error_rate, swap_plain.slot_error_rate);
         EXPECT_EQ(repair.pass_rate, swap_plain.pass_rate);
-        EXPECT_EQ(repair.repaired,
+        EXPECT_EQ(acceptedFlagged(repair),
                   options.shots - swap_plain.program_counts_passed.shots);
-        EXPECT_GT(repair.repaired, 0);
+        EXPECT_GT(acceptedFlagged(repair), 0);
     }
 }
 
@@ -109,9 +121,9 @@ TEST(PolicyTest, RepairKeepsFlaggedShotsWithRestoredState)
     popts.policy = AssertionPolicy::kRepair;
     const PolicyOutcome out = runAssertedPolicy(prog, options, popts);
 
-    EXPECT_EQ(out.shots_completed, options.shots);
-    EXPECT_EQ(out.shots_accepted, options.shots);
-    EXPECT_EQ(out.repaired, options.shots);
+    EXPECT_EQ(out.raw.shots, options.shots);
+    EXPECT_EQ(out.program_counts.shots, options.shots);
+    EXPECT_EQ(acceptedFlagged(out), options.shots);
     EXPECT_NEAR(out.slot_error_rate[0], 1.0, 1e-12);
     EXPECT_NEAR(out.pass_rate, 0.0, 1e-12);
     // The SWAP slot re-prepared |0> on the program qubit, so the kept
@@ -168,8 +180,10 @@ TEST(PolicyTest, PolicyRunsAreThreadCountInvariant)
             EXPECT_EQ(serial.program_counts.map,
                       other->program_counts.map);
             EXPECT_EQ(serial.slot_error_rate, other->slot_error_rate);
-            EXPECT_EQ(serial.shots_accepted, other->shots_accepted);
-            EXPECT_EQ(serial.repaired, other->repaired);
+            EXPECT_EQ(serial.raw.shots, other->raw.shots);
+            EXPECT_EQ(serial.program_counts.shots,
+                      other->program_counts.shots);
+            EXPECT_EQ(acceptedFlagged(serial), acceptedFlagged(*other));
             EXPECT_EQ(serial.pass_rate, other->pass_rate);
         }
     }
@@ -195,13 +209,16 @@ TEST(PolicyTest, ExpiredDeadlineTruncatesWithoutAborting)
     const PolicyOutcome out = runAssertedPolicy(prog, options, popts);
 
     EXPECT_TRUE(out.truncated);
-    EXPECT_LT(out.shots_completed, options.shots);
-    EXPECT_EQ(out.program_counts.shots, out.shots_accepted);
+    EXPECT_LT(out.raw.shots, options.shots);
+    EXPECT_EQ(acceptedFlagged(out), 0);
     EXPECT_TRUE(out.program_counts.truncated);
-    // The histogram is a valid sample of whatever completed.
+    // The histograms are valid samples of whatever completed.
     int total = 0;
     for (const auto& [bits, n] : out.program_counts.map) total += n;
-    EXPECT_EQ(total, out.shots_accepted);
+    EXPECT_EQ(total, out.program_counts.shots);
+    total = 0;
+    for (const auto& [bits, n] : out.raw.map) total += n;
+    EXPECT_EQ(total, out.raw.shots);
 }
 
 TEST(PolicyTest, InvalidPolicyOptionsAreRejected)

@@ -347,7 +347,7 @@ digestSpecs()
     }
 
     // A noisy auto-asserted GHZ-3 under the default (discard) policy:
-    // flagged shots are dropped.
+    // flagged shots stay in `counts` and leave `program_counts`.
     JobSpec discard;
     QuantumCircuit ghz(3, 3);
     ghz.h(0);
@@ -454,9 +454,9 @@ TEST(JobTest, PayloadDigestsMatchPinnedValues)
         {"plain_assert_clbits", "c73447e044e2f136af3efebffa0d3c31"},
         {"plain_mid_circuit", "e044aa891bb3d9c3d1f4e534910f72c9"},
         {"statevector_trajectory", "72256382a157f65fb2879e2da78822fa"},
-        {"program_discard", "c7cf7b3c95bfbd177df2c86fe94b08dd"},
+        {"program_discard", "13c280f3af808dc89d2b037c130964df"},
         {"program_repair", "6484fec940779a72c193bcdf7ff20e7c"},
-        {"auto_assert_discard", "cf336b6b7500c97cd28b0b1d0106d726"},
+        {"auto_assert_discard", "db84e8e44a9f72cd5b32ee3de96cf339"},
         {"density_melbourne", "66b6672b7dd106eaf5dab41742d88177"},
         {"stabilizer", "26051371c39bb4bdfd4ff4c7b1d565d8"},
         {"mps_chain", "d47a8ba543bec0de6d5aa77b8a3bf21e"},
@@ -494,6 +494,68 @@ TEST(JobTest, ShotLoopIsThreadCountDeterministic)
             many.num_threads = threads;
             EXPECT_EQ(payloadHash(executeJob(many)), payloadHash(reference))
                 << threads << " threads";
+        }
+    }
+}
+
+TEST(JobTest, EveryPathReportsEveryShot)
+{
+    // One reply shape: on the plain, program and auto_assert paths,
+    // under either policy, `counts` holds every completed shot and
+    // `program_counts` the accepted ones (the passing shots under
+    // discard, every shot under repair). Noise makes some shots flag.
+    const NoiseModel noise = NoiseModel::depolarizing(0.01, 0.05);
+    QuantumCircuit ghz(3, 3);
+    ghz.h(0);
+    ghz.cx(0, 1);
+    ghz.cx(1, 2);
+    ghz.measureAll();
+
+    std::vector<std::pair<std::string, JobSpec>> paths;
+    JobSpec plain = coinSpec(31);
+    plain.circuit = ghz;
+    plain.assert_clbits = {{2}};
+    paths.emplace_back("plain_assert_clbits", plain);
+    for (AssertionPolicy policy :
+         {AssertionPolicy::kDiscard, AssertionPolicy::kRepair}) {
+        JobSpec program;
+        program.program = noisyBellProgram();
+        program.policy = policy;
+        paths.emplace_back(std::string("program_") + policyName(policy),
+                           program);
+    }
+    JobSpec autoassert;
+    autoassert.circuit = ghz;
+    autoassert.auto_assert = true;
+    paths.emplace_back("auto_assert", autoassert);
+
+    for (auto& [name, spec] : paths) {
+        spec.noise = noise;
+        spec.shots = 256;
+        spec.seed = 3;
+        const bool repair = spec.policy == AssertionPolicy::kRepair;
+        Hash128 reference;
+        for (int threads : {1, 2, 8}) {
+            SCOPED_TRACE(name + " at " + std::to_string(threads) +
+                         " threads");
+            spec.num_threads = threads;
+            const JobResult result = executeJob(spec);
+            ASSERT_EQ(int(result.status), int(JobStatus::kOk));
+            EXPECT_EQ(result.counts.shots, spec.shots);
+            int total = 0;
+            for (const auto& [bits, n] : result.counts.map) total += n;
+            EXPECT_EQ(total, result.counts.shots);
+            ASSERT_FALSE(result.slot_error_rate.empty());
+            EXPECT_LT(result.pass_rate, 1.0);
+            if (repair) {
+                EXPECT_EQ(result.program_counts.shots, spec.shots);
+            } else {
+                // 256 shots: pass_rate x shots is exact in a double.
+                EXPECT_EQ(double(result.program_counts.shots),
+                          result.pass_rate * spec.shots);
+            }
+            if (threads == 1) reference = payloadHash(result);
+            EXPECT_EQ(payloadHash(result), reference);
         }
     }
 }
@@ -1035,6 +1097,41 @@ TEST(WireTest, ReplayLinesAreResultLinesMinusTiming)
             EXPECT_EQ(it->second.dump(), value.dump())
                 << request.id << ": " << key;
         }
+    }
+}
+
+TEST(WireTest, ExplainRejectsTheSlotsARunRejects)
+{
+    // explain plans what a run would, so it checks the plain path's
+    // assert_clbits slots the same way and answers with the same error.
+    SchedulerOptions options;
+    options.workers = 1;
+    Scheduler scheduler(options);
+    LineService service(scheduler, nullptr, LineService::Options{});
+    const std::string circuit =
+        R"("qasm":"OPENQASM 2.0;\nqreg q[3];\ncreg c[3];\nh q[0];\n)"
+        R"(measure q[0] -> c[0];\n","assert_clbits":)";
+    for (const std::string slots : {"[[9]]", "[[]]"}) {
+        SCOPED_TRACE(slots);
+        const std::string fields = circuit + slots + "}";
+        std::string message;
+        try {
+            executeJob(parseRequest("{" + fields).spec);
+            FAIL() << "the run must reject the slots";
+        } catch (const UserError& err) {
+            EXPECT_EQ(err.code(), ErrorCode::kBadRequest);
+            message = err.what();
+        }
+        std::vector<std::string> lines;
+        service.handleLine(R"({"op":"explain","id":"e",)" + fields,
+                           [&lines](const std::string& line) {
+                               lines.push_back(line);
+                           });
+        ASSERT_EQ(lines.size(), 1u);
+        const JsonValue reply = JsonValue::parse(lines[0]);
+        EXPECT_EQ(reply.find("status")->asString(), "error");
+        EXPECT_EQ(reply.find("code")->asString(), "bad_request");
+        EXPECT_EQ(reply.find("message")->asString(), message);
     }
 }
 
