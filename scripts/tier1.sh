@@ -51,7 +51,11 @@
 # 0), and the RngTest cases, which check Rng's lazily initialised
 # engine against std::mt19937_64 across draws 156, 312 and 624 and
 # through copies, so an off-by-one into its fixed 312-word state shows
-# up under ASan. It
+# up under ASan. It also includes the shot-plan cases (ShotPlanTest.*):
+# analyzeShotPlan finds the split with one iterator and checks terminal
+# sampling from that iterator to the end, and it reads each gate's
+# channel list by reference through NoiseModel::channelsFor, so a split
+# past the end or a dangling list shows up under ASan. It
 # also includes the outcome-trie warm/cold cases (EngineTest.OutcomeTrie*):
 # a replaying shot walks a flat vector of trie nodes by child index, and
 # one case fills it past its node cap, so a bad index shows up there.
@@ -161,7 +165,7 @@ if [[ "$skip_asan" -ne 1 ]]; then
     ./build-asan/tests/test_inject
     ./build-asan/tests/test_policy
     ./build-asan/tests/test_engine \
-        --gtest_filter='ShotPoolTest.*:EngineTest.Deadline*:EngineTest.StatevectorSampler*:EngineTest.PrefixCachedAgreesExactlyWithNaive:EngineTest.OutcomeTrie*:RngTest.*'
+        --gtest_filter='ShotPoolTest.*:ShotPlanTest.*:EngineTest.Deadline*:EngineTest.StatevectorSampler*:EngineTest.PrefixCachedAgreesExactlyWithNaive:EngineTest.OutcomeTrie*:RngTest.*'
     ./build-asan/tests/test_serve
     ./build-asan/tests/test_backend
     ./build-asan/tests/test_mps

@@ -69,24 +69,15 @@ struct ResolvedSlot
     int num_clbits = 0;
 };
 
-/** Backend kind candidate fragments are weighed under. */
+/**
+ * Backend kind candidate fragments are weighed under: the requested
+ * one, or for kAuto a guess from the raw circuit's Clifford content.
+ */
 BackendKind
 weighKind(BackendRequest request, bool clifford)
 {
-    switch (request) {
-      case BackendRequest::kStatevector:
-        return BackendKind::kStatevector;
-      case BackendRequest::kDensityMatrix:
-        return BackendKind::kDensityMatrix;
-      case BackendRequest::kStabilizer:
-        return BackendKind::kStabilizer;
-      case BackendRequest::kMps:
-        return BackendKind::kMps;
-      case BackendRequest::kAuto:
-        break;
-    }
-    return clifford ? BackendKind::kStabilizer
-                    : BackendKind::kStatevector;
+    return requestedKind(request).value_or(
+        clifford ? BackendKind::kStabilizer : BackendKind::kStatevector);
 }
 
 /** Cost the Pauli-measure form by building the gadgets on scratch. */

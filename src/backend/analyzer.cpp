@@ -101,13 +101,21 @@ analyzeNoise(const NoiseModel* noise)
     profile.kraus = !noise->noise_1q.empty() || !noise->noise_2q.empty();
     profile.readout =
         noise->readout_p01 > 0.0 || noise->readout_p10 > 0.0;
-    for (const auto* list : {&noise->noise_1q, &noise->noise_2q}) {
-        for (const KrausChannel& channel : *list) {
-            if (!recognizePauliChannel(channel)) {
-                profile.pauli_only = false;
-                return profile;
-            }
+    const auto recognize = [](const std::vector<KrausChannel>& channels,
+                              std::vector<PauliChannel>* out) {
+        for (const KrausChannel& channel : channels) {
+            std::optional<PauliChannel> pauli =
+                recognizePauliChannel(channel);
+            if (!pauli) return false;
+            out->push_back(std::move(*pauli));
         }
+        return true;
+    };
+    profile.pauli_only = recognize(noise->noise_1q, &profile.pauli_1q) &&
+                         recognize(noise->noise_2q, &profile.pauli_2q);
+    if (!profile.pauli_only) {
+        profile.pauli_1q.clear();
+        profile.pauli_2q.clear();
     }
     return profile;
 }

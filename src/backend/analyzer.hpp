@@ -8,7 +8,8 @@
  * Everything here is a pure function of the circuit and noise model —
  * no RNG, no clocks, no global state — which is what makes routing
  * decisions bit-identically reproducible and safe to absorb into cache
- * keys.
+ * keys. analyzeForRouting (backend/router.hpp) runs each once per job;
+ * everything later reads its CircuitAnalysis.
  */
 #ifndef QA_BACKEND_ANALYZER_HPP
 #define QA_BACKEND_ANALYZER_HPP
@@ -70,6 +71,17 @@ struct CircuitProfile
 /** Analyze a circuit; one pass plus Clifford recognition per gate. */
 CircuitProfile analyzeCircuit(const QuantumCircuit& circuit);
 
+/**
+ * A Kraus channel recognized as a Pauli mixture: outcome i applies the
+ * single-qubit Pauli with symplectic bits (x, z) = `paulis[i]` with
+ * unnormalized weight `weights[i]` (the |c|^2 of K_i = c * P_i).
+ */
+struct PauliChannel
+{
+    std::vector<double> weights;
+    std::vector<std::pair<uint8_t, uint8_t>> paulis;
+};
+
 /** What the active noise model demands of a backend. */
 struct NoiseProfile
 {
@@ -88,8 +100,13 @@ struct NoiseProfile
      * sign-only tableau updates. Meaningless when `kraus` is false.
      */
     bool pauli_only = true;
+
+    /** When `pauli_only`: noise_1q / noise_2q as Pauli mixtures. */
+    std::vector<PauliChannel> pauli_1q;
+    std::vector<PauliChannel> pauli_2q;
 };
 
+/** Profile a model, recognizing each Kraus channel once (null: none). */
 NoiseProfile analyzeNoise(const NoiseModel* noise);
 
 /**
@@ -140,17 +157,6 @@ int mpsEffectiveChi(const EntanglementProfile& ent, int chi_cap);
  * peaked spectra; it gates *capability*, not correctness.
  */
 double mpsTruncationBound(const EntanglementProfile& ent, int chi_cap);
-
-/**
- * A Kraus channel recognized as a Pauli mixture: outcome i applies the
- * single-qubit Pauli with symplectic bits (x, z) = `paulis[i]` with
- * unnormalized weight `weights[i]` (the |c|^2 of K_i = c * P_i).
- */
-struct PauliChannel
-{
-    std::vector<double> weights;
-    std::vector<std::pair<uint8_t, uint8_t>> paulis;
-};
 
 /**
  * Recognize a single-qubit Kraus channel as a Pauli mixture: each Kraus

@@ -148,8 +148,9 @@ Counts runPrepared(const PreparedCircuit& prepared,
 
 /**
  * Prepare a routed circuit on its chosen backend, reusing the route's
- * analysis. Throws UserError (kBadRequest) when an explicit backend
- * request cannot run the job; auto routes are always capable.
+ * analysis. Throws UserError (kBadRequest), carrying the route's reason,
+ * when the choice is incapable: an explicit request the backend cannot
+ * run, or an auto route no backend can. Nothing is allocated first.
  */
 std::shared_ptr<const PreparedCircuit>
 prepareRouted(const QuantumCircuit& circuit, const SimOptions& options,

@@ -12,7 +12,7 @@
  * the statevector backend uses — which is what makes this backend win
  * for non-Pauli channels on small circuits despite the 4^n state. It
  * fuses by the statevector backend's rule: the router's fused stream
- * unless Kraus noise is active.
+ * unless Kraus noise is attached.
  */
 #include "backend/backend.hpp"
 
@@ -51,11 +51,11 @@ class DensityPrepared final : public detail::PreparedBase<DensityPrepared>
                    "density-matrix backend supports at most " +
                        std::to_string(kDensityMaxQubits) + " qubits");
 
-        // Fuse only when no per-gate Kraus channel is active: fusion
-        // changes gate arity, which would redirect the exact gate step's
-        // channels to the wrong list (noise_1q vs noise_2q).
+        // Fuse only when no Kraus channel is attached: fusion changes
+        // gate arity, which would redirect the exact gate step's
+        // channels to the wrong list (NoiseModel::channelsFor).
         const bool fuse =
-            analysis.fused.has_value() && !analysis.plan.kraus_noise;
+            analysis.fused.has_value() && !analysis.noise.kraus;
         const std::vector<Instruction>& program =
             fuse ? analysis.fused->instructions : circuit.instructions();
 

@@ -63,11 +63,9 @@ struct MpsSteps
     using State = mps::MpsState;
     using Gate = MpsGate;
 
-    MpsSteps(int qubits, const NoiseModel* noise) : num_qubits(qubits)
+    MpsSteps(int qubits, const NoiseProfile& noise) : num_qubits(qubits)
     {
-        QA_REQUIRE_CODE(noise == nullptr || (noise->noise_1q.empty() &&
-                                             noise->noise_2q.empty()),
-                        ErrorCode::kBadRequest,
+        QA_REQUIRE_CODE(!noise.kraus, ErrorCode::kBadRequest,
                         "mps backend cannot run gate-level Kraus channels "
                         "(pure-state chain, no per-gate trajectory noise)");
     }
@@ -159,13 +157,12 @@ class MpsPrepared final : public detail::PreparedBase<MpsPrepared>
 
     MpsPrepared(const QuantumCircuit& circuit, const SimOptions& options,
                 const CircuitAnalysis& analysis)
-        : replay_(MpsSteps(circuit.numQubits(),
-                           activeNoise(options.noise)),
+        : replay_(MpsSteps(circuit.numQubits(), analysis.noise),
                   mps::MpsState(std::max(circuit.numQubits(), 1),
                                 std::max(options.mps_chi, 1)),
                   circuit.instructions(), analysis.plan.split,
                   tailStart(circuit.instructions(), analysis.plan.split),
-                  circuit.numClbits(), options.noise)
+                  circuit.numClbits(), activeNoise(options.noise))
     {
         const std::vector<Instruction>& instrs = circuit.instructions();
         for (size_t i = tailStart(instrs, analysis.plan.split);

@@ -5,6 +5,9 @@
 #include <iomanip>
 #include <sstream>
 
+#include "sim/statevector.hpp"
+#include "stab/tableau.hpp"
+
 namespace qa
 {
 namespace backend
@@ -21,136 +24,92 @@ namespace
  */
 constexpr int kMpsMinQubits = 24;
 
-/** Deterministic cost estimates used to arbitrate density vs replay. */
-struct CostEstimate
-{
-    double statevector = 0.0;
-    double density = 0.0;
-};
-
-CostEstimate
-estimateCosts(const CircuitProfile& circuit, const NoiseModel* noise,
-              int shots, size_t effective_instructions)
-{
-    const double dim = std::ldexp(1.0, circuit.num_qubits);
-    const double work = double(effective_instructions) + 1.0;
-    size_t channels = 0;
-    if (noise != nullptr) {
-        channels = noise->noise_1q.size() + noise->noise_2q.size();
-    }
-    CostEstimate est;
-    // Per-shot replay touches every amplitude per instruction; the
-    // density path evolves 4^n entries once, channels included exactly.
-    est.statevector = double(shots) * work * dim;
-    est.density = work * double(1 + channels) * dim * dim;
-    return est;
-}
-
-/** Why the stabilizer backend cannot run this job ("" when it can). */
+/** "n qubits exceed the max-qubit <engine> limit" ("" when n fits). */
 std::string
-stabilizerObjection(const CircuitProfile& circuit,
-                    const NoiseProfile& noise)
+widthObjection(int num_qubits, int max_qubits, const char* engine)
 {
-    if (circuit.non_clifford_gates > 0) {
-        std::ostringstream out;
-        out << circuit.non_clifford_gates << " non-Clifford gate"
-            << (circuit.non_clifford_gates == 1 ? "" : "s");
-        if (!circuit.non_clifford_names.empty()) {
-            out << " (first: " << circuit.non_clifford_names.front()
-                << ")";
-        }
-        return out.str();
-    }
-    if (noise.kraus && !noise.pauli_only) {
-        return "non-Pauli Kraus channels in the noise model";
-    }
-    return "";
-}
-
-/** Why the density backend cannot run this job ("" when it can). */
-std::string
-densityObjection(const CircuitProfile& circuit)
-{
-    if (!circuit.terminal_measure_only) {
-        return "mid-circuit measurements or resets";
-    }
-    if (circuit.num_qubits > kDensityMaxQubits) {
-        std::ostringstream out;
-        out << circuit.num_qubits << " qubits exceed the "
-            << kDensityMaxQubits << "-qubit density-matrix limit";
-        return out.str();
-    }
-    return "";
-}
-
-/** Why the MPS backend cannot run this job ("" when it can). */
-std::string
-mpsObjection(const EntanglementProfile& ent, const NoiseProfile& noise,
-             const SimOptions& options)
-{
-    if (ent.max_gate_arity > 3) {
-        std::ostringstream out;
-        out << ent.max_gate_arity
-            << "-qubit gates exceed the MPS lowering (max arity 3)";
-        return out.str();
-    }
-    if (noise.kraus) {
-        return "gate-level Kraus channels (MPS runs pure-state "
-               "trajectories without per-gate noise)";
-    }
-    const double bound =
-        mpsTruncationBound(ent, std::max(1, options.mps_chi));
-    if (bound > options.mps_trunc_tol) {
-        std::ostringstream out;
-        out << "estimated truncation error " << std::scientific
-            << std::setprecision(2) << bound
-            << " exceeds the mps_tol tolerance " << options.mps_trunc_tol
-            << " (entanglement width needs chi ~ 2^"
-            << ent.needed_log2_chi << ", cap is "
-            << std::max(1, options.mps_chi) << ")";
-        return out.str();
-    }
-    return "";
+    if (num_qubits <= max_qubits) return "";
+    std::ostringstream out;
+    out << num_qubits << " qubits exceed the " << max_qubits << "-qubit "
+        << engine << " limit";
+    return out.str();
 }
 
 /**
- * Estimated work for an MPS run: chi^3-ish two-site updates for the
- * unitary part, then either cheap left-to-right sampling (terminal
+ * Instructions a dense backend executes, plus one: the fused stream's
+ * kernels unless Kraus noise keeps the raw gates.
+ */
+double
+denseWork(const CircuitAnalysis& analysis)
+{
+    const CircuitProfile& profile = analysis.profile;
+    size_t executed = profile.instructions;
+    if (analysis.fused.has_value() && !analysis.noise.kraus) {
+        executed = profile.instructions - profile.gates +
+                   analysis.fused->stats.gates_out;
+    }
+    return double(executed) + 1.0;
+}
+
+/**
+ * The statevector's price: evolve once and sample each shot under
+ * terminal sampling, else touch every amplitude per instruction per
+ * shot.
+ */
+double
+statevectorPrice(const CircuitAnalysis& analysis, const SimOptions& options)
+{
+    const int n = analysis.profile.num_qubits;
+    const double dim = std::ldexp(1.0, std::min(n, 60));
+    const double work = denseWork(analysis);
+    if (analysis.plan.terminal_sampling) {
+        return work * dim + double(options.shots) * double(n);
+    }
+    return double(options.shots) * work * dim;
+}
+
+/**
+ * The density backend's price: one evolution of 4^n entries, each gate
+ * and each of its channels applied exactly; shots are nearly free.
+ */
+double
+densityPrice(const CircuitAnalysis& analysis, const SimOptions& options)
+{
+    const double dim = std::ldexp(1.0, analysis.profile.num_qubits);
+    size_t channels = 0;
+    if (options.noise != nullptr) {
+        channels = options.noise->noise_1q.size() +
+                   options.noise->noise_2q.size();
+    }
+    return denseWork(analysis) * double(1 + channels) * dim * dim;
+}
+
+/**
+ * The MPS backend's price: chi^3-ish two-site updates for the unitary
+ * part, then either cheap left-to-right sampling (terminal
  * measurements) or per-shot suffix replay (mid-circuit collapse).
  */
 double
-mpsCost(const CircuitProfile& profile, const EntanglementProfile& ent,
-        int chi, int shots)
+mpsPrice(const CircuitAnalysis& analysis, const SimOptions& options)
 {
-    const double chi_d = double(std::max(1, chi));
+    const CircuitProfile& profile = analysis.profile;
+    const EntanglementProfile& ent = analysis.entanglement;
+    const double chi_d =
+        double(mpsEffectiveChi(ent, std::max(1, options.mps_chi)));
     const double two_site = double(ent.swap_routed_ops) * chi_d * chi_d *
                             chi_d * 8.0;
     const double one_site = double(profile.gates) * chi_d * chi_d * 2.0;
     const double evolve = two_site + one_site;
-    const double sample =
-        double(shots) * double(profile.num_qubits) * chi_d * chi_d;
-    if (profile.terminal_measure_only) return evolve + sample;
+    const double shots = double(options.shots);
+    if (profile.terminal_measure_only) {
+        return evolve +
+               shots * double(profile.num_qubits) * chi_d * chi_d;
+    }
     // Mid-circuit collapse: per-shot replay plus O(n chi^3)
     // re-canonicalization per collapse.
-    const double collapses =
-        double(profile.measures + profile.resets);
-    return double(shots) *
-           (evolve + collapses * double(profile.num_qubits) * chi_d *
-                         chi_d * chi_d);
-}
-
-/** Prefix-aware statevector cost (mirrors the engine's replay split). */
-double
-statevectorCost(const CircuitProfile& profile, int shots,
-                size_t effective_instructions)
-{
-    const double dim = std::ldexp(1.0, std::min(profile.num_qubits, 60));
-    const double work = double(effective_instructions) + 1.0;
-    if (profile.terminal_measure_only) {
-        // Evolve once, sample the final distribution per shot.
-        return work * dim + double(shots) * double(profile.num_qubits);
-    }
-    return double(shots) * work * dim;
+    const double collapses = double(profile.measures + profile.resets);
+    return shots * (evolve + collapses * double(profile.num_qubits) *
+                                 chi_d * chi_d * chi_d);
 }
 
 std::string
@@ -170,23 +129,62 @@ describeNoise(const NoiseProfile& noise)
 
 /**
  * Why backend `kind` cannot run the analyzed job under `options` ("" when
- * it can): the capability check behind explicit requests and explains.
+ * it can): the one capability check behind routing, explicit requests
+ * and explains. Each width bound is the one its engine enforces.
  */
 std::string
 capabilityGap(BackendKind kind, const CircuitAnalysis& analysis,
               const SimOptions& options)
 {
+    const CircuitProfile& profile = analysis.profile;
+    const EntanglementProfile& ent = analysis.entanglement;
+    const NoiseProfile& noise = analysis.noise;
+    std::ostringstream out;
     switch (kind) {
       case BackendKind::kStatevector:
-        return "";
+        return widthObjection(profile.num_qubits, kStatevectorMaxQubits,
+                              "statevector");
       case BackendKind::kDensityMatrix:
-        return densityObjection(analysis.profile);
+        if (!profile.terminal_measure_only) {
+            return "mid-circuit measurements or resets";
+        }
+        return widthObjection(profile.num_qubits, kDensityMaxQubits,
+                              "density-matrix");
       case BackendKind::kStabilizer:
-        return stabilizerObjection(analysis.profile,
-                                   analyzeNoise(options.noise));
-      case BackendKind::kMps:
-        return mpsObjection(analysis.entanglement,
-                            analyzeNoise(options.noise), options);
+        if (profile.non_clifford_gates > 0) {
+            out << profile.non_clifford_gates << " non-Clifford gate"
+                << (profile.non_clifford_gates == 1 ? "" : "s");
+            if (!profile.non_clifford_names.empty()) {
+                out << " (first: " << profile.non_clifford_names.front()
+                    << ")";
+            }
+            return out.str();
+        }
+        if (noise.kraus && !noise.pauli_only) {
+            return "non-Pauli Kraus channels in the noise model";
+        }
+        return widthObjection(profile.num_qubits, kTableauMaxQubits,
+                              "tableau");
+      case BackendKind::kMps: {
+        if (ent.max_gate_arity > 3) {
+            out << ent.max_gate_arity
+                << "-qubit gates exceed the MPS lowering (max arity 3)";
+            return out.str();
+        }
+        if (noise.kraus) {
+            return "gate-level Kraus channels (MPS runs pure-state "
+                   "trajectories without per-gate noise)";
+        }
+        const int chi_cap = std::max(1, options.mps_chi);
+        const double bound = mpsTruncationBound(ent, chi_cap);
+        if (bound <= options.mps_trunc_tol) return "";
+        out << "estimated truncation error " << std::scientific
+            << std::setprecision(2) << bound
+            << " exceeds the mps_tol tolerance " << options.mps_trunc_tol
+            << " (entanglement width needs chi ~ 2^"
+            << ent.needed_log2_chi << ", cap is " << chi_cap << ")";
+        return out.str();
+      }
     }
     return "unknown backend kind";
 }
@@ -198,6 +196,7 @@ analyzeForRouting(const QuantumCircuit& circuit, const SimOptions& options)
 {
     CircuitAnalysis analysis;
     analysis.profile = analyzeCircuit(circuit);
+    analysis.noise = analyzeNoise(options.noise);
     analysis.entanglement = analyzeEntanglement(circuit);
     analysis.plan = analyzeShotPlan(circuit, options.noise);
     analysis.fused = fuseCircuit(
@@ -219,9 +218,10 @@ route(const QuantumCircuit& circuit, const SimOptions& options)
 {
     Route out;
     out.analysis = analyzeForRouting(circuit, options);
-    const CircuitProfile& profile = out.analysis.profile;
-    const EntanglementProfile& ent = out.analysis.entanglement;
-    const NoiseProfile noise = analyzeNoise(options.noise);
+    const CircuitAnalysis& analysis = out.analysis;
+    const CircuitProfile& profile = analysis.profile;
+    const EntanglementProfile& ent = analysis.entanglement;
+    const NoiseProfile& noise = analysis.noise;
     const int chi_cap = std::max(1, options.mps_chi);
 
     BackendChoice& choice = out.choice;
@@ -230,49 +230,26 @@ route(const QuantumCircuit& circuit, const SimOptions& options)
     choice.mps_chi = mpsEffectiveChi(ent, chi_cap);
     choice.mps_ent_width = int(ent.max_cut_crossings);
     choice.mps_trunc_bound = mpsTruncationBound(ent, chi_cap);
+    choice.fusion_enabled = analysis.fused.has_value();
+    if (choice.fusion_enabled) choice.fusion = analysis.fused->stats;
 
-    // Fusion summary: what the dense backends will execute. Kraus
-    // channels keep them on the raw gates at prepare time, so the cost
-    // model only credits fusion when none are active.
-    choice.fusion_enabled = out.analysis.fused.has_value();
-    if (choice.fusion_enabled) choice.fusion = out.analysis.fused->stats;
-    size_t effective = profile.instructions;
-    if (choice.fusion_enabled && !noise.kraus) {
-        effective = profile.instructions - profile.gates +
-                    choice.fusion.gates_out;
-    }
-
-    if (options.backend != BackendRequest::kAuto) {
+    if (const std::optional<BackendKind> kind =
+            requestedKind(options.backend)) {
         choice.explicit_request = true;
-        switch (options.backend) {
-          case BackendRequest::kStatevector:
-            choice.backend = BackendKind::kStatevector;
-            break;
-          case BackendRequest::kDensityMatrix:
-            choice.backend = BackendKind::kDensityMatrix;
-            break;
-          case BackendRequest::kStabilizer:
-            choice.backend = BackendKind::kStabilizer;
-            break;
-          case BackendRequest::kMps:
-            choice.backend = BackendKind::kMps;
-            break;
-          case BackendRequest::kAuto:
-            break;
-        }
-        const std::string why =
-            capabilityGap(choice.backend, out.analysis, options);
+        choice.backend = *kind;
+        const std::string why = capabilityGap(*kind, analysis, options);
         choice.capable = why.empty();
         choice.reason =
             choice.capable
-                ? std::string("explicit ") + backendName(choice.backend) +
+                ? std::string("explicit ") + backendName(*kind) +
                       " request"
-                : std::string(backendName(choice.backend)) +
+                : std::string(backendName(*kind)) +
                       " backend cannot run this job: " + why;
         return out;
     }
 
-    const std::string stab_why = stabilizerObjection(profile, noise);
+    const std::string stab_why =
+        capabilityGap(BackendKind::kStabilizer, analysis, options);
     if (stab_why.empty()) {
         choice.backend = BackendKind::kStabilizer;
         choice.reason = "Clifford circuit (noise: " +
@@ -284,44 +261,51 @@ route(const QuantumCircuit& circuit, const SimOptions& options)
     // Chi-capped MPS: wide non-Clifford circuits whose entanglement
     // width fits the cap cost O(chi^3) per 2q gate instead of O(2^n)
     // per instruction. Gated on a width floor (dense SIMD wins below
-    // it) and an honest cost comparison against the prefix-aware
-    // statevector estimate.
-    if (!noise.kraus && profile.num_qubits >= kMpsMinQubits &&
-        mpsObjection(ent, noise, options).empty()) {
-        const double mps_est =
-            mpsCost(profile, ent, choice.mps_chi, options.shots);
-        const double sv_est =
-            statevectorCost(profile, options.shots, effective);
-        if (mps_est < sv_est) {
-            choice.backend = BackendKind::kMps;
-            std::ostringstream why;
-            why << "wide low-entanglement circuit: chi-capped MPS "
-                   "(chi="
-                << choice.mps_chi << ", entanglement width "
-                << choice.mps_ent_width << ", est truncation bound "
-                << std::scientific << std::setprecision(1)
-                << choice.mps_trunc_bound
-                << ") beats 2^n dense evolution";
-            choice.reason = why.str();
-            return out;
-        }
+    // it) and on beating the statevector's price, unless the
+    // statevector cannot hold the circuit at all.
+    const std::string sv_why =
+        capabilityGap(BackendKind::kStatevector, analysis, options);
+    const std::string mps_why =
+        capabilityGap(BackendKind::kMps, analysis, options);
+    if (profile.num_qubits >= kMpsMinQubits && mps_why.empty() &&
+        (!sv_why.empty() ||
+         mpsPrice(analysis, options) < statevectorPrice(analysis, options))) {
+        choice.backend = BackendKind::kMps;
+        std::ostringstream why;
+        why << "wide low-entanglement circuit: chi-capped MPS (chi="
+            << choice.mps_chi << ", entanglement width "
+            << choice.mps_ent_width << ", est truncation bound "
+            << std::scientific << std::setprecision(1)
+            << choice.mps_trunc_bound << ") "
+            << (sv_why.empty() ? "beats 2^n dense evolution"
+                               : "runs where the statevector cannot: " +
+                                     sv_why);
+        choice.reason = why.str();
+        return out;
     }
 
-    if (noise.kraus && !noise.pauli_only &&
-        densityObjection(profile).empty()) {
-        const CostEstimate est = estimateCosts(
-            profile, options.noise, options.shots, effective);
-        if (est.density < est.statevector) {
-            choice.backend = BackendKind::kDensityMatrix;
-            choice.reason =
-                "non-Pauli Kraus channels on a small terminal-"
-                "measurement circuit: one exact channel evolution is "
-                "cheaper than per-shot trajectory replay";
-            return out;
-        }
+    const std::string dm_why =
+        capabilityGap(BackendKind::kDensityMatrix, analysis, options);
+    if (noise.kraus && !noise.pauli_only && dm_why.empty() &&
+        densityPrice(analysis, options) <
+            statevectorPrice(analysis, options)) {
+        choice.backend = BackendKind::kDensityMatrix;
+        choice.reason =
+            "non-Pauli Kraus channels on a small terminal-"
+            "measurement circuit: one exact channel evolution is "
+            "cheaper than per-shot trajectory replay";
+        return out;
     }
 
     choice.backend = BackendKind::kStatevector;
+    if (!sv_why.empty()) {
+        choice.capable = false;
+        choice.reason = "no backend can run this job: statevector: " +
+                        sv_why + "; stabilizer: " + stab_why +
+                        "; mps: " + mps_why + "; density_matrix: " +
+                        dm_why;
+        return out;
+    }
     choice.reason = "general circuit: " + stab_why;
     return out;
 }
@@ -362,7 +346,7 @@ explainRouting(const Route& route, const SimOptions& options)
     const CircuitProfile& profile = route.analysis.profile;
     const EntanglementProfile& ent = route.analysis.entanglement;
     const BackendChoice& choice = route.choice;
-    const NoiseProfile noise = analyzeNoise(options.noise);
+    const NoiseProfile& noise = route.analysis.noise;
     const auto verdict = [&](BackendKind kind) {
         const std::string why =
             capabilityGap(kind, route.analysis, options);
@@ -416,8 +400,8 @@ explainRouting(const Route& route, const SimOptions& options)
             << " SWAP-routed long-range gates";
     }
     out << "\n";
-    out << "capable: statevector=yes, density_matrix="
-        << verdict(BackendKind::kDensityMatrix)
+    out << "capable: statevector=" << verdict(BackendKind::kStatevector)
+        << ", density_matrix=" << verdict(BackendKind::kDensityMatrix)
         << ", stabilizer=" << verdict(BackendKind::kStabilizer)
         << ", mps=" << verdict(BackendKind::kMps) << "\n";
     out << "chosen: " << backendName(choice.backend)

@@ -9,12 +9,16 @@
  * state. The serve layer's cache key absorbs every one of those inputs,
  * so the key itself never has to route.
  *
- * route() analyzes a circuit once — profile, entanglement, shot plan,
- * fused stream — and hands that analysis on with the decision. The
- * analysis alone decides what a dense backend's prepare() executes, so
- * no backend repeats it. Routing never throws: an explicit request for
- * a backend that cannot run the job comes back with `capable == false`
- * and a reason, and the caller decides how to surface the error.
+ * route() analyzes a circuit once — profile, noise profile,
+ * entanglement, shot plan, fused stream — and hands that analysis on
+ * with the decision; capability checks, prices, explain and every
+ * backend's prepare() read it. Each backend has one capability check,
+ * which knows its engine's width; the three the rules weigh against
+ * each other (statevector, density, MPS) have one price each, and the
+ * stabilizer wins whenever it is capable. Routing never throws:
+ * an explicit request a backend cannot run, or an auto route no backend
+ * can, comes back with `capable == false` and a reason, which
+ * prepareRouted raises as kBadRequest before anything is allocated.
  */
 #ifndef QA_BACKEND_ROUTER_HPP
 #define QA_BACKEND_ROUTER_HPP
@@ -49,9 +53,9 @@ struct BackendChoice
 
     /**
      * False when an explicitly requested backend cannot run the job
-     * (e.g. stabilizer for a T-gate circuit). Auto-routed choices are
-     * always capable. Executing an incapable choice is the caller's
-     * error to raise.
+     * (e.g. stabilizer for a T-gate circuit), or when no backend can (a
+     * 26-qubit non-Clifford circuit too entangled for MPS). Executing an
+     * incapable choice is the caller's error to raise.
      */
     bool capable = true;
 
@@ -91,12 +95,13 @@ struct BackendChoice
 };
 
 /**
- * What routing learns about one circuit. route() computes it once and
- * prepare() consumes it, so no backend repeats the analysis or the
- * fusion pass. It is also the one thing that decides what a dense
- * backend executes: the statevector and density backends fuse exactly
- * when `fused` is present and `plan.kraus_noise` is false, and the
- * statevector backend splits and samples as `plan` says.
+ * What routing learns about one job. route() computes it once and
+ * prepare() consumes it, so no backend repeats the analysis, the noise
+ * recognition or the fusion pass. It alone decides what a backend
+ * executes: the dense backends fuse exactly when `fused` is present and
+ * `noise.kraus` is false, every backend splits as `plan` says, terminal
+ * sampling writes `profile.terminal_measures`, and the stabilizer
+ * samples `noise`'s recognized Pauli channels.
  *
  * Tests reach the reference executions through this seam: `fused`
  * reset runs the raw gates, and a default ShotPlan as well (split 0,
@@ -105,6 +110,7 @@ struct BackendChoice
 struct CircuitAnalysis
 {
     CircuitProfile profile;
+    NoiseProfile noise; ///< options.noise, Pauli channels recognized
     EntanglementProfile entanglement;
 
     /** Where the shot-invariant prefix ends, and terminal sampling. */
@@ -123,9 +129,9 @@ struct CircuitAnalysis
 };
 
 /**
- * Analyze a circuit for routing and prepare: profile, entanglement,
- * shot plan under options.noise, and the fused stream. Pure, never
- * throws.
+ * Analyze a circuit for routing and prepare: profile, the noise profile
+ * of options.noise, entanglement, shot plan, and the fused stream.
+ * Pure, never throws.
  */
 CircuitAnalysis analyzeForRouting(const QuantumCircuit& circuit,
                                   const SimOptions& options);
@@ -142,10 +148,10 @@ struct Route
  * `options.backend` request (validated, never overridden), the
  * stabilizer fast path (Clifford circuit, noise absent or
  * Pauli/readout only), the chi-capped MPS backend (wide,
- * low-entanglement, noise-free gates), the density-matrix backend
- * (non-Pauli channels on a small terminal-measurement circuit where
- * exact channel evolution beats per-shot trajectory replay), and
- * finally the general statevector engine. Never throws.
+ * low-entanglement, noise-free gates; cheaper than the statevector, or
+ * too wide for it), the density-matrix backend (non-Pauli channels on
+ * a small terminal-measurement circuit, cheaper than the statevector),
+ * and finally the statevector engine. Never throws.
  */
 Route route(const QuantumCircuit& circuit, const SimOptions& options);
 

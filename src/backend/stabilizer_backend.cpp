@@ -16,9 +16,11 @@
  *
  * Noise: Pauli-mixture Kraus channels are sampled per trajectory as
  * sign-only tableau updates (probabilities are state-independent, which
- * is exactly what recognizePauliChannel certifies); classical readout
- * error is applied by the shared replay. Non-Pauli channels and
- * non-Clifford gates are capability violations and throw kBadRequest.
+ * is exactly what recognizePauliChannel certifies); the router's
+ * analysis recognized them once (NoiseProfile::pauli_1q/pauli_2q), and
+ * prepare adopts those lists. Classical readout error is applied by the
+ * shared replay. Non-Pauli channels and non-Clifford gates are
+ * capability violations and throw kBadRequest.
  */
 #include "backend/backend.hpp"
 
@@ -52,11 +54,14 @@ class StabilizerSteps
     using State = StabilizerTableau;
     using Gate = StabilizerGate;
 
-    explicit StabilizerSteps(const NoiseModel* noise)
+    /** Adopts the profile's recognized channels; rejects non-Pauli ones. */
+    explicit StabilizerSteps(const NoiseProfile& noise)
+        : chan1_(noise.pauli_1q), chan2_(noise.pauli_2q)
     {
-        if (noise == nullptr) return;
-        adoptChannels(noise->noise_1q, &chan1_);
-        adoptChannels(noise->noise_2q, &chan2_);
+        QA_REQUIRE_CODE(!noise.kraus || noise.pauli_only,
+                        ErrorCode::kBadRequest,
+                        "stabilizer backend cannot run non-Pauli Kraus "
+                        "channels");
     }
 
     /** Rejects a gate outside the Clifford capability set. */
@@ -120,21 +125,6 @@ class StabilizerSteps
         return gate.qubits.size() == 1 ? chan1_ : chan2_;
     }
 
-    static void
-    adoptChannels(const std::vector<KrausChannel>& channels,
-                  std::vector<PauliChannel>* out)
-    {
-        for (const KrausChannel& channel : channels) {
-            std::optional<PauliChannel> pauli =
-                recognizePauliChannel(channel);
-            QA_REQUIRE_CODE(pauli.has_value(), ErrorCode::kBadRequest,
-                            "stabilizer backend cannot run non-Pauli "
-                            "Kraus channel '" +
-                                channel.name() + "'");
-            out->push_back(std::move(*pauli));
-        }
-    }
-
     std::vector<PauliChannel> chan1_;
     std::vector<PauliChannel> chan2_;
 };
@@ -148,11 +138,11 @@ class StabilizerPrepared final
     StabilizerPrepared(const QuantumCircuit& circuit,
                        const SimOptions& options,
                        const CircuitAnalysis& analysis)
-        : replay_(StabilizerSteps(activeNoise(options.noise)),
+        : replay_(StabilizerSteps(analysis.noise),
                   StabilizerTableau(std::max(circuit.numQubits(), 1)),
                   circuit.instructions(), analysis.plan.split,
                   circuit.instructions().size(), circuit.numClbits(),
-                  options.noise)
+                  activeNoise(options.noise))
     {}
 
     std::string

@@ -8,12 +8,12 @@
  * measurement.
  *
  * The router's analysis decides what runs: its shot plan places the
- * split and picks terminal sampling, and its fused stream replaces the
- * raw gates unless Kraus noise is active. Without Kraus noise the
- * prefix ends at the first measurement or reset, which flushes every
- * fusion group, so the whole-circuit fused stream splits there
- * (CircuitAnalysis::fused_split) into exactly the fused prefix and
- * suffix. With Kraus noise the whole stream stays raw, because fusion
+ * split and picks terminal sampling (of the profile's terminal
+ * measurements), and its fused stream replaces the raw gates unless
+ * Kraus noise is attached. Without Kraus noise the prefix ends at the
+ * first measurement or reset, which flushes every fusion group, so the
+ * whole-circuit fused stream splits there (CircuitAnalysis::fused_split)
+ * into exactly the fused prefix and suffix. With Kraus noise the whole stream stays raw, because fusion
  * changes gate arity and so which channel list a gate draws.
  */
 #include "backend/backend.hpp"
@@ -50,16 +50,10 @@ struct StatevectorSteps
         state.applyGate(gate);
     }
 
-    const std::vector<KrausChannel>&
-    channels(const Gate& gate) const
-    {
-        return gate.arity() == 1 ? noise->noise_1q : noise->noise_2q;
-    }
-
     bool
     noisy(const Gate& gate) const
     {
-        return noise != nullptr && !channels(gate).empty();
+        return noise != nullptr && !noise->channelsFor(gate).empty();
     }
 
     /** The gate's channels on each qubit it touches. */
@@ -67,7 +61,7 @@ struct StatevectorSteps
     applyNoise(State& state, const Gate& gate, Rng& rng) const
     {
         for (int q : gate.qubits) {
-            for (const KrausChannel& channel : channels(gate)) {
+            for (const KrausChannel& channel : noise->channelsFor(gate)) {
                 state.applyKrausTrajectory(channel, q, rng);
             }
         }
@@ -87,14 +81,14 @@ struct StatevectorSteps
 
 /**
  * The replay over the stream shots execute: the router's fused stream
- * unless Kraus noise is active, and no suffix under terminal sampling.
+ * unless Kraus noise is attached, and no suffix under terminal sampling.
  */
 SuffixReplay<StatevectorSteps>
 buildReplay(const QuantumCircuit& circuit, const NoiseModel* noise,
             const CircuitAnalysis& analysis)
 {
     const ShotPlan& plan = analysis.plan;
-    const bool fuse = analysis.fused.has_value() && !plan.kraus_noise;
+    const bool fuse = analysis.fused.has_value() && !analysis.noise.kraus;
     const std::vector<Instruction>& stream =
         fuse ? analysis.fused->instructions : circuit.instructions();
     const size_t split = fuse ? analysis.fused_split : plan.split;
@@ -115,11 +109,11 @@ class StatevectorPrepared final
                         const SimOptions& options,
                         const CircuitAnalysis& analysis)
         : noise_(activeNoise(options.noise)),
-          plan_(analysis.plan),
           replay_(buildReplay(circuit, noise_, analysis))
     {
-        if (plan_.terminal_sampling) {
+        if (analysis.plan.terminal_sampling) {
             table_ = std::make_unique<SampleTable>(replay_.prefix());
+            measures_ = analysis.profile.terminal_measures;
         }
     }
 
@@ -127,10 +121,10 @@ class StatevectorPrepared final
     std::string
     runShot(Scratch& scratch, Rng& rng) const
     {
-        if (plan_.terminal_sampling) {
+        if (table_ != nullptr) {
             return sampleTerminalShot(*table_, replay_.prefix().numQubits(),
-                                      plan_.terminal_measures, noise_,
-                                      replay_.clbits0(), rng);
+                                      measures_, noise_, replay_.clbits0(),
+                                      rng);
         }
         std::string clbits = replay_.clbits0();
         replay_.run(scratch, rng, clbits, [](int) { return true; });
@@ -139,9 +133,9 @@ class StatevectorPrepared final
 
   private:
     const NoiseModel* noise_;
-    ShotPlan plan_;
     SuffixReplay<StatevectorSteps> replay_;
-    std::unique_ptr<SampleTable> table_;
+    std::unique_ptr<SampleTable> table_; ///< set under terminal sampling
+    std::vector<std::pair<int, int>> measures_; ///< what table_ samples
 };
 
 } // namespace

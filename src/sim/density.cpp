@@ -40,12 +40,11 @@ applyAxis(CMatrix& rho, const CMatrix& m, const std::vector<int>& qubits,
 
 } // namespace
 
-DensityState::DensityState(int num_qubits)
-    : num_qubits_(num_qubits),
-      rho_(size_t(1) << num_qubits, size_t(1) << num_qubits)
+DensityState::DensityState(int num_qubits) : num_qubits_(num_qubits)
 {
     QA_REQUIRE(num_qubits >= 1 && num_qubits <= 12,
                "density simulator supports 1..12 qubits");
+    rho_ = CMatrix(size_t(1) << num_qubits, size_t(1) << num_qubits);
     rho_(0, 0) = 1.0;
 }
 
@@ -73,10 +72,10 @@ DensityState::applyGate(const Instruction& instr, const NoiseModel* noise)
     QA_REQUIRE(instr.isGate(), "applyGate needs a gate instruction");
     applyMatrix(instr.matrix, instr.qubits);
     if (noise == nullptr) return;
-    const auto& channels =
-        instr.arity() == 1 ? noise->noise_1q : noise->noise_2q;
     for (int q : instr.qubits) {
-        for (const KrausChannel& channel : channels) applyKraus(channel, q);
+        for (const KrausChannel& channel : noise->channelsFor(instr)) {
+            applyKraus(channel, q);
+        }
     }
 }
 

@@ -13,15 +13,6 @@ namespace qa
 namespace
 {
 
-/** True if the noise model attaches a Kraus channel to this gate. */
-bool
-gateIsNoisy(const Instruction& instr, const NoiseModel& noise)
-{
-    const auto& channels =
-        instr.arity() == 1 ? noise.noise_1q : noise.noise_2q;
-    return !channels.empty();
-}
-
 /** |amplitude|^2 of each basis state, in index order. */
 std::vector<double>
 basisWeights(const Statevector& state)
@@ -64,39 +55,22 @@ resolveShotThreads(int requested, int shots)
 ShotPlan
 analyzeShotPlan(const QuantumCircuit& circuit, const NoiseModel* noise)
 {
-    const bool enabled = noise != nullptr && noise->enabled();
-    ShotPlan plan;
-    plan.kraus_noise = enabled && (!noise->noise_1q.empty() ||
-                                   !noise->noise_2q.empty());
-    plan.readout_noise = enabled && (noise->readout_p01 > 0.0 ||
-                                     noise->readout_p10 > 0.0);
-
     const auto& instrs = circuit.instructions();
-    plan.split = instrs.size();
-    for (size_t i = 0; i < instrs.size(); ++i) {
-        const Instruction& instr = instrs[i];
-        const bool stochastic =
-            instr.type == OpType::kMeasure ||
-            instr.type == OpType::kReset ||
-            (instr.type == OpType::kGate && enabled &&
-             gateIsNoisy(instr, *noise));
-        if (stochastic) {
-            plan.split = i;
-            break;
-        }
-    }
-
-    plan.terminal_sampling = true;
-    for (size_t i = plan.split; i < instrs.size(); ++i) {
-        const Instruction& instr = instrs[i];
-        if (instr.type == OpType::kBarrier) continue;
-        if (instr.type != OpType::kMeasure) {
-            plan.terminal_sampling = false;
-            plan.terminal_measures.clear();
-            break;
-        }
-        plan.terminal_measures.emplace_back(instr.qubits[0], instr.cbit);
-    }
+    const auto stochastic = [noise](const Instruction& instr) {
+        return instr.type == OpType::kMeasure ||
+               instr.type == OpType::kReset ||
+               (instr.type == OpType::kGate && noise != nullptr &&
+                !noise->channelsFor(instr).empty());
+    };
+    const auto first =
+        std::find_if(instrs.begin(), instrs.end(), stochastic);
+    ShotPlan plan;
+    plan.split = size_t(first - instrs.begin());
+    plan.terminal_sampling =
+        std::all_of(first, instrs.end(), [](const Instruction& instr) {
+            return instr.type == OpType::kMeasure ||
+                   instr.type == OpType::kBarrier;
+        });
     return plan;
 }
 

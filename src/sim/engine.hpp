@@ -7,11 +7,11 @@
  * Three cooperating pieces (see DESIGN.md, "Execution engine"):
  *  1. shot planning (analyzeShotPlan): the instructions before the first
  *     stochastic point (measurement, reset, or — with an active noise
- *     model — the first gate a Kraus channel applies to) are
+ *     model — the first gate that draws a Kraus channel) are
  *     shot-invariant, so a backend evolves that prefix once. When every
- *     remaining instruction is a terminal measurement and no Kraus
- *     channel is active, per-shot evolution is skipped entirely and the
- *     final distribution is sampled directly.
+ *     remaining instruction is a terminal measurement, per-shot
+ *     evolution is skipped entirely and the final distribution is
+ *     sampled directly.
  *  2. runShotPool: the multi-threaded shot loop with first-worker-
  *     exception propagation and deadline-based cancellation that
  *     returns partial results flagged `truncated` instead of running
@@ -43,7 +43,9 @@ namespace qa
 
 /**
  * Static execution plan for a shot run: where the deterministic prefix
- * ends and whether the terminal-sampling fast path applies.
+ * ends and whether the terminal-sampling fast path applies. It is one
+ * field of the router's analysis (backend::CircuitAnalysis), which also
+ * holds the noise profile and the terminal measurements.
  */
 struct ShotPlan
 {
@@ -52,26 +54,19 @@ struct ShotPlan
 
     /**
      * True when every instruction at/after `split` is a measurement or
-     * barrier and no Kraus channel is active: the run reduces to sampling
-     * the cached state's basis distribution, with readout error (if any)
-     * applied classically to the sampled bits.
+     * barrier: the run reduces to sampling the cached state's basis
+     * distribution, with readout error (if any) applied classically to
+     * the sampled bits. It implies no reset and `split` <= the first
+     * measurement, so the sampled measurements are the terminal ones.
      */
     bool terminal_sampling = false;
-
-    /** (qubit, clbit) pairs of the terminal measurements, in order. */
-    std::vector<std::pair<int, int>> terminal_measures;
-
-    /** True when gate-level Kraus channels are active. */
-    bool kraus_noise = false;
-
-    /** True when classical readout error is active. */
-    bool readout_noise = false;
 };
 
 /**
  * Analyze a circuit against an (optional, possibly disabled) noise
  * model. The prefix ends at the first measurement or reset, or at the
- * first gate one of the model's Kraus channel lists applies to.
+ * first gate that draws one of the model's channels
+ * (NoiseModel::channelsFor).
  */
 ShotPlan analyzeShotPlan(const QuantumCircuit& circuit,
                          const NoiseModel* noise);

@@ -15,6 +15,7 @@
 
 #include <vector>
 
+#include "circuit/instruction.hpp"
 #include "common/hash.hpp"
 #include "sim/kraus.hpp"
 
@@ -35,6 +36,17 @@ struct NoiseModel
 
     /** P(read 0 | qubit is 1); asymmetric and larger on real devices. */
     double readout_p10 = 0.0;
+
+    /**
+     * The channel list a gate draws, once per qubit it touches:
+     * noise_1q for a one-qubit gate, noise_2q for any wider one. Every
+     * engine that applies or plans gate noise asks this.
+     */
+    const std::vector<KrausChannel>&
+    channelsFor(const Instruction& instr) const
+    {
+        return instr.arity() == 1 ? noise_1q : noise_2q;
+    }
 
     /** True if any channel or readout error is configured. */
     bool

@@ -13,6 +13,7 @@
 #define QA_SIM_OPTIONS_HPP
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 namespace qa
@@ -64,6 +65,23 @@ backendRequestName(BackendRequest request)
       case BackendRequest::kMps:           return "mps";
     }
     return "unknown";
+}
+
+/**
+ * The backend a concrete request forces; nullopt for kAuto, which the
+ * router resolves.
+ */
+inline std::optional<BackendKind>
+requestedKind(BackendRequest request)
+{
+    switch (request) {
+      case BackendRequest::kAuto:          return std::nullopt;
+      case BackendRequest::kStatevector:   return BackendKind::kStatevector;
+      case BackendRequest::kDensityMatrix: return BackendKind::kDensityMatrix;
+      case BackendRequest::kStabilizer:    return BackendKind::kStabilizer;
+      case BackendRequest::kMps:           return BackendKind::kMps;
+    }
+    return std::nullopt;
 }
 
 /** Parse a wire backend name; returns false on an unknown name. */

@@ -40,11 +40,12 @@ xMatrix()
 
 } // namespace
 
-Statevector::Statevector(int num_qubits)
-    : num_qubits_(num_qubits), amps_(size_t(1) << num_qubits)
+Statevector::Statevector(int num_qubits) : num_qubits_(num_qubits)
 {
-    QA_REQUIRE(num_qubits >= 1 && num_qubits <= 24,
-               "statevector supports 1..24 qubits");
+    QA_REQUIRE(num_qubits >= 1 && num_qubits <= kStatevectorMaxQubits,
+               "statevector supports 1.." +
+                   std::to_string(kStatevectorMaxQubits) + " qubits");
+    amps_ = CVector(size_t(1) << num_qubits);
     amps_[0] = 1.0;
 }
 

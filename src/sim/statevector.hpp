@@ -27,6 +27,9 @@
 namespace qa
 {
 
+/** Widest statevector (256 MiB); the router's capability check reads it. */
+inline constexpr int kStatevectorMaxQubits = 24;
+
 /** Mutable n-qubit pure state with gate/measurement/channel application. */
 class Statevector
 {

@@ -5,11 +5,12 @@
 namespace qa
 {
 
-StabilizerTableau::StabilizerTableau(int n)
-    : n_(n), x_(2 * n, std::vector<uint8_t>(n, 0)),
-      z_(2 * n, std::vector<uint8_t>(n, 0)), r_(2 * n, 0)
+StabilizerTableau::StabilizerTableau(int n) : n_(n)
 {
-    QA_REQUIRE(n >= 1 && n <= 4096, "tableau size out of range");
+    QA_REQUIRE(n >= 1 && n <= kTableauMaxQubits, "tableau size out of range");
+    x_.assign(size_t(2 * n), std::vector<uint8_t>(size_t(n), 0));
+    z_ = x_;
+    r_.assign(size_t(2 * n), 0);
     for (int q = 0; q < n; ++q) {
         x_[q][q] = 1;      // destabilizer X_q
         z_[n + q][q] = 1;  // stabilizer Z_q

@@ -21,6 +21,9 @@
 namespace qa
 {
 
+/** Widest tableau (64 MiB); the router's capability check reads it. */
+inline constexpr int kTableauMaxQubits = 4096;
+
 /** Stabilizer tableau over n qubits (destabilizers + stabilizers). */
 class StabilizerTableau
 {

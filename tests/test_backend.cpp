@@ -17,8 +17,10 @@
 #include "backend/router.hpp"
 #include "baselines/chi_square.hpp"
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "core/runner.hpp"
 #include "serve/job.hpp"
+#include "sim/density.hpp"
 #include "sim/engine.hpp"
 #include "stab/clifford.hpp"
 #include "stab/tableau.hpp"
@@ -189,6 +191,60 @@ TEST(AnalyzerTest, NoiseProfiles)
     EXPECT_FALSE(mp.pauli_only); // amplitude damping is not a Pauli mix
 }
 
+TEST(AnalyzerTest, AnalysisCarriesNoiseAndTerminalMeasures)
+{
+    // What a job's shots need beyond the shot plan: the terminal
+    // (qubit, clbit) pairs and the noise profile, from one analysis.
+    QuantumCircuit terminal(3, 3);
+    terminal.h(0);
+    terminal.cx(0, 1);
+    terminal.barrier();
+    terminal.measureAll();
+    const backend::CircuitAnalysis noiseless =
+        backend::analyzeForRouting(terminal, SimOptions{});
+    ASSERT_EQ(noiseless.profile.terminal_measures.size(), 3u);
+    EXPECT_EQ(noiseless.profile.terminal_measures[0],
+              (std::pair<int, int>{0, 0}));
+    EXPECT_FALSE(noiseless.noise.kraus);
+    EXPECT_FALSE(noiseless.noise.readout);
+
+    QuantumCircuit mid(2, 2);
+    mid.h(0);
+    mid.measure(0, 0);
+    mid.cx(0, 1);
+    mid.measure(1, 1);
+    EXPECT_TRUE(backend::analyzeForRouting(mid, SimOptions{})
+                    .profile.terminal_measures.empty());
+
+    SimOptions options;
+    const NoiseModel depol = NoiseModel::depolarizing(0.0, 0.05);
+    options.noise = &depol;
+    const backend::CircuitAnalysis pauli =
+        backend::analyzeForRouting(terminal, options);
+    EXPECT_TRUE(pauli.noise.kraus);
+    EXPECT_TRUE(pauli.noise.pauli_1q.empty());
+    ASSERT_EQ(pauli.noise.pauli_2q.size(), 1u);
+    EXPECT_EQ(pauli.noise.pauli_2q[0].weights.size(), 4u);
+
+    const NoiseModel melbourne = NoiseModel::ibmqMelbourneLike();
+    options.noise = &melbourne;
+    const backend::CircuitAnalysis kraus =
+        backend::analyzeForRouting(terminal, options);
+    EXPECT_TRUE(kraus.noise.kraus);
+    EXPECT_FALSE(kraus.noise.pauli_only);
+    EXPECT_TRUE(kraus.noise.pauli_1q.empty());
+    EXPECT_TRUE(kraus.noise.pauli_2q.empty());
+
+    NoiseModel readout;
+    readout.readout_p01 = 0.02;
+    readout.readout_p10 = 0.05;
+    options.noise = &readout;
+    const backend::CircuitAnalysis classical =
+        backend::analyzeForRouting(terminal, options);
+    EXPECT_FALSE(classical.noise.kraus);
+    EXPECT_TRUE(classical.noise.readout);
+}
+
 // ---------------------------------------------------------------------
 // Clifford recognition vs dense simulation
 
@@ -268,6 +324,58 @@ TEST(RouterTest, NonPauliNoiseForcesDensityOnTerminalCircuit)
     EXPECT_TRUE(choice.capable);
 }
 
+TEST(RouterTest, KrausNoiseThatNoGateDrawsKeepsTerminalSampling)
+{
+    // Amplitude damping on two-qubit gates only, on a circuit of
+    // one-qubit gates: no gate draws a channel, so the statevector
+    // evolves once and samples every shot, which beats evolving 4^n.
+    QuantumCircuit qc(6, 6);
+    for (int q = 0; q < 6; ++q) {
+        qc.h(q);
+        qc.t(q);
+    }
+    qc.measureAll();
+    NoiseModel noise;
+    noise.noise_2q.push_back(KrausChannel::amplitudeDamping(0.02));
+    SimOptions options;
+    options.noise = &noise;
+    options.shots = 1024;
+    const backend::Route routed = backend::route(qc, options);
+    EXPECT_EQ(routed.choice.backend, BackendKind::kStatevector);
+    EXPECT_TRUE(routed.choice.capable);
+    EXPECT_TRUE(routed.analysis.plan.terminal_sampling);
+}
+
+TEST(RouterTest, CapabilityWidthsAreTheEnginesOwn)
+{
+    // The router refuses a width exactly where the engine would, and the
+    // engine refuses it before allocating its state.
+    EXPECT_THROW(Statevector(kStatevectorMaxQubits + 1), UserError);
+    EXPECT_THROW(StabilizerTableau(kTableauMaxQubits + 1), UserError);
+    EXPECT_THROW(DensityState(13), UserError);
+
+    const auto routed = [](int qubits, BackendRequest request) {
+        QuantumCircuit qc(qubits, 1);
+        qc.h(0);
+        qc.measure(0, 0);
+        SimOptions options;
+        options.backend = request;
+        return backend::routeShots(qc, options);
+    };
+    EXPECT_TRUE(
+        routed(kStatevectorMaxQubits, BackendRequest::kStatevector).capable);
+    const BackendChoice wide =
+        routed(kStatevectorMaxQubits + 1, BackendRequest::kStatevector);
+    EXPECT_FALSE(wide.capable);
+    EXPECT_NE(wide.reason.find("25 qubits exceed the 24-qubit statevector"),
+              std::string::npos)
+        << wide.reason;
+    EXPECT_TRUE(
+        routed(kTableauMaxQubits, BackendRequest::kStabilizer).capable);
+    EXPECT_FALSE(
+        routed(kTableauMaxQubits + 1, BackendRequest::kStabilizer).capable);
+}
+
 TEST(RouterTest, MidCircuitMeasurementExcludesDensity)
 {
     QuantumCircuit qc(2, 2);
@@ -344,6 +452,158 @@ TEST(RouterTest, ExplainReportNamesTheChoice)
             backend::route(ghzCircuit(4), SimOptions{}), SimOptions{});
     EXPECT_NE(report.find("chosen: stabilizer"), std::string::npos);
     EXPECT_NE(report.find("class: clifford"), std::string::npos);
+}
+
+/** One routing job of the pinned corpus below. */
+struct RoutingJob
+{
+    const char* name;
+    const QuantumCircuit* circuit;
+    const NoiseModel* noise;
+    int shots;
+    BackendRequest request;
+    int chi;
+};
+
+TEST(RouterTest, ExplainMatchesPinnedCorpus)
+{
+    // Every routing rule, every capability objection and every explicit
+    // request, on circuits of at most 24 qubits whose Kraus noise (when
+    // attached) reaches at least one gate. The digest covers the whole
+    // explain report of each job, so any change to a decision, a reason
+    // or an estimate printed there shows up.
+    const QuantumCircuit ghz4 = ghzCircuit(4);
+
+    QuantumCircuit ghz_mid(3, 3);
+    ghz_mid.h(0);
+    ghz_mid.cx(0, 1);
+    ghz_mid.measure(1, 1);
+    ghz_mid.reset(1);
+    ghz_mid.cx(0, 2);
+    ghz_mid.measure(0, 0);
+    ghz_mid.measure(2, 2);
+
+    QuantumCircuit t3(3, 3);
+    t3.h(0);
+    t3.t(0);
+    t3.cx(0, 1);
+    t3.rz(2, 0.3);
+    t3.cx(1, 2);
+    t3.measureAll();
+
+    QuantumCircuit t3_mid(3, 3);
+    t3_mid.h(0);
+    t3_mid.t(0);
+    t3_mid.measure(0, 0);
+    t3_mid.cx(0, 1);
+    t3_mid.reset(0);
+    t3_mid.ry(2, 0.7);
+    t3_mid.measure(1, 1);
+    t3_mid.measure(2, 2);
+
+    QuantumCircuit general10(10, 10);
+    for (int q = 0; q < 10; ++q) {
+        general10.ry(q, 0.1 + 0.05 * q);
+        general10.t(q);
+    }
+    for (int q = 0; q + 1 < 10; ++q) general10.cx(q, q + 1);
+    general10.measureAll();
+
+    QuantumCircuit trotter24(24, 24);
+    for (int q = 0; q < 24; ++q) trotter24.rx(q, 0.30 + 0.01 * q);
+    for (int q = 0; q + 1 < 24; ++q) {
+        trotter24.cx(q, q + 1);
+        trotter24.rz(q + 1, 0.17);
+        trotter24.cx(q, q + 1);
+    }
+    trotter24.measureAll();
+
+    QuantumCircuit trotter24_mid(24, 24);
+    for (int q = 0; q < 24; ++q) trotter24_mid.rx(q, 0.30 + 0.01 * q);
+    for (int q = 0; q + 1 < 24; ++q) trotter24_mid.cx(q, q + 1);
+    trotter24_mid.measure(0, 0);
+    trotter24_mid.reset(0);
+    for (int q = 0; q < 24; ++q) trotter24_mid.rz(q, 0.21);
+    for (int q = 1; q < 24; ++q) trotter24_mid.measure(q, q);
+
+    QuantumCircuit brick24(24, 24);
+    for (int d = 0; d < 20; ++d) {
+        for (int q = 0; q < 24; ++q) brick24.ry(q, 0.40 + 0.13 * q + 0.31 * d);
+        for (int q = d % 2; q + 1 < 24; q += 2) brick24.cx(q, q + 1);
+    }
+    brick24.measureAll();
+
+    QuantumCircuit wide_gate(5, 5);
+    wide_gate.h(0);
+    wide_gate.t(1);
+    wide_gate.unitary(CMatrix::identity(16), {0, 1, 2, 3});
+    wide_gate.cx(3, 4);
+    wide_gate.measureAll();
+
+    const NoiseModel depol = NoiseModel::depolarizing(1e-3, 1e-2);
+    const NoiseModel melbourne = NoiseModel::ibmqMelbourneLike();
+    NoiseModel readout;
+    readout.readout_p01 = 0.02;
+    readout.readout_p10 = 0.05;
+    NoiseModel damping;
+    damping.noise_1q.push_back(KrausChannel::amplitudeDamping(0.01));
+    damping.noise_2q.push_back(KrausChannel::amplitudeDamping(0.02));
+    NoiseModel flip_1q;
+    flip_1q.noise_1q.push_back(KrausChannel::bitFlip(0.01));
+
+    using R = BackendRequest;
+    const std::vector<RoutingJob> jobs = {
+        {"clifford", &ghz4, nullptr, 1024, R::kAuto, 64},
+        {"clifford_pauli", &ghz4, &depol, 1024, R::kAuto, 64},
+        {"clifford_readout", &ghz4, &readout, 1024, R::kAuto, 64},
+        {"clifford_melbourne", &ghz4, &melbourne, 4096, R::kAuto, 64},
+        {"clifford_melbourne_1shot", &ghz4, &melbourne, 1, R::kAuto, 64},
+        {"clifford_mid_melbourne", &ghz_mid, &melbourne, 1024, R::kAuto, 64},
+        {"clifford_mid_pauli", &ghz_mid, &depol, 1024, R::kAuto, 64},
+        {"general", &t3, nullptr, 1024, R::kAuto, 64},
+        {"general_melbourne", &t3, &melbourne, 1024, R::kAuto, 64},
+        {"general_damping", &t3, &damping, 4096, R::kAuto, 64},
+        {"general_flip", &t3, &flip_1q, 1024, R::kAuto, 64},
+        {"general_mid_melbourne", &t3_mid, &melbourne, 1024, R::kAuto, 64},
+        {"general_mid", &t3_mid, nullptr, 1024, R::kAuto, 64},
+        {"wide10_melbourne", &general10, &melbourne, 1024, R::kAuto, 64},
+        {"wide10", &general10, nullptr, 1024, R::kAuto, 64},
+        {"trotter24", &trotter24, nullptr, 1024, R::kAuto, 64},
+        {"trotter24_readout", &trotter24, &readout, 1024, R::kAuto, 64},
+        {"trotter24_pauli", &trotter24, &depol, 1024, R::kAuto, 64},
+        {"trotter24_mid", &trotter24_mid, nullptr, 256, R::kAuto, 64},
+        {"brick24_chi64", &brick24, nullptr, 1024, R::kAuto, 64},
+        {"brick24_chi1024", &brick24, nullptr, 1024, R::kAuto, 1024},
+        {"wide_gate", &wide_gate, nullptr, 1024, R::kAuto, 64},
+        {"force_sv", &ghz4, nullptr, 1024, R::kStatevector, 64},
+        {"force_sv_pauli", &trotter24, &depol, 1024, R::kStatevector, 64},
+        {"force_stab_t", &t3, nullptr, 1024, R::kStabilizer, 64},
+        {"force_stab_melbourne", &ghz4, &melbourne, 1024, R::kStabilizer,
+         64},
+        {"force_dm_mid", &ghz_mid, nullptr, 1024, R::kDensityMatrix, 64},
+        {"force_dm_wide", &general10, nullptr, 1024, R::kDensityMatrix, 64},
+        {"force_dm_pauli", &t3, &depol, 1024, R::kDensityMatrix, 64},
+        {"force_mps", &ghz4, nullptr, 1024, R::kMps, 64},
+        {"force_mps_chi2", &trotter24, nullptr, 1024, R::kMps, 2},
+        {"force_mps_kraus", &t3, &melbourne, 1024, R::kMps, 64},
+        {"force_mps_wide_gate", &wide_gate, nullptr, 1024, R::kMps, 64},
+    };
+
+    HashStream digest(0x636f72707573ULL); // "corpus"
+    std::string reports;
+    for (const RoutingJob& job : jobs) {
+        SimOptions options;
+        options.shots = job.shots;
+        options.noise = job.noise;
+        options.backend = job.request;
+        options.mps_chi = job.chi;
+        const std::string report = backend::explainRouting(
+            backend::route(*job.circuit, options), options);
+        digest.str(job.name).str(report);
+        reports += std::string("== ") + job.name + "\n" + report;
+    }
+    EXPECT_EQ(digest.digest().str(), "a1a86220045c8f14640b6ca83be1bf01")
+        << reports;
 }
 
 // ---------------------------------------------------------------------

@@ -1135,6 +1135,79 @@ TEST(WireTest, ExplainRejectsTheSlotsARunRejects)
     }
 }
 
+/**
+ * Explain and run `qasm` (an OPENQASM 2.0 body after the header) on a
+ * circuit no backend can hold: explain must answer `capable:false` and
+ * the run the typed kBadRequest carrying the same reason, before any
+ * backend allocates its state.
+ */
+void
+expectTypedIncapable(const std::string& body)
+{
+    SchedulerOptions options;
+    options.workers = 1;
+    Scheduler scheduler(options);
+    LineService service(scheduler, nullptr, LineService::Options{});
+    const std::string fields =
+        R"("qasm":")" + jsonEscape("OPENQASM 2.0;\n" + body) +
+        R"(","shots":16})";
+
+    std::vector<std::string> lines;
+    service.handleLine(R"({"op":"explain","id":"e",)" + fields,
+                       [&lines](const std::string& line) {
+                           lines.push_back(line);
+                       });
+    ASSERT_EQ(lines.size(), 1u);
+    const JsonValue reply = JsonValue::parse(lines[0]);
+    EXPECT_EQ(reply.find("status")->asString(), "ok") << lines[0];
+    EXPECT_FALSE(reply.find("capable")->asBool()) << lines[0];
+
+    try {
+        executeJob(parseRequest("{" + fields).spec);
+        FAIL() << "the run must refuse the job";
+    } catch (const UserError& err) {
+        EXPECT_EQ(err.code(), ErrorCode::kBadRequest) << err.what();
+        EXPECT_NE(std::string(err.what()).find(
+                      reply.find("reason")->asString()),
+                  std::string::npos)
+            << err.what();
+    }
+}
+
+TEST(WireTest, WideNonCliffordCircuitIsATypedIncapableJob)
+{
+    // 26 qubits: past the statevector's width, non-Clifford for the
+    // tableau, and too entangled across the middle cut for MPS.
+    constexpr int n = 26;
+    std::string body = "qreg q[26];\ncreg c[26];\n";
+    for (int q = 0; q < n; ++q) {
+        body += "t q[" + std::to_string(q) + "];\n";
+    }
+    for (int q = 0; q < n / 2; ++q) {
+        body += "cx q[" + std::to_string(q) + "],q[" +
+                std::to_string(n - 1 - q) + "];\n";
+    }
+    for (int q = 0; q < n; ++q) {
+        body += "measure q[" + std::to_string(q) + "] -> c[" +
+                std::to_string(q) + "];\n";
+    }
+    expectTypedIncapable(body);
+}
+
+TEST(WireTest, OversizedCliffordCircuitIsATypedIncapableJob)
+{
+    // A 5000-qubit GHZ fanned out from qubit 0: Clifford, but past the
+    // tableau's width, and every cut of the line is crossed too often
+    // for MPS.
+    constexpr int n = 5000;
+    std::string body = "qreg q[5000];\ncreg c[5000];\nh q[0];\n";
+    for (int q = 1; q < n; ++q) {
+        body += "cx q[0],q[" + std::to_string(q) + "];\n";
+    }
+    body += "measure q[0] -> c[0];\n";
+    expectTypedIncapable(body);
+}
+
 TEST(WireTest, EncodesMetricsSnapshots)
 {
     SchedulerOptions options;
